@@ -14,9 +14,9 @@ import sys
 from .liealg import make_algebra
 from .docio import (parse_matrix_doc, emit_matrix_doc, DocumentError,
                     analysis_report, analysis_text)
-from .korbits import (enumerate_orbits, orbit_graph, orbit_graph_text,
-                      orbit_by_name, sample_yq, sample_xi, sample_nilfibre,
-                      sample_g0, sample_chain_disjoint, xi_slot_count)
+from .korbits import (orbit_graph, orbit_graph_text, orbit_by_name, sample_yq,
+                      sample_xi, sample_nilfibre, sample_g0,
+                      sample_chain_disjoint)
 from .rand import Sampler
 from .suites import SuiteConfig, SUITE_NAMES, run_suite, run_all
 
@@ -88,6 +88,8 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
+    if args.trials < 0:
+        return _fail_usage("--trials must be >= 0 (0 = suite default)")
     cfg = SuiteConfig(args.suite, args.trials, args.seed,
                       args.n_min, args.n_max)
     try:

@@ -7,8 +7,8 @@ from .scalars import parse_scalar, format_scalar
 from .matrices import Mat
 from .liealg import make_algebra
 from .invariants import (InvariantVector, partial_kw, coincidence_count)
-from .regularity import (is_regular, is_nsreg, is_sreg,
-                         kostant_jacobian_rank, centralizer)
+from .regularity import (is_nsreg, is_sreg, kostant_jacobian_rank,
+                         centralizer_dims)
 
 
 class DocumentError(ValueError):
@@ -24,8 +24,10 @@ def parse_matrix_doc(doc):
     if kind not in ("so", "gl"):
         raise DocumentError("field 'algebra' must be 'so' or 'gl'")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise DocumentError("field 'n' must be a positive integer")
+    lowest = 3 if kind == "so" else 2
+    if not isinstance(n, int) or n < lowest:
+        raise DocumentError("field 'n' must be an integer >= %d: the chain "
+                            "stops at %s(%d)" % (lowest, kind, lowest - 1))
     entries = doc.get("entries")
     if (not isinstance(entries, list) or len(entries) != n
             or any(not isinstance(r, list) or len(r) != n for r in entries)):
@@ -70,18 +72,18 @@ def parse_invariant_doc(doc):
 
 
 def analysis_report(ctx, mat):
-    """Full regularity analysis of one element."""
-    dims = []
-    for m in range(ctx.chain_floor(), ctx.n + 1):
-        dims.append(len(centralizer(ctx, mat, m)))
+    """Full regularity analysis of one element: one centralizer system per
+    chain level, one nsreg system per level above the floor."""
+    dims = centralizer_dims(ctx, mat)
+    nsreg = is_nsreg(ctx, mat)
     jrank = kostant_jacobian_rank(ctx, mat)
     return {
         "algebra": ctx.kind,
         "n": ctx.n,
         "coincidence": coincidence_count(ctx, mat),
-        "regular": is_regular(ctx, mat),
-        "nsreg": is_nsreg(ctx, mat),
-        "sreg": is_sreg(ctx, mat),
+        "regular": dims[-1] == ctx.invariant_rank(ctx.n),
+        "nsreg": nsreg,
+        "sreg": nsreg and is_sreg(ctx.child, ctx.down(mat)),
         "jacobian_rank": jrank,
         "jacobian_full_rank": (jrank == ctx.invariant_rank(ctx.n)
                                + ctx.invariant_rank(ctx.n - 1)),

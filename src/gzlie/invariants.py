@@ -2,25 +2,18 @@
 and coincidence counting between the spectrum of an element and of its
 projection one level down.
 
-Conventions (fixed once for the whole artifact):
-  * characteristic polynomial is det(t*I - x), monic;
-  * gl(m) generators are the elementary symmetric functions of the
-    eigenvalues, i.e. f_j = (-1)^j b_j for det(t*I-x) = t^m + sum b_j t^(m-j);
-  * so(2k+1): det(t*I - x) = t * q(t^2); generators are the k proper
-    coefficients of the monic q(u) = u^k + c_1 u^(k-1) + ... + c_k,
-    reported as (c_1, ..., c_k);
-  * so(2k): det(t*I - x) = q(t^2); generators are (c_1, ..., c_(k-1), pf)
-    where pf is the Pfaffian of S*x; the omitted constant coefficient
-    satisfies c_k = (-1)^k pf^2 and is therefore redundant.
+The generator conventions are stated once, in generator_spec; values,
+reconstruction from values and the gradient rows of regularity read it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import polys
-from .matrices import Mat, char_poly, pfaffian
-from .liealg import AlgebraContext, project_to_subalgebra
+from .matrices import char_poly_fl, pfaffian
+from .liealg import project_to_subalgebra
 from .scalars import QI, ZERO, ONE
 
 
@@ -32,13 +25,44 @@ class InvariantVector:
     values: list       # list of QI
 
 
+# coeffs: (j, sign) per coefficient generator f = sign * b_j; pfaffian:
+# None, or the sign s of b_m = s * pf^2 when pf(S*x) is the last generator;
+# even: the reduced characteristic polynomial is q of det = t^(m mod 2) q(t^2)
+GeneratorSpec = namedtuple("GeneratorSpec", "coeffs pfaffian even")
+
+
+def generator_spec(ctx_m):
+    """Generators of one chain level from det(t*I - x) = t^m + b_1 t^(m-1)
+    + ... + b_m (the Faddeev-LeVerrier coefficients):
+      * gl(m): elementary symmetric functions f_j = (-1)^j b_j, j = 1..m;
+      * so(2k+1): the proper coefficients c_j = b_2j of the monic
+        q(u) = u^k + c_1 u^(k-1) + ... + c_k, reported as (c_1, ..., c_k);
+      * so(2k): (c_1, ..., c_(k-1), pf) with pf the Pfaffian of S*x; the
+        omitted c_k = (-1)^k pf^2 is redundant."""
+    m = ctx_m.n
+    if ctx_m.kind == "gl":
+        return GeneratorSpec(tuple((j, (-1) ** j) for j in range(1, m + 1)),
+                             None, False)
+    return GeneratorSpec(tuple((2 * j, 1) for j in range(1, (m + 1) // 2)),
+                         None if m % 2 else (-1) ** (m // 2), True)
+
+
+def _signed(sign, v):
+    return v if sign > 0 else -v
+
+
+def _reduced(spec, b):
+    """The reduced characteristic polynomial, low degree first, from
+    b_1..b_m: det(t*I - x) itself on gl, q on so (where polys.even_part
+    raises unless every odd-index b_j vanishes)."""
+    p = b[::-1] + [ONE]
+    return polys.even_part(p, len(b) % 2) if spec.even else p
+
+
 def reduced_char(ctx, mat):
     """For so: the monic q with char(t) = t^(n mod 2) * q(t^2).
     For gl: the characteristic polynomial itself."""
-    p = char_poly(mat)
-    if ctx.kind == "gl":
-        return p
-    return polys.even_part(p, ctx.n % 2)
+    return _reduced(generator_spec(ctx), char_poly_fl(mat)[0])
 
 
 def pfaffian_generator(ctx, mat):
@@ -49,24 +73,16 @@ def pfaffian_generator(ctx, mat):
 
 def _level_values(ctx_m, mat_m):
     """Generator values of one chain level; mat_m is realized at that level."""
-    if ctx_m.kind == "gl":
-        p = char_poly(mat_m)           # t^m + b1 t^(m-1) + ...
-        m = ctx_m.n
-        out = []
-        for j in range(1, m + 1):
-            b = p[m - j]
-            out.append(b if j % 2 == 0 else -b)
-        return out
-    q = reduced_char(ctx_m, mat_m)     # monic in u, degree k
-    k = len(q) - 1
-    coeffs = [q[k - j] for j in range(1, k + 1)]   # c_1 .. c_k
-    if ctx_m.n % 2 == 1:
-        return coeffs
-    pf = pfaffian_generator(ctx_m, mat_m)
-    expected = pf * pf if k % 2 == 0 else -(pf * pf)
-    if coeffs and coeffs[-1] != expected:
-        raise AssertionError("Pfaffian square does not match determinant")
-    return coeffs[:-1] + [pf] if coeffs else [pf]
+    spec = generator_spec(ctx_m)
+    b, _ = char_poly_fl(mat_m)
+    _reduced(spec, b)                  # checks the parity on so
+    values = [_signed(sign, b[j - 1]) for j, sign in spec.coeffs]
+    if spec.pfaffian:
+        pf = pfaffian_generator(ctx_m, mat_m)
+        if b[-1] != _signed(spec.pfaffian, pf * pf):
+            raise AssertionError("Pfaffian square does not match determinant")
+        values.append(pf)
+    return values
 
 
 def evaluate_generators(ctx, mat, m=None):
@@ -103,25 +119,13 @@ def _poly_from_values(ctx_m, values):
     """Reconstruct the reduced characteristic polynomial from generator
     values of one level (inverse of _level_values up to the redundant
     coefficient)."""
-    if ctx_m.kind == "gl":
-        m = ctx_m.n
-        p = [ZERO] * (m + 1)
-        p[m] = ONE
-        for j, f in enumerate(values, start=1):
-            p[m - j] = f if j % 2 == 0 else -f
-        return p
-    k = ctx_m.invariant_rank()
-    q = [ZERO] * (k + 1)
-    q[k] = ONE
-    if ctx_m.n % 2 == 1:
-        coeffs = values
-    else:
-        pf = values[-1]
-        const = pf * pf if k % 2 == 0 else -(pf * pf)
-        coeffs = list(values[:-1]) + [const]
-    for j, c in enumerate(coeffs, start=1):
-        q[k - j] = c
-    return q
+    spec = generator_spec(ctx_m)
+    b = [ZERO] * ctx_m.n
+    for (j, sign), f in zip(spec.coeffs, values):
+        b[j - 1] = _signed(sign, f)
+    if spec.pfaffian:
+        b[-1] = _signed(spec.pfaffian, values[-1] * values[-1])
+    return _reduced(spec, b)
 
 
 def stratum_of_value(ctx, vector):

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import QI, ZERO, ONE, rat
-from .matrices import (Mat, bracket, inverse, rank_rows, intersection_dim,
-                       row_space_contains)
+from .scalars import rat
+from .matrices import Mat, inverse, intersection_dim, row_space_contains
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
-                     sl2_triple, project_to_subalgebra)
+                     project_to_subalgebra)
 from .invariants import coincidence_count, reduced_char
 from . import polys
 
@@ -35,7 +34,6 @@ class Orbit:
     base: str                 # which closed orbit the word starts from
     word: tuple               # simple-root indices applied so far
     conjugator: Mat
-    conjugator_inv: Mat
     codim: int
     closed: bool
     action: tuple             # theta_Q on epsilon-coords, columns = images
@@ -126,8 +124,8 @@ def _make_orbit(ctx, base, word, v, closed=False, name=None):
     action, signs = _theta_q_data(ctx, v, v_inv)
     borel = _borel_basis(ctx, v, v_inv)
     codim = _orbit_codim(ctx, borel)
-    return Orbit(name or "", base, tuple(word), v, v_inv, codim, closed,
-                 action, signs, borel)
+    return Orbit(name or "", base, tuple(word), v, codim, closed, action,
+                 signs, borel)
 
 
 def monoid_action(ctx, orbit, root_idx):
@@ -378,7 +376,11 @@ def nilfibre_overlap_vector(ctx, component=0):
 
 
 def sample_nilfibre(ctx, sampler, component=0):
-    comp = nilfibre_components(ctx)[component]
+    comps = nilfibre_components(ctx)
+    if not 0 <= component < len(comps):
+        raise ValueError("nilfibre component must be in 0..%d for %s"
+                         % (len(comps) - 1, ctx.describe()))
+    comp = comps[component]
     y = sampler.span_element(comp, nonzero=True)
     k = sampler.subgroup_element(ctx)
     return k * y * inverse(k)

@@ -361,18 +361,6 @@ def make_algebra(kind, n):
     return AlgebraContext(kind, n)
 
 
-def membership_check(ctx, mat):
-    return ctx.contains(mat)
-
-
-def theta_apply(ctx, mat):
-    return ctx.theta(mat)
-
-
-def theta_decompose(ctx, mat):
-    return ctx.theta_decompose(mat)
-
-
 def project_to_subalgebra(ctx, mat, m):
     cur = ctx
     while cur.n > m:

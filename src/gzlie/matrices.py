@@ -44,12 +44,14 @@ class Mat:
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]
 
+    # sums, differences and multiples leave an entry as it is when the other
+    # operand is zero: chain projections of sparse matrices are mostly zeros
     def __add__(self, other):
-        return Mat([[x + y for x, y in zip(r, s)]
+        return Mat([[x + y if y else x for x, y in zip(r, s)]
                     for r, s in zip(self.a, other.a)])
 
     def __sub__(self, other):
-        return Mat([[x - y for x, y in zip(r, s)]
+        return Mat([[x - y if y else x for x, y in zip(r, s)]
                     for r, s in zip(self.a, other.a)])
 
     def __neg__(self):
@@ -83,7 +85,7 @@ class Mat:
         return self.scale(c)
 
     def scale(self, c):
-        return Mat([[c * x for x in r] for r in self.a])
+        return Mat([[c * x if x else x for x in r] for r in self.a])
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.m == other.m
@@ -115,14 +117,6 @@ class Mat:
         w = max((len(c) for r in cells for c in r), default=1)
         return "\n".join("[" + "  ".join(c.rjust(w) for c in r) + "]"
                          for r in cells)
-
-
-def _dot(row, col):
-    s = ZERO
-    for x, y in zip(row, col):
-        if x and y:
-            s = s + x * y
-    return s
 
 
 def bracket(x, y):

@@ -1,6 +1,11 @@
 """Centralizers, regularity, strong regularity and the differential
 criterion for the partial chain-restriction map.
 
+Tests that need only a dimension take the rank of a centralizer system;
+nullspace bases are built only for callers that want the vectors.  Strong
+regularity is nsreg at every chain level (see is_sreg); chain_centralizers
+keeps its definition as the reference.
+
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
 gives every gradient row from a single recurrence per chain level; the
@@ -9,11 +14,11 @@ Pfaffian row and the reference implementation use first-order jets.
 
 from __future__ import annotations
 
-from .scalars import QI, ZERO, ONE, Jet
+from .scalars import ZERO
 from .matrices import (Mat, bracket, nullspace, rank_rows, char_poly_fl,
                        pfaffian, jet_mat)
 from .liealg import project_to_subalgebra, embed_from_subalgebra
-from .invariants import _level_values
+from .invariants import _level_values, _signed, generator_spec
 
 
 def _ambient_basis(ctx, ambient):
@@ -27,23 +32,30 @@ def _ambient_basis(ctx, ambient):
     raise ValueError("ambient must be 'g', 'k' or a chain level")
 
 
-def joint_centralizer(ctx, mats, ambient="g"):
-    """Basis of {y in ambient : [y, x] = 0 for all x in mats}."""
+def _centralizer_system(ctx, mats, ambient):
+    """Rows of the linear system [y, x] = 0 (x in mats) in the coordinates
+    of the ambient basis, and that basis."""
     basis, size = _ambient_basis(ctx, ambient)
     rows = []
     for x in mats:
         cols = [bracket(b, x).flatten() for b in basis]
         for r in range(size * size):
             rows.append([c[r] for c in cols])
+    return rows, basis
+
+
+def _centralizer_rank(ctx, mats, ambient="g"):
+    """Rank of the joint centralizer system: dim ambient - dim centralizer."""
+    rows, basis = _centralizer_system(ctx, mats, ambient)
+    return rank_rows(rows, len(basis))
+
+
+def joint_centralizer(ctx, mats, ambient="g"):
+    """Basis of {y in ambient : [y, x] = 0 for all x in mats}."""
+    rows, basis = _centralizer_system(ctx, mats, ambient)
     ns = nullspace(Mat(rows)) if rows else []
-    out = []
-    for coeffs in ns:
-        acc = Mat.zeros(size)
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = acc + c * b
-        out.append(acc)
-    return out
+    return [sum((c * b for c, b in zip(coeffs, basis) if c),
+                Mat.zeros(basis[0].n)) for coeffs in ns]
 
 
 def centralizer(ctx, mat, ambient="g"):
@@ -58,20 +70,36 @@ def centralizer(ctx, mat, ambient="g"):
     return joint_centralizer(ctx, [x], ambient)
 
 
+def centralizer_dims(ctx, mat):
+    """dim z_{g_m}(x_m) = dim g_m - rank, for every chain level m from the
+    floor up."""
+    dims = []
+    while True:
+        dims.append(ctx.dim - _centralizer_rank(ctx, [mat]))
+        if ctx.child is None:
+            return dims[::-1]
+        mat, ctx = ctx.down(mat), ctx.child
+
+
 def is_regular(ctx, mat, m=None):
     """dim of the centralizer at level m equals the invariant rank there."""
-    m = ctx.n if m is None else m
-    return len(centralizer(ctx, mat, m)) == ctx.invariant_rank(m)
+    lvl = ctx.level(ctx.n if m is None else m)
+    x = project_to_subalgebra(ctx, mat, lvl.n)
+    return lvl.dim - _centralizer_rank(lvl, [x]) == lvl.invariant_rank()
 
 
 def nsreg_intersection(ctx, mat):
-    """Basis of z_k(x_k) intersect z_g(x) inside k."""
-    fixed, _ = ctx.theta_decompose(mat)
-    return joint_centralizer(ctx, [mat, fixed], "k")
+    """Basis of z_k(x_k) intersect z_g(x) inside k.  For y in k,
+    [y, x] = [y, x_k] = 0 iff [y, x_k] = [y, x_p] = 0 with x_p = x - x_k;
+    the rows of the second pair sit only at the positions of k or of p, so
+    about half of them vanish."""
+    return joint_centralizer(ctx, ctx.theta_decompose(mat), "k")
 
 
 def is_nsreg(ctx, mat):
-    return not nsreg_intersection(ctx, mat)
+    """z_k(x_k) meets z_g(x) trivially: the system of nsreg_intersection
+    has rank dim k."""
+    return _centralizer_rank(ctx, ctx.theta_decompose(mat), "k") == ctx.k_dim()
 
 
 def _trace_against(m_aux, v):
@@ -84,46 +112,29 @@ def _trace_against(m_aux, v):
     return s
 
 
-def _level_gradient_rows(ctx, x, m, directions_at_m):
-    """Gradient rows (one per generator of level m) against the given
-    projected directions."""
+def _level_gradient_rows(ctx, x, m):
+    """Gradient rows (one per generator of level m) against the basis of g
+    projected to level m."""
     lvl = ctx.level(m)
+    spec = generator_spec(lvl)
+    dirs = [project_to_subalgebra(ctx, b, m) for b in ctx.basis]
     xm = project_to_subalgebra(ctx, x, m)
     _, aux = char_poly_fl(xm)          # aux[j-1] = M_j, d b_j = -tr(M_j V)
-    rows = []
-    if lvl.kind == "gl":
-        for j in range(1, m + 1):
-            sign = ONE if j % 2 == 0 else -ONE
-            mj = aux[j - 1]
-            rows.append([-sign * _trace_against(mj, v)
-                         for v in directions_at_m])
-    else:
-        k = lvl.invariant_rank()
-        ncoeff = k if m % 2 == 1 else k - 1
-        for j in range(1, ncoeff + 1):
-            mj = aux[2 * j - 1]
-            rows.append([-_trace_against(mj, v) for v in directions_at_m])
-        if m % 2 == 0:
-            sform = lvl.form
-            sx = sform * xm
-            row = []
-            for v in directions_at_m:
-                jm = jet_mat(sx, sform * v)
-                row.append(pfaffian(jm).eps)
-            rows.append(row)
+    rows = [[_signed(-sign, _trace_against(aux[j - 1], v)) for v in dirs]
+            for j, sign in spec.coeffs]
+    if spec.pfaffian:
+        sform = lvl.form
+        sx = sform * xm
+        rows.append([pfaffian(jet_mat(sx, sform * v)).eps for v in dirs])
     return rows
 
 
-def partial_map_jacobian(ctx, mat, directions=None):
+def partial_map_jacobian(ctx, mat):
     """Jacobian of the two-level restriction map in algebra coordinates:
-    rows are generator gradients of levels n-1 and n, columns the given
-    directions (default: the basis of g)."""
-    dirs = ctx.basis if directions is None else directions
-    rows = []
-    for m in (ctx.n - 1, ctx.n):
-        proj = [project_to_subalgebra(ctx, d, m) for d in dirs]
-        rows.extend(_level_gradient_rows(ctx, mat, m, proj))
-    return rows
+    rows are generator gradients of levels n-1 and n, columns the basis of
+    g."""
+    return (_level_gradient_rows(ctx, mat, ctx.n - 1)
+            + _level_gradient_rows(ctx, mat, ctx.n))
 
 
 def kostant_jacobian_rank(ctx, mat):
@@ -133,49 +144,39 @@ def kostant_jacobian_rank(ctx, mat):
 def full_map_jacobian_rank(ctx, mat):
     rows = []
     for m in range(ctx.chain_floor(), ctx.n + 1):
-        proj = [project_to_subalgebra(ctx, d, m) for d in ctx.basis]
-        rows.extend(_level_gradient_rows(ctx, mat, m, proj))
+        rows.extend(_level_gradient_rows(ctx, mat, m))
     return rank_rows(rows, ctx.dim)
 
 
-def partial_map_jacobian_jet(ctx, mat, directions=None):
-    """Reference Jacobian computed one jet pass per direction (slow path,
-    used to cross-check the adjugate-based gradients)."""
-    dirs = ctx.basis if directions is None else directions
-    cols = []
-    for d in dirs:
-        col = []
-        for m in (ctx.n - 1, ctx.n):
-            lvl = ctx.level(m)
-            xm = project_to_subalgebra(ctx, mat, m)
-            vm = project_to_subalgebra(ctx, d, m)
-            vals = _level_values(lvl, jet_mat(xm, vm))
-            col.extend(v.eps for v in vals)
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(cols))]
-            for i in range(len(cols[0]))] if cols else []
+def partial_map_jacobian_jet(ctx, mat):
+    """Reference Jacobian computed one jet pass per basis direction (slow
+    path, used to cross-check the adjugate-based gradients)."""
+    rows = []
+    for m in (ctx.n - 1, ctx.n):
+        lvl, xm = ctx.level(m), project_to_subalgebra(ctx, mat, m)
+        cols = [[v.eps for v in _level_values(
+            lvl, jet_mat(xm, project_to_subalgebra(ctx, d, m)))]
+            for d in ctx.basis]
+        rows.extend(list(r) for r in zip(*cols))
+    return rows
 
 
 def chain_centralizers(ctx, mat):
     """For every chain level, the centralizer of the projection, embedded
     back into the top algebra; returned as {level: list of flattened rows}."""
-    out = {}
-    for m in range(ctx.chain_floor(), ctx.n + 1):
-        zs = centralizer(ctx, mat, m)
-        rows = [embed_from_subalgebra(ctx, z, m).flatten() for z in zs]
-        out[m] = rows
-    return out
+    return {m: [embed_from_subalgebra(ctx, z, m).flatten()
+                for z in centralizer(ctx, mat, m)]
+            for m in range(ctx.chain_floor(), ctx.n + 1)}
 
 
-def is_sreg(ctx, mat, _cache=None):
-    """Strong regularity: consecutive chain centralizers intersect trivially.
-    (This condition also forces every projection to be regular.)"""
-    zs = _cache if _cache is not None else chain_centralizers(ctx, mat)
-    ncols = ctx.n * ctx.n
-    for m in range(ctx.chain_floor(), ctx.n):
-        a, b = zs[m], zs[m + 1]
-        # nullspace bases are independent and the chain embeddings are
-        # injective, so trivial intersection means the ranks add
-        if rank_rows(a + b, ncols) != len(a) + len(b):
+def is_sreg(ctx, mat):
+    """Strong regularity: consecutive chain centralizers intersect
+    trivially.  g_(m-1) is the theta-fixed k of g_m, so the intersection at
+    (m-1, m) is the nsreg intersection of x_m (Kostant-Wallach's centralizer
+    criterion): x is sreg iff it is nsreg at every level above the floor.
+    (This also forces every projection to be regular.)"""
+    while ctx.child is not None:
+        if not is_nsreg(ctx, mat):
             return False
+        mat, ctx = ctx.down(mat), ctx.child
     return True

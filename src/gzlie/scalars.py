@@ -12,7 +12,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is the optional "fast" extra
     _mpq = Fraction
 
 _ZERO = _mpq(0)

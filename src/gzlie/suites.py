@@ -11,16 +11,14 @@ import time
 import zlib
 from dataclasses import dataclass, field, asdict
 
-from .scalars import rat
-from .matrices import Mat, inverse, row_space_contains, intersection_dim
+from .matrices import Mat, row_space_contains
 from .liealg import (make_algebra, root_vector, adjoint)
 from .invariants import partial_kw, coincidence_count
 from .regularity import (is_regular, is_nsreg, is_sreg,
                          kostant_jacobian_rank, nsreg_intersection)
-from .korbits import (enumerate_orbits, stable_parabolic, degenerate_to_levi,
-                      nilfibre_components, nilfibre_overlap_vector,
-                      sample_nilfibre, sample_yq, sample_g0,
-                      sample_chain_disjoint, sample_xi, xi_shape,
+from .korbits import (enumerate_orbits, stable_parabolic, nilfibre_components,
+                      nilfibre_overlap_vector, sample_nilfibre, sample_yq,
+                      sample_g0, sample_chain_disjoint, sample_xi, xi_shape,
                       xi_flip_element, xi_slot_count)
 from .rand import Sampler
 from .docio import emit_matrix_doc

@@ -64,6 +64,37 @@ def test_sample_rejects_bad_family_args(capsys):
                "--pattern", "XX")[0] == 2
 
 
+def test_sample_nilfibre_component_out_of_range(capsys):
+    # so(5) has two nilfibre components, so(6) one
+    for n, bad, valid in [("5", "7", "0..1"), ("5", "-1", "0..1"),
+                          ("6", "1", "0..0")]:
+        code, out, err = run(capsys, "sample", "--what", "nilfibre",
+                             "--n", n, "--component", bad)
+        assert code == 2 and out == ""
+        assert valid in err and len(err.strip().splitlines()) == 1
+    code, out, _ = run(capsys, "sample", "--what", "nilfibre", "--n", "5",
+                       "--component", "1")
+    assert code == 0 and json.loads(out)["n"] == 5
+
+
+def test_analyze_below_chain_floor(tmp_path, capsys):
+    for doc in ({"algebra": "gl", "n": 1, "entries": [["1"]]},
+                {"algebra": "so", "n": 2,
+                 "entries": [["1", "0"], ["0", "-1"]]}):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "chain stops" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "gzero-nsreg",
+                         "--trials", "-5")
+    assert code == 2 and out == ""
+    assert "--trials" in err and len(err.strip().splitlines()) == 1
+
+
 def test_verify_json_and_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dimension-identities",
                        "--trials", "2", "--n-max", "6", "--json")

@@ -25,6 +25,10 @@ def test_matrix_doc_round_trip():
     ({"algebra": "so", "n": 3, "entries": [["0"] * 3] * 2}, "3x3"),
     ({"algebra": "gl", "n": 2, "entries": [["0", "zzz"], ["0", "0"]]},
      "(1,2)"),
+    # below the chain floor: there is no level to project to
+    ({"algebra": "gl", "n": 1, "entries": [["1"]]}, "gl(1)"),
+    ({"algebra": "so", "n": 2, "entries": [["1", "0"], ["0", "-1"]]},
+     "so(2)"),
 ])
 def test_matrix_doc_errors_carry_location(doc, fragment):
     with pytest.raises(DocumentError) as err:

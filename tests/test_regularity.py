@@ -1,4 +1,9 @@
+import functools
+import json
+import os
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import qi, rat, ZERO, ONE
 from gzlie.matrices import Mat, rank_rows, char_poly_fl
@@ -10,7 +15,11 @@ from gzlie.regularity import (centralizer, joint_centralizer, is_regular,
                               chain_centralizers, is_sreg,
                               _level_gradient_rows, _trace_against)
 from gzlie.korbits import sample_chain_disjoint
+from gzlie.docio import parse_matrix_doc
+from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def diag_cartan(ctx, vals):
@@ -123,7 +132,7 @@ def test_chain_disjoint_sample_is_sreg(kind, n):
     s = Sampler(n)
     x = sample_chain_disjoint(ctx, s)
     zs = chain_centralizers(ctx, x)
-    assert is_sreg(ctx, x, zs)
+    assert is_sreg(ctx, x)
     # strong regularity forces regularity of every projection
     for m in range(ctx.chain_floor(), n + 1):
         assert len(zs[m]) == ctx.invariant_rank(m)
@@ -138,3 +147,37 @@ def test_centralizer_at_level_embeds():
         zs = centralizer(ctx, x, m)
         assert all(z.n == m for z in zs)
         assert len(zs) >= ctx.invariant_rank(m)
+
+
+def _sreg_by_definition(ctx, x):
+    """Strong regularity as defined: the embedded centralizers of every two
+    consecutive chain levels meet trivially, i.e. their ranks add."""
+    zs = chain_centralizers(ctx, x)
+    return all(rank_rows(zs[m] + zs[m + 1], ctx.n * ctx.n)
+               == len(zs[m]) + len(zs[m + 1])
+               for m in range(ctx.chain_floor(), ctx.n))
+
+
+_algebra = functools.lru_cache(maxsize=None)(make_algebra)
+
+
+@given(st.sampled_from([("gl", n) for n in range(3, 7)]
+                       + [("so", n) for n in range(4, 8)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_sreg_is_nsreg_at_every_chain_level(algebra, seed, t):
+    # the mixed stream of the kostant suite: generic, Borel, nilpotent,
+    # patterned, coincidence-free and partially coincident elements
+    ctx = _algebra(*algebra)
+    x = _mixed_sample(ctx, Sampler(seed), t)
+    assert is_sreg(ctx, x) == _sreg_by_definition(ctx, x)
+
+
+def test_sreg_identity_on_zero_and_so3_witness():
+    for kind, n in [("gl", 3), ("so", 4), ("so", 5)]:
+        ctx = make_algebra(kind, n)
+        zero = Mat.zeros(n)
+        assert not is_sreg(ctx, zero) and not _sreg_by_definition(ctx, zero)
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        ctx, x = parse_matrix_doc(json.load(fh))
+    assert is_sreg(ctx, x) and _sreg_by_definition(ctx, x)
