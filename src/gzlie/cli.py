@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .liealg import make_algebra
+from .liealg import analyzable_algebra
 from .docio import (parse_matrix_doc, emit_matrix_doc, DocumentError,
                     analysis_report, analysis_text)
 from .korbits import (orbit_graph, orbit_graph_text, orbit_by_name, sample_yq,
@@ -49,9 +49,10 @@ def cmd_analyze(args):
 def cmd_orbits(args):
     if args.kind != "so":
         return _fail_usage("orbit tables are defined for --kind so")
-    if args.n < 3:
-        return _fail_usage("orbit tables need n >= 3")
-    ctx = make_algebra("so", args.n)
+    try:
+        ctx = analyzable_algebra("so", args.n)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     graph = orbit_graph(ctx)
     if args.format == "json" or args.json:
         print(json.dumps(graph, indent=2))
@@ -62,7 +63,8 @@ def cmd_orbits(args):
 
 def cmd_sample(args):
     try:
-        ctx = make_algebra(args.kind, args.n)
+        # the emitted document must be one that analyze accepts
+        ctx = analyzable_algebra(args.kind, args.n)
     except ValueError as exc:
         return _fail_usage(str(exc))
     s = Sampler(args.seed)
@@ -88,8 +90,10 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
-    if args.trials < 0:
-        return _fail_usage("--trials must be >= 0 (0 = suite default)")
+    if min(args.trials, args.n_min, args.n_max) < 0 or (
+            0 < args.n_max < args.n_min):
+        return _fail_usage("--trials, --n-min and --n-max must be >= 0 "
+                           "(0 = suite default), --n-min <= --n-max")
     cfg = SuiteConfig(args.suite, args.trials, args.seed,
                       args.n_min, args.n_max)
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .scalars import parse_scalar, format_scalar
 from .matrices import Mat
-from .liealg import make_algebra
+from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, partial_kw, coincidence_count)
 from .regularity import (is_nsreg, is_sreg, kostant_jacobian_rank,
                          centralizer_dims)
@@ -23,11 +23,11 @@ def parse_matrix_doc(doc):
     kind = doc.get("algebra")
     if kind not in ("so", "gl"):
         raise DocumentError("field 'algebra' must be 'so' or 'gl'")
-    n = doc.get("n")
-    lowest = 3 if kind == "so" else 2
-    if not isinstance(n, int) or n < lowest:
-        raise DocumentError("field 'n' must be an integer >= %d: the chain "
-                            "stops at %s(%d)" % (lowest, kind, lowest - 1))
+    try:
+        ctx = analyzable_algebra(kind, doc.get("n"))
+    except ValueError as exc:
+        raise DocumentError("field 'n': %s" % exc)
+    n = ctx.n
     entries = doc.get("entries")
     if (not isinstance(entries, list) or len(entries) != n
             or any(not isinstance(r, list) or len(r) != n for r in entries)):
@@ -41,7 +41,6 @@ def parse_matrix_doc(doc):
             except (ValueError, TypeError) as exc:
                 raise DocumentError("entry (%d,%d): %s" % (i + 1, j + 1, exc))
         rows.append(out)
-    ctx = make_algebra(kind, n)
     mat = Mat(rows)
     bad = ctx.membership_violations(mat)
     if bad:

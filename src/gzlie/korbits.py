@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .scalars import rat
 from .matrices import Mat, inverse, intersection_dim, row_space_contains
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
-                     project_to_subalgebra)
+                     project_to_subalgebra, adjoint)
 from .invariants import coincidence_count, reduced_char
 from . import polys
 
@@ -307,7 +307,6 @@ def stable_parabolic(ctx, i):
 def degenerate_to_levi(ctx, mat, i):
     """Linear projection r -> levi killing the nilradical: the limit of the
     one-parameter contraction by the center of the Levi.  Requires x in r."""
-    par = stable_parabolic(ctx, i)
     coords = ctx.coordinates(mat)
     out = Mat.zeros(ctx.n)
     levi_set = {r.coords for r in ctx.roots
@@ -371,7 +370,7 @@ def nilfibre_overlap_vector(ctx, component=0):
         return e + ctx.theta(e)
     if ctx.n % 2 == 1 and component == 1:
         w = weyl_representative(ctx, ctx.simple_roots[-1])
-        return w * e * inverse(w)
+        return adjoint(w, e)
     return e
 
 
@@ -383,14 +382,14 @@ def sample_nilfibre(ctx, sampler, component=0):
     comp = comps[component]
     y = sampler.span_element(comp, nonzero=True)
     k = sampler.subgroup_element(ctx)
-    return k * y * inverse(k)
+    return adjoint(k, y)
 
 
 def sample_yq(ctx, orbit, sampler):
     """Random K-translate of a random element of the orbit's Borel."""
     y = sampler.span_element(orbit.borel_basis)
     k = sampler.subgroup_element(ctx)
-    return k * y * inverse(k)
+    return adjoint(k, y)
 
 
 def sample_g0(ctx, sampler, max_tries=200):
@@ -522,4 +521,4 @@ def xi_flip_element(ctx, j):
     c = [0] * l
     c[j], c[l - 2] = 1, -1
     conj = weyl_representative(ctx, Root(c))
-    return conj * w * inverse(conj)
+    return adjoint(conj, w)

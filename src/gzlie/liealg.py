@@ -14,10 +14,16 @@ Roots are recorded in epsilon-coordinates (integer tuples of length l).
 from __future__ import annotations
 
 from .scalars import QI, ZERO, ONE, rat
-from .matrices import Mat, bracket, nullspace
+from .matrices import Mat, bracket, nullspace, det, inverse
 
 HALF = rat(1, 2)
 TWO = rat(2)
+
+# the lowest level of each chain: gl(1) < gl(2) < ... and so(2) < so(3) < ...
+CHAIN_FLOOR = {"gl": 1, "so": 2}
+# a context stores dense O(n^4) basis data per level; larger n is refused
+# before anything is built
+MAX_N = 16
 
 
 class Root:
@@ -62,20 +68,19 @@ class AlgebraContext:
     """One algebra in the chain, plus the link to the next one down."""
 
     def __init__(self, kind, n):
-        if kind not in ("gl", "so"):
+        if kind not in CHAIN_FLOOR:
             raise ValueError("kind must be 'gl' or 'so'")
-        if kind == "so" and n < 2:
-            raise ValueError("so(n) needs n >= 2")
-        if kind == "gl" and n < 1:
-            raise ValueError("gl(n) needs n >= 1")
+        if not CHAIN_FLOOR[kind] <= n <= MAX_N:
+            raise ValueError("%s(n) needs %d <= n <= %d"
+                             % (kind, CHAIN_FLOOR[kind], MAX_N))
         self.kind = kind
         self.n = n
         self.l = n // 2 if kind == "so" else n
         self._build_basis()
         self._build_theta()
         self._build_chain_maps()
-        floor = 2 if kind == "so" else 1
-        self.child = AlgebraContext(kind, n - 1) if n > floor else None
+        self.child = (AlgebraContext(kind, n - 1)
+                      if n > CHAIN_FLOOR[kind] else None)
 
     # --- basis and roots ---------------------------------------------------
 
@@ -342,7 +347,7 @@ class AlgebraContext:
         return len(self.k_basis)
 
     def chain_floor(self):
-        return 2 if self.kind == "so" else 1
+        return CHAIN_FLOOR[self.kind]
 
     def describe(self):
         return "%s(%d)" % (self.kind, self.n)
@@ -359,6 +364,17 @@ def _support(mat):
 
 def make_algebra(kind, n):
     return AlgebraContext(kind, n)
+
+
+def analyzable_algebra(kind, n):
+    """make_algebra for an integer n with a chain level below it, which
+    analysis projects to; ValueError otherwise, before anything is built."""
+    lowest = CHAIN_FLOOR[kind] + 1
+    if not (isinstance(n, int) and lowest <= n <= MAX_N):
+        raise ValueError("%s(n) needs an integer %d <= n <= %d: the chain "
+                         "stops at %s(%d)" % (kind, lowest, MAX_N, kind,
+                                              lowest - 1))
+    return make_algebra(kind, n)
 
 
 def project_to_subalgebra(ctx, mat, m):
@@ -477,13 +493,10 @@ def cayley_element(ctx, root):
 def preserves_form(ctx, g):
     """g^T S g = S and det g = 1 (exact)."""
     if ctx.kind == "gl":
-        from .matrices import det
         return bool(det(g))
-    from .matrices import det
     return (g.transpose() * ctx.form * g == ctx.form
             and det(g) == ONE)
 
 
 def adjoint(g, mat):
-    from .matrices import inverse
     return g * mat * inverse(g)

@@ -1,8 +1,11 @@
 """Dense exact matrices over Q(i) (and first-order jets where noted).
 
-Rank and nullspace use pivoted exact Gaussian elimination with a fixed
-pivoting rule (first nonzero entry scanning columns left to right, rows top
-to bottom), so nullspace bases are deterministic.
+Rank, nullspace, determinant, solve and inverse all read one exact
+elimination, ``_echelon``, with a fixed pivoting rule: the first nonzero
+entry, scanning columns left to right and rows top to bottom.  Rank and
+determinant take its forward pass; nullspace, solve and inverse read the
+reduced row echelon form, which is unique, so their results do not depend
+on the order of elimination.
 """
 
 from __future__ import annotations
@@ -123,68 +126,68 @@ def bracket(x, y):
     return x * y - y * x
 
 
-def _echelon(rows, ncols):
-    """In-place forward elimination; returns list of pivot columns."""
+def _echelon(rows, ncols, reduced=False):
+    """Eliminate in place; returns (pivot columns, row swaps).
+
+    Pivots are sought in the first ``ncols`` columns, and every row
+    operation runs across the whole row, so an augmented block comes along.
+    The forward pass clears below each pivot.  With ``reduced`` each pivot
+    is scaled to one and cleared above as well (reduced row echelon form).
+    """
     pivots = []
-    pr = 0
+    swaps = 0
     nrows = len(rows)
     for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        pivots.append(pc)
-        inv = ONE / rows[pr][pc]
-        prow = rows[pr]
-        for r in range(pr + 1, nrows):
-            f = rows[r][pc]
-            if not f:
-                continue
-            f = f * inv
-            rr = rows[r]
-            for c in range(pc, ncols):
-                if prow[c]:
-                    rr[c] = rr[c] - f * prow[c]
-        pr += 1
+        pr = len(pivots)
         if pr == nrows:
             break
-    return pivots
+        for r in range(pr, nrows):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        if r != pr:
+            rows[pr], rows[r] = rows[r], rows[pr]
+            swaps += 1
+        pivots.append(pc)
+        prow = rows[pr]
+        live = [c for c in range(pc, len(prow)) if prow[c]]
+        inv = ONE / prow[pc]
+        if reduced:
+            for c in live:
+                prow[c] = prow[c] * inv
+        for r in range(0 if reduced else pr + 1, nrows):
+            f = rows[r][pc]
+            if not f or r == pr:
+                continue
+            if not reduced:
+                f = f * inv
+            rr = rows[r]
+            for c in live:
+                rr[c] = rr[c] - f * prow[c]
+    return pivots, swaps
 
 
 def rank(mat):
-    rows = [list(r) for r in mat.a]
-    return len(_echelon(rows, mat.n))
+    return len(_echelon([list(r) for r in mat.a], mat.n)[0])
 
 
 def rank_rows(row_vectors, ncols):
-    rows = [list(r) for r in row_vectors]
-    return len(_echelon(rows, ncols))
+    return len(_echelon([list(r) for r in row_vectors], ncols)[0])
 
 
 def nullspace(mat):
     """Deterministic basis of the right kernel, one vector (length-n list)
-    per free column, free coordinate set to 1."""
+    per free column, 1 at that column and 0 at the other free columns."""
     rows = [list(r) for r in mat.a]
-    pivots = _echelon(rows, mat.n)
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.n) if c not in pivot_set]
+    pivots, _ = _echelon(rows, mat.n, reduced=True)
+    free = sorted(set(range(mat.n)) - set(pivots))
     basis = []
     for fc in free:
         vec = [ZERO] * mat.n
         vec[fc] = ONE
-        # back substitution over the pivot rows
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = ZERO
-            row = rows[r]
-            for c in range(pc + 1, mat.n):
-                if row[c] and vec[c]:
-                    s = s + row[c] * vec[c]
-            vec[pc] = -s / row[pc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -193,72 +196,37 @@ def det(mat):
     if mat.m != mat.n:
         raise ValueError("determinant of non-square matrix")
     rows = [list(r) for r in mat.a]
-    n = mat.n
-    sign = 1
-    d = ONE
-    for pc in range(n):
-        pivot_row = None
-        for r in range(pc, n):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != pc:
-            rows[pc], rows[pivot_row] = rows[pivot_row], rows[pc]
-            sign = -sign
-        p = rows[pc][pc]
-        d = d * p
-        inv = ONE / p
-        for r in range(pc + 1, n):
-            f = rows[r][pc]
-            if not f:
-                continue
-            f = f * inv
-            for c in range(pc, n):
-                if rows[pc][c]:
-                    rows[r][c] = rows[r][c] - f * rows[pc][c]
-    return d if sign > 0 else -d
+    _, swaps = _echelon(rows, mat.n)
+    # below full rank the last row is zero, and so is the product
+    d = -ONE if swaps % 2 else ONE
+    for k, row in enumerate(rows):
+        d = d * row[k]
+    return d
 
 
 def solve(mat, rhs):
-    """Solve mat * x = rhs (rhs a length-m list); None if inconsistent.
+    """Solve mat * X = rhs for a matrix rhs; None if inconsistent.
     Free coordinates are set to 0."""
-    rows = [list(r) + [v] for r, v in zip(mat.a, rhs)]
-    pivots = _echelon(rows, mat.n + 1)
-    if mat.n in pivots:
+    if rhs.m != mat.m:
+        raise ValueError("shape mismatch")
+    n = mat.n
+    rows = [list(r) + list(s) for r, s in zip(mat.a, rhs.a)]
+    pivots, _ = _echelon(rows, n + rhs.n, reduced=True)
+    if pivots and pivots[-1] >= n:
         return None
-    vec = [ZERO] * mat.n
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = rows[r]
-        s = row[mat.n]
-        for c in range(pc + 1, mat.n):
-            if row[c] and vec[c]:
-                s = s - row[c] * vec[c]
-        vec[pc] = s / row[pc]
-    return vec
+    out = [[ZERO] * rhs.n for _ in range(n)]
+    for row, pc in zip(rows, pivots):
+        out[pc] = row[n:]
+    return Mat._raw(out)
 
 
 def inverse(mat):
     if mat.m != mat.n:
         raise ValueError("inverse of non-square matrix")
-    n = mat.n
-    rows = [list(r) + [ONE if k == c else ZERO for c in range(n)]
-            for k, r in enumerate(mat.a)]
-    pivots = _echelon(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
+    x = solve(mat, Mat.identity(mat.n))
+    if x is None:
         raise ValueError("singular matrix")
-    # back substitution to reduced form
-    for r in range(n - 1, -1, -1):
-        inv = ONE / rows[r][r]
-        rows[r] = [x * inv for x in rows[r]]
-        for rr in range(r):
-            f = rows[rr][r]
-            if not f:
-                continue
-            rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-    return Mat([r[n:] for r in rows])
+    return x
 
 
 def char_poly_fl(mat):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .scalars import rat
-from .matrices import Mat, inverse
+from .matrices import Mat, det, solve
 
 
 class Sampler:
@@ -50,14 +50,15 @@ class Sampler:
 
     def group_element(self, ctx):
         """Rational point of the isometry group of ctx (so) or an invertible
-        matrix (gl), via the Cayley transform."""
-        from .matrices import det
+        matrix (gl), via the Cayley transform (I + a)^-1 (I - a).  As
+        I - a = 2I - (I + a), (I + a) X = I - a is solvable iff det(I + a)."""
         ident = Mat.identity(ctx.n)
         while True:
             a = ctx.from_coordinates([self.small_rational()
                                       for _ in range(ctx.dim)])
-            if det(ident + a) and det(ident - a):
-                return (ident - a) * inverse(ident + a)
+            g = solve(ident + a, ident - a)
+            if g is not None and det(ident - a):
+                return g
 
     def subgroup_element(self, ctx):
         """Rational point of K inside the group of ctx, lifted from one

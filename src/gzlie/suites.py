@@ -29,6 +29,19 @@ SUITE_NAMES = [
     "overlaps",
 ]
 
+# chain sizes n each suite covers, per kind; --n-min and --n-max narrow them
+SIZES = {
+    "orbit-tables": {"so": (3, 12)},
+    "kostant-equivalence": {"gl": (3, 5), "so": (4, 7)},
+    "gzero-nsreg": {"gl": (3, 5), "so": (4, 7)},
+    "nilfibre": {"so": (4, 8)},
+    "yq-strata": {"so": (5, 7)},
+    "xi-families": {"so": (5, 6)},
+    "dimension-identities": {"gl": (2, 12), "so": (3, 12)},
+    "sreg-chain": {"gl": (3, 6), "so": (4, 6)},
+    "overlaps": {"so": (4, 8)},
+}
+
 
 @dataclass
 class SuiteConfig:
@@ -96,10 +109,15 @@ def _claim_sampler(cfg, claim_id, **kw):
     return Sampler(cfg.seed ^ zlib.crc32(claim_id.encode()), **kw)
 
 
-def _range(cfg, lo, hi):
+def _range(cfg, kind):
+    lo, hi = SIZES[cfg.suite][kind]
     lo2 = max(lo, cfg.n_min) if cfg.n_min else lo
     hi2 = min(hi, cfg.n_max) if cfg.n_max else hi
     return range(lo2, hi2 + 1)
+
+
+def _targets(cfg):
+    return [(kind, n) for kind in SIZES[cfg.suite] for n in _range(cfg, kind)]
 
 
 def _witness(ctx, mat, trial, **info):
@@ -110,8 +128,7 @@ def _witness(ctx, mat, trial, **info):
 
 def suite_orbit_tables(cfg):
     claims = []
-    sizes = [n for n in _range(cfg, 3, 12)]
-    for n in sizes:
+    for n in _range(cfg, "so"):
         ctx = make_algebra("so", n)
         l = ctx.l
         odd = n % 2 == 1
@@ -196,9 +213,7 @@ def _mixed_sample(ctx, sampler, t):
 def suite_kostant_equivalence(cfg):
     claims = []
     trials = cfg.trials or 30
-    targets = ([("gl", n) for n in _range(cfg, 3, 5)]
-               + [("so", n) for n in _range(cfg, 4, 7)])
-    for kind, n in targets:
+    for kind, n in _targets(cfg):
         ctx = make_algebra(kind, n)
         full = ctx.invariant_rank(n) + ctx.invariant_rank(n - 1)
         cid = "kostant-equivalence-%s%d" % (kind, n)
@@ -220,9 +235,7 @@ def suite_kostant_equivalence(cfg):
 def suite_gzero_nsreg(cfg):
     claims = []
     trials = cfg.trials or 25
-    targets = ([("gl", n) for n in _range(cfg, 3, 5)]
-               + [("so", n) for n in _range(cfg, 4, 7)])
-    for kind, n in targets:
+    for kind, n in _targets(cfg):
         ctx = make_algebra(kind, n)
         cid = "gzero-nsreg-%s%d" % (kind, n)
         c = ClaimResult(cid, "coincidence-free elements of %s(%d) are nsreg "
@@ -240,7 +253,7 @@ def suite_gzero_nsreg(cfg):
 def suite_nilfibre(cfg):
     claims = []
     trials = cfg.trials or 20
-    for n in _range(cfg, 4, 8):
+    for n in _range(cfg, "so"):
         ctx = make_algebra("so", n)
         comps = nilfibre_components(ctx)
         cid = "nilfibre-so%d" % n
@@ -276,7 +289,7 @@ def suite_nilfibre(cfg):
 def suite_yq_strata(cfg):
     claims = []
     trials = cfg.trials or 20
-    for n in _range(cfg, 5, 7):
+    for n in _range(cfg, "so"):
         ctx = make_algebra("so", n)
         orbits, _ = enumerate_orbits(ctx)
         for o in orbits:
@@ -302,7 +315,7 @@ def suite_yq_strata(cfg):
 def suite_xi_families(cfg):
     claims = []
     trials = cfg.trials or 3
-    for n in _range(cfg, 5, 6):
+    for n in _range(cfg, "so"):
         ctx = make_algebra("so", n)
         l = ctx.l
         slots = xi_slot_count(ctx)
@@ -346,11 +359,10 @@ def suite_xi_families(cfg):
 def suite_dimension_identities(cfg):
     claims = []
     for kind in ("gl", "so"):
-        lo = 2 if kind == "gl" else 3
         cid = "dimension-identities-%s" % kind
         c = ClaimResult(cid, "flag and quotient dimension identities for "
                              "%s(n), n up to 12" % kind)
-        for n in _range(cfg, lo, 12):
+        for n in _range(cfg, kind):
             ctx = make_algebra(kind, n)
             sub = ctx.level(n - 1)
             lhs = ctx.flag_dim() + sub.flag_dim()
@@ -364,9 +376,7 @@ def suite_dimension_identities(cfg):
 def suite_sreg_chain(cfg):
     claims = []
     trials = cfg.trials or 15
-    targets = ([("gl", n) for n in _range(cfg, 3, 6)]
-               + [("so", n) for n in _range(cfg, 4, 6)])
-    for kind, n in targets:
+    for kind, n in _targets(cfg):
         ctx = make_algebra(kind, n)
         cid = "sreg-chain-%s%d" % (kind, n)
         c = ClaimResult(cid, "chain-disjoint spectra force strong "
@@ -395,7 +405,7 @@ def suite_sreg_chain(cfg):
 def suite_overlaps(cfg):
     claims = []
     trials = cfg.trials or 10
-    for n in _range(cfg, 4, 8):
+    for n in _range(cfg, "so"):
         ctx = make_algebra("so", n)
         comps = nilfibre_components(ctx)
         cid = "overlaps-so%d" % n
@@ -437,6 +447,10 @@ def run_suite(cfg):
                          % (cfg.suite, ", ".join(SUITE_NAMES)))
     t0 = time.time()
     claims = SUITES[cfg.suite](cfg)
+    if not any(c.trials for c in claims):
+        sizes = ", ".join("%s(%d..%d)" % (kind, lo, hi)
+                          for kind, (lo, hi) in SIZES[cfg.suite].items())
+        raise ValueError("no claim ran: %s covers %s" % (cfg.suite, sizes))
     return Report(cfg.suite, asdict(cfg), claims, time.time() - t0)
 
 

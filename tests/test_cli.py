@@ -1,9 +1,13 @@
 import json
+import os
 
 import pytest
 
 from gzlie.cli import main
+from gzlie.liealg import MAX_N
 from gzlie.suites import SuiteConfig, run_suite, run_all
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def run(capsys, *argv):
@@ -86,6 +90,27 @@ def test_analyze_below_chain_floor(tmp_path, capsys):
         code, out, err = run(capsys, "analyze", "--input", str(path))
         assert code == 2 and out == ""
         assert "chain stops" in err and len(err.strip().splitlines()) == 1
+    # sample refuses to emit a document that analyze would reject
+    for kind, n in (("so", "2"), ("gl", "1")):
+        code, out, err = run(capsys, "sample", "--what", "chain",
+                             "--kind", kind, "--n", n)
+        assert code == 2 and out == ""
+        assert "chain stops" in err and len(err.strip().splitlines()) == 1
+
+
+def test_sizes_above_the_bound_are_refused(tmp_path, capsys):
+    # one above the bound: refused before any context is built
+    big = str(MAX_N + 1)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"algebra": "gl", "n": MAX_N + 1,
+                                "entries": "never parsed"}))
+    for argv in (("orbits", "--n", big),
+                 ("sample", "--what", "chain", "--kind", "gl", "--n", big),
+                 ("analyze", "--input", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "n <= %d" % MAX_N in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_rejects_negative_trials(capsys):
@@ -93,6 +118,20 @@ def test_verify_rejects_negative_trials(capsys):
                          "--trials", "-5")
     assert code == 2 and out == ""
     assert "--trials" in err and len(err.strip().splitlines()) == 1
+    # negative sizes, an empty range, and a range missing the suite's sizes
+    for argv, fragment in ((("--n-min", "-1"), "--n-min"),
+                           (("--n-max", "-3"), "--n-max"),
+                           (("--n-min", "9", "--n-max", "3"),
+                            "--n-min <= --n-max"),
+                           (("--n-min", "9"), "gl(3..5), so(4..7)")):
+        code, out, err = run(capsys, "verify", "--suite", "gzero-nsreg",
+                             *argv)
+        assert code == 2 and out == ""
+        assert fragment in err and len(err.strip().splitlines()) == 1
+    code, out, err = run(capsys, "verify", "--suite", "dimension-identities",
+                         "--n-min", "13")
+    assert code == 2 and out == ""
+    assert "gl(2..12), so(3..12)" in err
 
 
 def test_verify_json_and_exit_code(capsys):
@@ -122,3 +161,9 @@ def test_run_all_covers_every_suite():
     reports = run_all(cfg)
     assert [r.suite for r in reports] == SUITE_NAMES
     assert all(r.passed for r in reports)
+    # the behavioural fingerprint: claims, trials, passes and witnesses of
+    # every suite at this configuration, pinned across refactors
+    got = json.loads(json.dumps([r.to_dict(include_timing=False)
+                                 for r in reports]))
+    with open(os.path.join(FIXTURES, "run_all_seed0_nmax5.json")) as fh:
+        assert got == json.load(fh)

@@ -29,6 +29,8 @@ def test_matrix_doc_round_trip():
     ({"algebra": "gl", "n": 1, "entries": [["1"]]}, "gl(1)"),
     ({"algebra": "so", "n": 2, "entries": [["1", "0"], ["0", "-1"]]},
      "so(2)"),
+    # above the size bound: refused before the entries are read
+    ({"algebra": "so", "n": 10 ** 6, "entries": None}, "n <= "),
 ])
 def test_matrix_doc_errors_carry_location(doc, fragment):
     with pytest.raises(DocumentError) as err:

@@ -6,7 +6,7 @@ from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           cartan_coordinates, sl2_triple,
                           weyl_representative, cayley_element,
                           preserves_form, adjoint, project_to_subalgebra,
-                          embed_from_subalgebra)
+                          embed_from_subalgebra, MAX_N)
 from gzlie.rand import Sampler
 
 
@@ -180,3 +180,5 @@ def test_make_algebra_rejects_bad_args():
         make_algebra("so", 1)
     with pytest.raises(ValueError):
         make_algebra("gl", 0)
+    with pytest.raises(ValueError, match="n <= %d" % MAX_N):
+        make_algebra("so", MAX_N + 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,11 +50,75 @@ def test_det_solve_inverse():
     a = Mat.from_ints([[2, 1], [1, 1]])
     assert det(a) == ONE
     assert inverse(a) * a == Mat.identity(2)
-    x = solve(a, [qi(3), qi(2)])
-    assert x == [ONE, ONE]
-    assert solve(Mat.from_ints([[1, 1], [1, 1]]), [ZERO, ONE]) is None
+    x = solve(a, Mat.from_ints([[3], [2]]))
+    assert x == Mat.from_ints([[1], [1]])
+    assert solve(Mat.from_ints([[1, 1], [1, 1]]),
+                 Mat.from_ints([[0], [1]])) is None
+    # consistent but underdetermined: the free coordinate is set to 0
+    assert solve(Mat.from_ints([[1, 1], [1, 1]]),
+                 Mat.from_ints([[2], [2]])) == Mat.from_ints([[2], [0]])
     with pytest.raises(ValueError):
         inverse(Mat.from_ints([[1, 1], [1, 1]]))
+    # one row swap flips the sign
+    assert det(Mat.from_ints([[0, 1], [1, 0]])) == -ONE
+
+
+# small entry set: zeros make singular matrices and row swaps common
+KERNEL_ENTRIES = [ZERO, ZERO, ZERO, ONE, -ONE, qi(2), I, rat(1, 2), ONE + I]
+
+
+@st.composite
+def _kernel_case(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2))
+    cell = st.sampled_from(KERNEL_ENTRIES)
+    a = Mat([[draw(cell) for _ in range(n)] for _ in range(n)])
+    b = Mat([[draw(cell) for _ in range(k)] for _ in range(n)])
+    return a, b
+
+
+def _leibniz(m):
+    total = ZERO
+    for perm in itertools.permutations(range(m.n)):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * m.a[i][j]
+        odd = sum(perm[p] > perm[q] for p in range(m.n)
+                  for q in range(p + 1, m.n)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+@given(_kernel_case())
+@settings(max_examples=200, deadline=None)
+def test_elimination_kernel_properties(case):
+    a, b = case
+    n = a.n
+    d = det(a)
+    assert d == _leibniz(a)
+    r = rank(a)
+    ns = nullspace(a)
+    assert r + len(ns) == n
+    assert r == rank(a.transpose())
+    # free columns: those in the span of the columns before them
+    cols = a.transpose().a
+    free = [c for c in range(n)
+            if rank_rows(cols[:c + 1], n) == rank_rows(cols[:c], n)]
+    assert len(free) == len(ns)
+    for v, fc in zip(ns, free):
+        assert (a * Mat([[x] for x in v])).is_zero()
+        assert [v[c] for c in free] == [ONE if c == fc else ZERO
+                                        for c in free]
+    if d:
+        assert inverse(a) * a == Mat.identity(n)
+    else:
+        with pytest.raises(ValueError):
+            inverse(a)
+    x = solve(a, b)
+    augmented = Mat([ra + rb for ra, rb in zip(a.a, b.a)])
+    assert (x is None) == (rank(augmented) > r)
+    if x is not None:
+        assert a * x == b
 
 
 def test_char_poly_oracle():
