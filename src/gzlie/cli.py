@@ -26,6 +26,12 @@ def _fail_usage(msg):
     return 2
 
 
+def _fail_sampler(exc):
+    # a rejection sampler ran out of tries: a failure, not a usage error
+    print("error: %s" % exc, file=sys.stderr)
+    return 1
+
+
 def cmd_analyze(args):
     try:
         with open(args.input) as fh:
@@ -85,6 +91,8 @@ def cmd_sample(args):
             mat = sample_chain_disjoint(ctx, s)
     except (KeyError, ValueError) as exc:
         return _fail_usage(str(exc))
+    except RuntimeError as exc:
+        return _fail_sampler(exc)
     print(json.dumps(emit_matrix_doc(ctx, mat), indent=2))
     return 0
 
@@ -101,6 +109,8 @@ def cmd_verify(args):
                    else [run_suite(cfg)])
     except ValueError as exc:
         return _fail_usage(str(exc))
+    except RuntimeError as exc:
+        return _fail_sampler(exc)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

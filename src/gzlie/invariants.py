@@ -12,7 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import polys
-from .matrices import char_poly_fl, pfaffian
+from .matrices import char_poly, pfaffian
 from .liealg import project_to_subalgebra
 from .scalars import QI, ZERO, ONE
 
@@ -59,10 +59,15 @@ def _reduced(spec, b):
     return polys.even_part(p, len(b) % 2) if spec.even else p
 
 
+def _coefficients(mat):
+    """b_1..b_m of det(t*I - x) = t^m + b_1 t^(m-1) + ... + b_m."""
+    return char_poly(mat)[-2::-1]
+
+
 def reduced_char(ctx, mat):
     """For so: the monic q with char(t) = t^(n mod 2) * q(t^2).
     For gl: the characteristic polynomial itself."""
-    return _reduced(generator_spec(ctx), char_poly_fl(mat)[0])
+    return _reduced(generator_spec(ctx), _coefficients(mat))
 
 
 def pfaffian_generator(ctx, mat):
@@ -74,7 +79,7 @@ def pfaffian_generator(ctx, mat):
 def _level_values(ctx_m, mat_m):
     """Generator values of one chain level; mat_m is realized at that level."""
     spec = generator_spec(ctx_m)
-    b, _ = char_poly_fl(mat_m)
+    b = _coefficients(mat_m)
     _reduced(spec, b)                  # checks the parity on so
     values = [_signed(sign, b[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:

@@ -65,7 +65,11 @@ class Root:
 
 
 class AlgebraContext:
-    """One algebra in the chain, plus the link to the next one down."""
+    """One algebra in the chain, plus the link to the next one down.
+
+    A context is read-only once built: make_algebra shares one context per
+    (kind, n) across the process, and every context's ``child`` is that
+    shared context one size down.  Callers must not mutate its matrices."""
 
     def __init__(self, kind, n):
         if kind not in CHAIN_FLOOR:
@@ -79,7 +83,7 @@ class AlgebraContext:
         self._build_basis()
         self._build_theta()
         self._build_chain_maps()
-        self.child = (AlgebraContext(kind, n - 1)
+        self.child = (make_algebra(kind, n - 1)
                       if n > CHAIN_FLOOR[kind] else None)
 
     # --- basis and roots ---------------------------------------------------
@@ -362,8 +366,16 @@ def _support(mat):
     return out
 
 
+# (kind, n) -> the shared, read-only context
+_CONTEXTS = {}
+
+
 def make_algebra(kind, n):
-    return AlgebraContext(kind, n)
+    """The context of kind(n), built on first use and shared after that."""
+    ctx = _CONTEXTS.get((kind, n))
+    if ctx is None:
+        ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)
+    return ctx
 
 
 def analyzable_algebra(kind, n):

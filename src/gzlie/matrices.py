@@ -1,16 +1,38 @@
 """Dense exact matrices over Q(i) (and first-order jets where noted).
 
-Rank, nullspace, determinant, solve and inverse all read one exact
+The exact kernel works on Gaussian integers held as pairs of Python ints;
+rationals appear only at its boundary.  A row enters it scaled by the least
+common denominator of its entries (``_zi_rows``) and results leave it
+through ``_qi``.
+
+Rank, nullspace, determinant, solve and inverse all read one fraction-free
 elimination, ``_echelon``, with a fixed pivoting rule: the first nonzero
-entry, scanning columns left to right and rows top to bottom.  Rank and
-determinant take its forward pass; nullspace, solve and inverse read the
-reduced row echelon form, which is unique, so their results do not depend
-on the order of elimination.
+entry, scanning columns left to right and rows top to bottom.  A row with
+entry f under pivot p becomes p*row - f*prow (p and f first divided by
+their common integer factor); when it was scaled, its integer parts are
+then divided by their gcd, the row content, which keeps entries small
+without the fractions of Gauss-Jordan elimination.  Rank and determinant
+take the forward pass (the determinant undoes the recorded row scalings);
+nullspace, solve and inverse read the reduced row echelon form, dividing
+by each pivot once at the end.  That form is unique, so their results do
+not depend on the order of elimination.
+
+char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
+denominator of A, over Z[i], where its division by k is exact, and rescales
+the coefficients by d^k and the auxiliary matrices by d^(k-1).
+
+Jets enter only ``pfaffian``; tests/qi_reference.py keeps the Q(i)
+Gauss-Jordan and ring-generic Faddeev-LeVerrier references.
 """
 
 from __future__ import annotations
 
-from .scalars import QI, ZERO, ONE, Jet
+from math import gcd, lcm
+from operator import mul as _mul
+
+from .scalars import QI, ZERO, ONE, Jet, _mpq
+
+_Q0 = ZERO.re
 
 
 class Mat:
@@ -126,15 +148,72 @@ def bracket(x, y):
     return x * y - y * x
 
 
-def _echelon(rows, ncols, reduced=False):
-    """Eliminate in place; returns (pivot columns, row swaps).
+# --- the exact kernel over Z[i] ---------------------------------------------
+#
+# A row of Q(i) scalars enters the kernel as a Gaussian-integer row: a pair
+# [re, im] of int lists (im is None while the row is real), scaled by the
+# least common denominator of its entries.  Results leave it through _qi.
 
-    Pivots are sought in the first ``ncols`` columns, and every row
-    operation runs across the whole row, so an augmented block comes along.
-    The forward pass clears below each pivot.  With ``reduced`` each pivot
-    is scaled to one and cleared above as well (reduced row echelon form).
+
+def _zi_rows(rows):
+    """Gaussian-integer rows of Q(i) rows; returns (rows, dens) with
+    row k = (re + i*im) / dens[k].  A shared ZERO entry costs no conversion."""
+    out, dens = [], []
+    for row in rows:
+        width = len(row)
+        parts = []
+        den = 1
+        for c, z in enumerate(row):
+            if z is ZERO:
+                continue
+            a, b = z.re, z.im
+            an, bn = a.numerator, b.numerator
+            if an or bn:
+                ad, bd = a.denominator, b.denominator
+                parts.append((c, an, ad, bn, bd))
+                if ad != 1 or bd != 1:
+                    den = lcm(den, ad, bd)
+        re = [0] * width
+        im = None
+        for c, an, ad, bn, bd in parts:
+            re[c] = an * (den // ad)
+            if bn:
+                if im is None:
+                    im = [0] * width
+                im[c] = bn * (den // bd)
+        out.append([re, im])
+        dens.append(den)
+    return out, dens
+
+
+def _qi(x, y, p, q=0):
+    """(x + i*y) / (p + i*q) for Gaussian integers, as a Q(i) scalar."""
+    if not (x or y):
+        return ZERO
+    if q:
+        x, y, p = x * p + y * q, y * p - x * q, p * p + q * q
+    return QI._raw(_mpq(x, p), _mpq(y, p) if y else _Q0)
+
+
+def _echelon(rows, ncols, reduced=False):
+    """Fraction-free elimination of Gaussian-integer rows (see _zi_rows) in
+    place; returns (pivot columns, row swaps, scalings).
+
+    The pivot is the first nonzero entry, scanning the first ``ncols``
+    columns left to right and rows top to bottom.  With pivot p, a row whose
+    entry f in the pivot column is nonzero becomes p'*row - f'*prow, where
+    p' and f' are p and f divided by the gcd of their integer parts (signed
+    so that a negative integer pivot gives p' > 0).  When p' is not 1 the row
+    is then divided by the gcd g of its integer parts, and (p', g) goes to
+    ``scalings``: the step multiplied the determinant by p'/g.  Rows with a
+    zero in the pivot column are not touched.  Each row stays a nonzero
+    multiple of the row that elimination over Q(i) would give, so pivots and
+    swaps are the same.  The forward pass clears below each pivot; with
+    ``reduced`` it clears above as well, and row k divided by its pivot is
+    row k of the reduced row echelon form.  Row operations run across the
+    whole row, so an augmented block comes along.
     """
-    pivots = []
+    pivots, scalings = [], []
     swaps = 0
     nrows = len(rows)
     for pc in range(ncols):
@@ -142,7 +221,8 @@ def _echelon(rows, ncols, reduced=False):
         if pr == nrows:
             break
         for r in range(pr, nrows):
-            if rows[r][pc]:
+            re, im = rows[r]
+            if re[pc] or (im is not None and im[pc]):
                 break
         else:
             continue
@@ -150,58 +230,109 @@ def _echelon(rows, ncols, reduced=False):
             rows[pr], rows[r] = rows[r], rows[pr]
             swaps += 1
         pivots.append(pc)
-        prow = rows[pr]
-        live = [c for c in range(pc, len(prow)) if prow[c]]
-        inv = ONE / prow[pc]
-        if reduced:
-            for c in live:
-                prow[c] = prow[c] * inv
+        pre, pim = rows[pr]
+        width = len(pre)
+        p = pre[pc]
+        q = pim[pc] if pim is not None else 0
+        if pim is None:
+            live = [c for c in range(pc, width) if pre[c]]
+            qim = [0] * width
+        else:
+            live = [c for c in range(pc, width) if pre[c] or pim[c]]
+            qim = pim
+        start = 0 if reduced else pc
         for r in range(0 if reduced else pr + 1, nrows):
-            f = rows[r][pc]
-            if not f or r == pr:
+            row = rows[r]
+            re, im = row
+            f = re[pc]
+            h = im[pc] if im is not None else 0
+            if not (f or h) or r == pr:
                 continue
-            if not reduced:
-                f = f * inv
-            rr = rows[r]
-            for c in live:
-                rr[c] = rr[c] - f * prow[c]
-    return pivots, swaps
+            g = gcd(p, q, f, h)
+            if p < 0 and not q:
+                g = -g
+            a, b, f, h = p // g, q // g, f // g, h // g
+            if pim is None and im is None:
+                if a == 1:
+                    for c in live:
+                        re[c] -= f * pre[c]
+                    continue
+                re[start:] = [a * x - f * u
+                              for x, u in zip(re[start:], pre[start:])]
+                g = gcd(*re)
+                if g > 1:
+                    re[:] = [x // g for x in re]
+                scalings.append((a, 0, g or 1))
+                continue
+            if im is None:
+                im = row[1] = [0] * width
+            if a == 1 and not b:
+                for c in live:
+                    u, v = pre[c], qim[c]
+                    re[c] -= f * u - h * v
+                    im[c] -= f * v + h * u
+            else:
+                re, im = ([a * x - b * y - f * u + h * v
+                           for x, y, u, v in zip(re, im, pre, qim)],
+                          [a * y + b * x - f * v - h * u
+                           for x, y, u, v in zip(re, im, pre, qim)])
+                g = gcd(*re, *im)
+                if g > 1:
+                    re = [x // g for x in re]
+                    im = [y // g for y in im]
+                row[0] = re
+                scalings.append((a, b, g or 1))
+            row[1] = im if any(im) else None
+    return pivots, swaps, scalings
 
 
 def rank(mat):
-    return len(_echelon([list(r) for r in mat.a], mat.n)[0])
+    return len(_echelon(_zi_rows(mat.a)[0], mat.n)[0])
 
 
 def rank_rows(row_vectors, ncols):
-    return len(_echelon([list(r) for r in row_vectors], ncols)[0])
+    return len(_echelon(_zi_rows(row_vectors)[0], ncols)[0])
 
 
 def nullspace(mat):
     """Deterministic basis of the right kernel, one vector (length-n list)
     per free column, 1 at that column and 0 at the other free columns."""
-    rows = [list(r) for r in mat.a]
-    pivots, _ = _echelon(rows, mat.n, reduced=True)
+    rows, _ = _zi_rows(mat.a)
+    pivots, _, _ = _echelon(rows, mat.n, reduced=True)
     free = sorted(set(range(mat.n)) - set(pivots))
     basis = []
     for fc in free:
         vec = [ZERO] * mat.n
         vec[fc] = ONE
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc]
+        for (re, im), pc in zip(rows, pivots):
+            if im is None:
+                vec[pc] = _qi(-re[fc], 0, re[pc])
+            else:
+                vec[pc] = _qi(-re[fc], -im[fc], re[pc], im[pc])
         basis.append(vec)
     return basis
 
 
 def det(mat):
+    """Determinant: the product of the pivots of the forward pass, corrected
+    by the row scalings and the denominators cleared on entry."""
     if mat.m != mat.n:
         raise ValueError("determinant of non-square matrix")
-    rows = [list(r) for r in mat.a]
-    _, swaps = _echelon(rows, mat.n)
-    # below full rank the last row is zero, and so is the product
-    d = -ONE if swaps % 2 else ONE
-    for k, row in enumerate(rows):
-        d = d * row[k]
-    return d
+    rows, dens = _zi_rows(mat.a)
+    pivots, swaps, scalings = _echelon(rows, mat.n)
+    if len(pivots) < mat.n:
+        return ZERO
+    x, y = (-1 if swaps % 2 else 1), 0
+    for k, (re, im) in enumerate(rows):
+        u, v = re[k], (im[k] if im is not None else 0)
+        x, y = x * u - y * v, x * v + y * u
+    p, q = 1, 0
+    for a, b, g in scalings:
+        x, y = x * g, y * g
+        p, q = p * a - q * b, p * b + q * a
+    for d in dens:
+        p, q = p * d, q * d
+    return _qi(x, y, p, q)
 
 
 def solve(mat, rhs):
@@ -210,13 +341,18 @@ def solve(mat, rhs):
     if rhs.m != mat.m:
         raise ValueError("shape mismatch")
     n = mat.n
-    rows = [list(r) + list(s) for r, s in zip(mat.a, rhs.a)]
-    pivots, _ = _echelon(rows, n + rhs.n, reduced=True)
+    rows, _ = _zi_rows([list(r) + list(s) for r, s in zip(mat.a, rhs.a)])
+    pivots, _, _ = _echelon(rows, n + rhs.n, reduced=True)
     if pivots and pivots[-1] >= n:
         return None
     out = [[ZERO] * rhs.n for _ in range(n)]
-    for row, pc in zip(rows, pivots):
-        out[pc] = row[n:]
+    for (re, im), pc in zip(rows, pivots):
+        if im is None:
+            p = re[pc]
+            out[pc] = [_qi(x, 0, p) for x in re[n:]]
+        else:
+            p, q = re[pc], im[pc]
+            out[pc] = [_qi(x, y, p, q) for x, y in zip(re[n:], im[n:])]
     return Mat._raw(out)
 
 
@@ -229,41 +365,75 @@ def inverse(mat):
     return x
 
 
+def _imatmul(a, b):
+    """Product of int matrices (lists of rows)."""
+    cols = list(zip(*b))
+    return [[sum(map(_mul, row, col)) for col in cols] for row in a]
+
+
 def char_poly_fl(mat):
-    """Faddeev-LeVerrier.  Returns (coeffs, aux) where
+    """Faddeev-LeVerrier over Q(i).  Returns (coeffs, aux) where
     det(t*I - A) = t^n + b[0]*t^(n-1) + ... + b[n-1]
     and aux[k] is the matrix M_{k+1} with directional derivative
     d b[k](A; V) = -trace(M_{k+1} * V).
 
-    Works over Q(i) and over jets (division only by integers).
+    The recurrence M_1 = I, b_k = -tr(X M_k)/k, M_(k+1) = X M_k + b_k I runs
+    on the Gaussian-integer matrix X = d*A, d the least common denominator
+    of the entries; there the division by k is exact.  Then
+    b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).
     """
+    return _faddeev_leverrier(mat, True)
+
+
+def _faddeev_leverrier(mat, with_aux):
+    """char_poly_fl; aux stays empty unless with_aux."""
     n = mat.n
     if n == 0:
         return [], []
-    ident = Mat.identity(n)
-    aux = [ident]
-    coeffs = []
-    mk = ident
+    rows, dens = _zi_rows(mat.a)
+    d = lcm(*dens)
+    xre = [[v * (d // e) for v in re] for (re, _), e in zip(rows, dens)]
+    xim = None
+    if any(im is not None for _, im in rows):
+        xim = [[v * (d // e) for v in im] if im is not None else [0] * n
+               for (_, im), e in zip(rows, dens)]
+    mre = [[int(i == j) for j in range(n)] for i in range(n)]
+    mim = None
+    coeffs, aux = [], []
+    dk = 1                               # d^(k-1)
     for k in range(1, n + 1):
-        am = mat * mk
-        bk = -(am.trace() / QI(k))
-        coeffs.append(bk)
+        if with_aux and mim is None:
+            aux.append(Mat._raw([[_qi(x, 0, dk) for x in r] for r in mre]))
+        elif with_aux:
+            aux.append(Mat._raw([[_qi(x, y, dk) for x, y in zip(r, s)]
+                                 for r, s in zip(mre, mim)]))
+        if xim is None:
+            are, aim = _imatmul(xre, mre), None
+        else:
+            are, aim = _imatmul(xre, mre), _imatmul(xim, mre)
+            if mim is not None:
+                are = [[x - y for x, y in zip(r, s)]
+                       for r, s in zip(are, _imatmul(xim, mim))]
+                aim = [[x + y for x, y in zip(r, s)]
+                       for r, s in zip(aim, _imatmul(xre, mim))]
+        br = -sum(are[i][i] for i in range(n)) // k
+        bi = -sum(aim[i][i] for i in range(n)) // k if aim else 0
+        dk *= d
+        coeffs.append(_qi(br, bi, dk))
         if k < n:
-            mk = am + bk * ident
-            aux.append(mk)
+            for i in range(n):
+                are[i][i] += br
+                if aim:
+                    aim[i][i] += bi
+            mre, mim = are, aim
     return coeffs, aux
 
 
 def char_poly(mat):
     """Monic characteristic polynomial of A, low degree first:
     det(t*I - A) as a coefficient list [c0, ..., 1]."""
-    coeffs, _ = char_poly_fl(mat)
-    n = mat.n
-    p = [ZERO] * (n + 1)
-    p[n] = ONE
-    for k, b in enumerate(coeffs):
-        p[n - 1 - k] = b
-    return p
+    coeffs, _ = _faddeev_leverrier(mat, False)
+    return coeffs[::-1] + [ONE]
 
 
 def pfaffian(mat):

@@ -9,7 +9,7 @@ keeps its definition as the reference.
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
 gives every gradient row from a single recurrence per chain level; the
-Pfaffian row and the reference implementation use first-order jets.
+Pfaffian row uses first-order jets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .scalars import ZERO
 from .matrices import (Mat, bracket, nullspace, rank_rows, char_poly_fl,
                        pfaffian, jet_mat)
 from .liealg import project_to_subalgebra, embed_from_subalgebra
-from .invariants import _level_values, _signed, generator_spec
+from .invariants import _signed, generator_spec
 
 
 def _ambient_basis(ctx, ambient):
@@ -146,19 +146,6 @@ def full_map_jacobian_rank(ctx, mat):
     for m in range(ctx.chain_floor(), ctx.n + 1):
         rows.extend(_level_gradient_rows(ctx, mat, m))
     return rank_rows(rows, ctx.dim)
-
-
-def partial_map_jacobian_jet(ctx, mat):
-    """Reference Jacobian computed one jet pass per basis direction (slow
-    path, used to cross-check the adjugate-based gradients)."""
-    rows = []
-    for m in (ctx.n - 1, ctx.n):
-        lvl, xm = ctx.level(m), project_to_subalgebra(ctx, mat, m)
-        cols = [[v.eps for v in _level_values(
-            lvl, jet_mat(xm, project_to_subalgebra(ctx, d, m)))]
-            for d in ctx.basis]
-        rows.extend(list(r) for r in zip(*cols))
-    return rows
 
 
 def chain_centralizers(ctx, mat):

@@ -1,8 +1,10 @@
 """Exact scalars over the Gaussian rationals and first-order jets on top of them.
 
 Every quantity in this package is computed over Q(i); there is no floating
-point anywhere.  Rationals are gmpy2.mpq when available (much faster), with
-fractions.Fraction as a fallback.
+point anywhere.  Rationals are gmpy2.mpq when available, with
+fractions.Fraction as a fallback; the hot loops of gzlie.matrices (elimination
+and the characteristic polynomial) run on Python ints and build their results
+through _mpq, so the backend matters mostly elsewhere.
 """
 
 from __future__ import annotations

@@ -1,0 +1,135 @@
+"""Slow references for the exact kernels of gzlie.matrices.
+
+These are the routines the Gaussian-integer kernel replaced, kept to pin it:
+Gauss-Jordan elimination directly on Q(i) scalars, the ring-generic
+Faddeev-LeVerrier loop (which also runs on first-order jets), and the
+partial-map Jacobian computed one jet pass per basis direction.
+"""
+
+from gzlie.scalars import QI, ZERO, ONE
+from gzlie.matrices import Mat, pfaffian, jet_mat
+from gzlie.liealg import project_to_subalgebra
+from gzlie.invariants import generator_spec, _signed
+
+
+def echelon(rows, ncols, reduced=False):
+    """Eliminate Q(i) rows in place; returns (pivot columns, row swaps).
+    Pivot rule: first nonzero entry, columns left to right, rows top to
+    bottom.  With ``reduced`` the result is the reduced row echelon form."""
+    pivots = []
+    swaps = 0
+    nrows = len(rows)
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        for r in range(pr, nrows):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        if r != pr:
+            rows[pr], rows[r] = rows[r], rows[pr]
+            swaps += 1
+        pivots.append(pc)
+        prow = rows[pr]
+        live = [c for c in range(pc, len(prow)) if prow[c]]
+        inv = ONE / prow[pc]
+        if reduced:
+            for c in live:
+                prow[c] = prow[c] * inv
+        for r in range(0 if reduced else pr + 1, nrows):
+            f = rows[r][pc]
+            if not f or r == pr:
+                continue
+            if not reduced:
+                f = f * inv
+            rr = rows[r]
+            for c in live:
+                rr[c] = rr[c] - f * prow[c]
+    return pivots, swaps
+
+
+def rank(mat):
+    return len(echelon([list(r) for r in mat.a], mat.n)[0])
+
+
+def nullspace(mat):
+    rows = [list(r) for r in mat.a]
+    pivots, _ = echelon(rows, mat.n, reduced=True)
+    basis = []
+    for fc in sorted(set(range(mat.n)) - set(pivots)):
+        vec = [ZERO] * mat.n
+        vec[fc] = ONE
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def det(mat):
+    rows = [list(r) for r in mat.a]
+    _, swaps = echelon(rows, mat.n)
+    d = -ONE if swaps % 2 else ONE
+    for k, row in enumerate(rows):
+        d = d * row[k]
+    return d
+
+
+def solve(mat, rhs):
+    n = mat.n
+    rows = [list(r) + list(s) for r, s in zip(mat.a, rhs.a)]
+    pivots, _ = echelon(rows, n + rhs.n, reduced=True)
+    if pivots and pivots[-1] >= n:
+        return None
+    out = [[ZERO] * rhs.n for _ in range(n)]
+    for row, pc in zip(rows, pivots):
+        out[pc] = row[n:]
+    return Mat(out)
+
+
+def inverse(mat):
+    x = solve(mat, Mat.identity(mat.n))
+    if x is None:
+        raise ValueError("singular matrix")
+    return x
+
+
+def char_poly_fl(mat):
+    """Faddeev-LeVerrier in the entries' own ring (Q(i) or jets over it):
+    det(t*I - A) = t^n + b[0]*t^(n-1) + ... + b[n-1], and aux[k] = M_{k+1}
+    with d b[k](A; V) = -trace(M_{k+1} * V)."""
+    n = mat.n
+    if n == 0:
+        return [], []
+    ident = Mat.identity(n)
+    aux = [ident]
+    coeffs = []
+    mk = ident
+    for k in range(1, n + 1):
+        am = mat * mk
+        bk = -(am.trace() / QI(k))
+        coeffs.append(bk)
+        if k < n:
+            mk = am + bk * ident
+            aux.append(mk)
+    return coeffs, aux
+
+
+def partial_map_jacobian_jet(ctx, mat):
+    """Jacobian of the two-level restriction map, one jet pass per basis
+    direction: the generator values of x + eps*d at levels n-1 and n."""
+    rows = []
+    for m in (ctx.n - 1, ctx.n):
+        lvl, xm = ctx.level(m), project_to_subalgebra(ctx, mat, m)
+        spec = generator_spec(lvl)
+        cols = []
+        for d in ctx.basis:
+            jm = jet_mat(xm, project_to_subalgebra(ctx, d, m))
+            b, _ = char_poly_fl(jm)
+            vals = [_signed(sign, b[j - 1]) for j, sign in spec.coeffs]
+            if spec.pfaffian:
+                vals.append(pfaffian(lvl.form * jm))
+            cols.append([v.eps for v in vals])
+        rows.extend(list(r) for r in zip(*cols))
+    return rows

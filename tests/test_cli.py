@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gzlie import cli, suites
 from gzlie.cli import main
 from gzlie.liealg import MAX_N
 from gzlie.suites import SuiteConfig, run_suite, run_all
@@ -167,3 +168,30 @@ def test_run_all_covers_every_suite():
                                  for r in reports]))
     with open(os.path.join(FIXTURES, "run_all_seed0_nmax5.json")) as fh:
         assert got == json.load(fh)
+
+
+def test_verify_nilfibre_honours_the_size_range(capsys):
+    # the so(3) exception claim runs only when 3 is in the requested range
+    code, out, err = run(capsys, "verify", "--suite", "nilfibre",
+                         "--n-min", "9")
+    assert code == 2 and out == ""
+    assert "so(3..8)" in err and len(err.strip().splitlines()) == 1
+    code, out, _ = run(capsys, "verify", "--suite", "nilfibre", "--trials",
+                       "1", "--n-min", "4", "--n-max", "4", "--json")
+    assert code == 0
+    assert [c["claim"] for c in json.loads(out)[0]["claims"]] == [
+        "nilfibre-so4"]
+
+
+def test_sampler_failure_exits_one(capsys, monkeypatch):
+    def give_up(ctx, sampler, max_tries=200):
+        raise RuntimeError("could not sample a coincidence-free element")
+
+    monkeypatch.setattr(cli, "sample_g0", give_up)
+    monkeypatch.setattr(suites, "sample_g0", give_up)
+    for argv in (("sample", "--what", "g0", "--n", "4"),
+                 ("verify", "--suite", "gzero-nsreg", "--trials", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "coincidence-free" in err
+        assert len(err.strip().splitlines()) == 1

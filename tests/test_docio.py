@@ -1,12 +1,17 @@
+import json
+import os
+
 import pytest
 
 from gzlie.scalars import rat, ZERO
 from gzlie.matrices import Mat
-from gzlie.liealg import make_algebra
+from gzlie.liealg import make_algebra, root_vector
 from gzlie.invariants import partial_kw
 from gzlie.docio import (DocumentError, parse_matrix_doc, emit_matrix_doc,
                          emit_invariant_doc, parse_invariant_doc,
                          analysis_report, analysis_text)
+from gzlie.korbits import (sample_nilfibre, sample_g0,
+                           sample_chain_disjoint)
 from gzlie.rand import Sampler
 
 
@@ -70,3 +75,49 @@ def test_analysis_report_fields_and_text():
     assert "so(5)" in text and "coincidence" in text
     # deterministic given the same element
     assert analysis_report(ctx, x) == rep
+
+
+# --- the analysis fingerprint ------------------------------------------------
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+ANALYZE_ALGEBRAS = [("gl", 3), ("gl", 4), ("gl", 5),
+                    ("so", 4), ("so", 5), ("so", 6), ("so", 7)]
+ANALYZE_FAMILIES = {"gl": ("chain", "generic", "g0", "borel"),
+                    "so": ("chain", "generic", "nilfibre", "g0", "borel")}
+
+
+def _draw(ctx, family, s):
+    if family == "generic":
+        return s.algebra_element(ctx)
+    if family == "borel":
+        if ctx.kind == "gl":
+            return s.span_element([b for b, (i, j) in zip(
+                ctx.basis, ctx.basis_positions) if i <= j])
+        return s.span_element(list(ctx.cartan_basis) + [
+            root_vector(ctx, r) for r in ctx.positive_roots])
+    if family == "nilfibre":
+        return sample_nilfibre(ctx, s, 0)
+    if family == "g0":
+        return sample_g0(ctx, s)
+    return sample_chain_disjoint(ctx, s)
+
+
+def analyze_fingerprint():
+    """One sampled element per (algebra, family) with its analysis report,
+    keyed 'so6/nilfibre'."""
+    out = {}
+    for kind, n in ANALYZE_ALGEBRAS:
+        ctx = make_algebra(kind, n)
+        for family in ANALYZE_FAMILIES[kind]:
+            x = _draw(ctx, family, Sampler("fingerprint/%s%d/%s"
+                                           % (kind, n, family)))
+            out["%s%d/%s" % (kind, n, family)] = {
+                "doc": emit_matrix_doc(ctx, x),
+                "report": analysis_report(ctx, x)}
+    return out
+
+
+def test_analysis_reports_match_fixture():
+    with open(os.path.join(FIXTURES, "analyze_reports.json")) as fh:
+        expect = json.load(fh)
+    assert analyze_fingerprint() == expect

@@ -182,3 +182,11 @@ def test_make_algebra_rejects_bad_args():
         make_algebra("gl", 0)
     with pytest.raises(ValueError, match="n <= %d" % MAX_N):
         make_algebra("so", MAX_N + 1)
+
+
+def test_contexts_are_shared_down_the_chain():
+    so7 = make_algebra("so", 7)
+    assert make_algebra("so", 7) is so7
+    assert so7.child is make_algebra("so", 6)
+    assert so7.child.child is make_algebra("so", 5)
+    assert make_algebra("gl", 4).child is make_algebra("gl", 3)

@@ -9,6 +9,8 @@ from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             pfaffian, row_space_contains, intersection_dim,
                             jet_mat)
 
+import qi_reference
+
 ints = st.integers(-6, 6)
 
 
@@ -121,6 +123,67 @@ def test_elimination_kernel_properties(case):
         assert a * x == b
 
 
+# entries for pinning the Gaussian-integer kernel to the Q(i) reference:
+# mixed denominators, Gaussian parts and numerators above 2^70; rows of
+# small Gaussian integers make pivots that divide the entries below them
+_PIN_MIXED = st.one_of(
+    st.just(ZERO),
+    st.builds(rat, st.integers(-4, 4), st.integers(1, 6)),
+    st.builds(lambda a, b, c: rat(a, c) + rat(b, c + 1) * I,
+              st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)),
+    st.builds(lambda s, v, d: rat(s * v, d), st.sampled_from([1, -1]),
+              st.integers(2 ** 70, 2 ** 90), st.integers(1, 2 ** 72)),
+)
+_PIN_SMALL = st.sampled_from([ZERO, ZERO, ONE, -ONE, qi(2), qi(-3), I,
+                              ONE + I])
+
+
+@st.composite
+def _pin_case(draw):
+    """(A, B): A is m x n with m = n half of the time, B is m x 2.  Half of
+    the cases may have zero rows and multiples of earlier rows."""
+    n = draw(st.integers(1, 8))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 8))
+    kinds = ["small", "mixed"]
+    if draw(st.booleans()):
+        kinds += ["zero", "copy"]
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            rows.append([ZERO] * n)
+        elif kind == "copy" and rows:
+            c = draw(_PIN_MIXED)
+            rows.append([c * v for v in draw(st.sampled_from(rows))])
+        else:
+            cell = _PIN_SMALL if kind == "small" else _PIN_MIXED
+            rows.append([draw(cell) for _ in range(n)])
+    rhs = Mat([[draw(_PIN_MIXED) for _ in range(2)] for _ in range(m)])
+    return Mat(rows), rhs
+
+
+def _or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "ValueError"
+
+
+@given(_pin_case())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_qi_reference(case):
+    a, b = case
+    assert rank(a) == qi_reference.rank(a)
+    assert nullspace(a) == qi_reference.nullspace(a)
+    assert solve(a, b) == qi_reference.solve(a, b)
+    if a.m == a.n:
+        assert det(a) == qi_reference.det(a)
+        assert _or_error(inverse, a) == _or_error(qi_reference.inverse, a)
+        coeffs, aux = qi_reference.char_poly_fl(a)
+        assert char_poly_fl(a) == (coeffs, aux)
+        assert char_poly(a) == coeffs[::-1] + [ONE]
+
+
 def test_char_poly_oracle():
     # [[1,2],[3,4]]: t^2 - 5t - 2, checked by hand
     p = char_poly(Mat.from_ints([[1, 2], [3, 4]]))
@@ -149,7 +212,7 @@ def test_fl_gradient_matches_jets():
     a = _mat3([1, 2, 0, -1, 3, 1, 0, 2, -2])
     v = _mat3([0, 1, 1, 2, 0, -1, 1, 1, 0])
     coeffs, aux = char_poly_fl(a)
-    jcoeffs, _ = char_poly_fl(jet_mat(a, v))
+    jcoeffs, _ = qi_reference.char_poly_fl(jet_mat(a, v))
     for k in range(3):
         grad = -(aux[k] * v).trace()
         assert jcoeffs[k].val == coeffs[k]

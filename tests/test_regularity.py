@@ -10,7 +10,7 @@ from gzlie.matrices import Mat, rank_rows, char_poly_fl
 from gzlie.liealg import make_algebra, root_vector, Root
 from gzlie.regularity import (centralizer, joint_centralizer, is_regular,
                               nsreg_intersection, is_nsreg,
-                              partial_map_jacobian, partial_map_jacobian_jet,
+                              partial_map_jacobian,
                               kostant_jacobian_rank, full_map_jacobian_rank,
                               chain_centralizers, is_sreg,
                               _level_gradient_rows, _trace_against)
@@ -18,6 +18,7 @@ from gzlie.korbits import sample_chain_disjoint
 from gzlie.docio import parse_matrix_doc
 from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
+from qi_reference import partial_map_jacobian_jet
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
