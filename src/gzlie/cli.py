@@ -38,7 +38,9 @@ def cmd_analyze(args):
             doc = json.load(fh)
     except OSError as exc:
         return _fail_usage("cannot read %s: %s" % (args.input, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not text, or nesting deeper than
+        # the decoder's recursion limit
         return _fail_usage("invalid JSON in %s: %s" % (args.input, exc))
     try:
         ctx, mat = parse_matrix_doc(doc)

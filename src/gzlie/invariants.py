@@ -9,20 +9,15 @@ reconstruction from values and the gradient rows of regularity read it.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import polys
 from .matrices import char_poly, pfaffian
 from .liealg import project_to_subalgebra
-from .scalars import QI, ZERO, ONE
+from .scalars import ZERO, ONE
 
 
-@dataclass
-class InvariantVector:
-    algebra: str
-    n: int
-    kind: str          # "partial" or "full"
-    values: list       # list of QI
+# kind: "partial" or "full"; values: list of QI
+InvariantVector = namedtuple("InvariantVector", "algebra n kind values")
 
 
 # coeffs: (j, sign) per coefficient generator f = sign * b_j; pfaffian:
@@ -145,60 +140,3 @@ def stratum_of_value(ctx, vector):
     q_top = _poly_from_values(top, vt)
     return polys.degree(polys.gcd(q_sub, q_top))
 
-
-def spectrum_pairs(ctx, mat, m=None):
-    """Rational pair representatives of the spectrum at a chain level, when
-    the reduced polynomial splits over Q (testing helper: raises otherwise).
-    so: roots u of q give eigenvalue pairs +-sqrt(u) -- returned as the u's.
-    gl: plain eigenvalue list."""
-    m = ctx.n if m is None else m
-    q = reduced_char(ctx.level(m), project_to_subalgebra(ctx, mat, m))
-    return _rational_roots(q)
-
-
-def _rational_roots(q):
-    from fractions import Fraction
-    from math import lcm
-    roots = []
-    rem = list(q)
-    while polys.degree(rem) > 0:
-        found = None
-        if not rem[0]:
-            found = ZERO
-        else:
-            # rational root theorem on the integer-cleared polynomial
-            fracs = [c.as_fraction() for c in rem]
-            mult = lcm(*[f.denominator for f in fracs])
-            ints = [f * mult for f in fracs]
-            a0, ak = abs(ints[0].numerator), abs(ints[-1].numerator)
-            for p in _divisors(a0):
-                for d in _divisors(ak):
-                    for s in (1, -1):
-                        z = QI(Fraction(s * p, d))
-                        if not polys.evaluate(rem, z):
-                            found = z
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-        if found is None:
-            raise ValueError("polynomial has an irrational root")
-        roots.append(found)
-        rem, r = polys.divmod_exact(rem, [-found, ONE])
-        assert not r
-    return roots
-
-
-def _divisors(v):
-    v = abs(int(v))
-    if v == 0:
-        return [0]
-    out = []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.append(d)
-            out.append(v // d)
-        d += 1
-    return sorted(set(out))

@@ -12,7 +12,7 @@ cross-checked at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .scalars import rat
 from .matrices import Mat, inverse, intersection_dim, row_space_contains
@@ -28,17 +28,12 @@ COMPLEX_STABLE = "complex-stable"
 COMPLEX_UNSTABLE = "complex-unstable"
 
 
-@dataclass
-class Orbit:
-    name: str
-    base: str                 # which closed orbit the word starts from
-    word: tuple               # simple-root indices applied so far
-    conjugator: Mat
-    codim: int
-    closed: bool
-    action: tuple             # theta_Q on epsilon-coords, columns = images
-    compact_signs: tuple      # ((root coords, +1/-1), ...) imaginary positive
-    borel_basis: list = field(default_factory=list)
+# base: the closed orbit the word starts from; word: simple-root indices
+# applied so far; action: theta_Q on epsilon-coords, columns = images;
+# compact_signs: ((root coords, +1/-1), ...) imaginary positive
+class Orbit(namedtuple("Orbit", "name base word conjugator codim closed "
+                                "action compact_signs borel_basis")):
+    __slots__ = ()
 
     def key(self):
         return (self.codim, self.action, self.compact_signs)
@@ -218,7 +213,7 @@ def enumerate_orbits(ctx):
                     continue
                 existing = seen.get(img.key())
                 if existing is None:
-                    img.name = "Q%d" % img.codim
+                    img = img._replace(name="Q%d" % img.codim)
                     seen[img.key()] = img
                     orbits.append(img)
                     nxt.append(img)
@@ -229,10 +224,6 @@ def enumerate_orbits(ctx):
         frontier = nxt
     orbits.sort(key=lambda o: (-o.codim, o.name))
     return orbits, edges
-
-
-def closed_orbit_count(ctx):
-    return sum(1 for o in enumerate_orbits(ctx)[0] if o.closed)
 
 
 def orbit_by_name(ctx, name):
@@ -270,14 +261,9 @@ def orbit_graph_text(graph):
 
 # --- theta-stable parabolics ----------------------------------------------
 
-@dataclass
-class Parabolic:
-    i: int                     # codimension index of the matching orbit
-    r_basis: list
-    z_basis: list
-    lss_basis: list
-    nilradical_basis: list
-    levi_tag: tuple            # ("so", m)
+# i: codimension index of the matching orbit; levi_tag: ("so", m)
+Parabolic = namedtuple("Parabolic", "i r_basis z_basis lss_basis "
+                                    "nilradical_basis levi_tag")
 
 
 def stable_parabolic(ctx, i):
@@ -330,16 +316,6 @@ def degenerate_to_levi(ctx, mat, i):
         elif not Root(root).is_positive():
             raise ValueError("element is not in the parabolic")
     return out
-
-
-def levi_split(ctx, mat, i):
-    """(z-part coordinates, semisimple part) of a Levi element."""
-    par = stable_parabolic(ctx, i)
-    zcoords = [mat.a[a][a] for a in range(i)]
-    zmat = Mat.zeros(ctx.n)
-    for c, h in zip(zcoords, par.z_basis):
-        zmat = zmat + c * h
-    return zcoords, mat - zmat
 
 
 # --- distinguished element families ---------------------------------------

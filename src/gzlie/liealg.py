@@ -6,7 +6,10 @@ is diag[a_1..a_l, (0,) -a_l..-a_1].  The involution at each level is
 conjugation by a diagonal sign matrix (odd n) or by the permutation swapping
 the two middle basis vectors (even n); its fixed subalgebra is identified
 with the standard realization one size down by an exact rational change of
-basis, so the whole chain g_2 < g_3 < ... < g_n lives over Q(i).
+basis, so the whole chain g_2 < g_3 < ... < g_n lives over Q(i).  One step
+down the chain is x -> PD x TD and one step up y -> TD y PD, with the two
+rectangular matrices chain_PD and chain_TD of each context; the step down
+needs no projection onto the fixed part first (see AlgebraContext.down).
 
 Roots are recorded in epsilon-coordinates (integer tuples of length l).
 """
@@ -213,59 +216,27 @@ class AlgebraContext:
                             if not b.a[n - 1][n - 1]]
 
     def _build_chain_maps(self):
-        """T (n x n-1), P (n-1 x n) with P T = I, and the diagonal gamma
-        aligning the fixed subalgebra with the standard form one size down."""
+        """TD (n x n-1) and PD (n-1 x n) with PD TD = I: down(x) = PD x TD
+        and up(y) = TD y PD identify the theta-fixed subalgebra with the
+        standard realization one size down.  gl and odd so drop the last
+        (middle) basis vector; even so keeps e_(l-1) + e_l, with the first
+        l-1 coordinates scaled by 2 in TD and by 1/2 in PD so that the
+        induced form is exactly the standard one in size n-1."""
         n, kind = self.n, self.kind
-        if (kind == "so" and n == 2) or (kind == "gl" and n == 1):
-            self.chain_T = self.chain_P = None
-            return
-        if kind == "gl":
-            t = Mat.zeros(n, n - 1)
-            for a in range(n - 1):
-                t.a[a][a] = ONE
-            self.chain_T = t
-            self.chain_P = t.transpose()
-            self._gamma = None
-            self.chain_TD = self.chain_T
-            self.chain_PD = self.chain_P
+        self.chain_TD = self.chain_PD = None
+        if n == CHAIN_FLOOR[kind]:
             return
         l = n // 2
-        if n % 2 == 1:
-            # drop the middle basis vector
-            t = Mat.zeros(n, n - 1)
-            for a in range(n - 1):
-                t.a[a if a < l else a + 1][a] = ONE
-            self.chain_T = t
-            self.chain_P = t.transpose()
-            self.chain_TD = self.chain_T
-            self.chain_PD = self.chain_P
-        else:
-            # keep e_{l-1}+e_l, drop e_{l-1}-e_l; gamma rescales so that the
-            # induced form is exactly the standard one in size n-1
-            t = Mat.zeros(n, n - 1)
-            p = Mat.zeros(n - 1, n)
-            for a in range(n - 1):
-                if a < l - 1:
-                    t.a[a][a] = ONE
-                    p.a[a][a] = ONE
-                elif a == l - 1:
-                    t.a[l - 1][a] = ONE
-                    t.a[l][a] = ONE
-                    p.a[a][l - 1] = HALF
-                    p.a[a][l] = HALF
-                else:
-                    t.a[a + 1][a] = ONE
-                    p.a[a][a + 1] = ONE
-            self.chain_T = t
-            self.chain_P = p
-            gamma = Mat.identity(n - 1)
-            gamma_inv = Mat.identity(n - 1)
+        td, pd = Mat.zeros(n, n - 1), Mat.zeros(n - 1, n)
+        for a in range(n - 1):
+            b = a if kind == "gl" or a < l else a + 1
+            td.a[b][a] = pd.a[a][b] = ONE
+        if kind == "so" and n % 2 == 0:
             for a in range(l - 1):
-                gamma.a[a][a] = HALF
-                gamma_inv.a[a][a] = TWO
-            self._gamma = gamma
-            self.chain_TD = t * gamma_inv     # used on the right: T g^{-1}
-            self.chain_PD = gamma * p         # used on the left: g P
+                td.a[a][a], pd.a[a][a] = TWO, HALF
+            td.a[l][l - 1] = ONE
+            pd.a[l - 1][l - 1] = pd.a[l - 1][l] = HALF
+        self.chain_TD, self.chain_PD = td, pd
 
     # --- element services --------------------------------------------------
 
@@ -311,11 +282,12 @@ class AlgebraContext:
         return fixed, mat - fixed
 
     def down(self, mat):
-        """Project to the next algebra in the chain, realized one size down."""
-        if self.chain_T is None:
+        """Project to the next algebra in the chain, realized one size down.
+        PD theta(x) TD = PD x TD (theta fixes the columns of TD and the rows
+        of PD up to one common sign), so x needs no theta-averaging first."""
+        if self.chain_TD is None:
             raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        fixed, _ = self.theta_decompose(mat)
-        return self.chain_PD * fixed * self.chain_TD
+        return self.chain_PD * mat * self.chain_TD
 
     def up(self, small):
         """Embed an element of the next algebra down back into this one."""
@@ -323,10 +295,10 @@ class AlgebraContext:
 
     def group_up(self, g_small):
         """Embed a group element one size down (acting trivially on the
-        complementary line)."""
-        lifted = self.chain_TD * g_small * self.chain_PD
-        proj = self.chain_T * self.chain_P
-        return lifted + Mat.identity(self.n) - proj
+        complementary line): up(g - I) + I, as TD PD is the projection
+        onto the image of TD."""
+        ident = Mat.identity(g_small.n)
+        return self.up(g_small - ident) + Mat.identity(self.n)
 
     def level(self, m):
         ctx = self

@@ -1,4 +1,4 @@
-"""Dense exact matrices over Q(i) (and first-order jets where noted).
+"""Dense exact matrices over Q(i).
 
 The exact kernel works on Gaussian integers held as pairs of Python ints;
 rationals appear only at its boundary.  A row enters it scaled by the least
@@ -21,8 +21,9 @@ char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
 denominator of A, over Z[i], where its division by k is exact, and rescales
 the coefficients by d^k and the auxiliary matrices by d^(k-1).
 
-Jets enter only ``pfaffian``; tests/qi_reference.py keeps the Q(i)
-Gauss-Jordan and ring-generic Faddeev-LeVerrier references.
+No code path of the package uses jets.  ``pfaffian`` is ring-generic, and
+tests/qi_reference.py runs it and a ring-generic Faddeev-LeVerrier loop on
+first-order jets, next to the Q(i) Gauss-Jordan references.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul as _mul
 
-from .scalars import QI, ZERO, ONE, Jet, _mpq
+from .scalars import QI, ZERO, ONE, _mpq
 
 _Q0 = ZERO.re
 
@@ -487,9 +488,3 @@ def intersection_dim(rows_a, rows_b, ncols):
     rb = rank_rows(rows_b, ncols)
     rab = rank_rows(list(rows_a) + list(rows_b), ncols)
     return ra + rb - rab
-
-
-def jet_mat(point, direction):
-    """Matrix of jets point + eps*direction."""
-    return Mat([[Jet(p, d) for p, d in zip(rp, rd)]
-                for rp, rd in zip(point.a, direction.a)])

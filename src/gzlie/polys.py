@@ -6,7 +6,7 @@ by gcd degree is well defined.
 
 from __future__ import annotations
 
-from .scalars import QI, ZERO, ONE
+from .scalars import ZERO, ONE
 
 
 def normalize(p):
@@ -95,14 +95,6 @@ def evaluate(p, x):
     return acc
 
 
-def from_roots(roots):
-    p = [ONE]
-    for r in roots:
-        rr = r if isinstance(r, QI) else QI(r)
-        p = mul(p, [-rr, ONE])
-    return p
-
-
 def even_part(p, parity):
     """For p(x) with p(-x) = (-1)**parity * p(x), return q with
     p(x) = x**parity * q(x**2).  Raises if p lacks the claimed parity."""
@@ -114,19 +106,3 @@ def even_part(p, parity):
             raise ValueError("polynomial does not have parity %d" % parity)
     return [p[k] for k in range(parity, len(p), 2)]
 
-
-def to_string(p, var="x"):
-    if not p:
-        return "0"
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            parts.append("(%s)" % c)
-        elif k == 1:
-            parts.append("(%s)*%s" % (c, var))
-        else:
-            parts.append("(%s)*%s^%d" % (c, var, k))
-    return " + ".join(parts)

@@ -9,14 +9,17 @@ keeps its definition as the reference.
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
 gives every gradient row from a single recurrence per chain level; the
-Pfaffian row uses first-order jets.
+Pfaffian row reads the Pfaffians of the cofactors of S*x.  A gradient at a
+lower level is embedded into g once and paired with the basis of g there:
+projection is v -> L v R and embedding G -> R G L, so
+tr(G proj(v)) = tr(embed(G) v), and the basis is never projected.
 """
 
 from __future__ import annotations
 
 from .scalars import ZERO
 from .matrices import (Mat, bracket, nullspace, rank_rows, char_poly_fl,
-                       pfaffian, jet_mat)
+                       pfaffian)
 from .liealg import project_to_subalgebra, embed_from_subalgebra
 from .invariants import _signed, generator_spec
 
@@ -112,20 +115,37 @@ def _trace_against(m_aux, v):
     return s
 
 
+def _pfaffian_gradient(sx):
+    """G with d pf(S x)(V) = tr(G V) for V in so(m), given sx = S x.  The
+    derivative of pf(A) in a_ij (i < j) is (-1)^(i+j+1) pf(A without rows
+    and columns i, j), and (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian
+    sits at (j, m-1-i)."""
+    m = sx.n
+    grad = Mat.zeros(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            rest = [k for k in range(m) if k != i and k != j]
+            pf = pfaffian(Mat([[sx.a[p][q] for q in rest] for p in rest]))
+            grad.a[j][m - 1 - i] = pf if (i + j) % 2 else -pf
+    return grad
+
+
 def _level_gradient_rows(ctx, x, m):
-    """Gradient rows (one per generator of level m) against the basis of g
-    projected to level m."""
+    """Gradient rows (one per generator of level m) against the basis of g:
+    each level-m gradient matrix is embedded into g and traced against the
+    basis there."""
     lvl = ctx.level(m)
     spec = generator_spec(lvl)
-    dirs = [project_to_subalgebra(ctx, b, m) for b in ctx.basis]
     xm = project_to_subalgebra(ctx, x, m)
     _, aux = char_poly_fl(xm)          # aux[j-1] = M_j, d b_j = -tr(M_j V)
-    rows = [[_signed(-sign, _trace_against(aux[j - 1], v)) for v in dirs]
-            for j, sign in spec.coeffs]
+    grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:
-        sform = lvl.form
-        sx = sform * xm
-        rows.append([pfaffian(jet_mat(sx, sform * v)).eps for v in dirs])
+        grads.append((1, _pfaffian_gradient(lvl.form * xm)))
+    rows = []
+    for sign, grad in grads:
+        grad = embed_from_subalgebra(ctx, grad, m)
+        rows.append([_signed(sign, _trace_against(grad, v))
+                     for v in ctx.basis])
     return rows
 
 

@@ -158,9 +158,10 @@ def rat(num, den=1):
 # --- external scalar syntax -------------------------------------------------
 #
 # Grammar: optional rational part a or a/b, optional imaginary part c*i or
-# c/d*i, joined by a sign.  Examples: "3", "-1/2", "2+1/3*i", "-1/2*i", "0".
+# c/d*i, joined by a sign; denominators are nonzero.  Examples: "3", "-1/2",
+# "2+1/3*i", "-1/2*i", "0".
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+_RAT = r"[+-]?\d+(?:/0*[1-9]\d*)?"
 _SCALAR_RE = _re.compile(
     r"^\s*(?:(?P<re>%(r)s)(?=\s*(?:[+-]|$)))?\s*"
     r"(?:(?P<im>%(r)s)\s*\*\s*i|(?P<imsign>[+-]?)\s*i)?\s*$" % {"r": _RAT}

@@ -1,13 +1,15 @@
-"""Slow references for the exact kernels of gzlie.matrices.
+"""Slow references for the exact kernels of gzlie.matrices and the
+gradient rows of gzlie.regularity.
 
-These are the routines the Gaussian-integer kernel replaced, kept to pin it:
+These are the routines the fast paths replaced, kept to pin them:
 Gauss-Jordan elimination directly on Q(i) scalars, the ring-generic
 Faddeev-LeVerrier loop (which also runs on first-order jets), and the
-partial-map Jacobian computed one jet pass per basis direction.
+Jacobian of the chain-restriction map computed one jet pass per basis
+direction of g, projected down the chain.
 """
 
-from gzlie.scalars import QI, ZERO, ONE
-from gzlie.matrices import Mat, pfaffian, jet_mat
+from gzlie.scalars import QI, ZERO, ONE, Jet
+from gzlie.matrices import Mat, pfaffian
 from gzlie.liealg import project_to_subalgebra
 from gzlie.invariants import generator_spec, _signed
 
@@ -116,20 +118,38 @@ def char_poly_fl(mat):
     return coeffs, aux
 
 
-def partial_map_jacobian_jet(ctx, mat):
-    """Jacobian of the two-level restriction map, one jet pass per basis
-    direction: the generator values of x + eps*d at levels n-1 and n."""
+def jet_mat(point, direction):
+    """Matrix of jets point + eps*direction."""
+    return Mat([[Jet(p, d) for p, d in zip(rp, rd)]
+                for rp, rd in zip(point.a, direction.a)])
+
+
+def _eps(v):
+    """The eps part of a jet.  A plain QI is a zero jet: products and sums
+    of jet matrices leave an entry as the QI ZERO where every term is 0."""
+    return v.eps if isinstance(v, Jet) else ZERO
+
+
+def partial_map_jacobian_jet(ctx, mat, levels=None):
+    """Gradient rows of the generators of the given chain levels (default:
+    n-1 and n, the partial map) against the basis of g, one jet pass per
+    basis direction d: the generator values of x_m + eps*d_m at level m."""
     rows = []
-    for m in (ctx.n - 1, ctx.n):
+    for m in (ctx.n - 1, ctx.n) if levels is None else levels:
         lvl, xm = ctx.level(m), project_to_subalgebra(ctx, mat, m)
         spec = generator_spec(lvl)
+        zero = [ZERO] * (len(spec.coeffs) + bool(spec.pfaffian))
         cols = []
         for d in ctx.basis:
-            jm = jet_mat(xm, project_to_subalgebra(ctx, d, m))
+            dm = project_to_subalgebra(ctx, d, m)
+            if dm.is_zero():             # the derivative along 0 is 0
+                cols.append(zero)
+                continue
+            jm = jet_mat(xm, dm)
             b, _ = char_poly_fl(jm)
             vals = [_signed(sign, b[j - 1]) for j, sign in spec.coeffs]
             if spec.pfaffian:
                 vals.append(pfaffian(lvl.form * jm))
-            cols.append([v.eps for v in vals])
+            cols.append([_eps(v) for v in vals])
         rows.extend(list(r) for r in zip(*cols))
     return rows

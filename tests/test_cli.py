@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gzlie import cli, suites
 from gzlie.cli import main
-from gzlie.liealg import MAX_N
-from gzlie.suites import SuiteConfig, run_suite, run_all
+from gzlie.docio import emit_matrix_doc
+from gzlie.liealg import MAX_N, CHAIN_FLOOR, make_algebra
+from gzlie.rand import Sampler
+from gzlie.suites import SuiteConfig, SUITE_NAMES, run_suite, run_all
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -195,3 +200,129 @@ def test_sampler_failure_exits_one(capsys, monkeypatch):
         assert code == 1 and out == ""
         assert "coincidence-free" in err
         assert len(err.strip().splitlines()) == 1
+
+
+# --- fuzzing: every input ends in exit 0, 1 or 2, never in a traceback -------
+
+_SCALARS = st.sampled_from(["0", "1", "-2", "1/2", "-1/3*i", "2+i", "3*i"])
+_CELLS = st.one_of(
+    _SCALARS,
+    st.sampled_from([" 4 ", "1/0", "0/0", "1/0*i", "2+3/00*i", "1/-2", "x",
+                     "", "1e5", "--1", "i*i", "9" * 5000]),
+    st.integers(-2, 2), st.floats(), st.none(), st.booleans(),
+    st.lists(st.just("1"), max_size=2), st.just({"re": "1"}))
+
+
+@st.composite
+def _matrix_docs(draw):
+    """A document of one of these cases, drawn about equally often."""
+    case = draw(st.sampled_from(["member", "member", "spoiled", "square",
+                                 "ragged", "n", "kind", "missing", "other"]))
+    if case == "other":
+        return draw(st.one_of(st.lists(st.integers(), max_size=2),
+                              st.text(max_size=3), st.none()))
+    kind = draw(st.sampled_from(sorted(CHAIN_FLOOR)))
+    n = draw(st.integers(CHAIN_FLOOR[kind] + 1, 5))
+    ctx = make_algebra(kind, n)
+    x = Sampler(draw(st.integers(0, 99))).algebra_element(ctx)
+    doc = {"algebra": kind, "n": n,
+           "entries": emit_matrix_doc(ctx, x)["entries"]}
+    if case == "spoiled":
+        doc["entries"][draw(st.integers(0, n - 1))][
+            draw(st.integers(0, n - 1))] = draw(_CELLS)
+    elif case == "square":             # on so, mostly not a member
+        doc["entries"] = draw(st.lists(
+            st.lists(_SCALARS, min_size=n, max_size=n), min_size=n,
+            max_size=n))
+    elif case == "ragged":
+        doc["entries"] = draw(st.one_of(
+            st.lists(st.lists(_CELLS, max_size=n + 1), max_size=n + 1),
+            st.none(), st.text(max_size=3), st.integers()))
+    elif case == "n":
+        doc["n"] = draw(st.sampled_from([-1, 0, 1, CHAIN_FLOOR[kind],
+                                         n + 1, MAX_N + 1, 10 ** 9, 3.0,
+                                         "3", None, True, [3]]))
+    elif case == "kind":
+        doc["algebra"] = draw(st.sampled_from(["sp", "GL", None, 1]))
+    elif case == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+_DOCS = _matrix_docs().map(lambda d: json.dumps(d).encode())
+# documents, three times as often as raw bytes, deep nesting or odd JSON
+_FILES = st.one_of(
+    _DOCS, _DOCS, _DOCS, st.binary(max_size=24),
+    st.integers(1, 3000).map(lambda d: b"[" * d + b"]" * d),
+    st.sampled_from([b"", b"{", b"NaN", b'{"n": Infinity}', b"\xff\xfe{}"]))
+
+_SEEDS = (["0", "3", "-7"], ["x"])
+# per verb: flag -> (valid values, invalid values), or None for a switch.
+# verify always gets small sizes and trials, so a run stays short.
+_FLAGS = {
+    "orbits": {"--n": (["3", "4", "5", "6"], ["-1", "0", "2", "17", "x"]),
+               "--kind": (["so"], ["gl", "sp"]),
+               "--format": (["text", "json"], ["yaml"]), "--json": None},
+    "sample": {"--what": (["yq", "xi", "nilfibre", "g0", "chain"], ["zz"]),
+               "--n": (["3", "4", "5"], ["-1", "2", "17", "x"]),
+               "--kind": (["so", "gl"], ["sp"]),
+               "--orbit": (["Q0", "Q1", "Q+", "Q-"], ["Q9", ""]),
+               "--pattern": (["", "U", "L", "UL", "LU"], ["X", "ULUL"]),
+               "--component": (["0", "1"], ["-1", "2", "x"]),
+               "--seed": _SEEDS},
+    "verify": {"--suite": (SUITE_NAMES + ["all"], ["nope"]),
+               "--trials": (["1", "2"], ["-1", "x"]),
+               "--n-min": (["2", "3", "4", "5"], ["-1", "6", "x"]),
+               "--n-max": (["3", "4", "5"], ["-1", "2"]),
+               "--seed": _SEEDS, "--json": None},
+}
+_ALWAYS = {"--n", "--what", "--suite", "--trials", "--n-min", "--n-max"}
+_KEPT = {"--trials", "--n-min", "--n-max"}      # never left out
+
+
+@st.composite
+def _argvs(draw):
+    """Valid argv, or argv with one flag given a bad value or left out."""
+    verb = draw(st.sampled_from(sorted(_FLAGS) + ["bogus"]))
+    flags = _FLAGS.get(verb, {})
+    spoil = draw(st.sampled_from([None, None] + sorted(flags)))
+    argv = [verb]
+    for flag, values in flags.items():
+        if flag == spoil and values is not None and draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values[1]))]
+        elif flag == spoil and flag not in _KEPT:
+            continue
+        elif flag in _ALWAYS or draw(st.booleans()):
+            argv += [flag] if values is None else [
+                flag, draw(st.sampled_from(values[0]))]
+    return argv
+
+
+def _exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_FILES, st.booleans())
+@example(b'{"algebra": "gl", "n": 2, "entries": [["1/0", "0"], ["0", "0"]]}',
+         False)
+@example(b"\x80", False)
+@example(b"[" * 3000 + b"]" * 3000, False)
+@settings(max_examples=150, deadline=None)
+def test_analyze_fuzz_ends_in_an_exit_code(tmp_path_factory, data, as_json):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(data)
+    argv = ["analyze", "--input", str(path)] + (["--json"] if as_json else [])
+    code, out, err = _exit_cleanly(argv)
+    if code == 2:
+        assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@given(_argvs())
+@settings(max_examples=60, deadline=None)
+def test_argv_fuzz_ends_in_an_exit_code(argv):
+    _exit_cleanly(argv)

@@ -1,16 +1,74 @@
 from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from gzlie.scalars import qi, rat, ZERO, ONE
+from gzlie.scalars import QI, qi, rat, ZERO, ONE
 from gzlie.matrices import Mat
-from gzlie.liealg import make_algebra, adjoint
+from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
 from gzlie.invariants import (InvariantVector, reduced_char,
                               pfaffian_generator, evaluate_generators,
                               partial_kw, full_kw, coincidence_count,
-                              stratum_of_value, spectrum_pairs)
+                              stratum_of_value)
 from gzlie.rand import Sampler
 from gzlie import polys
+
+
+def spectrum_pairs(ctx, mat, m=None):
+    """Rational pair representatives of the spectrum at a chain level, when
+    the reduced polynomial splits over Q (raises otherwise).
+    so: roots u of q give eigenvalue pairs +-sqrt(u) -- returned as the u's.
+    gl: plain eigenvalue list."""
+    m = ctx.n if m is None else m
+    q = reduced_char(ctx.level(m), project_to_subalgebra(ctx, mat, m))
+    return _rational_roots(q)
+
+
+def _rational_roots(q):
+    roots = []
+    rem = list(q)
+    while polys.degree(rem) > 0:
+        found = None
+        if not rem[0]:
+            found = ZERO
+        else:
+            # rational root theorem on the integer-cleared polynomial
+            fracs = [c.as_fraction() for c in rem]
+            mult = lcm(*[f.denominator for f in fracs])
+            ints = [f * mult for f in fracs]
+            a0, ak = abs(ints[0].numerator), abs(ints[-1].numerator)
+            for p in _divisors(a0):
+                for d in _divisors(ak):
+                    for s in (1, -1):
+                        z = QI(Fraction(s * p, d))
+                        if not polys.evaluate(rem, z):
+                            found = z
+                            break
+                    if found:
+                        break
+                if found:
+                    break
+        if found is None:
+            raise ValueError("polynomial has an irrational root")
+        roots.append(found)
+        rem, r = polys.divmod_exact(rem, [-found, ONE])
+        assert not r
+    return roots
+
+
+def _divisors(v):
+    v = abs(int(v))
+    if v == 0:
+        return [0]
+    out = []
+    d = 1
+    while d * d <= v:
+        if v % d == 0:
+            out.append(d)
+            out.append(v // d)
+        d += 1
+    return sorted(set(out))
 
 
 def diag_cartan(ctx, vals):

@@ -1,13 +1,18 @@
+import json
+import os
+
 import pytest
 
-from gzlie.scalars import qi, rat, ZERO, ONE
+from gzlie.scalars import qi, rat, ZERO, ONE, parse_scalar
 from gzlie.matrices import Mat, bracket, det, rank_rows
 from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           cartan_coordinates, sl2_triple,
                           weyl_representative, cayley_element,
                           preserves_form, adjoint, project_to_subalgebra,
-                          embed_from_subalgebra, MAX_N)
+                          embed_from_subalgebra, MAX_N, CHAIN_FLOOR)
 from gzlie.rand import Sampler
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def diag_cartan(ctx, vals):
@@ -91,6 +96,47 @@ def test_chain_projection_is_homomorphism(kind, n):
         # up is a section of down on the fixed part
         assert ctx.down(ctx.up(dx)) == dx
         assert ctx.up(dx) == x
+
+
+def _pinned_mat(entry):
+    if entry is None:
+        return None
+    out = Mat.zeros(*entry["shape"])
+    for i, j, v in entry["nonzeros"]:
+        out.a[i][j] = parse_scalar(v)
+    return out
+
+
+def test_chain_maps_match_fixture():
+    # chain_maps.json holds chain_TD, chain_PD (null at the chain floor)
+    # and theta_mat of every context, as shape plus nonzero entries
+    with open(os.path.join(FIXTURES, "chain_maps.json")) as fh:
+        pinned = json.load(fh)
+    seen = 0
+    for kind, floor in CHAIN_FLOOR.items():
+        for n in range(floor, MAX_N + 1):
+            ctx = make_algebra(kind, n)
+            want = pinned["%s(%d)" % (kind, n)]
+            for name in ("chain_TD", "chain_PD", "theta_mat"):
+                assert getattr(ctx, name) == _pinned_mat(want[name]), (
+                    kind, n, name)
+            seen += 1
+    assert seen == len(pinned)
+
+
+@pytest.mark.parametrize("kind", ["gl", "so"])
+def test_chain_step_needs_no_theta_averaging(kind):
+    # theta fixes the columns of TD and the rows of PD up to one common
+    # sign, so PD theta(x) TD = PD x TD for every square matrix x: the
+    # projection of x equals that of its theta-fixed part
+    s = Sampler(kind)
+    for n in range(CHAIN_FLOOR[kind] + 1, MAX_N + 1):
+        ctx = make_algebra(kind, n)
+        assert ctx.chain_PD * ctx.chain_TD == Mat.identity(n - 1)
+        x = Mat([[s.rational() for _ in range(n)] for _ in range(n)])
+        assert kind == "gl" or not ctx.contains(x)
+        assert ctx.down(ctx.theta(x)) == ctx.down(x)
+        assert ctx.down(ctx.theta_decompose(x)[0]) == ctx.down(x)
 
 
 def test_projection_embedding_round_trip():

@@ -182,3 +182,27 @@ def test_sreg_identity_on_zero_and_so3_witness():
     with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
         ctx, x = parse_matrix_doc(json.load(fh))
     assert is_sreg(ctx, x) and _sreg_by_definition(ctx, x)
+
+
+def _assert_gradients_match_jets(ctx, x):
+    for m in range(ctx.chain_floor(), ctx.n + 1):
+        assert (_level_gradient_rows(ctx, x, m)
+                == partial_map_jacobian_jet(ctx, x, [m]))
+
+
+@given(st.sampled_from([("gl", n) for n in range(3, 7)]
+                       + [("so", n) for n in range(4, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=12, deadline=None)
+def test_level_gradient_rows_match_jets_at_every_level(algebra, seed, t):
+    # every chain level down to the floor (so(2): the 0x0 cofactor), on the
+    # mixed stream, which reaches singular Pfaffian points (nilfibre)
+    ctx = _algebra(*algebra)
+    _assert_gradients_match_jets(ctx, _mixed_sample(ctx, Sampler(seed), t))
+
+
+def test_level_gradient_rows_match_jets_at_zero_and_so3_witness():
+    for kind, n in [("gl", 3), ("so", 4), ("so", 5), ("so", 6)]:
+        _assert_gradients_match_jets(make_algebra(kind, n), Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_gradients_match_jets(*parse_matrix_doc(json.load(fh)))
