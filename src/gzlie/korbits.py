@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import rat
+from .scalars import ONE
 from .matrices import Mat, inverse, intersection_dim, row_space_contains
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
-                     project_to_subalgebra, adjoint)
+                     project_to_subalgebra, adjoint, monomial_pairs)
 from .invariants import coincidence_count, reduced_char
 from . import polys
 
@@ -41,39 +41,28 @@ class Orbit(namedtuple("Orbit", "name base word conjugator codim closed "
 
 def _theta_q_data(ctx, v, v_inv):
     """Signed coordinate action and compactness signs of
-    theta_Q = Ad(v^-1) theta Ad(v); asserts that theta_Q normalizes the
-    diagonal Cartan."""
-    tq = v_inv * ctx.theta_mat * v
-    tq_inv = tq  # theta_Q is involutive
-    cols = []
-    for a in range(ctx.l):
-        img = tq * ctx.cartan_basis[a] * tq_inv
-        col = []
-        for p in range(ctx.l):
-            e = img.a[p][p]
-            if e.im != 0 or e.re.denominator != 1:
-                raise AssertionError("theta_Q does not act integrally on h")
-            col.append(int(e.re))
-        # verify img really is the diagonal Cartan element with these coords
-        rebuilt = Mat.zeros(ctx.n)
-        for c, hb in zip(col, ctx.cartan_basis):
-            if c:
-                rebuilt = rebuilt + rat(c) * hb
-        if rebuilt != img:
-            raise AssertionError("theta_Q does not normalize the Cartan")
-        cols.append(tuple(col))
-    action = tuple(cols)
+    theta_Q = Ad(v^-1) theta Ad(v), read off t = v^-1 theta v.  t normalizes
+    the diagonal Cartan exactly when it is monomial with a permutation pi
+    that commutes with p -> n-1-p (asserted).  Then e_a goes to e_pi(a)
+    (-e_c when pi(a) = n-1-c), and an imaginary root vector e, first entry
+    (i, j), goes to t[i][pi i] e[pi i][pi j] t[pi j][j] / e[i][j] times e."""
+    pairs = monomial_pairs(v_inv * ctx.theta_mat * v)
+    perm = [q for q, _ in pairs]
+    n, l = ctx.n, ctx.l
+    if any(perm[n - 1 - p] != n - 1 - perm[p] for p in range(n)):
+        raise AssertionError("theta_Q does not normalize the Cartan")
+    action = tuple(tuple((perm[a] == p) - (perm[a] == n - 1 - p)
+                         for p in range(l)) for a in range(l))
     signs = []
     for r in ctx.positive_roots:
         if _act(action, r) == r.coords:
             e = root_vector(ctx, r)
-            img = tq * e * tq_inv
-            if img == e:
-                signs.append((r.coords, 1))
-            elif img == -e:
-                signs.append((r.coords, -1))
-            else:
+            i, j = ctx.basis_positions[ctx.root_index[r.coords]]
+            pi, pj = perm[i], perm[j]
+            s = pairs[i][1] * e.a[pi][pj] * pairs[pj][1] / e.a[i][j]
+            if s not in (ONE, -ONE):
                 raise AssertionError("imaginary root space not preserved")
+            signs.append((r.coords, 1 if s == ONE else -1))
     return action, tuple(sorted(signs))
 
 
@@ -100,9 +89,14 @@ def classify_root_type(orbit, root):
 
 
 def _borel_basis(ctx, v, v_inv):
-    out = [v * h * v_inv for h in ctx.cartan_basis]
-    for r in ctx.positive_roots:
-        out.append(v * root_vector(ctx, r) * v_inv)
+    """Ad(v) of the standard Borel basis.  A conjugate equal to a basis
+    matrix of g is that shared matrix, so orbit records keep no copy."""
+    out = []
+    for b in ctx.cartan_basis + [root_vector(ctx, r)
+                                 for r in ctx.positive_roots]:
+        m = v * b * v_inv
+        k = next((k for k, c in enumerate(ctx.coordinates(m)) if c), 0)
+        out.append(ctx.basis[k] if ctx.basis[k] == m else m)
     return out
 
 

@@ -4,9 +4,10 @@ so(n) is taken with respect to the bilinear form S_n with ones on the
 antidiagonal, so membership reads Z^T S + S Z = 0 and the diagonal Cartan
 is diag[a_1..a_l, (0,) -a_l..-a_1].  The involution at each level is
 conjugation by a diagonal sign matrix (odd n) or by the permutation swapping
-the two middle basis vectors (even n); its fixed subalgebra is identified
-with the standard realization one size down by an exact rational change of
-basis, so the whole chain g_2 < g_3 < ... < g_n lives over Q(i).  One step
+the two middle basis vectors (even n), applied as a signed relabeling of
+entries (monomial_pairs); its fixed subalgebra is identified with the
+standard realization one size down by an exact rational change of basis, so
+the whole chain g_2 < g_3 < ... < g_n lives over Q(i).  One step
 down the chain is x -> PD x TD and one step up y -> TD y PD, with the two
 rectangular matrices chain_PD and chain_TD of each context; the step down
 needs no projection onto the fixed part first (see AlgebraContext.down).
@@ -17,7 +18,7 @@ Roots are recorded in epsilon-coordinates (integer tuples of length l).
 from __future__ import annotations
 
 from .scalars import QI, ZERO, ONE, rat
-from .matrices import Mat, bracket, nullspace, det, inverse
+from .matrices import Mat, bracket, det, inverse
 
 HALF = rat(1, 2)
 TWO = rat(2)
@@ -95,43 +96,28 @@ class AlgebraContext:
         return self.n - 1 - j
 
     def _build_basis(self):
+        # basis vector k has the entry c = +-1 at (i, j) for each (i, j, c)
+        # in basis_supports[k]; the supports are disjoint
         n, kind = self.n, self.kind
-        self.basis = []
-        self.basis_positions = []
         if kind == "gl":
             self.form = None
-            for i in range(n):
-                for j in range(n):
-                    m = Mat.zeros(n)
-                    m.a[i][j] = ONE
-                    self.basis.append(m)
-                    self.basis_positions.append((i, j))
+            supports = [[(i, j, 1)] for i in range(n) for j in range(n)]
         else:
             self.form = Mat.zeros(n)
             for j in range(n):
                 self.form.a[j][self._bar(j)] = ONE
+            supports = []
             for i in range(n):
                 for j in range(n):
-                    if j == self._bar(i):
-                        continue
                     mirror = (self._bar(j), self._bar(i))
-                    if (i, j) < mirror:
-                        m = Mat.zeros(n)
-                        m.a[i][j] = ONE
-                        m.a[mirror[0]][mirror[1]] = -ONE
-                        self.basis.append(m)
-                        self.basis_positions.append((i, j))
+                    if j != self._bar(i) and (i, j) < mirror:
+                        supports.append([(i, j, 1), mirror + (-1,)])
+        self.basis_supports = supports
+        self.basis = [_from_support(n, sup) for sup in supports]
+        self.basis_positions = [sup[0][:2] for sup in supports]
         self.dim = len(self.basis)
-        self._pos_index = {p: k for k, p in enumerate(self.basis_positions)}
-
-        # Cartan subalgebra
-        self.cartan_basis = []
-        if kind == "gl":
-            for a in range(n):
-                self.cartan_basis.append(self.basis[self._pos_index[(a, a)]])
-        else:
-            for a in range(self.l):
-                self.cartan_basis.append(self.basis[self._pos_index[(a, a)]])
+        self.cartan_basis = [b for b, (i, j) in
+                             zip(self.basis, self.basis_positions) if i == j]
 
         # epsilon-weight of each matrix position
         def eps_of(p):
@@ -196,24 +182,29 @@ class AlgebraContext:
             t.a[l - 1][l] = ONE
             t.a[l][l - 1] = ONE
         self.theta_mat = t  # involutive: t == t^{-1}
+        pairs = monomial_pairs(t)
+        perm = self._theta_perm = [q for q, _ in pairs]
+        neg = self._theta_neg = [s == -ONE for _, s in pairs]
 
-        # fixed-subalgebra basis, deterministic: kernel of (Theta - id) in
-        # basis coordinates
-        cols = []
-        for b in self.basis:
-            cols.append(self.coordinates(t * b * t))
-        dim = self.dim
-        m = Mat.zeros(dim)
-        for j, c in enumerate(cols):
-            for i in range(dim):
-                m.a[i][j] = c[i]
-        for k in range(dim):
-            m.a[k][k] = m.a[k][k] - ONE
-        self.k_basis = [self.from_coordinates(v) for v in nullspace(m)]
-        if kind == "gl":
-            # k is the gl(n-1) block; drop the corner coordinate
-            self.k_basis = [b for b in self.k_basis
-                            if not b.a[n - 1][n - 1]]
+        # theta permutes the basis up to sign (see theta); k is spanned by
+        # the fixed basis vectors and b + theta(b) for each swapped pair, at
+        # the pair's larger index: the nullspace of Theta - id, in its order
+        owner = {(i, j): (k, c) for k, sup in enumerate(self.basis_supports)
+                 for i, j, c in sup}
+        self.k_supports = []
+        for k, sup in enumerate(self.basis_supports):
+            i, j, _ = sup[0]             # the entry +1
+            k2, c2 = owner[perm[i], perm[j]]
+            sign = -c2 if neg[i] != neg[j] else c2
+            # (n-1, n-1) is a basis position of gl only, where k is the
+            # gl(n-1) block without that fixed corner
+            if k2 == k and sign == 1 and (i, j) != (n - 1, n - 1):
+                self.k_supports.append(sup)
+            elif k2 < k:
+                self.k_supports.append(
+                    sup + [(p, q, sign * e)
+                           for p, q, e in self.basis_supports[k2]])
+        self.k_basis = [_from_support(n, sup) for sup in self.k_supports]
 
     def _build_chain_maps(self):
         """TD (n x n-1) and PD (n-1 x n) with PD TD = I: down(x) = PD x TD
@@ -245,10 +236,10 @@ class AlgebraContext:
 
     def from_coordinates(self, coords):
         m = Mat.zeros(self.n)
-        for c, b in zip(coords, self.basis):
+        for c, sup in zip(coords, self.basis_supports):
             if c:
-                for (i, j) in _support(b):
-                    m.a[i][j] = m.a[i][j] + c * b.a[i][j]
+                for i, j, e in sup:
+                    m.a[i][j] = c if e == 1 else -c
         return m
 
     def membership_violations(self, mat):
@@ -274,11 +265,16 @@ class AlgebraContext:
         return not self.membership_violations(mat)
 
     def theta(self, mat):
-        t = self.theta_mat
-        return t * mat * t
+        """t x t as a signed relabeling (see monomial_pairs): entry (p, q)
+        is x[pi p][pi q], negated when t[p][pi p] and t[q][pi q] differ."""
+        perm, neg = self._theta_perm, self._theta_neg
+        a = mat.a
+        return Mat._raw([[-a[pp][qq] if neg[p] != neg[q] and a[pp][qq]
+                          else a[pp][qq] for q, qq in enumerate(perm)]
+                         for p, pp in enumerate(perm)])
 
     def theta_decompose(self, mat):
-        fixed = (mat + self.theta(mat)) * HALF
+        fixed = (mat + self.theta(mat)).scale(HALF)
         return fixed, mat - fixed
 
     def down(self, mat):
@@ -329,13 +325,26 @@ class AlgebraContext:
         return "%s(%d)" % (self.kind, self.n)
 
 
-def _support(mat):
-    out = []
-    for i, row in enumerate(mat.a):
-        for j, v in enumerate(row):
-            if v:
-                out.append((i, j))
-    return out
+def _from_support(n, support):
+    m = Mat.zeros(n)
+    for i, j, c in support:
+        m.a[i][j] = ONE if c == 1 else -ONE
+    return m
+
+
+def monomial_pairs(t):
+    """Read a monomial involution t as [(pi p, t[p][pi p]) for each row p]:
+    then (t x t)[p][q] = t[p][pi p] * x[pi p][pi q] * t[pi q][q].
+    AssertionError unless each row has one nonzero entry and pi = pi^-1."""
+    pairs = []
+    for row in t.a:
+        nonzero = [q for q, v in enumerate(row) if v]
+        if len(nonzero) != 1:
+            raise AssertionError("matrix is not monomial")
+        pairs.append((nonzero[0], row[nonzero[0]]))
+    if any(pairs[q][0] != p for p, (q, _) in enumerate(pairs)):
+        raise AssertionError("monomial matrix is not an involution")
+    return pairs
 
 
 # (kind, n) -> the shared, read-only context

@@ -67,9 +67,6 @@ class Mat:
     def copy(self):
         return Mat(self.a)
 
-    def __getitem__(self, ij):
-        return self.a[ij[0]][ij[1]]
-
     # sums, differences and multiples leave an entry as it is when the other
     # operand is zero: chain projections of sparse matrices are mostly zeros
     def __add__(self, other):
@@ -137,12 +134,6 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r)" % (self.a,)
-
-    def pretty(self):
-        cells = [[str(x) for x in r] for r in self.a]
-        w = max((len(c) for r in cells for c in r), default=1)
-        return "\n".join("[" + "  ".join(c.rjust(w) for c in r) + "]"
-                         for r in cells)
 
 
 def bracket(x, y):

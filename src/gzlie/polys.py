@@ -88,13 +88,6 @@ def gcd(a, b):
     return monic(a)
 
 
-def evaluate(p, x):
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def even_part(p, parity):
     """For p(x) with p(-x) = (-1)**parity * p(x), return q with
     p(x) = x**parity * q(x**2).  Raises if p lacks the claimed parity."""

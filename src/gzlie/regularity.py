@@ -2,9 +2,11 @@
 criterion for the partial chain-restriction map.
 
 Tests that need only a dimension take the rank of a centralizer system;
-nullspace bases are built only for callers that want the vectors.  Strong
-regularity is nsreg at every chain level (see is_sreg); chain_centralizers
-keeps its definition as the reference.
+nullspace bases are built only for callers that want the vectors.  A
+system is written from the basis supports, and theta is a signed
+relabeling, so neither makes a matrix product.  Strong regularity is nsreg
+at every chain level (see is_sreg); chain_centralizers keeps its definition
+as the reference.
 
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
@@ -18,32 +20,40 @@ tr(G proj(v)) = tr(embed(G) v), and the basis is never projected.
 from __future__ import annotations
 
 from .scalars import ZERO
-from .matrices import (Mat, bracket, nullspace, rank_rows, char_poly_fl,
-                       pfaffian)
+from .matrices import Mat, nullspace, rank_rows, char_poly_fl, pfaffian
 from .liealg import project_to_subalgebra, embed_from_subalgebra
 from .invariants import _signed, generator_spec
 
 
 def _ambient_basis(ctx, ambient):
-    if ambient == "g":
-        return ctx.basis, ctx.n
     if ambient == "k":
-        return ctx.k_basis, ctx.n
-    if isinstance(ambient, int):
-        lvl = ctx.level(ambient)
-        return lvl.basis, lvl.n
-    raise ValueError("ambient must be 'g', 'k' or a chain level")
+        return ctx.k_basis, ctx.k_supports, ctx.n
+    if ambient != "g" and not isinstance(ambient, int):
+        raise ValueError("ambient must be 'g', 'k' or a chain level")
+    lvl = ctx if ambient == "g" else ctx.level(ambient)
+    return lvl.basis, lvl.basis_supports, lvl.n
 
 
 def _centralizer_system(ctx, mats, ambient):
     """Rows of the linear system [y, x] = 0 (x in mats) in the coordinates
-    of the ambient basis, and that basis."""
-    basis, size = _ambient_basis(ctx, ambient)
+    of the ambient basis, and that basis.  [E_ij, x] is row j of x placed
+    in row i minus column i of x placed in column j, so each column is
+    written from the support of its basis vector."""
+    basis, supports, size = _ambient_basis(ctx, ambient)
     rows = []
     for x in mats:
-        cols = [bracket(b, x).flatten() for b in basis]
-        for r in range(size * size):
-            rows.append([c[r] for c in cols])
+        minus = [[-v if v else v for v in r] for r in x.a]
+        block = [[ZERO] * len(basis) for _ in range(size * size)]
+        for k, support in enumerate(supports):
+            for i, j, c in support:
+                src, dst = (x.a, minus) if c == 1 else (minus, x.a)
+                cells = [(i * size + q, v) for q, v in enumerate(src[j]) if v]
+                cells += [(p * size + j, r[i]) for p, r in enumerate(dst)
+                          if r[i]]
+                for cell, v in cells:
+                    row = block[cell]
+                    row[k] = v if row[k] is ZERO else row[k] + v
+        rows.extend(block)
     return rows, basis
 
 

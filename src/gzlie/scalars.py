@@ -4,7 +4,9 @@ Every quantity in this package is computed over Q(i); there is no floating
 point anywhere.  Rationals are gmpy2.mpq when available, with
 fractions.Fraction as a fallback; the hot loops of gzlie.matrices (elimination
 and the characteristic polynomial) run on Python ints and build their results
-through _mpq, so the backend matters mostly elsewhere.
+through _mpq, so the backend matters mostly elsewhere.  A sum, difference,
+product or negation of real scalars keeps an operand's zero imaginary part;
+theta is a signed relabeling (gzlie.liealg) that moves scalars unchanged.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ class QI:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            return QI._raw(self.re + other.re, self.im)
         return QI._raw(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -50,19 +54,23 @@ class QI:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            return QI._raw(self.re - other.re, self.im)
         return QI._raw(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QI._raw(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not (b or d):
+            return QI._raw(a * c, b)
         return QI._raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -85,7 +93,7 @@ class QI:
         return other / self
 
     def __neg__(self):
-        return QI._raw(-self.re, -self.im)
+        return QI._raw(-self.re, -self.im if self.im else self.im)
 
     def __pos__(self):
         return self

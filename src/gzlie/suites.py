@@ -23,12 +23,6 @@ from .korbits import (enumerate_orbits, stable_parabolic, nilfibre_components,
 from .rand import Sampler
 from .docio import emit_matrix_doc
 
-SUITE_NAMES = [
-    "orbit-tables", "kostant-equivalence", "gzero-nsreg", "nilfibre",
-    "yq-strata", "xi-families", "dimension-identities", "sreg-chain",
-    "overlaps",
-]
-
 # chain sizes n each suite covers, per kind; --n-min and --n-max narrow them
 SIZES = {
     "orbit-tables": {"so": (3, 12)},
@@ -448,6 +442,7 @@ SUITES = {
     "sreg-chain": suite_sreg_chain,
     "overlaps": suite_overlaps,
 }
+SUITE_NAMES = list(SUITES)
 
 
 def run_suite(cfg):

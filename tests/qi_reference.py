@@ -1,17 +1,21 @@
-"""Slow references for the exact kernels of gzlie.matrices and the
-gradient rows of gzlie.regularity.
+"""Slow references for the exact kernels of gzlie.matrices, the gradient
+rows and centralizer systems of gzlie.regularity, and the readings of the
+involution theta in gzlie.liealg and gzlie.korbits.
 
 These are the routines the fast paths replaced, kept to pin them:
 Gauss-Jordan elimination directly on Q(i) scalars, the ring-generic
-Faddeev-LeVerrier loop (which also runs on first-order jets), and the
+Faddeev-LeVerrier loop (which also runs on first-order jets), the
 Jacobian of the chain-restriction map computed one jet pass per basis
-direction of g, projected down the chain.
+direction of g, projected down the chain, the centralizer system built from
+dense brackets, the fixed subalgebra k as the nullspace of Theta - id, and
+the data of theta_Q read off conjugated Cartan and root vectors.
 """
 
-from gzlie.scalars import QI, ZERO, ONE, Jet
-from gzlie.matrices import Mat, pfaffian
-from gzlie.liealg import project_to_subalgebra
+from gzlie.scalars import QI, ZERO, ONE, Jet, rat
+from gzlie.matrices import Mat, pfaffian, bracket
+from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, _signed
+from gzlie.korbits import _act
 
 
 def echelon(rows, ncols, reduced=False):
@@ -153,3 +157,76 @@ def partial_map_jacobian_jet(ctx, mat, levels=None):
             cols.append([_eps(v) for v in vals])
         rows.extend(list(r) for r in zip(*cols))
     return rows
+
+
+def centralizer_system_by_brackets(ctx, mats, ambient):
+    """Rows of [y, x] = 0 (x in mats), one flattened dense bracket [b, x]
+    per ambient basis vector b."""
+    if ambient == "g":
+        basis, size = ctx.basis, ctx.n
+    elif ambient == "k":
+        basis, size = ctx.k_basis, ctx.n
+    else:
+        basis, size = ctx.level(ambient).basis, ambient
+    rows = []
+    for x in mats:
+        cols = [bracket(b, x).flatten() for b in basis]
+        for r in range(size * size):
+            rows.append([c[r] for c in cols])
+    return rows
+
+
+def k_basis_by_nullspace(ctx):
+    """The fixed subalgebra of theta: the nullspace of Theta - id in basis
+    coordinates, Theta read off t*b*t for every basis matrix b."""
+    t = ctx.theta_mat
+    cols = [ctx.coordinates(t * b * t) for b in ctx.basis]
+    m = Mat.zeros(ctx.dim)
+    for j, c in enumerate(cols):
+        for i in range(ctx.dim):
+            m.a[i][j] = c[i]
+    for k in range(ctx.dim):
+        m.a[k][k] = m.a[k][k] - ONE
+    out = [ctx.from_coordinates(v) for v in nullspace(m)]
+    if ctx.kind == "gl":
+        # k is the gl(n-1) block; drop the corner coordinate
+        out = [b for b in out if not b.a[ctx.n - 1][ctx.n - 1]]
+    return out
+
+
+def theta_q_data_by_conjugation(ctx, v, v_inv):
+    """Signed coordinate action and compactness signs of
+    theta_Q = Ad(v^-1) theta Ad(v), by conjugating every Cartan basis
+    vector and every imaginary root vector with the matrix theta_Q."""
+    tq = v_inv * ctx.theta_mat * v
+    tq_inv = tq  # theta_Q is involutive
+    cols = []
+    for a in range(ctx.l):
+        img = tq * ctx.cartan_basis[a] * tq_inv
+        col = []
+        for p in range(ctx.l):
+            e = img.a[p][p]
+            if e.im != 0 or e.re.denominator != 1:
+                raise AssertionError("theta_Q does not act integrally on h")
+            col.append(int(e.re))
+        # verify img really is the diagonal Cartan element with these coords
+        rebuilt = Mat.zeros(ctx.n)
+        for c, hb in zip(col, ctx.cartan_basis):
+            if c:
+                rebuilt = rebuilt + rat(c) * hb
+        if rebuilt != img:
+            raise AssertionError("theta_Q does not normalize the Cartan")
+        cols.append(tuple(col))
+    action = tuple(cols)
+    signs = []
+    for r in ctx.positive_roots:
+        if _act(action, r) == r.coords:
+            e = root_vector(ctx, r)
+            img = tq * e * tq_inv
+            if img == e:
+                signs.append((r.coords, 1))
+            elif img == -e:
+                signs.append((r.coords, -1))
+            else:
+                raise AssertionError("imaginary root space not preserved")
+    return action, tuple(sorted(signs))

@@ -161,6 +161,10 @@ def test_verify_reports_are_reproducible():
     assert a != c
 
 
+def test_every_suite_states_its_sizes():
+    assert list(suites.SIZES) == list(suites.SUITES) == SUITE_NAMES
+
+
 def test_run_all_covers_every_suite():
     from gzlie.suites import SUITE_NAMES
     cfg = SuiteConfig("all", trials=1, seed=0, n_min=0, n_max=5)

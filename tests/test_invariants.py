@@ -42,7 +42,8 @@ def _rational_roots(q):
                 for d in _divisors(ak):
                     for s in (1, -1):
                         z = QI(Fraction(s * p, d))
-                        if not polys.evaluate(rem, z):
+                        # remainder theorem: z is a root iff x - z divides
+                        if not polys.divmod_exact(rem, [-z, ONE])[1]:
                             found = z
                             break
                     if found:

@@ -2,7 +2,8 @@ import pytest
 
 from gzlie.scalars import qi, rat, ZERO, ONE
 from gzlie.matrices import Mat, bracket, inverse, row_space_contains
-from gzlie.liealg import make_algebra, Root, preserves_form, adjoint
+from gzlie.liealg import (make_algebra, Root, preserves_form, adjoint,
+                          root_vector)
 from gzlie.invariants import partial_kw, coincidence_count
 from gzlie.regularity import nsreg_intersection, is_nsreg
 from gzlie.korbits import (REAL, COMPACT, NONCOMPACT, COMPLEX_STABLE,
@@ -14,8 +15,9 @@ from gzlie.korbits import (REAL, COMPACT, NONCOMPACT, COMPLEX_STABLE,
                            nilfibre_components, nilfibre_overlap_vector,
                            sample_nilfibre, sample_yq, sample_g0,
                            sample_chain_disjoint, xi_slot_count, sample_xi,
-                           xi_shape, xi_flip_element)
+                           xi_shape, xi_flip_element, _theta_q_data)
 from gzlie.rand import Sampler
+from qi_reference import theta_q_data_by_conjugation
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -42,6 +44,30 @@ def test_orbit_counts_and_codims(n):
     for o in orbits:
         if not o.closed:
             assert o.name in reached
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_orbit_records_match_conjugation(n):
+    # the monomial reading of theta_Q against conjugating the Cartan and
+    # the imaginary root vectors with the matrix theta_Q; the Borel basis,
+    # which shares the basis matrices of g where it can, against Ad(v)
+    ctx = make_algebra("so", n)
+    std = ctx.cartan_basis + [root_vector(ctx, r) for r in ctx.positive_roots]
+    for o in enumerate_orbits(ctx)[0]:
+        v, v_inv = o.conjugator, inverse(o.conjugator)
+        assert (o.action, o.compact_signs) == theta_q_data_by_conjugation(
+            ctx, v, v_inv)
+        assert o.borel_basis == [v * b * v_inv for b in std]
+
+
+def test_theta_q_data_rejects_a_conjugator_off_the_normalizer():
+    for n in (5, 6):
+        ctx = make_algebra("so", n)
+        g = Sampler(n).group_element(ctx)
+        with pytest.raises(AssertionError):
+            _theta_q_data(ctx, g, inverse(g))
+        with pytest.raises(AssertionError):
+            theta_q_data_by_conjugation(ctx, g, inverse(g))
 
 
 def test_so5_graph_shape():

@@ -11,6 +11,7 @@ from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           preserves_form, adjoint, project_to_subalgebra,
                           embed_from_subalgebra, MAX_N, CHAIN_FLOOR)
 from gzlie.rand import Sampler
+from qi_reference import k_basis_by_nullspace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -128,7 +129,9 @@ def test_chain_maps_match_fixture():
 def test_chain_step_needs_no_theta_averaging(kind):
     # theta fixes the columns of TD and the rows of PD up to one common
     # sign, so PD theta(x) TD = PD x TD for every square matrix x: the
-    # projection of x equals that of its theta-fixed part
+    # projection of x equals that of its theta-fixed part.  theta and k,
+    # read as a signed relabeling, match conjugation by theta_mat and the
+    # nullspace of Theta - id
     s = Sampler(kind)
     for n in range(CHAIN_FLOOR[kind] + 1, MAX_N + 1):
         ctx = make_algebra(kind, n)
@@ -137,6 +140,9 @@ def test_chain_step_needs_no_theta_averaging(kind):
         assert kind == "gl" or not ctx.contains(x)
         assert ctx.down(ctx.theta(x)) == ctx.down(x)
         assert ctx.down(ctx.theta_decompose(x)[0]) == ctx.down(x)
+        t = ctx.theta_mat
+        assert ctx.theta(x) == t * x * t
+        assert ctx.k_basis == k_basis_by_nullspace(ctx)
 
 
 def test_projection_embedding_round_trip():

@@ -7,18 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import qi, rat, ZERO, ONE
 from gzlie.matrices import Mat, rank_rows, char_poly_fl
-from gzlie.liealg import make_algebra, root_vector, Root
+from gzlie.liealg import make_algebra, root_vector, Root, project_to_subalgebra
 from gzlie.regularity import (centralizer, joint_centralizer, is_regular,
                               nsreg_intersection, is_nsreg,
                               partial_map_jacobian,
                               kostant_jacobian_rank, full_map_jacobian_rank,
                               chain_centralizers, is_sreg,
-                              _level_gradient_rows, _trace_against)
+                              _level_gradient_rows, _trace_against,
+                              _centralizer_system)
 from gzlie.korbits import sample_chain_disjoint
 from gzlie.docio import parse_matrix_doc
 from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
-from qi_reference import partial_map_jacobian_jet
+from qi_reference import (partial_map_jacobian_jet,
+                          centralizer_system_by_brackets)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -206,3 +208,28 @@ def test_level_gradient_rows_match_jets_at_zero_and_so3_witness():
         _assert_gradients_match_jets(make_algebra(kind, n), Mat.zeros(n))
     with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
         _assert_gradients_match_jets(*parse_matrix_doc(json.load(fh)))
+
+
+def _assert_systems_match_brackets(ctx, x):
+    # ambient g, k on the theta-decomposed pair, and the level below
+    below = ctx.n - 1
+    for mats, ambient in [([x], "g"), (ctx.theta_decompose(x), "k"),
+                          ([project_to_subalgebra(ctx, x, below)], below)]:
+        rows, _ = _centralizer_system(ctx, mats, ambient)
+        assert rows == centralizer_system_by_brackets(ctx, mats, ambient)
+
+
+@given(st.sampled_from([("gl", n) for n in range(3, 7)]
+                       + [("so", n) for n in range(4, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=20, deadline=None)
+def test_centralizer_system_matches_brackets(algebra, seed, t):
+    ctx = _algebra(*algebra)
+    _assert_systems_match_brackets(ctx, _mixed_sample(ctx, Sampler(seed), t))
+
+
+def test_centralizer_system_matches_brackets_at_zero_and_so3_witness():
+    for kind, n in [("gl", 3), ("so", 4), ("so", 5), ("so", 6)]:
+        _assert_systems_match_brackets(make_algebra(kind, n), Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_systems_match_brackets(*parse_matrix_doc(json.load(fh)))

@@ -53,6 +53,27 @@ def test_field_axioms(a, b, c):
         assert (a / b) * b == a
 
 
+# (re, im) pairs whose imaginary part is 0 in half the draws, so that both
+# the real and the Gaussian branches of the arithmetic run
+pairs = st.tuples(rationals, rationals, st.booleans()).map(
+    lambda t: (t[0], t[1] if t[2] else Fraction(0)))
+
+
+@given(pairs, pairs)
+@settings(max_examples=100)
+def test_arithmetic_matches_pair_formulas(p, q):
+    (a, b), (c, d) = p, q
+    z, w = qi(a, b), qi(c, d)
+    for got, want in [(z + w, (a + c, b + d)), (z - w, (a - c, b - d)),
+                      (z * w, (a * c - b * d, a * d + b * c)),
+                      (-z, (-a, -b))]:
+        assert (got.re, got.im) == want
+    if not (b or d):
+        # a real result reuses an operand's zero
+        assert (z + w).im is z.im and (z - w).im is z.im
+        assert (z * w).im is z.im and (-z).im is z.im
+
+
 def test_division_and_conjugate():
     z = qi(1, 2)
     assert z * z.conj() == qi(5)
