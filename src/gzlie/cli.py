@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
+from . import __version__
+from .scalars import BACKEND
 from .liealg import analyzable_algebra
 from .docio import (parse_matrix_doc, emit_matrix_doc, DocumentError,
                     analysis_report, analysis_text)
@@ -18,7 +21,7 @@ from .korbits import (orbit_graph, orbit_graph_text, orbit_by_name, sample_yq,
                       sample_xi, sample_nilfibre, sample_g0,
                       sample_chain_disjoint)
 from .rand import Sampler
-from .suites import SuiteConfig, SUITE_NAMES, run_suite, run_all
+from .suites import SuiteConfig, SUITE_NAMES, MIN_TRIALS, run_suite, run_all
 
 
 def _fail_usage(msg):
@@ -104,6 +107,12 @@ def cmd_verify(args):
             0 < args.n_max < args.n_min):
         return _fail_usage("--trials, --n-min and --n-max must be >= 0 "
                            "(0 = suite default), --n-min <= --n-max")
+    for name in SUITE_NAMES if args.suite == "all" else [args.suite]:
+        low = MIN_TRIALS.get(name, 1)
+        if 0 < args.trials < low:
+            return _fail_usage("--trials must be 0 (suite default) or at "
+                               "least %d for %s, whose claims take a "
+                               "majority of their trials" % (low, name))
     cfg = SuiteConfig(args.suite, args.trials, args.seed,
                       args.n_min, args.n_max)
     try:
@@ -126,6 +135,8 @@ def build_parser():
         prog="gzlie",
         description="Exact chain-restriction invariants, regularity tests "
                     "and K-orbit tables for gl(n) and so(n) over Q(i).")
+    p.add_argument("--version", action="version",
+                   version="gzlie %s (%s)" % (__version__, BACKEND))
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="analyze one element from a matrix "
@@ -174,7 +185,18 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # flush here, so that a reader that closed early shows up inside
+        # this try and not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to
+        # devnull, so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,13 @@ the whole chain g_2 < g_3 < ... < g_n lives over Q(i).  One step
 down the chain is x -> PD x TD and one step up y -> TD y PD, with the two
 rectangular matrices chain_PD and chain_TD of each context; the step down
 needs no projection onto the fixed part first (see AlgebraContext.down).
+Both steps are read from index lists: PD and TD have at most two nonzero
+entries per row and column, so each entry of PD x TD or TD y PD is a sum
+of at most four weighted entries of x or y, and no matrix product is made.
+
+Basis matrices are built from their supports and share storage: every
+all-zero row of a basis matrix of size n is one read-only list, and every
+-1 entry one scalar.
 
 Roots are recorded in epsilon-coordinates (integer tuples of length l).
 """
@@ -22,10 +29,11 @@ from .matrices import Mat, bracket, det, inverse
 
 HALF = rat(1, 2)
 TWO = rat(2)
+MINUS_ONE = -ONE
 
 # the lowest level of each chain: gl(1) < gl(2) < ... and so(2) < so(3) < ...
 CHAIN_FLOOR = {"gl": 1, "so": 2}
-# a context stores dense O(n^4) basis data per level; larger n is refused
+# a context stores O(n^3) basis data per level; larger n is refused
 # before anything is built
 MAX_N = 16
 
@@ -212,9 +220,16 @@ class AlgebraContext:
         standard realization one size down.  gl and odd so drop the last
         (middle) basis vector; even so keeps e_(l-1) + e_l, with the first
         l-1 coordinates scaled by 2 in TD and by 1/2 in PD so that the
-        induced form is exactly the standard one in size n-1."""
+        induced form is exactly the standard one in size n-1.
+
+        The steps are applied from the nonzero (index, weight) terms of the
+        rows of PD and the columns of TD (for down), and of the rows of TD
+        and the columns of PD (for up): at most two terms each, of weight 1
+        except the even-so scalings 2 and 1/2.  chain_TD and chain_PD stay
+        as the data those terms are read from."""
         n, kind = self.n, self.kind
         self.chain_TD = self.chain_PD = None
+        self._down_cells = self._up_cells = None
         if n == CHAIN_FLOOR[kind]:
             return
         l = n // 2
@@ -228,6 +243,9 @@ class AlgebraContext:
             td.a[l][l - 1] = ONE
             pd.a[l - 1][l - 1] = pd.a[l - 1][l] = HALF
         self.chain_TD, self.chain_PD = td, pd
+        td_cols, pd_cols = list(zip(*td.a)), list(zip(*pd.a))
+        self._down_cells = _product_cells(pd.a, td_cols)
+        self._up_cells = _product_cells(td.a, pd_cols)
 
     # --- element services --------------------------------------------------
 
@@ -278,16 +296,20 @@ class AlgebraContext:
         return fixed, mat - fixed
 
     def down(self, mat):
-        """Project to the next algebra in the chain, realized one size down.
+        """Project to the next algebra in the chain, realized one size down:
+        PD x TD, read from index lists (see _build_chain_maps).
         PD theta(x) TD = PD x TD (theta fixes the columns of TD and the rows
         of PD up to one common sign), so x needs no theta-averaging first."""
-        if self.chain_TD is None:
+        if self._down_cells is None:
             raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        return self.chain_PD * mat * self.chain_TD
+        return _apply_cells(self._down_cells, mat.a)
 
     def up(self, small):
-        """Embed an element of the next algebra down back into this one."""
-        return self.chain_TD * small * self.chain_PD
+        """Embed an element of the next algebra down back into this one:
+        TD y PD, read from index lists."""
+        if self._up_cells is None:
+            raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
+        return _apply_cells(self._up_cells, small.a)
 
     def group_up(self, g_small):
         """Embed a group element one size down (acting trivially on the
@@ -325,11 +347,62 @@ class AlgebraContext:
         return "%s(%d)" % (self.kind, self.n)
 
 
+# n -> the read-only all-zero row that basis matrices of size n share
+_ZERO_ROWS = {}
+
+
 def _from_support(n, support):
-    m = Mat.zeros(n)
+    """The matrix with the entry c = +-1 at (i, j) for each (i, j, c) in the
+    support.  Only the rows holding an entry are allocated; every other row
+    is the shared zero row of size n."""
+    zero = _ZERO_ROWS.get(n)
+    if zero is None:
+        zero = _ZERO_ROWS[n] = [ZERO] * n
+    rows = [zero] * n
     for i, j, c in support:
-        m.a[i][j] = ONE if c == 1 else -ONE
-    return m
+        if rows[i] is zero:
+            rows[i] = [ZERO] * n
+        rows[i][j] = ONE if c == 1 else MINUS_ONE
+    return Mat._raw(rows)
+
+
+def _product_cells(left_rows, right_cols):
+    """cells[p][q]: the terms (i, j, w) with (L x R)[p][q] = sum of
+    w * x[i][j], from the nonzero entries of row p of L and column q of R;
+    w is None where the weight is 1."""
+    def weight(wi, wj):
+        w = wj if wi is ONE else wi if wj is ONE else wi * wj
+        return None if w is ONE or w == ONE else w
+
+    terms_l = [[(i, w) for i, w in enumerate(r) if w] for r in left_rows]
+    terms_r = [[(j, w) for j, w in enumerate(c) if w] for c in right_cols]
+    return [[tuple([(i, j, weight(wi, wj)) for i, wi in tl for j, wj in tr])
+             for tr in terms_r] for tl in terms_l]
+
+
+def _apply_cells(cells, a):
+    """The matrix whose entry (p, q) is the sum of w * a[i][j] over the
+    terms (i, j, w) of cells[p][q] (w None: weight 1).  A lone term of
+    weight 1 copies its entry, an empty cell or a sum that cancels is the
+    shared ZERO."""
+    out = []
+    for crow in cells:
+        row = []
+        for terms in crow:
+            if len(terms) == 1:
+                i, j, w = terms[0]
+                v = a[i][j]
+                row.append(v if w is None else (v * w if v else ZERO))
+                continue
+            s = ZERO
+            for i, j, w in terms:
+                v = a[i][j]
+                if v:
+                    v = v if w is None else v * w
+                    s = v if s is ZERO else s + v
+            row.append(s if s else ZERO)
+        out.append(row)
+    return Mat._raw(out)
 
 
 def monomial_pairs(t):

@@ -100,7 +100,13 @@ class Mat:
                     if x:
                         for j, y in enumerate(b[k]):
                             if y:
-                                oi[j] = oi[j] + x * y
+                                v = oi[j]
+                                oi[j] = x * y if v is ZERO else v + x * y
+                # a sum that cancelled is the shared ZERO; entries never
+                # written are ZERO already and are not tested
+                for j, v in enumerate(oi):
+                    if v is not ZERO and not v:
+                        oi[j] = ZERO
             return Mat._raw(out)
         return self.scale(other)
 
@@ -438,7 +444,14 @@ def pfaffian(mat):
         for q in range(p, n):
             if mat.a[p][q] != -mat.a[q][p]:
                 raise ValueError("matrix is not antisymmetric")
-    a = mat.a
+    return sub_pfaffians(mat.a)(tuple(range(n)))
+
+
+def sub_pfaffians(a):
+    """pf(idx): the Pfaffian of the rows and columns idx (an increasing
+    tuple of even length) of the antisymmetric rows a, by expansion along
+    the first index.  One memo serves every call of the returned pf, so
+    the Pfaffians of many principal submatrices share their minors."""
     memo = {}
 
     def pf(idx):
@@ -463,7 +476,7 @@ def pfaffian(mat):
         memo[idx] = s
         return s
 
-    return pf(tuple(range(n)))
+    return pf
 
 
 def row_space_contains(basis_rows, vec, ncols):

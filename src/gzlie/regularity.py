@@ -11,18 +11,20 @@ as the reference.
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
 gives every gradient row from a single recurrence per chain level; the
-Pfaffian row reads the Pfaffians of the cofactors of S*x.  A gradient at a
-lower level is embedded into g once and paired with the basis of g there:
-projection is v -> L v R and embedding G -> R G L, so
-tr(G proj(v)) = tr(embed(G) v), and the basis is never projected.
+Pfaffian row reads the Pfaffians of the cofactors of S*x, all from one memo
+of sub-Pfaffians.  A gradient at a lower level is embedded into g once and
+paired with the basis of g there: projection is v -> L v R and embedding
+G -> R G L, so tr(G proj(v)) = tr(embed(G) v), and the basis is never
+projected.  The pairing reads G through the basis supports:
+tr(G b) is the sum of c * G[j][i] over the support (i, j, c) of b.
 """
 
 from __future__ import annotations
 
 from .scalars import ZERO
-from .matrices import Mat, nullspace, rank_rows, char_poly_fl, pfaffian
+from .matrices import Mat, nullspace, rank_rows, char_poly_fl, sub_pfaffians
 from .liealg import project_to_subalgebra, embed_from_subalgebra
-from .invariants import _signed, generator_spec
+from .invariants import generator_spec
 
 
 def _ambient_basis(ctx, ambient):
@@ -115,35 +117,46 @@ def is_nsreg(ctx, mat):
     return _centralizer_rank(ctx, ctx.theta_decompose(mat), "k") == ctx.k_dim()
 
 
-def _trace_against(m_aux, v):
-    """trace(M * V) exploiting sparsity of V."""
-    s = ZERO
-    for q, row in enumerate(v.a):
-        for p, x in enumerate(row):
-            if x:
-                s = s + m_aux.a[p][q] * x
-    return s
-
-
 def _pfaffian_gradient(sx):
     """G with d pf(S x)(V) = tr(G V) for V in so(m), given sx = S x.  The
     derivative of pf(A) in a_ij (i < j) is (-1)^(i+j+1) pf(A without rows
     and columns i, j), and (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian
-    sits at (j, m-1-i)."""
+    sits at (j, m-1-i).  Every cofactor is a sub-Pfaffian of the same S x,
+    so all of them read one memo."""
     m = sx.n
+    pf = sub_pfaffians(sx.a)
     grad = Mat.zeros(m)
     for i in range(m):
         for j in range(i + 1, m):
-            rest = [k for k in range(m) if k != i and k != j]
-            pf = pfaffian(Mat([[sx.a[p][q] for q in rest] for p in rest]))
-            grad.a[j][m - 1 - i] = pf if (i + j) % 2 else -pf
+            v = pf(tuple(k for k in range(m) if k != i and k != j))
+            grad.a[j][m - 1 - i] = v if (i + j) % 2 else -v
     return grad
+
+
+def _basis_pairing(g, supports, sign):
+    """[sign * tr(G b) for each basis vector b], G given by its rows g:
+    tr(G b) is the sum of c * G[j][i] over the support (i, j, c) of b.  A
+    sum that cancels is the shared ZERO."""
+    row = []
+    for support in supports:
+        s = ZERO
+        for i, j, c in support:
+            v = g[j][i]
+            if v:
+                v = v if c == sign else -v
+                if s is ZERO:
+                    s = v
+                else:
+                    s = s + v
+                    s = s if s else ZERO
+        row.append(s)
+    return row
 
 
 def _level_gradient_rows(ctx, x, m):
     """Gradient rows (one per generator of level m) against the basis of g:
-    each level-m gradient matrix is embedded into g and traced against the
-    basis there."""
+    each level-m gradient matrix is embedded into g and paired with the
+    basis there through the basis supports."""
     lvl = ctx.level(m)
     spec = generator_spec(lvl)
     xm = project_to_subalgebra(ctx, x, m)
@@ -151,12 +164,9 @@ def _level_gradient_rows(ctx, x, m):
     grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:
         grads.append((1, _pfaffian_gradient(lvl.form * xm)))
-    rows = []
-    for sign, grad in grads:
-        grad = embed_from_subalgebra(ctx, grad, m)
-        rows.append([_signed(sign, _trace_against(grad, v))
-                     for v in ctx.basis])
-    return rows
+    return [_basis_pairing(embed_from_subalgebra(ctx, grad, m).a,
+                           ctx.basis_supports, sign)
+            for sign, grad in grads]
 
 
 def partial_map_jacobian(ctx, mat):

@@ -16,8 +16,10 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _mpq
+    BACKEND = "gmpy2.mpq"
 except ImportError:  # gmpy2 is the optional "fast" extra
     _mpq = Fraction
+    BACKEND = "fractions.Fraction"
 
 _ZERO = _mpq(0)
 _ONE = _mpq(1)

@@ -11,6 +11,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, asdict
 
+from .scalars import BACKEND
 from .matrices import Mat, row_space_contains
 from .liealg import (make_algebra, root_vector, adjoint)
 from .invariants import partial_kw, coincidence_count
@@ -35,6 +36,11 @@ SIZES = {
     "sreg-chain": {"gl": (3, 6), "so": (4, 6)},
     "overlaps": {"so": (4, 8)},
 }
+
+# fewest trials per claim a suite can decide: a claim of yq-strata holds when
+# a majority of its trials (exact_fraction > 1/2) agree, which one exact
+# section out of two never is
+MIN_TRIALS = {"yq-strata": 3}
 
 
 @dataclass
@@ -86,6 +92,7 @@ class Report:
              "claims": [asdict(c) | {"ok": c.ok} for c in self.claims]}
         if include_timing:
             d["wall_time"] = self.wall_time
+            d["backend"] = BACKEND
         return d
 
     def summary_lines(self):

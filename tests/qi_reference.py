@@ -1,14 +1,17 @@
 """Slow references for the exact kernels of gzlie.matrices, the gradient
-rows and centralizer systems of gzlie.regularity, and the readings of the
-involution theta in gzlie.liealg and gzlie.korbits.
+rows and centralizer systems of gzlie.regularity, the chain step and the
+readings of the involution theta in gzlie.liealg and gzlie.korbits.
 
 These are the routines the fast paths replaced, kept to pin them:
 Gauss-Jordan elimination directly on Q(i) scalars, the ring-generic
 Faddeev-LeVerrier loop (which also runs on first-order jets), the
 Jacobian of the chain-restriction map computed one jet pass per basis
-direction of g, projected down the chain, the centralizer system built from
-dense brackets, the fixed subalgebra k as the nullspace of Theta - id, and
-the data of theta_Q read off conjugated Cartan and root vectors.
+direction of g, projected down the chain, the gradient rows traced
+densely against every basis matrix, with one Pfaffian expansion per
+cofactor, the chain step as the dense products PD x TD and TD y PD, the
+centralizer system built from dense brackets, the fixed subalgebra k as
+the nullspace of Theta - id, and the data of theta_Q read off conjugated
+Cartan and root vectors.
 """
 
 from gzlie.scalars import QI, ZERO, ONE, Jet, rat
@@ -156,6 +159,61 @@ def partial_map_jacobian_jet(ctx, mat, levels=None):
                 vals.append(pfaffian(lvl.form * jm))
             cols.append([_eps(v) for v in vals])
         rows.extend(list(r) for r in zip(*cols))
+    return rows
+
+
+def chain_down_dense(ctx, x):
+    """One step down the chain as the dense product PD x TD."""
+    return ctx.chain_PD * x * ctx.chain_TD
+
+
+def chain_up_dense(ctx, y):
+    """One step up the chain as the dense product TD y PD."""
+    return ctx.chain_TD * y * ctx.chain_PD
+
+
+def trace_against(m_aux, v):
+    """trace(M * V), scanning every entry of V."""
+    s = ZERO
+    for q, row in enumerate(v.a):
+        for p, x in enumerate(row):
+            if x:
+                s = s + m_aux.a[p][q] * x
+    return s
+
+
+def pfaffian_gradient_by_cofactors(sx):
+    """G with d pf(S x)(V) = tr(G V), one Pfaffian expansion (with its own
+    memo) per cofactor of sx = S x."""
+    m = sx.n
+    grad = Mat.zeros(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            rest = [k for k in range(m) if k != i and k != j]
+            pf = pfaffian(Mat([[sx.a[p][q] for q in rest] for p in rest]))
+            grad.a[j][m - 1 - i] = pf if (i + j) % 2 else -pf
+    return grad
+
+
+def level_gradient_rows_by_trace(ctx, x, m):
+    """Gradient rows of the generators of level m against the basis of g:
+    x projected by dense chain products, each gradient embedded by dense
+    products and traced against every basis matrix of g."""
+    chain, xm, lvl = [], x, ctx
+    while lvl.n > m:
+        chain.append(lvl)
+        xm, lvl = chain_down_dense(lvl, xm), lvl.child
+    spec = generator_spec(lvl)
+    _, aux = char_poly_fl(xm)
+    grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
+    if spec.pfaffian:
+        grads.append((1, pfaffian_gradient_by_cofactors(lvl.form * xm)))
+    rows = []
+    for sign, grad in grads:
+        for step in reversed(chain):
+            grad = chain_up_dense(step, grad)
+        rows.append([_signed(sign, trace_against(grad, v))
+                     for v in ctx.basis])
     return rows
 
 

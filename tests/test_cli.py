@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gzlie
 from gzlie import cli, suites
 from gzlie.cli import main
+from gzlie.scalars import BACKEND
 from gzlie.docio import emit_matrix_doc
 from gzlie.liealg import MAX_N, CHAIN_FLOOR, make_algebra
 from gzlie.rand import Sampler
@@ -140,12 +144,55 @@ def test_verify_rejects_negative_trials(capsys):
     assert "gl(2..12), so(3..12)" in err
 
 
+def test_verify_rejects_too_few_trials_for_a_majority(capsys):
+    # a yq-strata claim holds when most of its trials agree; --suite all
+    # runs yq-strata too
+    for suite in ("yq-strata", "all"):
+        for trials in ("1", "2"):
+            code, out, err = run(capsys, "verify", "--suite", suite,
+                                 "--trials", trials, "--n-min", "5",
+                                 "--n-max", "5")
+            assert code == 2 and out == ""
+            assert "at least 3" in err and len(err.strip().splitlines()) == 1
+    code, out, _ = run(capsys, "verify", "--suite", "yq-strata", "--trials",
+                       "3", "--n-min", "5", "--n-max", "5")
+    assert code == 0 and "PASS" in out
+
+
+def test_version_names_the_backend(capsys):
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out.strip() == "gzlie %s (%s)" % (gzlie.__version__, BACKEND)
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the reader of stdout is gone before anything is written, as when
+    # `gzlie verify ... | head -1` has read its line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gzlie.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from gzlie.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "verify", "--suite", "yq-strata", "--trials", "3", "--n-min",
+             "5", "--n-max", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_verify_json_and_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dimension-identities",
                        "--trials", "2", "--n-max", "6", "--json")
     assert code == 0
     reports = json.loads(out)
     assert reports[0]["passed"] is True
+    assert reports[0]["backend"] == BACKEND
     assert all(c["ok"] for c in reports[0]["claims"])
     code, out, _ = run(capsys, "verify", "--suite", "nosuch")
     assert code == 2

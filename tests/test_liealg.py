@@ -1,17 +1,26 @@
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gzlie import liealg
 from gzlie.scalars import qi, rat, ZERO, ONE, parse_scalar
 from gzlie.matrices import Mat, bracket, det, rank_rows
 from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           cartan_coordinates, sl2_triple,
                           weyl_representative, cayley_element,
                           preserves_form, adjoint, project_to_subalgebra,
-                          embed_from_subalgebra, MAX_N, CHAIN_FLOOR)
+                          embed_from_subalgebra, MAX_N, CHAIN_FLOOR,
+                          MINUS_ONE)
+from gzlie.invariants import coincidence_count, partial_kw
+from gzlie.korbits import enumerate_orbits, sample_yq
 from gzlie.rand import Sampler
-from qi_reference import k_basis_by_nullspace
+from gzlie.suites import SuiteConfig, run_all
+from qi_reference import (k_basis_by_nullspace, chain_down_dense,
+                          chain_up_dense)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -143,6 +152,74 @@ def test_chain_step_needs_no_theta_averaging(kind):
         t = ctx.theta_mat
         assert ctx.theta(x) == t * x * t
         assert ctx.k_basis == k_basis_by_nullspace(ctx)
+
+
+def _gaussian_matrix(rnd, m, n):
+    """An m x n matrix of Q(i) entries, about a third of them zero and half
+    of the rest with an imaginary part."""
+    def entry():
+        if rnd.random() < 0.3:
+            return ZERO
+        im = rnd.random() < 0.5
+        return qi(Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)),
+                  Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)) if im else 0)
+    return Mat([[entry() for _ in range(n)] for _ in range(m)])
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_chain_step_matches_dense_products(seed):
+    # down and up, read from the index lists of PD and TD, equal the dense
+    # products PD x TD and TD y PD entry by entry, for every chain step up
+    # to MAX_N and on square matrices outside the algebra too
+    rnd = random.Random(seed)
+    for kind, floor in sorted(CHAIN_FLOOR.items()):
+        for n in range(floor + 1, MAX_N + 1):
+            ctx = make_algebra(kind, n)
+            x = _gaussian_matrix(rnd, n, n)
+            y = _gaussian_matrix(rnd, n - 1, n - 1)
+            assert ctx.down(x) == chain_down_dense(ctx, x), (kind, n)
+            assert ctx.up(y) == chain_up_dense(ctx, y), (kind, n)
+
+
+def test_cancelled_chain_step_entries_are_the_shared_zero():
+    # on even so the middle entry of PD x TD is a sum of four entries of x
+    # that cancels for every x in the algebra
+    for n in (4, 6, 8):
+        ctx = make_algebra("so", n)
+        x = Sampler(n).algebra_element(ctx)
+        assert ctx.down(x).a[n // 2 - 1][n // 2 - 1] is ZERO
+
+
+def test_basis_rows_stay_shared_and_read_only():
+    # the basis matrices of one size share a single zero row, and their -1
+    # entries one scalar; an orbit-sections round (orbit tables of
+    # so(3..12), sections on so(5..9)) and a verify run must write into
+    # neither
+    for n in range(3, 13):
+        ctx = make_algebra("so", n)
+        orbits, _ = enumerate_orbits(ctx)
+        if 5 <= n <= 9:
+            s = Sampler(n)
+            for orbit in orbits:
+                x = sample_yq(ctx, orbit, s)
+                coincidence_count(ctx, x)
+                partial_kw(ctx, x)
+    run_all(SuiteConfig("all", seed=0, n_max=5))
+    for n, row in liealg._ZERO_ROWS.items():
+        assert len(row) == n and all(v is ZERO for v in row)
+    for (kind, n), ctx in liealg._CONTEXTS.items():
+        for mats, supports in ((ctx.basis, ctx.basis_supports),
+                               (ctx.k_basis, ctx.k_supports)):
+            for b, support in zip(mats, supports):
+                want = Mat.zeros(n)
+                for i, j, c in support:
+                    want.a[i][j] = rat(c)
+                    assert b.a[i][j] is (ONE if c == 1 else MINUS_ONE)
+                assert b == want, (kind, n)
+                held = {i for i, _, _ in support}
+                assert all(r is liealg._ZERO_ROWS[n]
+                           for i, r in enumerate(b.a) if i not in held)
 
 
 def test_projection_embedding_round_trip():

@@ -48,6 +48,18 @@ def test_nullspace_is_deterministic_kernel_basis():
     assert ns == nullspace(m)
 
 
+def test_cancelled_product_entries_are_the_shared_zero():
+    a = Mat([[ONE, ONE, ZERO], [rat(2), ZERO, I]])
+    b = Mat([[ONE, ZERO], [-ONE, ZERO], [ZERO, ONE]])
+    p = a * b
+    assert p.a[0][0] is ZERO           # 1 - 1
+    assert p.a[0][1] is ZERO           # never written
+    assert p.a[1] == [rat(2), I]
+    # the same on first-order jets: eps * eps = 0
+    eps = Jet(ZERO, ONE)
+    assert (Mat([[eps]]) * Mat([[eps]])).a[0][0] is ZERO
+
+
 def test_det_solve_inverse():
     a = Mat.from_ints([[2, 1], [1, 1]])
     assert det(a) == ONE

@@ -13,14 +13,16 @@ from gzlie.regularity import (centralizer, joint_centralizer, is_regular,
                               partial_map_jacobian,
                               kostant_jacobian_rank, full_map_jacobian_rank,
                               chain_centralizers, is_sreg,
-                              _level_gradient_rows, _trace_against,
+                              _level_gradient_rows, _pfaffian_gradient,
                               _centralizer_system)
 from gzlie.korbits import sample_chain_disjoint
 from gzlie.docio import parse_matrix_doc
 from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
 from qi_reference import (partial_map_jacobian_jet,
-                          centralizer_system_by_brackets)
+                          centralizer_system_by_brackets, trace_against,
+                          level_gradient_rows_by_trace,
+                          pfaffian_gradient_by_cofactors)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -114,7 +116,7 @@ def test_pfaffian_generator_is_needed_for_the_differential():
     assert rank_rows(rows, ctx.dim) == 3    # full: r_3 + r_4 = 1 + 2
     # same jacobian with the last row built from c_2 instead of pf
     _, aux = char_poly_fl(x)
-    det_row = [-_trace_against(aux[3], v) for v in ctx.basis]
+    det_row = [-trace_against(aux[3], v) for v in ctx.basis]
     assert rank_rows(rows[:-1] + [det_row], ctx.dim) == 2
     assert any(v for v in rows[-1])
     assert not any(det_row)
@@ -208,6 +210,33 @@ def test_level_gradient_rows_match_jets_at_zero_and_so3_witness():
         _assert_gradients_match_jets(make_algebra(kind, n), Mat.zeros(n))
     with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
         _assert_gradients_match_jets(*parse_matrix_doc(json.load(fh)))
+
+
+@given(st.sampled_from([("gl", n) for n in range(3, 7)]
+                       + [("so", n) for n in range(4, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=15, deadline=None)
+def test_level_gradient_rows_match_dense_trace_at_every_level(algebra, seed,
+                                                              t):
+    # gradients paired through the basis supports, embedded by index
+    # lists, against dense embedding and a trace with every basis matrix
+    ctx = _algebra(*algebra)
+    x = _mixed_sample(ctx, Sampler(seed), t)
+    for m in range(ctx.chain_floor(), ctx.n + 1):
+        assert (_level_gradient_rows(ctx, x, m)
+                == level_gradient_rows_by_trace(ctx, x, m)), m
+
+
+@given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=10, deadline=None)
+def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
+    # one memo of sub-Pfaffians of S x against one expansion per cofactor,
+    # at every even level of the mixed stream of so(n)
+    ctx = _algebra("so", n)
+    x = _mixed_sample(ctx, Sampler(seed), t)
+    for m in range(2, n + 1, 2):
+        sx = ctx.level(m).form * project_to_subalgebra(ctx, x, m)
+        assert _pfaffian_gradient(sx) == pfaffian_gradient_by_cofactors(sx)
 
 
 def _assert_systems_match_brackets(ctx, x):
