@@ -17,7 +17,8 @@ from collections import namedtuple
 from .scalars import ONE
 from .matrices import Mat, inverse, intersection_dim, row_space_contains
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
-                     project_to_subalgebra, adjoint, monomial_pairs)
+                     project_to_subalgebra, adjoint, monomial_pairs,
+                     _ZERO_ROWS)
 from .invariants import coincidence_count, reduced_char
 from . import polys
 
@@ -90,13 +91,16 @@ def classify_root_type(orbit, root):
 
 def _borel_basis(ctx, v, v_inv):
     """Ad(v) of the standard Borel basis.  A conjugate equal to a basis
-    matrix of g is that shared matrix, so orbit records keep no copy."""
+    matrix of g is that shared matrix, so orbit records keep no copy; any
+    other keeps the shared zero row of its size for its zero rows."""
+    zero = _ZERO_ROWS[ctx.n]
     out = []
     for b in ctx.cartan_basis + [root_vector(ctx, r)
                                  for r in ctx.positive_roots]:
         m = v * b * v_inv
         k = next((k for k, c in enumerate(ctx.coordinates(m)) if c), 0)
-        out.append(ctx.basis[k] if ctx.basis[k] == m else m)
+        out.append(ctx.basis[k] if ctx.basis[k] == m else
+                   Mat._raw([r if any(r) else zero for r in m.a]))
     return out
 
 
@@ -317,6 +321,8 @@ def degenerate_to_levi(ctx, mat, i):
 def nilfibre_components(ctx):
     """Bases of the nilradicals n_+ (and n_- in the odd case) whose K-orbits
     cover the fibre of the partial map over zero."""
+    if ctx.kind != "so":
+        raise ValueError("nilfibre only for so(n), not " + ctx.describe())
     plus = [root_vector(ctx, r) for r in ctx.positive_roots]
     if ctx.n % 2 == 0:
         return [plus]
@@ -415,6 +421,8 @@ def _xi_slots(ctx):
 
 
 def xi_slot_count(ctx):
+    if ctx.kind != "so":
+        raise ValueError("xi families only for so(n), not " + ctx.describe())
     return ctx.l if ctx.n % 2 == 1 else ctx.l - 1
 
 

@@ -291,10 +291,6 @@ class AlgebraContext:
                           else a[pp][qq] for q, qq in enumerate(perm)]
                          for p, pp in enumerate(perm)])
 
-    def theta_decompose(self, mat):
-        fixed = (mat + self.theta(mat)).scale(HALF)
-        return fixed, mat - fixed
-
     def down(self, mat):
         """Project to the next algebra in the chain, realized one size down:
         PD x TD, read from index lists (see _build_chain_maps).

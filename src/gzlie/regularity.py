@@ -3,10 +3,10 @@ criterion for the partial chain-restriction map.
 
 Tests that need only a dimension take the rank of a centralizer system;
 nullspace bases are built only for callers that want the vectors.  A
-system is written from the basis supports, and theta is a signed
-relabeling, so neither makes a matrix product.  Strong regularity is nsreg
-at every chain level (see is_sreg); chain_centralizers keeps its definition
-as the reference.
+system is written from the basis supports, so it makes no matrix product.
+x is nsreg when z_k(x) = 0, the system of [y, x] = 0 over the basis of k
+having rank dim k.  Strong regularity is nsreg at every chain level (see
+is_sreg); chain_centralizers keeps its definition as the reference.
 
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
@@ -77,12 +77,8 @@ def centralizer(ctx, mat, ambient="g"):
     """Centralizer of x (projected into the ambient if a chain level is
     given) inside the ambient algebra."""
     if isinstance(ambient, int):
-        x = project_to_subalgebra(ctx, mat, ambient)
-    elif ambient == "k":
-        x, _ = ctx.theta_decompose(mat)
-    else:
-        x = mat
-    return joint_centralizer(ctx, [x], ambient)
+        mat = project_to_subalgebra(ctx, mat, ambient)
+    return joint_centralizer(ctx, [mat], ambient)
 
 
 def centralizer_dims(ctx, mat):
@@ -104,17 +100,14 @@ def is_regular(ctx, mat, m=None):
 
 
 def nsreg_intersection(ctx, mat):
-    """Basis of z_k(x_k) intersect z_g(x) inside k.  For y in k,
-    [y, x] = [y, x_k] = 0 iff [y, x_k] = [y, x_p] = 0 with x_p = x - x_k;
-    the rows of the second pair sit only at the positions of k or of p, so
-    about half of them vanish."""
-    return joint_centralizer(ctx, ctx.theta_decompose(mat), "k")
+    """Basis of z_k(x) = {y in k : [y, x] = 0}, which is
+    z_k(x_k) intersect z_g(x)."""
+    return joint_centralizer(ctx, [mat], "k")
 
 
 def is_nsreg(ctx, mat):
-    """z_k(x_k) meets z_g(x) trivially: the system of nsreg_intersection
-    has rank dim k."""
-    return _centralizer_rank(ctx, ctx.theta_decompose(mat), "k") == ctx.k_dim()
+    """z_k(x) = 0: Ad(K) x has dimension dim k."""
+    return _centralizer_rank(ctx, [mat], "k") == ctx.k_dim()
 
 
 def _pfaffian_gradient(sx):

@@ -9,8 +9,9 @@ Jacobian of the chain-restriction map computed one jet pass per basis
 direction of g, projected down the chain, the gradient rows traced
 densely against every basis matrix, with one Pfaffian expansion per
 cofactor, the chain step as the dense products PD x TD and TD y PD, the
-centralizer system built from dense brackets, the fixed subalgebra k as
-the nullspace of Theta - id, and the data of theta_Q read off conjugated
+centralizer system built from dense brackets, the nsreg system of z_k(x)
+from the theta-split pair (x_k, x_p), the fixed subalgebra k as the
+nullspace of Theta - id, and the data of theta_Q read off conjugated
 Cartan and root vectors.
 """
 
@@ -232,6 +233,26 @@ def centralizer_system_by_brackets(ctx, mats, ambient):
         for r in range(size * size):
             rows.append([c[r] for c in cols])
     return rows
+
+
+def theta_fixed_part(ctx, x):
+    """x_k = (x + theta x) / 2, the theta-fixed part of x."""
+    return (x + ctx.theta(x)).scale(rat(1, 2))
+
+
+def k_system_by_theta_split(ctx, x):
+    """Rows of [y, x_k] = [y, x_p] = 0 for y in k, x_p = x - x_k: the
+    theta-split system of z_k(x) (about half of its rows are zero)."""
+    xk = theta_fixed_part(ctx, x)
+    return centralizer_system_by_brackets(ctx, [xk, x - xk], "k")
+
+
+def nsreg_intersection_by_theta_split(ctx, x):
+    """Basis of z_k(x) from the nullspace of the theta-split system."""
+    rows = k_system_by_theta_split(ctx, x)
+    return [sum((c * b for c, b in zip(v, ctx.k_basis) if c),
+                Mat.zeros(ctx.n))
+            for v in nullspace(Mat(rows))]
 
 
 def k_basis_by_nullspace(ctx):

@@ -91,6 +91,18 @@ def test_sample_nilfibre_component_out_of_range(capsys):
     assert code == 0 and json.loads(out)["n"] == 5
 
 
+def test_so_only_samplers_refuse_gl(capsys):
+    # the patterned families and the nilfibre components follow the root
+    # system of so(n); on gl they exit 2 with one line naming so(n)
+    for what in ("xi", "nilfibre"):
+        for n in ("3", "4", "5"):
+            code, out, err = run(capsys, "sample", "--what", what,
+                                 "--kind", "gl", "--n", n)
+            assert code == 2 and out == ""
+            assert "so(n)" in err and "gl(%s)" % n in err
+            assert len(err.strip().splitlines()) == 1
+
+
 def test_analyze_below_chain_floor(tmp_path, capsys):
     for doc in ({"algebra": "gl", "n": 1, "entries": [["1"]]},
                 {"algebra": "so", "n": 2,

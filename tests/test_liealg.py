@@ -20,7 +20,7 @@ from gzlie.korbits import enumerate_orbits, sample_yq
 from gzlie.rand import Sampler
 from gzlie.suites import SuiteConfig, run_all
 from qi_reference import (k_basis_by_nullspace, chain_down_dense,
-                          chain_up_dense)
+                          chain_up_dense, theta_fixed_part)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -79,7 +79,8 @@ def test_theta_is_involutive_automorphism():
         x, y = s.algebra_element(ctx), s.algebra_element(ctx)
         assert ctx.theta(ctx.theta(x)) == x
         assert ctx.theta(bracket(x, y)) == bracket(ctx.theta(x), ctx.theta(y))
-        fixed, anti = ctx.theta_decompose(x)
+        fixed = theta_fixed_part(ctx, x)
+        anti = x - fixed
         assert fixed + anti == x
         assert ctx.theta(fixed) == fixed and ctx.theta(anti) == -anti
 
@@ -148,7 +149,7 @@ def test_chain_step_needs_no_theta_averaging(kind):
         x = Mat([[s.rational() for _ in range(n)] for _ in range(n)])
         assert kind == "gl" or not ctx.contains(x)
         assert ctx.down(ctx.theta(x)) == ctx.down(x)
-        assert ctx.down(ctx.theta_decompose(x)[0]) == ctx.down(x)
+        assert ctx.down(theta_fixed_part(ctx, x)) == ctx.down(x)
         t = ctx.theta_mat
         assert ctx.theta(x) == t * x * t
         assert ctx.k_basis == k_basis_by_nullspace(ctx)
@@ -193,12 +194,14 @@ def test_cancelled_chain_step_entries_are_the_shared_zero():
 
 def test_basis_rows_stay_shared_and_read_only():
     # the basis matrices of one size share a single zero row, and their -1
-    # entries one scalar; an orbit-sections round (orbit tables of
-    # so(3..12), sections on so(5..9)) and a verify run must write into
-    # neither
+    # entries one scalar; so do the Borel bases of the orbit records.  An
+    # orbit-sections round (orbit tables of so(3..12), sections on
+    # so(5..9)) and a verify run must write into neither
+    borels = []
     for n in range(3, 13):
         ctx = make_algebra("so", n)
         orbits, _ = enumerate_orbits(ctx)
+        borels.extend(b for orbit in orbits for b in orbit.borel_basis)
         if 5 <= n <= 9:
             s = Sampler(n)
             for orbit in orbits:
@@ -220,6 +223,13 @@ def test_basis_rows_stay_shared_and_read_only():
                 held = {i for i, _, _ in support}
                 assert all(r is liealg._ZERO_ROWS[n]
                            for i, r in enumerate(b.a) if i not in held)
+    # a Borel matrix that is not a basis matrix of g (a dense conjugate)
+    # holds its all-zero rows as the shared row too
+    dense = [b for b in borels
+             if not any(b is c for c in make_algebra("so", b.n).basis)]
+    assert any(r is liealg._ZERO_ROWS[b.n] for b in dense for r in b.a)
+    for b in borels:
+        assert all(r is liealg._ZERO_ROWS[b.n] for r in b.a if not any(r))
 
 
 def test_projection_embedding_round_trip():

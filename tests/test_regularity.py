@@ -22,7 +22,9 @@ from gzlie.rand import Sampler
 from qi_reference import (partial_map_jacobian_jet,
                           centralizer_system_by_brackets, trace_against,
                           level_gradient_rows_by_trace,
-                          pfaffian_gradient_by_cofactors)
+                          pfaffian_gradient_by_cofactors,
+                          k_system_by_theta_split,
+                          nsreg_intersection_by_theta_split)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -240,9 +242,9 @@ def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
 
 
 def _assert_systems_match_brackets(ctx, x):
-    # ambient g, k on the theta-decomposed pair, and the level below
+    # ambient g, k, and the level below
     below = ctx.n - 1
-    for mats, ambient in [([x], "g"), (ctx.theta_decompose(x), "k"),
+    for mats, ambient in [([x], "g"), ([x], "k"),
                           ([project_to_subalgebra(ctx, x, below)], below)]:
         rows, _ = _centralizer_system(ctx, mats, ambient)
         assert rows == centralizer_system_by_brackets(ctx, mats, ambient)
@@ -262,3 +264,35 @@ def test_centralizer_system_matches_brackets_at_zero_and_so3_witness():
         _assert_systems_match_brackets(make_algebra(kind, n), Mat.zeros(n))
     with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
         _assert_systems_match_brackets(*parse_matrix_doc(json.load(fh)))
+
+
+def _assert_nsreg_matches_theta_split(ctx, x):
+    # for y in k, [y, x_k] and [y, x_p] are the k- and p-parts of [y, x],
+    # so the one-matrix system and the theta-split one share a row space
+    rows, basis = _centralizer_system(ctx, [x], "k")
+    split = k_system_by_theta_split(ctx, x)
+    r = rank_rows(rows, len(basis))
+    assert r == rank_rows(split, len(basis))
+    assert r == rank_rows(rows + split, len(basis))
+    assert is_nsreg(ctx, x) == (r == ctx.k_dim())
+    assert nsreg_intersection(ctx, x) == nsreg_intersection_by_theta_split(
+        ctx, x)
+
+
+@given(st.sampled_from([("gl", n) for n in range(2, 7)]
+                       + [("so", n) for n in range(3, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_nsreg_system_matches_theta_split(algebra, seed, t):
+    ctx = _algebra(*algebra)
+    _assert_nsreg_matches_theta_split(ctx,
+                                      _mixed_sample(ctx, Sampler(seed), t))
+
+
+def test_nsreg_system_matches_theta_split_at_zero_and_so3_witness():
+    for kind, n in [("gl", 2), ("gl", 3), ("so", 3), ("so", 4), ("so", 5),
+                    ("so", 6)]:
+        _assert_nsreg_matches_theta_split(make_algebra(kind, n),
+                                          Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_nsreg_matches_theta_split(*parse_matrix_doc(json.load(fh)))
