@@ -1,11 +1,11 @@
 """Exact linear-algebraic toolkit for orthogonal and general linear
 Gelfand-Zeitlin chains over the Gaussian rationals."""
 
-from .scalars import QI, Jet, parse_scalar, format_scalar
+from .scalars import QI, parse_scalar, format_scalar
 from .liealg import make_algebra, AlgebraContext, Root
 
 __all__ = [
-    "QI", "Jet", "parse_scalar", "format_scalar",
+    "QI", "parse_scalar", "format_scalar",
     "make_algebra", "AlgebraContext", "Root",
 ]
 

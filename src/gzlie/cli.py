@@ -94,7 +94,7 @@ def cmd_sample(args):
             mat = sample_g0(ctx, s)
         else:
             mat = sample_chain_disjoint(ctx, s)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_usage(str(exc))
     except RuntimeError as exc:
         return _fail_sampler(exc)

@@ -3,22 +3,23 @@ associated theta-stable parabolics, and samplers for the distinguished
 families of elements (orbit sections, patterned middle-row families, the
 fibre over zero, and chain-disjoint elements).
 
-Orbits are represented by a conjugator v with Borel Ad(v)b_+; the pulled
-back involution theta_Q = Ad(v^-1) theta Ad(v) is maintained both as a
-matrix and combinatorially (signed action on epsilon-coordinates plus
-compactness signs of imaginary roots), and the two descriptions are
-cross-checked at every step.
+An orbit K.vB is its conjugator v (its Borel is Ad(v)b for the standard
+Borel b) and the pulled back involution theta_Q = Ad(v^-1) theta Ad(v),
+read as a signed action on epsilon-coordinates plus the compactness signs
+of the imaginary roots.  Each monoid step checks that combinatorial
+update against theta_Q read off the new conjugator.  The codimension
+comes from theta_Q alone, as k meet Ad(v)b = Ad(v) b^theta_Q.  No Borel
+basis is stored: an orbit section is Ad(k v) of an element of b.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import ONE
-from .matrices import Mat, inverse, intersection_dim, row_space_contains
+from .scalars import ZERO, ONE
+from .matrices import Mat, inverse, row_space_contains
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
-                     project_to_subalgebra, adjoint, monomial_pairs,
-                     _ZERO_ROWS)
+                     project_to_subalgebra, adjoint, monomial_pairs)
 from .invariants import coincidence_count, reduced_char
 from . import polys
 
@@ -33,7 +34,7 @@ COMPLEX_UNSTABLE = "complex-unstable"
 # applied so far; action: theta_Q on epsilon-coords, columns = images;
 # compact_signs: ((root coords, +1/-1), ...) imaginary positive
 class Orbit(namedtuple("Orbit", "name base word conjugator codim closed "
-                                "action compact_signs borel_basis")):
+                                "action compact_signs")):
     __slots__ = ()
 
     def key(self):
@@ -77,55 +78,44 @@ def _act(action, root):
     return tuple(out)
 
 
-def classify_root_type(orbit, root):
-    img = _act(orbit.action, root)
+def classify_root_type(action, compact_signs, root):
+    """Type of a root under theta_Q, given as an orbit's action and
+    compact_signs."""
+    img = _act(action, root)
     if img == tuple(-c for c in root.coords):
         return REAL
     if img == root.coords:
-        for coords, s in orbit.compact_signs:
+        for coords, s in compact_signs:
             if coords == root.coords:
                 return COMPACT if s == 1 else NONCOMPACT
         raise AssertionError("missing compactness sign for %r" % root)
     return COMPLEX_STABLE if Root(img).is_positive() else COMPLEX_UNSTABLE
 
 
-def _borel_basis(ctx, v, v_inv):
-    """Ad(v) of the standard Borel basis.  A conjugate equal to a basis
-    matrix of g is that shared matrix, so orbit records keep no copy; any
-    other keeps the shared zero row of its size for its zero rows."""
-    zero = _ZERO_ROWS[ctx.n]
-    out = []
-    for b in ctx.cartan_basis + [root_vector(ctx, r)
-                                 for r in ctx.positive_roots]:
-        m = v * b * v_inv
-        k = next((k for k, c in enumerate(ctx.coordinates(m)) if c), 0)
-        out.append(ctx.basis[k] if ctx.basis[k] == m else
-                   Mat._raw([r if any(r) else zero for r in m.a]))
-    return out
-
-
-def _orbit_codim(ctx, borel):
-    krows = [b.flatten() for b in ctx.k_basis]
-    brows = [b.flatten() for b in borel]
-    meet = intersection_dim(krows, brows, ctx.n * ctx.n)
-    orbit_dim = ctx.k_dim() - meet
-    return ctx.flag_dim() - orbit_dim
+def _orbit_codim(ctx, action, signs):
+    """flag_dim - dim K.vB, where dim K.vB = dim k - dim b^theta_Q
+    (k meet Ad(v)b = Ad(v) b^theta_Q).  b^theta_Q is the fixed part
+    (l + tr action)/2 of the Cartan, one line per compact imaginary
+    positive root and one per theta_Q-pair of complex-stable positive
+    roots; real, noncompact and complex-unstable roots add nothing."""
+    types = [classify_root_type(action, signs, r)
+             for r in ctx.positive_roots]
+    fixed = ((ctx.l + sum(action[a][a] for a in range(ctx.l))) // 2
+             + types.count(COMPACT) + types.count(COMPLEX_STABLE) // 2)
+    return ctx.flag_dim() - (ctx.k_dim() - fixed)
 
 
 def _make_orbit(ctx, base, word, v, closed=False, name=None):
-    v_inv = inverse(v)
-    action, signs = _theta_q_data(ctx, v, v_inv)
-    borel = _borel_basis(ctx, v, v_inv)
-    codim = _orbit_codim(ctx, borel)
-    return Orbit(name or "", base, tuple(word), v, codim, closed, action,
-                 signs, borel)
+    action, signs = _theta_q_data(ctx, v, inverse(v))
+    return Orbit(name or "", base, tuple(word), v,
+                 _orbit_codim(ctx, action, signs), closed, action, signs)
 
 
 def monoid_action(ctx, orbit, root_idx):
     """Image of the orbit under the monoid generator of the given simple
     root; returns the same orbit object when the generator fixes it."""
     alpha = ctx.simple_roots[root_idx]
-    t = classify_root_type(orbit, alpha)
+    t = classify_root_type(orbit.action, orbit.compact_signs, alpha)
     if t in (REAL, COMPACT, COMPLEX_UNSTABLE):
         return orbit
     if t == NONCOMPACT:
@@ -225,10 +215,12 @@ def enumerate_orbits(ctx):
 
 
 def orbit_by_name(ctx, name):
-    for o in enumerate_orbits(ctx)[0]:
+    orbits = enumerate_orbits(ctx)[0]
+    for o in orbits:
         if o.name == name:
             return o
-    raise KeyError("no orbit named %r" % name)
+    raise ValueError("no orbit named %r in %s: %s" % (
+        name, ctx.describe(), ", ".join(o.name for o in orbits)))
 
 
 def orbit_graph(ctx):
@@ -264,6 +256,11 @@ Parabolic = namedtuple("Parabolic", "i r_basis z_basis lss_basis "
                                     "nilradical_basis levi_tag")
 
 
+def _in_levi(root, i):
+    """The roots of the Levi of stable_parabolic(ctx, i): coords[:i] == 0."""
+    return not any(root.coords[:i])
+
+
 def stable_parabolic(ctx, i):
     """theta-stable parabolic whose closed set of partial-map fibres matches
     coincidence index i; generated by the standard Borel and the negative
@@ -272,17 +269,11 @@ def stable_parabolic(ctx, i):
     limit = l - 1 if ctx.n % 2 == 1 else l - 2
     if ctx.kind != "so" or not (0 <= i <= limit):
         raise ValueError("no theta-stable parabolic for index %r" % i)
-    z_basis = [ctx.cartan_basis[a] for a in range(i)]
-    lss_basis = [ctx.cartan_basis[a] for a in range(i, l)]
-    levi_roots = [r for r in ctx.roots
-                  if all(c == 0 for c in r.coords[:i])]
-    for r in levi_roots:
-        lss_basis.append(root_vector(ctx, r))
-    nil_basis = []
-    levi_set = {r.coords for r in levi_roots}
-    for r in ctx.positive_roots:
-        if r.coords not in levi_set:
-            nil_basis.append(root_vector(ctx, r))
+    z_basis = ctx.cartan_basis[:i]
+    lss_basis = ctx.cartan_basis[i:] + [root_vector(ctx, r) for r in ctx.roots
+                                        if _in_levi(r, i)]
+    nil_basis = [root_vector(ctx, r) for r in ctx.positive_roots
+                 if not _in_levi(r, i)]
     r_basis = z_basis + lss_basis + nil_basis
     m = 2 * (l - i) + 1 if ctx.n % 2 == 1 else 2 * (l - i)
     return Parabolic(i, r_basis, z_basis, lss_basis, nil_basis, ("so", m))
@@ -292,28 +283,13 @@ def degenerate_to_levi(ctx, mat, i):
     """Linear projection r -> levi killing the nilradical: the limit of the
     one-parameter contraction by the center of the Levi.  Requires x in r."""
     coords = ctx.coordinates(mat)
-    out = Mat.zeros(ctx.n)
-    levi_set = {r.coords for r in ctx.roots
-                if all(c == 0 for c in r.coords[:i])}
-    for k, (pos, b) in enumerate(zip(ctx.basis_positions, ctx.basis)):
-        c = coords[k]
-        if not c:
-            continue
-        if pos[0] == pos[1]:
-            out = out + c * b
-            continue
-        root = None
-        for r, bi in ctx.root_index.items():
-            if bi == k:
-                root = r
-                break
-        if root is None:
-            raise AssertionError("basis element without a root")
-        if root in levi_set:
-            out = out + c * b
-        elif not Root(root).is_positive():
-            raise ValueError("element is not in the parabolic")
-    return out
+    for r in ctx.roots:
+        k = ctx.root_index[r.coords]
+        if coords[k] and not _in_levi(r, i):
+            if not r.is_positive():
+                raise ValueError("element is not in the parabolic")
+            coords[k] = ZERO
+    return ctx.from_coordinates(coords)
 
 
 # --- distinguished element families ---------------------------------------
@@ -362,10 +338,11 @@ def sample_nilfibre(ctx, sampler, component=0):
 
 
 def sample_yq(ctx, orbit, sampler):
-    """Random K-translate of a random element of the orbit's Borel."""
-    y = sampler.span_element(orbit.borel_basis)
+    """Random K-translate of a random element of the orbit's Borel Ad(v)b:
+    Ad(k v) of a random element of the standard Borel b."""
+    y = sampler.span_element(ctx.borel_basis)
     k = sampler.subgroup_element(ctx)
-    return adjoint(k, y)
+    return adjoint(k * orbit.conjugator, y)
 
 
 def sample_g0(ctx, sampler, max_tries=200):

@@ -151,6 +151,15 @@ class AlgebraContext:
             self.roots.append(r)
             self.root_index[r.coords] = k
         self.positive_roots = [r for r in self.roots if r.is_positive()]
+        # the standard Borel: upper triangular (gl, in basis order); the
+        # Cartan, then the positive root vectors (so)
+        if kind == "gl":
+            self.borel_basis = [b for b, (i, j) in zip(
+                self.basis, self.basis_positions) if i <= j]
+        else:
+            self.borel_basis = self.cartan_basis + [
+                self.basis[self.root_index[r.coords]]
+                for r in self.positive_roots]
 
         # simple roots
         self.simple_roots = []

@@ -436,7 +436,8 @@ def char_poly(mat):
 
 def pfaffian(mat):
     """Pfaffian of an antisymmetric matrix by memoized expansion along the
-    first remaining row.  Entries may be QI or Jet."""
+    first remaining row.  Entries may be QI or any ring with the same
+    operators (the test reference runs it on first-order jets)."""
     n = mat.n
     if n % 2 != 0:
         raise ValueError("pfaffian needs even size")

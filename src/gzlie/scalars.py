@@ -1,4 +1,4 @@
-"""Exact scalars over the Gaussian rationals and first-order jets on top of them.
+"""Exact scalars over the Gaussian rationals.
 
 Every quantity in this package is computed over Q(i); there is no floating
 point anywhere.  Rationals are gmpy2.mpq when available, with
@@ -206,74 +206,3 @@ def format_scalar(z):
     if z.im > 0:
         return "%s+%s" % (z.re, imtxt)
     return "%s%s" % (z.re, imtxt)
-
-
-class Jet:
-    """Dual number a + b*eps over Q(i); eps**2 = 0.  Used for exact
-    directional derivatives of polynomial maps."""
-
-    __slots__ = ("val", "eps")
-
-    def __init__(self, val, eps=ZERO):
-        self.val = val if isinstance(val, QI) else _coerce(val)
-        self.eps = eps if isinstance(eps, QI) else _coerce(eps)
-
-    def __add__(self, other):
-        other = _jcoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(self.val + other.val, self.eps + other.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _jcoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(self.val - other.val, self.eps - other.eps)
-
-    def __rsub__(self, other):
-        other = _jcoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(other.val - self.val, other.eps - self.eps)
-
-    def __mul__(self, other):
-        other = _jcoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(self.val * other.val,
-                   self.val * other.eps + self.eps * other.val)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _jcoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        v = self.val / other.val
-        return Jet(v, (self.eps - v * other.eps) / other.val)
-
-    def __neg__(self):
-        return Jet(-self.val, -self.eps)
-
-    def __eq__(self, other):
-        other = _jcoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.val == other.val and self.eps == other.eps
-
-    def __bool__(self):
-        return bool(self.val) or bool(self.eps)
-
-    def __repr__(self):
-        return "Jet(%s, %s)" % (self.val, self.eps)
-
-
-def _jcoerce(v):
-    if isinstance(v, Jet):
-        return v
-    c = _coerce(v)
-    if c is NotImplemented:
-        return NotImplemented
-    return Jet(c, ZERO)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 from .scalars import BACKEND
 from .matrices import Mat, row_space_contains
-from .liealg import (make_algebra, root_vector, adjoint)
+from .liealg import make_algebra, adjoint
 from .invariants import partial_kw, coincidence_count
 from .regularity import (is_regular, is_nsreg, is_sreg,
                          kostant_jacobian_rank, nsreg_intersection)
@@ -170,23 +170,12 @@ def suite_orbit_tables(cfg):
     return claims
 
 
-def _borel_basis_elements(ctx):
-    if ctx.kind == "gl":
-        out = []
-        for k, (i, j) in enumerate(ctx.basis_positions):
-            if i <= j:
-                out.append(ctx.basis[k])
-        return out
-    return (list(ctx.cartan_basis)
-            + [root_vector(ctx, r) for r in ctx.positive_roots])
-
-
 def _mixed_sample(ctx, sampler, t):
     mode = t % 6
     if mode == 0:
         return sampler.algebra_element(ctx)
     if mode == 1:
-        return sampler.span_element(_borel_basis_elements(ctx))
+        return sampler.span_element(ctx.borel_basis)
     if mode == 2:
         if ctx.kind == "so":
             comps = nilfibre_components(ctx)
@@ -330,7 +319,7 @@ def suite_xi_families(cfg):
         l = ctx.l
         slots = xi_slot_count(ctx)
         limit = l - 1 if n % 2 == 1 else l - 2
-        borel = [b.flatten() for b in _borel_basis_elements(ctx)]
+        borel = [b.flatten() for b in ctx.borel_basis]
         cid = "xi-families-so%d" % n
         c = ClaimResult(cid, "patterned families of so(%d): coincidence "
                              ">= i, all-raised pattern sits in the stable "

@@ -4,22 +4,94 @@ readings of the involution theta in gzlie.liealg and gzlie.korbits.
 
 These are the routines the fast paths replaced, kept to pin them:
 Gauss-Jordan elimination directly on Q(i) scalars, the ring-generic
-Faddeev-LeVerrier loop (which also runs on first-order jets), the
-Jacobian of the chain-restriction map computed one jet pass per basis
-direction of g, projected down the chain, the gradient rows traced
-densely against every basis matrix, with one Pfaffian expansion per
-cofactor, the chain step as the dense products PD x TD and TD y PD, the
-centralizer system built from dense brackets, the nsreg system of z_k(x)
-from the theta-split pair (x_k, x_p), the fixed subalgebra k as the
-nullspace of Theta - id, and the data of theta_Q read off conjugated
-Cartan and root vectors.
+Faddeev-LeVerrier loop (which also runs on first-order jets, the dual
+numbers Jet), the Jacobian of the chain-restriction map computed one jet
+pass per basis direction of g, projected down the chain, the gradient
+rows traced densely against every basis matrix, with one Pfaffian
+expansion per cofactor, the chain step as the dense products PD x TD and
+TD y PD, the centralizer system built from dense brackets, the nsreg
+system of z_k(x) from the theta-split pair (x_k, x_p), the fixed
+subalgebra k as the nullspace of Theta - id, the data of theta_Q read off
+conjugated Cartan and root vectors, and the Borel basis Ad(v)b of an
+orbit K.vB with the codimension read off k meet Ad(v)b.
 """
 
-from gzlie.scalars import QI, ZERO, ONE, Jet, rat
-from gzlie.matrices import Mat, pfaffian, bracket
+from gzlie.scalars import QI, ZERO, ONE, rat, _coerce
+from gzlie.matrices import Mat, pfaffian, bracket, intersection_dim
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, _signed
 from gzlie.korbits import _act
+
+
+class Jet:
+    """Dual number a + b*eps over Q(i); eps**2 = 0.  Used for exact
+    directional derivatives of polynomial maps."""
+
+    __slots__ = ("val", "eps")
+
+    def __init__(self, val, eps=ZERO):
+        self.val = val if isinstance(val, QI) else _coerce(val)
+        self.eps = eps if isinstance(eps, QI) else _coerce(eps)
+
+    def __add__(self, other):
+        other = _jcoerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Jet(self.val + other.val, self.eps + other.eps)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _jcoerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Jet(self.val - other.val, self.eps - other.eps)
+
+    def __rsub__(self, other):
+        other = _jcoerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Jet(other.val - self.val, other.eps - self.eps)
+
+    def __mul__(self, other):
+        other = _jcoerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Jet(self.val * other.val,
+                   self.val * other.eps + self.eps * other.val)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _jcoerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        v = self.val / other.val
+        return Jet(v, (self.eps - v * other.eps) / other.val)
+
+    def __neg__(self):
+        return Jet(-self.val, -self.eps)
+
+    def __eq__(self, other):
+        other = _jcoerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.val == other.val and self.eps == other.eps
+
+    def __bool__(self):
+        return bool(self.val) or bool(self.eps)
+
+    def __repr__(self):
+        return "Jet(%s, %s)" % (self.val, self.eps)
+
+
+def _jcoerce(v):
+    if isinstance(v, Jet):
+        return v
+    c = _coerce(v)
+    if c is NotImplemented:
+        return NotImplemented
+    return Jet(c, ZERO)
 
 
 def echelon(rows, ncols, reduced=False):
@@ -309,3 +381,19 @@ def theta_q_data_by_conjugation(ctx, v, v_inv):
             else:
                 raise AssertionError("imaginary root space not preserved")
     return action, tuple(sorted(signs))
+
+
+def borel_basis_by_conjugation(ctx, v, v_inv):
+    """Ad(v) of the standard Borel basis, two dense products per vector:
+    the basis of the Borel of the orbit K.vB."""
+    return [v * b * v_inv for b in ctx.borel_basis]
+
+
+def orbit_codim_by_intersection(ctx, v):
+    """Codimension of K.vB in the flag variety: flag_dim - dim K.vB with
+    dim K.vB = dim k - dim(k meet Ad(v)b), the meet by three ranks on
+    flattened rows."""
+    borel = borel_basis_by_conjugation(ctx, v, inverse(v))
+    meet = intersection_dim([b.flatten() for b in ctx.k_basis],
+                            [b.flatten() for b in borel], ctx.n * ctx.n)
+    return ctx.flag_dim() - (ctx.k_dim() - meet)

@@ -72,8 +72,10 @@ def test_sample_is_seed_deterministic(capsys):
 
 
 def test_sample_rejects_bad_family_args(capsys):
-    assert run(capsys, "sample", "--what", "yq", "--kind", "so", "--n", "5",
-               "--orbit", "Q9")[0] == 2
+    code, out, err = run(capsys, "sample", "--what", "yq", "--kind", "so",
+                         "--n", "5", "--orbit", "Q9")
+    assert code == 2 and out == ""
+    assert err == "error: no orbit named 'Q9' in so(5): Q+, Q-, Q1, Q0\n"
     assert run(capsys, "sample", "--what", "xi", "--kind", "so", "--n", "5",
                "--pattern", "XX")[0] == 2
 

@@ -2,8 +2,7 @@ import pytest
 
 from gzlie.scalars import qi, rat, ZERO, ONE
 from gzlie.matrices import Mat, bracket, inverse, row_space_contains
-from gzlie.liealg import (make_algebra, Root, preserves_form, adjoint,
-                          root_vector)
+from gzlie.liealg import make_algebra, Root, preserves_form, adjoint, MAX_N
 from gzlie.invariants import partial_kw, coincidence_count
 from gzlie.regularity import nsreg_intersection, is_nsreg
 from gzlie.korbits import (REAL, COMPACT, NONCOMPACT, COMPLEX_STABLE,
@@ -17,7 +16,9 @@ from gzlie.korbits import (REAL, COMPACT, NONCOMPACT, COMPLEX_STABLE,
                            sample_chain_disjoint, xi_slot_count, sample_xi,
                            xi_shape, xi_flip_element, _theta_q_data)
 from gzlie.rand import Sampler
-from qi_reference import theta_q_data_by_conjugation
+from qi_reference import (theta_q_data_by_conjugation,
+                          borel_basis_by_conjugation,
+                          orbit_codim_by_intersection)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -49,15 +50,28 @@ def test_orbit_counts_and_codims(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_orbit_records_match_conjugation(n):
     # the monomial reading of theta_Q against conjugating the Cartan and
-    # the imaginary root vectors with the matrix theta_Q; the Borel basis,
-    # which shares the basis matrices of g where it can, against Ad(v)
+    # the imaginary root vectors with the matrix theta_Q; the sections
+    # Ad(k v)y, y in the standard Borel, against Ad(k) of a draw over the
+    # conjugated Borel Ad(v)b, draw for draw from equal seeds
     ctx = make_algebra("so", n)
-    std = ctx.cartan_basis + [root_vector(ctx, r) for r in ctx.positive_roots]
+    s, ref = Sampler(n), Sampler(n)
     for o in enumerate_orbits(ctx)[0]:
         v, v_inv = o.conjugator, inverse(o.conjugator)
         assert (o.action, o.compact_signs) == theta_q_data_by_conjugation(
             ctx, v, v_inv)
-        assert o.borel_basis == [v * b * v_inv for b in std]
+        borel = borel_basis_by_conjugation(ctx, v, v_inv)
+        for _ in range(2):
+            y = ref.span_element(borel)
+            assert sample_yq(ctx, o, s) == adjoint(
+                ref.subgroup_element(ctx), y)
+
+
+@pytest.mark.parametrize("n", range(3, MAX_N + 1))
+def test_orbit_codim_matches_intersection_reference(n):
+    # the codimension read off theta_Q against dim k - dim(k meet Ad(v)b)
+    ctx = make_algebra("so", n)
+    for o in enumerate_orbits(ctx)[0]:
+        assert o.codim == orbit_codim_by_intersection(ctx, o.conjugator)
 
 
 def test_theta_q_data_rejects_a_conjugator_off_the_normalizer():
@@ -98,10 +112,10 @@ def test_root_types_on_base_orbit_odd():
     # identity conjugator for so(5): long roots compact, short noncompact
     ctx = make_algebra("so", 5)
     q = closed_orbits(ctx)[0]
-    assert classify_root_type(q, Root((1, -1))) == COMPACT
-    assert classify_root_type(q, Root((1, 1))) == COMPACT
-    assert classify_root_type(q, Root((1, 0))) == NONCOMPACT
-    assert classify_root_type(q, Root((0, 1))) == NONCOMPACT
+    want = {(1, -1): COMPACT, (1, 1): COMPACT, (1, 0): NONCOMPACT,
+            (0, 1): NONCOMPACT}
+    assert {c: classify_root_type(q.action, q.compact_signs, Root(c))
+            for c in want} == want
 
 
 def test_root_types_on_base_orbit_even():
@@ -109,16 +123,18 @@ def test_root_types_on_base_orbit_even():
     # e3 are complex, the rest compact imaginary
     ctx = make_algebra("so", 6)
     q = closed_orbits(ctx)[0]
-    assert classify_root_type(q, Root((1, -1, 0))) == COMPACT
-    assert classify_root_type(q, Root((1, 1, 0))) == COMPACT
-    assert classify_root_type(q, Root((0, 1, -1))) == COMPLEX_STABLE
-    assert classify_root_type(q, Root((0, -1, 1))) == COMPLEX_UNSTABLE
+    want = {(1, -1, 0): COMPACT, (1, 1, 0): COMPACT,
+            (0, 1, -1): COMPLEX_STABLE, (0, -1, 1): COMPLEX_UNSTABLE}
+    assert {c: classify_root_type(q.action, q.compact_signs, Root(c))
+            for c in want} == want
 
 
 def test_orbit_lookup():
     ctx = make_algebra("so", 5)
     assert orbit_by_name(ctx, "Q0").codim == 0
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError,
+                       match=r"^no orbit named 'Q9' in so\(5\): "
+                             r"Q\+, Q-, Q1, Q0$"):
         orbit_by_name(ctx, "Q9")
     with pytest.raises(ValueError):
         enumerate_orbits(make_algebra("gl", 3))

@@ -194,14 +194,12 @@ def test_cancelled_chain_step_entries_are_the_shared_zero():
 
 def test_basis_rows_stay_shared_and_read_only():
     # the basis matrices of one size share a single zero row, and their -1
-    # entries one scalar; so do the Borel bases of the orbit records.  An
-    # orbit-sections round (orbit tables of so(3..12), sections on
-    # so(5..9)) and a verify run must write into neither
-    borels = []
+    # entries one scalar; the standard Borel basis is made of those same
+    # matrices.  An orbit-sections round (orbit tables of so(3..12),
+    # sections on so(5..9)) and a verify run must write into none of them
     for n in range(3, 13):
         ctx = make_algebra("so", n)
         orbits, _ = enumerate_orbits(ctx)
-        borels.extend(b for orbit in orbits for b in orbit.borel_basis)
         if 5 <= n <= 9:
             s = Sampler(n)
             for orbit in orbits:
@@ -212,6 +210,8 @@ def test_basis_rows_stay_shared_and_read_only():
     for n, row in liealg._ZERO_ROWS.items():
         assert len(row) == n and all(v is ZERO for v in row)
     for (kind, n), ctx in liealg._CONTEXTS.items():
+        shared = {id(b) for b in ctx.basis}
+        assert all(id(b) in shared for b in ctx.borel_basis)
         for mats, supports in ((ctx.basis, ctx.basis_supports),
                                (ctx.k_basis, ctx.k_supports)):
             for b, support in zip(mats, supports):
@@ -223,13 +223,6 @@ def test_basis_rows_stay_shared_and_read_only():
                 held = {i for i, _, _ in support}
                 assert all(r is liealg._ZERO_ROWS[n]
                            for i, r in enumerate(b.a) if i not in held)
-    # a Borel matrix that is not a basis matrix of g (a dense conjugate)
-    # holds its all-zero rows as the shared row too
-    dense = [b for b in borels
-             if not any(b is c for c in make_algebra("so", b.n).basis)]
-    assert any(r is liealg._ZERO_ROWS[b.n] for b in dense for r in b.a)
-    for b in borels:
-        assert all(r is liealg._ZERO_ROWS[b.n] for r in b.a if not any(r))
 
 
 def test_projection_embedding_round_trip():

@@ -3,13 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import qi, rat, ZERO, ONE, I, Jet
+from gzlie.scalars import qi, rat, ZERO, ONE, I
 from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim)
 
 import qi_reference
-from qi_reference import jet_mat
+from qi_reference import Jet, jet_mat
 
 ints = st.integers(-6, 6)
 
