@@ -15,33 +15,39 @@ class DocumentError(ValueError):
     pass
 
 
-def parse_matrix_doc(doc):
-    """{'algebra': 'so'|'gl', 'n': int, 'entries': [[scalar-str,..],..]}
-    -> (context, matrix).  Raises DocumentError with the offending location."""
+def _doc_algebra(doc):
+    """The context named by the 'algebra' and 'n' fields of a document,
+    which must be a JSON object."""
     if not isinstance(doc, dict):
-        raise DocumentError("matrix document must be a JSON object")
+        raise DocumentError("document must be a JSON object")
     kind = doc.get("algebra")
     if kind not in ("so", "gl"):
         raise DocumentError("field 'algebra' must be 'so' or 'gl'")
     try:
-        ctx = analyzable_algebra(kind, doc.get("n"))
+        return analyzable_algebra(kind, doc.get("n"))
     except ValueError as exc:
         raise DocumentError("field 'n': %s" % exc)
+
+
+def _scalar(text, where, *at):
+    try:
+        return parse_scalar(text)
+    except (ValueError, TypeError) as exc:
+        raise DocumentError("%s: %s" % (where % at, exc))
+
+
+def parse_matrix_doc(doc):
+    """{'algebra': 'so'|'gl', 'n': int, 'entries': [[scalar-str,..],..]}
+    -> (context, matrix).  Raises DocumentError with the offending location."""
+    ctx = _doc_algebra(doc)
     n = ctx.n
     entries = doc.get("entries")
     if (not isinstance(entries, list) or len(entries) != n
             or any(not isinstance(r, list) or len(r) != n for r in entries)):
         raise DocumentError("field 'entries' must be an %dx%d array" % (n, n))
-    rows = []
-    for i, row in enumerate(entries):
-        out = []
-        for j, cell in enumerate(row):
-            try:
-                out.append(parse_scalar(cell))
-            except (ValueError, TypeError) as exc:
-                raise DocumentError("entry (%d,%d): %s" % (i + 1, j + 1, exc))
-        rows.append(out)
-    mat = Mat(rows)
+    mat = Mat([[_scalar(cell, "entry (%d,%d)", i + 1, j + 1)
+                for j, cell in enumerate(row)]
+               for i, row in enumerate(entries)])
     bad = ctx.membership_violations(mat)
     if bad:
         raise DocumentError("not an element of %s: %s"
@@ -60,14 +66,22 @@ def emit_invariant_doc(vec):
 
 
 def parse_invariant_doc(doc):
-    if doc.get("kind") not in ("partial", "full"):
+    """{'algebra': 'so'|'gl', 'n': int, 'kind': 'partial'|'full',
+    'values': [scalar-str,..]} -> InvariantVector, with one value per
+    generator of levels n-1 and n (partial) or of every level (full)."""
+    ctx = _doc_algebra(doc)
+    kind = doc.get("kind")
+    if kind not in ("partial", "full"):
         raise DocumentError("field 'kind' must be 'partial' or 'full'")
-    try:
-        values = [parse_scalar(v) for v in doc["values"]]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DocumentError("bad 'values': %s" % exc)
-    return InvariantVector(doc.get("algebra"), doc.get("n"),
-                           doc["kind"], values)
+    levels = ctx.levels[:2] if kind == "partial" else ctx.levels
+    count = sum(lvl.invariant_rank() for lvl in levels)
+    values = doc.get("values")
+    if not isinstance(values, list) or len(values) != count:
+        raise DocumentError("field 'values' must be an array of %d values"
+                            % count)
+    return InvariantVector(ctx.kind, ctx.n, kind,
+                           [_scalar(v, "value %d", i + 1)
+                            for i, v in enumerate(values)])
 
 
 def analysis_report(ctx, mat):

@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import polys
-from .matrices import char_poly, pfaffian
-from .liealg import project_to_subalgebra
+from .matrices import Mat, char_poly, pfaffian
 from .scalars import ZERO, ONE
 
 
@@ -68,7 +67,7 @@ def reduced_char(ctx, mat):
 def pfaffian_generator(ctx, mat):
     if ctx.kind != "so" or ctx.n % 2 != 0:
         raise ValueError("pfaffian generator needs so(even)")
-    return pfaffian(ctx.form * mat)
+    return pfaffian(Mat._raw(mat.a[::-1]))      # S x: x, rows reversed
 
 
 def _level_values(ctx_m, mat_m):
@@ -85,33 +84,23 @@ def _level_values(ctx_m, mat_m):
     return values
 
 
-def evaluate_generators(ctx, mat, m=None):
-    """Generator values of the projection of mat to chain level m."""
-    m = ctx.n if m is None else m
-    return _level_values(ctx.level(m), project_to_subalgebra(ctx, mat, m))
-
-
 def partial_kw(ctx, mat):
-    values = (evaluate_generators(ctx, mat, ctx.n - 1)
-              + evaluate_generators(ctx, mat, ctx.n))
+    values = _level_values(ctx.child, ctx.down(mat)) + _level_values(ctx, mat)
     return InvariantVector(ctx.kind, ctx.n, "partial", values)
 
 
 def full_kw(ctx, mat):
-    values = []
-    for m in range(ctx.chain_floor(), ctx.n + 1):
-        values.extend(evaluate_generators(ctx, mat, m))
-    return InvariantVector(ctx.kind, ctx.n, "full", values)
+    """Generator values of every chain level, from the floor up."""
+    values = [_level_values(lvl, xm) for lvl, xm in ctx.chain(mat)][::-1]
+    return InvariantVector(ctx.kind, ctx.n, "full", sum(values, []))
 
 
 def coincidence_count(ctx, mat):
     """Number of matched eigenvalue pairs between x and its projection one
     level down: the degree of the gcd of the two reduced characteristic
     polynomials (in u = t^2 for so, in t for gl)."""
-    top = ctx.level(ctx.n)
-    sub = ctx.level(ctx.n - 1)
-    q_top = reduced_char(top, mat)
-    q_sub = reduced_char(sub, project_to_subalgebra(ctx, mat, ctx.n - 1))
+    q_top = reduced_char(ctx, mat)
+    q_sub = reduced_char(ctx.child, ctx.down(mat))
     return polys.degree(polys.gcd(q_top, q_sub))
 
 
@@ -129,14 +118,19 @@ def _poly_from_values(ctx_m, values):
 
 
 def stratum_of_value(ctx, vector):
-    """Coincidence count shared by the whole fibre over a partial-map value."""
+    """Coincidence count shared by the whole fibre over a partial-map value
+    of ctx's algebra (r_(n-1) + r_n values; ValueError otherwise)."""
     if vector.kind != "partial":
         raise ValueError("stratum_of_value expects a partial invariant vector")
-    sub = ctx.level(ctx.n - 1)
-    top = ctx.level(ctx.n)
-    r_sub = ctx.invariant_rank(ctx.n - 1)
-    vs, vt = vector.values[:r_sub], vector.values[r_sub:]
-    q_sub = _poly_from_values(sub, vs)
-    q_top = _poly_from_values(top, vt)
+    r_sub = ctx.child.invariant_rank()
+    count = r_sub + ctx.invariant_rank()
+    if ((vector.algebra, vector.n) != (ctx.kind, ctx.n)
+            or len(vector.values) != count):
+        raise ValueError(
+            "a partial value of %s has %d values, got %d of %s(%s)"
+            % (ctx.describe(), count, len(vector.values), vector.algebra,
+               vector.n))
+    q_sub = _poly_from_values(ctx.child, vector.values[:r_sub])
+    q_top = _poly_from_values(ctx, vector.values[r_sub:])
     return polys.degree(polys.gcd(q_sub, q_top))
 

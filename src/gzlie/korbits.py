@@ -19,7 +19,7 @@ from collections import namedtuple
 from .scalars import ZERO, ONE
 from .matrices import Mat, inverse, row_space_contains
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
-                     project_to_subalgebra, adjoint, monomial_pairs)
+                     adjoint, monomial_pairs)
 from .invariants import coincidence_count, reduced_char
 from . import polys
 
@@ -28,6 +28,9 @@ COMPACT = "compact-imaginary"
 NONCOMPACT = "noncompact-imaginary"
 COMPLEX_STABLE = "complex-stable"
 COMPLEX_UNSTABLE = "complex-unstable"
+
+# draws sample_g0 and sample_chain_disjoint make before they give up
+MAX_TRIES = 200
 
 
 # base: the closed orbit the word starts from; word: simple-root indices
@@ -345,31 +348,25 @@ def sample_yq(ctx, orbit, sampler):
     return adjoint(k * orbit.conjugator, y)
 
 
-def sample_g0(ctx, sampler, max_tries=200):
+def sample_g0(ctx, sampler):
     """Random element with no eigenvalue coincidence between consecutive
     top levels."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
         if coincidence_count(ctx, x) == 0:
             return x
     raise RuntimeError("could not sample a coincidence-free element")
 
 
-def sample_chain_disjoint(ctx, sampler, max_tries=200):
+def sample_chain_disjoint(ctx, sampler):
     """Random element whose chain projections have pairwise disjoint spectra
     at every consecutive pair of levels."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
-        ok = True
-        qs = {}
-        for m in range(ctx.chain_floor(), ctx.n + 1):
-            qs[m] = reduced_char(ctx.level(m),
-                                 project_to_subalgebra(ctx, x, m))
-        for m in range(ctx.chain_floor(), ctx.n):
-            if polys.degree(polys.gcd(qs[m], qs[m + 1])) != 0:
-                ok = False
-                break
-        if ok:
+        qs = [reduced_char(lvl, xm) for lvl, xm in ctx.chain(x)]
+        # (level m, level m + 1), as qs runs from the top down
+        if all(polys.degree(polys.gcd(low, high)) == 0
+               for low, high in zip(qs[1:], qs)):
             return x
     raise RuntimeError("could not sample a chain-disjoint element")
 

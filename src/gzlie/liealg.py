@@ -81,7 +81,9 @@ class AlgebraContext:
 
     A context is read-only once built: make_algebra shares one context per
     (kind, n) across the process, and every context's ``child`` is that
-    shared context one size down.  Callers must not mutate its matrices."""
+    shared context one size down.  ``levels`` is this context and every one
+    below it, top first: levels[k] is level n - k.  ``chain(x)`` walks them
+    once.  Callers must not mutate its matrices."""
 
     def __init__(self, kind, n):
         if kind not in CHAIN_FLOOR:
@@ -97,6 +99,7 @@ class AlgebraContext:
         self._build_chain_maps()
         self.child = (make_algebra(kind, n - 1)
                       if n > CHAIN_FLOOR[kind] else None)
+        self.levels = (self,) + (self.child.levels if self.child else ())
 
     # --- basis and roots ---------------------------------------------------
 
@@ -324,16 +327,20 @@ class AlgebraContext:
         return self.up(g_small - ident) + Mat.identity(self.n)
 
     def level(self, m):
-        ctx = self
-        while ctx.n > m:
-            if ctx.child is None:
-                raise ValueError("no level %d below %s(%d)"
-                                 % (m, self.kind, self.n))
-            ctx = ctx.child
-        if ctx.n != m:
+        """The context of chain level m, for floor <= m <= n."""
+        if not 0 <= self.n - m < len(self.levels):
             raise ValueError("level %d not in the chain of %s(%d)"
                              % (m, self.kind, self.n))
-        return ctx
+        return self.levels[self.n - m]
+
+    def chain(self, mat):
+        """(level, x_m) for every chain level m from n down to the floor:
+        x itself, then one step down per level, each made only when the
+        next pair is asked for."""
+        yield self, mat
+        for upper, lvl in zip(self.levels, self.levels[1:]):
+            mat = upper.down(mat)
+            yield lvl, mat
 
     def invariant_rank(self, m=None):
         m = self.n if m is None else m
@@ -449,26 +456,18 @@ def analyzable_algebra(kind, n):
 
 
 def project_to_subalgebra(ctx, mat, m):
-    cur = ctx
-    while cur.n > m:
-        mat = cur.down(mat)
-        cur = cur.child
-    if cur.n != m:
-        raise ValueError("cannot project %s to level %d" % (ctx.describe(), m))
+    """x_m: x taken down the chain to level m."""
+    ctx.level(m)                       # ValueError outside floor..n
+    for step in ctx.levels[:ctx.n - m]:
+        mat = step.down(mat)
     return mat
 
 
 def embed_from_subalgebra(ctx, mat, m):
     """Inverse of projection on the subalgebra: embed a level-m element into
     the top algebra."""
-    chain = []
-    cur = ctx
-    while cur.n > m:
-        chain.append(cur)
-        cur = cur.child
-    if cur.n != m:
-        raise ValueError("level %d not below %s" % (m, ctx.describe()))
-    for step in reversed(chain):
+    ctx.level(m)                       # ValueError outside floor..n
+    for step in reversed(ctx.levels[:ctx.n - m]):
         mat = step.up(mat)
     return mat
 

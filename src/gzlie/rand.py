@@ -11,17 +11,19 @@ import random
 from .scalars import rat
 from .matrices import Mat, det, solve
 
+# rational() draws num / den, |num| <= NUM_BOUND, den = 1 or <= DEN_BOUND
+NUM_BOUND = 20
+DEN_BOUND = 10
+
 
 class Sampler:
-    def __init__(self, seed, num_bound=20, den_bound=10):
+    def __init__(self, seed):
         self.rnd = random.Random(seed)
-        self.num_bound = num_bound
-        self.den_bound = den_bound
 
     def rational(self):
-        num = self.rnd.randint(-self.num_bound, self.num_bound)
+        num = self.rnd.randint(-NUM_BOUND, NUM_BOUND)
         den = 1 if self.rnd.random() < 0.5 else self.rnd.randint(
-            1, self.den_bound)
+            1, DEN_BOUND)
         return rat(num, den)
 
     def nonzero_rational(self):

@@ -6,7 +6,8 @@ nullspace bases are built only for callers that want the vectors.  A
 system is written from the basis supports, so it makes no matrix product.
 x is nsreg when z_k(x) = 0, the system of [y, x] = 0 over the basis of k
 having rank dim k.  Strong regularity is nsreg at every chain level (see
-is_sreg); chain_centralizers keeps its definition as the reference.
+is_sreg); chain_centralizers keeps its definition as the reference.  The
+per-level tests read each level m with x_m from AlgebraContext.chain(x).
 
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
@@ -28,12 +29,11 @@ from .invariants import generator_spec
 
 
 def _ambient_basis(ctx, ambient):
+    if ambient == "g":
+        return ctx.basis, ctx.basis_supports
     if ambient == "k":
-        return ctx.k_basis, ctx.k_supports, ctx.n
-    if ambient != "g" and not isinstance(ambient, int):
-        raise ValueError("ambient must be 'g', 'k' or a chain level")
-    lvl = ctx if ambient == "g" else ctx.level(ambient)
-    return lvl.basis, lvl.basis_supports, lvl.n
+        return ctx.k_basis, ctx.k_supports
+    raise ValueError("ambient must be 'g' or 'k'")
 
 
 def _centralizer_system(ctx, mats, ambient):
@@ -41,7 +41,8 @@ def _centralizer_system(ctx, mats, ambient):
     of the ambient basis, and that basis.  [E_ij, x] is row j of x placed
     in row i minus column i of x placed in column j, so each column is
     written from the support of its basis vector."""
-    basis, supports, size = _ambient_basis(ctx, ambient)
+    basis, supports = _ambient_basis(ctx, ambient)
+    size = ctx.n
     rows = []
     for x in mats:
         minus = [[-v if v else v for v in r] for r in x.a]
@@ -74,29 +75,24 @@ def joint_centralizer(ctx, mats, ambient="g"):
 
 
 def centralizer(ctx, mat, ambient="g"):
-    """Centralizer of x (projected into the ambient if a chain level is
-    given) inside the ambient algebra."""
+    """Centralizer of x inside the ambient algebra: g, k, or the chain
+    level m (an int), where it is the centralizer of x_m in g_m."""
     if isinstance(ambient, int):
-        mat = project_to_subalgebra(ctx, mat, ambient)
+        return joint_centralizer(ctx.level(ambient),
+                                 [project_to_subalgebra(ctx, mat, ambient)])
     return joint_centralizer(ctx, [mat], ambient)
 
 
 def centralizer_dims(ctx, mat):
     """dim z_{g_m}(x_m) = dim g_m - rank, for every chain level m from the
     floor up."""
-    dims = []
-    while True:
-        dims.append(ctx.dim - _centralizer_rank(ctx, [mat]))
-        if ctx.child is None:
-            return dims[::-1]
-        mat, ctx = ctx.down(mat), ctx.child
+    return [lvl.dim - _centralizer_rank(lvl, [xm])
+            for lvl, xm in ctx.chain(mat)][::-1]
 
 
-def is_regular(ctx, mat, m=None):
-    """dim of the centralizer at level m equals the invariant rank there."""
-    lvl = ctx.level(ctx.n if m is None else m)
-    x = project_to_subalgebra(ctx, mat, lvl.n)
-    return lvl.dim - _centralizer_rank(lvl, [x]) == lvl.invariant_rank()
+def is_regular(ctx, mat):
+    """The centralizer of x has the dimension of the invariant rank."""
+    return ctx.dim - _centralizer_rank(ctx, [mat]) == ctx.invariant_rank()
 
 
 def nsreg_intersection(ctx, mat):
@@ -110,14 +106,15 @@ def is_nsreg(ctx, mat):
     return _centralizer_rank(ctx, [mat], "k") == ctx.k_dim()
 
 
-def _pfaffian_gradient(sx):
-    """G with d pf(S x)(V) = tr(G V) for V in so(m), given sx = S x.  The
-    derivative of pf(A) in a_ij (i < j) is (-1)^(i+j+1) pf(A without rows
-    and columns i, j), and (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian
-    sits at (j, m-1-i).  Every cofactor is a sub-Pfaffian of the same S x,
-    so all of them read one memo."""
-    m = sx.n
-    pf = sub_pfaffians(sx.a)
+def _pfaffian_gradient(x):
+    """G with d pf(S x)(V) = tr(G V) for x, V in so(m); S x is x with its
+    rows reversed.  The derivative of pf(A) in a_ij (i < j) is
+    (-1)^(i+j+1) pf(A without rows and columns i, j), and
+    (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian sits at (j, m-1-i).
+    Every cofactor is a sub-Pfaffian of the same S x, so all of them read
+    one memo."""
+    m = x.n
+    pf = sub_pfaffians(x.a[::-1])
     grad = Mat.zeros(m)
     for i in range(m):
         for j in range(i + 1, m):
@@ -146,18 +143,17 @@ def _basis_pairing(g, supports, sign):
     return row
 
 
-def _level_gradient_rows(ctx, x, m):
-    """Gradient rows (one per generator of level m) against the basis of g:
-    each level-m gradient matrix is embedded into g and paired with the
-    basis there through the basis supports."""
-    lvl = ctx.level(m)
+def _level_gradient_rows(ctx, lvl, xm):
+    """Gradient rows (one per generator of the chain level lvl, at the
+    projection xm of x there) against the basis of g: each gradient matrix
+    is embedded into g and paired with the basis there through the basis
+    supports."""
     spec = generator_spec(lvl)
-    xm = project_to_subalgebra(ctx, x, m)
     _, aux = char_poly_fl(xm)          # aux[j-1] = M_j, d b_j = -tr(M_j V)
     grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:
-        grads.append((1, _pfaffian_gradient(lvl.form * xm)))
-    return [_basis_pairing(embed_from_subalgebra(ctx, grad, m).a,
+        grads.append((1, _pfaffian_gradient(xm)))
+    return [_basis_pairing(embed_from_subalgebra(ctx, grad, lvl.n).a,
                            ctx.basis_supports, sign)
             for sign, grad in grads]
 
@@ -166,8 +162,8 @@ def partial_map_jacobian(ctx, mat):
     """Jacobian of the two-level restriction map in algebra coordinates:
     rows are generator gradients of levels n-1 and n, columns the basis of
     g."""
-    return (_level_gradient_rows(ctx, mat, ctx.n - 1)
-            + _level_gradient_rows(ctx, mat, ctx.n))
+    return (_level_gradient_rows(ctx, ctx.child, ctx.down(mat))
+            + _level_gradient_rows(ctx, ctx, mat))
 
 
 def kostant_jacobian_rank(ctx, mat):
@@ -175,18 +171,17 @@ def kostant_jacobian_rank(ctx, mat):
 
 
 def full_map_jacobian_rank(ctx, mat):
-    rows = []
-    for m in range(ctx.chain_floor(), ctx.n + 1):
-        rows.extend(_level_gradient_rows(ctx, mat, m))
-    return rank_rows(rows, ctx.dim)
+    return rank_rows([row for lvl, xm in ctx.chain(mat)
+                      for row in _level_gradient_rows(ctx, lvl, xm)],
+                     ctx.dim)
 
 
 def chain_centralizers(ctx, mat):
     """For every chain level, the centralizer of the projection, embedded
     back into the top algebra; returned as {level: list of flattened rows}."""
-    return {m: [embed_from_subalgebra(ctx, z, m).flatten()
-                for z in centralizer(ctx, mat, m)]
-            for m in range(ctx.chain_floor(), ctx.n + 1)}
+    return {lvl.n: [embed_from_subalgebra(ctx, z, lvl.n).flatten()
+                    for z in joint_centralizer(lvl, [xm])]
+            for lvl, xm in ctx.chain(mat)}
 
 
 def is_sreg(ctx, mat):
@@ -195,8 +190,5 @@ def is_sreg(ctx, mat):
     (m-1, m) is the nsreg intersection of x_m (Kostant-Wallach's centralizer
     criterion): x is sreg iff it is nsreg at every level above the floor.
     (This also forces every projection to be regular.)"""
-    while ctx.child is not None:
-        if not is_nsreg(ctx, mat):
-            return False
-        mat, ctx = ctx.down(mat), ctx.child
-    return True
+    return all(is_nsreg(lvl, xm) for lvl, xm in ctx.chain(mat)
+               if lvl.child is not None)

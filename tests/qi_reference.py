@@ -293,16 +293,11 @@ def level_gradient_rows_by_trace(ctx, x, m):
 def centralizer_system_by_brackets(ctx, mats, ambient):
     """Rows of [y, x] = 0 (x in mats), one flattened dense bracket [b, x]
     per ambient basis vector b."""
-    if ambient == "g":
-        basis, size = ctx.basis, ctx.n
-    elif ambient == "k":
-        basis, size = ctx.k_basis, ctx.n
-    else:
-        basis, size = ctx.level(ambient).basis, ambient
+    basis = ctx.basis if ambient == "g" else ctx.k_basis
     rows = []
     for x in mats:
         cols = [bracket(b, x).flatten() for b in basis]
-        for r in range(size * size):
+        for r in range(ctx.n * ctx.n):
             rows.append([c[r] for c in cols])
     return rows
 

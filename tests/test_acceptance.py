@@ -8,12 +8,9 @@ reproducible through `gzlie verify --suite all` with matching trial counts.
 import json
 import os
 
-import pytest
-
-from gzlie.liealg import make_algebra
 from gzlie.docio import parse_matrix_doc
 from gzlie.invariants import partial_kw
-from gzlie.regularity import is_sreg, chain_centralizers
+from gzlie.regularity import is_sreg
 from gzlie.korbits import nilfibre_components
 from gzlie.matrices import row_space_contains
 from gzlie.suites import SuiteConfig, run_suite

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gzlie
@@ -254,7 +253,7 @@ def test_verify_nilfibre_honours_the_size_range(capsys):
 
 
 def test_sampler_failure_exits_one(capsys, monkeypatch):
-    def give_up(ctx, sampler, max_tries=200):
+    def give_up(ctx, sampler):
         raise RuntimeError("could not sample a coincidence-free element")
 
     monkeypatch.setattr(cli, "sample_g0", give_up)

@@ -3,10 +3,8 @@ import os
 
 import pytest
 
-from gzlie.scalars import rat, ZERO
-from gzlie.matrices import Mat
 from gzlie.liealg import make_algebra, root_vector
-from gzlie.invariants import partial_kw
+from gzlie.invariants import partial_kw, full_kw
 from gzlie.docio import (DocumentError, parse_matrix_doc, emit_matrix_doc,
                          emit_invariant_doc, parse_invariant_doc,
                          analysis_report, analysis_text)
@@ -52,15 +50,40 @@ def test_matrix_doc_membership_enforced():
 
 
 def test_invariant_doc_round_trip():
-    ctx = make_algebra("so", 6)
-    vec = partial_kw(ctx, Sampler(3).algebra_element(ctx))
-    doc = emit_invariant_doc(vec)
-    back = parse_invariant_doc(doc)
-    assert back.values == vec.values and back.kind == "partial"
-    with pytest.raises(DocumentError):
-        parse_invariant_doc({"kind": "other", "values": []})
-    with pytest.raises(DocumentError):
-        parse_invariant_doc({"kind": "partial", "values": ["??"]})
+    for kind, n in [("so", 6), ("so", 3), ("gl", 4), ("gl", 2)]:
+        ctx = make_algebra(kind, n)
+        x = Sampler(3).algebra_element(ctx)
+        for vec in (partial_kw(ctx, x), full_kw(ctx, x)):
+            assert parse_invariant_doc(emit_invariant_doc(vec)) == vec
+
+
+def _invariant_doc(kind="partial", values=("1", "2", "3", "4"), **fields):
+    return {"algebra": "so", "n": 5, "kind": kind, "values": values} | fields
+
+
+@pytest.mark.parametrize("doc,fragment", [
+    ([1, 2], "JSON object"),
+    ("values", "JSON object"),
+    (_invariant_doc(algebra="sp"), "'algebra'"),
+    (_invariant_doc(algebra=None), "'algebra'"),
+    (_invariant_doc(n="5"), "'n'"),
+    (_invariant_doc(n=2), "'n'"),                  # so(2): no level below
+    (_invariant_doc(n=10 ** 6), "n <= "),
+    (_invariant_doc(kind="other"), "'kind'"),
+    # a string is not read one character at a time
+    (_invariant_doc(values="1234"), "array of 4 values"),
+    (_invariant_doc(values=["1", "2"]), "array of 4 values"),
+    (_invariant_doc(values=["0"] * 5), "array of 4 values"),
+    # so(5): ranks 1 + 1 + 2 + 2 over so(2) .. so(5)
+    (_invariant_doc(kind="full"), "array of 6 values"),
+    (_invariant_doc(algebra="gl", n=3), "array of 5 values"),
+    (_invariant_doc(values=["1", "??", "3", "4"]), "value 2"),
+    (_invariant_doc(values=["1", 2, "3", "4"]), "value 2"),
+])
+def test_invariant_doc_errors_carry_location(doc, fragment):
+    with pytest.raises(DocumentError) as err:
+        parse_invariant_doc(doc)
+    assert fragment in str(err.value)
 
 
 def test_analysis_report_fields_and_text():

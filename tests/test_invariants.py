@@ -8,7 +8,7 @@ from gzlie.scalars import QI, qi, rat, ZERO, ONE
 from gzlie.matrices import Mat
 from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
 from gzlie.invariants import (InvariantVector, reduced_char,
-                              pfaffian_generator, evaluate_generators,
+                              pfaffian_generator,
                               partial_kw, full_kw, coincidence_count,
                               stratum_of_value)
 from gzlie.rand import Sampler
@@ -89,23 +89,23 @@ def test_gl3_generators_oracle():
     # diag(1,2,3): elementary symmetric values 6, 11, 6 by hand
     ctx = make_algebra("gl", 3)
     x = diag_cartan(ctx, [1, 2, 3])
-    assert evaluate_generators(ctx, x) == [qi(6), qi(11), qi(6)]
-    # level 2 projection keeps eigenvalues 1, 2: values 3, 2
-    assert evaluate_generators(ctx, x, 2) == [qi(3), qi(2)]
+    # and the level 2 projection keeps eigenvalues 1, 2: values 3, 2
+    assert partial_kw(ctx, x).values == [qi(3), qi(2),
+                                         qi(6), qi(11), qi(6)]
 
 
 def test_so5_generators_oracle():
     # diag cartan (a,b)=(2,3): q(u) = (u-4)(u-9), c1=-13, c2=36 by hand
     ctx = make_algebra("so", 5)
     x = diag_cartan(ctx, [2, 3])
-    assert evaluate_generators(ctx, x) == [qi(-13), qi(36)]
+    assert partial_kw(ctx, x).values[2:] == [qi(-13), qi(36)]    # r_4 = 2
     assert reduced_char(ctx, x) == [qi(36), qi(-13), qi(1)]
 
 
 def test_so4_pfaffian_generator():
     ctx = make_algebra("so", 4)
     x = diag_cartan(ctx, [2, 3])
-    vals = evaluate_generators(ctx, x)
+    vals = partial_kw(ctx, x).values[1:]                         # r_3 = 1
     assert len(vals) == 2
     assert vals[0] == qi(-13)            # c1 = -(4+9)
     assert vals[1] ** 2 == qi(36)        # pf^2 = det-root product
@@ -191,6 +191,27 @@ def test_zero_value_stratum_is_maximal(kind, n):
     assert stratum_of_value(ctx, zero) == r_sub
     with pytest.raises(ValueError):
         stratum_of_value(ctx, full_kw(ctx, Mat.zeros(n)))
+
+
+def test_stratum_of_value_rejects_a_vector_of_another_shape():
+    so5 = make_algebra("so", 5)
+    vec = partial_kw(so5, Sampler(7).algebra_element(so5))
+    assert len(vec.values) == 4
+    for bad in (vec._replace(values=vec.values[:2]),       # too few
+                vec._replace(values=vec.values + [ONE]),   # too many
+                vec._replace(n=6),                         # another size
+                partial_kw(make_algebra("so", 6),
+                           Sampler(8).algebra_element(make_algebra("so",
+                                                                   6)))):
+        with pytest.raises(ValueError, match="so\\(5\\) has 4 values"):
+            stratum_of_value(so5, bad)
+    # another algebra with the same count: gl(4) and so(8) both have 7
+    gl4 = make_algebra("gl", 4)
+    other = partial_kw(gl4, Sampler(9).algebra_element(gl4))
+    with pytest.raises(ValueError, match="so\\(8\\) has 7 values"):
+        stratum_of_value(make_algebra("so", 8), other)
+    assert stratum_of_value(gl4, other) == coincidence_count(
+        gl4, Sampler(9).algebra_element(gl4))
 
 
 def test_cartan_coincidence_counts_retained_coordinates():

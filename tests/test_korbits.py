@@ -1,11 +1,11 @@
 import pytest
 
-from gzlie.scalars import qi, rat, ZERO, ONE
-from gzlie.matrices import Mat, bracket, inverse, row_space_contains
+from gzlie.scalars import ZERO
+from gzlie.matrices import bracket, inverse, row_space_contains
 from gzlie.liealg import make_algebra, Root, preserves_form, adjoint, MAX_N
 from gzlie.invariants import partial_kw, coincidence_count
 from gzlie.regularity import nsreg_intersection, is_nsreg
-from gzlie.korbits import (REAL, COMPACT, NONCOMPACT, COMPLEX_STABLE,
+from gzlie.korbits import (COMPACT, NONCOMPACT, COMPLEX_STABLE,
                            COMPLEX_UNSTABLE, classify_root_type,
                            closed_orbits, enumerate_orbits,
                            orbit_by_name, orbit_graph,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gzlie import liealg
 from gzlie.scalars import qi, rat, ZERO, ONE, parse_scalar
-from gzlie.matrices import Mat, bracket, det, rank_rows
+from gzlie.matrices import Mat, bracket
 from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           cartan_coordinates, sl2_triple,
                           weyl_representative, cayley_element,
@@ -236,6 +236,47 @@ def test_projection_embedding_round_trip():
     x = s.algebra_element(ctx)
     step = ctx.child.child.down(ctx.child.down(ctx.down(x)))
     assert step == project_to_subalgebra(ctx, x, 4)
+
+
+@pytest.mark.parametrize("kind", ["gl", "so"])
+def test_chain_walk_matches_projection_at_every_size(kind):
+    # levels is the chain of shared contexts, top first; chain(x) yields
+    # each level with x projected there, the floor included
+    floor = CHAIN_FLOOR[kind]
+    s = Sampler("chain-walk/" + kind)
+    for n in range(floor, MAX_N + 1):
+        ctx = make_algebra(kind, n)
+        assert len(ctx.levels) == n - floor + 1
+        for k, lvl in enumerate(ctx.levels):
+            assert lvl is make_algebra(kind, n - k)
+        x = s.algebra_element(ctx)
+        walk = list(ctx.chain(x))
+        assert walk == [(ctx.level(m), project_to_subalgebra(ctx, x, m))
+                        for m in range(n, floor - 1, -1)]
+        for lvl, xm in walk:
+            assert project_to_subalgebra(
+                ctx, embed_from_subalgebra(ctx, xm, lvl.n), lvl.n) == xm
+        for m in (floor - 1, n + 1):
+            for call in (ctx.level,
+                         lambda m: project_to_subalgebra(ctx, x, m),
+                         lambda m: embed_from_subalgebra(ctx, x, m)):
+                with pytest.raises(ValueError):
+                    call(m)
+
+
+def test_chain_walk_steps_down_only_when_asked(monkeypatch):
+    ctx = make_algebra("so", 7)
+    x = Sampler(4).algebra_element(ctx)
+    steps = []
+    down = liealg.AlgebraContext.down
+    monkeypatch.setattr(liealg.AlgebraContext, "down",
+                        lambda self, mat: steps.append(self.n)
+                        or down(self, mat))
+    walk = ctx.chain(x)
+    assert next(walk) == (ctx, x) and steps == []
+    assert next(walk)[0] is ctx.child and steps == [7]
+    assert [lvl.n for lvl, _ in walk] == [5, 4, 3, 2]
+    assert steps == [7, 6, 5, 4, 3]
 
 
 def test_root_vectors_are_ad_eigenvectors():

@@ -5,9 +5,9 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import qi, rat, ZERO, ONE
+from gzlie.scalars import rat, ZERO
 from gzlie.matrices import Mat, rank_rows, char_poly_fl
-from gzlie.liealg import make_algebra, root_vector, Root, project_to_subalgebra
+from gzlie.liealg import make_algebra
 from gzlie.regularity import (centralizer, joint_centralizer, is_regular,
                               nsreg_intersection, is_nsreg,
                               partial_map_jacobian,
@@ -191,9 +191,9 @@ def test_sreg_identity_on_zero_and_so3_witness():
 
 
 def _assert_gradients_match_jets(ctx, x):
-    for m in range(ctx.chain_floor(), ctx.n + 1):
-        assert (_level_gradient_rows(ctx, x, m)
-                == partial_map_jacobian_jet(ctx, x, [m]))
+    for lvl, xm in ctx.chain(x):
+        assert (_level_gradient_rows(ctx, lvl, xm)
+                == partial_map_jacobian_jet(ctx, x, [lvl.n]))
 
 
 @given(st.sampled_from([("gl", n) for n in range(3, 7)]
@@ -224,30 +224,31 @@ def test_level_gradient_rows_match_dense_trace_at_every_level(algebra, seed,
     # lists, against dense embedding and a trace with every basis matrix
     ctx = _algebra(*algebra)
     x = _mixed_sample(ctx, Sampler(seed), t)
-    for m in range(ctx.chain_floor(), ctx.n + 1):
-        assert (_level_gradient_rows(ctx, x, m)
-                == level_gradient_rows_by_trace(ctx, x, m)), m
+    for lvl, xm in ctx.chain(x):
+        assert (_level_gradient_rows(ctx, lvl, xm)
+                == level_gradient_rows_by_trace(ctx, x, lvl.n)), lvl.n
 
 
 @given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
 @settings(max_examples=10, deadline=None)
 def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
-    # one memo of sub-Pfaffians of S x against one expansion per cofactor,
-    # at every even level of the mixed stream of so(n)
+    # S x read by index (x with its rows reversed) and one memo of its
+    # sub-Pfaffians, against the dense product S x and one expansion per
+    # cofactor, at every even level of the mixed stream of so(n)
     ctx = _algebra("so", n)
     x = _mixed_sample(ctx, Sampler(seed), t)
-    for m in range(2, n + 1, 2):
-        sx = ctx.level(m).form * project_to_subalgebra(ctx, x, m)
-        assert _pfaffian_gradient(sx) == pfaffian_gradient_by_cofactors(sx)
+    for lvl, xm in ctx.chain(x):
+        if lvl.n % 2 == 0:
+            assert (_pfaffian_gradient(xm)
+                    == pfaffian_gradient_by_cofactors(lvl.form * xm))
 
 
 def _assert_systems_match_brackets(ctx, x):
-    # ambient g, k, and the level below
-    below = ctx.n - 1
-    for mats, ambient in [([x], "g"), ([x], "k"),
-                          ([project_to_subalgebra(ctx, x, below)], below)]:
-        rows, _ = _centralizer_system(ctx, mats, ambient)
-        assert rows == centralizer_system_by_brackets(ctx, mats, ambient)
+    # ambient g, k, and g at the level below
+    for lvl, mats, ambient in [(ctx, [x], "g"), (ctx, [x], "k"),
+                               (ctx.child, [ctx.down(x)], "g")]:
+        rows, _ = _centralizer_system(lvl, mats, ambient)
+        assert rows == centralizer_system_by_brackets(lvl, mats, ambient)
 
 
 @given(st.sampled_from([("gl", n) for n in range(3, 7)]

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import (QI, ZERO, ONE, I, rat, qi,
-                           parse_scalar, format_scalar)
+from gzlie.scalars import (ZERO, ONE, I, rat, qi, parse_scalar,
+                           format_scalar)
 from qi_reference import Jet
 
 rationals = st.fractions(max_denominator=50)
