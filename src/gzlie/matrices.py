@@ -5,17 +5,21 @@ rationals appear only at its boundary.  A row enters it scaled by the least
 common denominator of its entries (``_zi_rows``) and results leave it
 through ``_qi``.
 
-Rank, nullspace, determinant, solve and inverse all read one fraction-free
-elimination, ``_echelon``, with a fixed pivoting rule: the first nonzero
-entry, scanning columns left to right and rows top to bottom.  A row with
-entry f under pivot p becomes p*row - f*prow (p and f first divided by
-their common integer factor); when it was scaled, its integer parts are
-then divided by their gcd, the row content, which keeps entries small
-without the fractions of Gauss-Jordan elimination.  Rank and determinant
-take the forward pass (the determinant undoes the recorded row scalings);
-nullspace, solve and inverse read the reduced row echelon form, dividing
-by each pivot once at the end.  That form is unique, so their results do
-not depend on the order of elimination.
+Rank, nullspace, determinant, solve, inverse and the polynomial gcd of
+gzlie.polys all read one fraction-free elimination, ``_echelon``, with a
+fixed pivoting rule: the first nonzero entry, scanning columns left to
+right and rows top to bottom.  A row with entry f under pivot p becomes
+p*row - f*prow (p and f first divided by their common integer factor);
+when it was scaled, its integer parts are then divided by their gcd, the
+row content, which keeps entries small without the fractions of
+Gauss-Jordan elimination.  Rank and determinant take the forward pass (the
+determinant undoes the recorded row scalings); nullspace, solve and
+inverse read the reduced row echelon form, dividing by each pivot once at
+the end.  That form is unique, so their results do not depend on the
+order of elimination.  The gcd reads only its last nonzero row
+(``last_rref_row``): the last pivot row of the forward pass divided by its
+pivot, since that row is zero left of its pivot and no later pivot would
+clear it.
 
 char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
 denominator of A, over Z[i], where its division by k is exact, and rescales
@@ -290,6 +294,20 @@ def rank(mat):
 
 def rank_rows(row_vectors, ncols):
     return len(_echelon(_zi_rows(row_vectors)[0], ncols)[0])
+
+
+def last_rref_row(rows, ncols):
+    """The last nonzero row of the reduced row echelon form of Q(i) rows,
+    eliminating on the first ``ncols`` columns; [] at rank 0."""
+    zi, _ = _zi_rows(rows)
+    pivots, _, _ = _echelon(zi, ncols)
+    if not pivots:
+        return []
+    pc = pivots[-1]
+    re, im = zi[len(pivots) - 1]
+    if im is None:
+        return [_qi(x, 0, re[pc]) for x in re]
+    return [_qi(x, y, re[pc], im[pc]) for x, y in zip(re, im)]
 
 
 def nullspace(mat):

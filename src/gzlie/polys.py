@@ -1,12 +1,21 @@
 """Dense univariate polynomials over Q(i), coefficient lists low degree first.
 
 Zero is the empty list.  gcds are returned monic so that common-root counting
-by gcd degree is well defined.
+by gcd degree is well defined, and gcd(0, b) is monic b (gcd(0, 0) = 0).
+
+The gcd is read off the Sylvester matrix on the exact kernel of
+gzlie.matrices.  For nonzero a and b of degrees m and n, the rows x^j a
+(j <= n) and x^j b (j <= m) span the multiples of gcd(a, b) of degree at most
+m + n; that is one shift of each more than Syl(a, b) has, so constants need
+no case of their own.  With columns running from the top degree down, the
+last nonzero row of the reduced row echelon form is the multiple of least
+degree with leading coefficient 1: the monic gcd itself.
 """
 
 from __future__ import annotations
 
-from .scalars import ZERO, ONE
+from .matrices import last_rref_row
+from .scalars import ZERO
 
 
 def normalize(p):
@@ -20,72 +29,18 @@ def degree(p):
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    res = list(a)
-    for k in range(len(b)):
-        res[k] = res[k] + b[k]
-    return normalize(res)
-
-
-def sub(a, b):
-    return add(a, [-c for c in b])
-
-
-def scale(a, c):
-    if not c:
-        return []
-    return [c * x for x in a]
-
-
-def mul(a, b):
-    if not a or not b:
-        return []
-    res = [ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = res[i + j] + ai * bj
-    return normalize(res)
-
-
-def divmod_exact(a, b):
-    """Field division with remainder: a = q*b + r, deg r < deg b."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [ZERO] * max(len(a) - len(b) + 1, 0)
-    db = degree(b)
-    lead = b[-1]
-    while len(normalize(r)) - 1 >= db:
-        r = normalize(r)
-        k = len(r) - 1 - db
-        c = r[-1] / lead
-        q[k] = c
-        for j in range(len(b)):
-            r[k + j] = r[k + j] - c * b[j]
-        r = r[:-1]
-    return normalize(q), normalize(r)
-
-
-def monic(p):
-    if not p:
-        return []
-    lead = p[-1]
-    if lead == ONE:
-        return list(p)
-    return [c / lead for c in p]
-
-
 def gcd(a, b):
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
+    """Monic gcd read off the Sylvester matrix of a and b (see above)."""
     a, b = normalize(list(a)), normalize(list(b))
-    while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    return monic(a)
+    if not (a and b):
+        p = a or b
+        rows, width = [p[::-1]], len(p)
+    else:
+        width = len(a) + len(b) - 1
+        rows = [[ZERO] * (width - len(p) - j) + p[::-1] + [ZERO] * j
+                for p, shifts in ((a, len(b)), (b, len(a)))
+                for j in range(shifts)]
+    return normalize(last_rref_row(rows, width)[::-1])
 
 
 def even_part(p, parity):
@@ -98,4 +53,3 @@ def even_part(p, parity):
         if (k - parity) % 2 != 0 and c:
             raise ValueError("polynomial does not have parity %d" % parity)
     return [p[k] for k in range(parity, len(p), 2)]
-

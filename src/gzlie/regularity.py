@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .scalars import ZERO
 from .matrices import Mat, nullspace, rank_rows, char_poly_fl, sub_pfaffians
-from .liealg import project_to_subalgebra, embed_from_subalgebra
+from .liealg import embed_from_subalgebra
 from .invariants import generator_spec
 
 
@@ -40,19 +40,26 @@ def _centralizer_system(ctx, mats, ambient):
     """Rows of the linear system [y, x] = 0 (x in mats) in the coordinates
     of the ambient basis, and that basis.  [E_ij, x] is row j of x placed
     in row i minus column i of x placed in column j, so each column is
-    written from the support of its basis vector."""
+    written from the support of its basis vector and the nonzero cells of
+    the rows and columns of x, read once per x."""
     basis, supports = _ambient_basis(ctx, ambient)
     size = ctx.n
     rows = []
     for x in mats:
-        minus = [[-v if v else v for v in r] for r in x.a]
+        row_cells = [[(q, v) for q, v in enumerate(r) if v] for r in x.a]
+        col_cells = [[] for _ in range(size)]
+        for p, cells in enumerate(row_cells):
+            for q, v in cells:
+                col_cells[q].append((p, v))
+        row_neg = [[(q, -v) for q, v in cells] for cells in row_cells]
+        col_neg = [[(p, -v) for p, v in cells] for cells in col_cells]
         block = [[ZERO] * len(basis) for _ in range(size * size)]
         for k, support in enumerate(supports):
             for i, j, c in support:
-                src, dst = (x.a, minus) if c == 1 else (minus, x.a)
-                cells = [(i * size + q, v) for q, v in enumerate(src[j]) if v]
-                cells += [(p * size + j, r[i]) for p, r in enumerate(dst)
-                          if r[i]]
+                src, dst = ((row_cells, col_neg) if c == 1
+                            else (row_neg, col_cells))
+                cells = [(i * size + q, v) for q, v in src[j]]
+                cells += [(p * size + j, v) for p, v in dst[i]]
                 for cell, v in cells:
                     row = block[cell]
                     row[k] = v if row[k] is ZERO else row[k] + v
@@ -74,25 +81,11 @@ def joint_centralizer(ctx, mats, ambient="g"):
                 Mat.zeros(basis[0].n)) for coeffs in ns]
 
 
-def centralizer(ctx, mat, ambient="g"):
-    """Centralizer of x inside the ambient algebra: g, k, or the chain
-    level m (an int), where it is the centralizer of x_m in g_m."""
-    if isinstance(ambient, int):
-        return joint_centralizer(ctx.level(ambient),
-                                 [project_to_subalgebra(ctx, mat, ambient)])
-    return joint_centralizer(ctx, [mat], ambient)
-
-
 def centralizer_dims(ctx, mat):
     """dim z_{g_m}(x_m) = dim g_m - rank, for every chain level m from the
     floor up."""
     return [lvl.dim - _centralizer_rank(lvl, [xm])
             for lvl, xm in ctx.chain(mat)][::-1]
-
-
-def is_regular(ctx, mat):
-    """The centralizer of x has the dimension of the invariant rank."""
-    return ctx.dim - _centralizer_rank(ctx, [mat]) == ctx.invariant_rank()
 
 
 def nsreg_intersection(ctx, mat):

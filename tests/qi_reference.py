@@ -12,8 +12,9 @@ expansion per cofactor, the chain step as the dense products PD x TD and
 TD y PD, the centralizer system built from dense brackets, the nsreg
 system of z_k(x) from the theta-split pair (x_k, x_p), the fixed
 subalgebra k as the nullspace of Theta - id, the data of theta_Q read off
-conjugated Cartan and root vectors, and the Borel basis Ad(v)b of an
-orbit K.vB with the codimension read off k meet Ad(v)b.
+conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
+orbit K.vB with the codimension read off k meet Ad(v)b, and polynomial
+arithmetic over Q(i) with the gcd by the Euclidean algorithm.
 """
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce
@@ -21,6 +22,7 @@ from gzlie.matrices import Mat, pfaffian, bracket, intersection_dim
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, _signed
 from gzlie.korbits import _act
+from gzlie.polys import normalize, degree
 
 
 class Jet:
@@ -392,3 +394,73 @@ def orbit_codim_by_intersection(ctx, v):
     meet = intersection_dim([b.flatten() for b in ctx.k_basis],
                             [b.flatten() for b in borel], ctx.n * ctx.n)
     return ctx.flag_dim() - (ctx.k_dim() - meet)
+
+
+# --- polynomials over Q(i), coefficient lists low degree first ------------
+
+def add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    res = list(a)
+    for k in range(len(b)):
+        res[k] = res[k] + b[k]
+    return normalize(res)
+
+
+def sub(a, b):
+    return add(a, [-c for c in b])
+
+
+def scale(a, c):
+    if not c:
+        return []
+    return [c * x for x in a]
+
+
+def mul(a, b):
+    if not a or not b:
+        return []
+    res = [ZERO] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            res[i + j] = res[i + j] + ai * bj
+    return normalize(res)
+
+
+def divmod_exact(a, b):
+    """Field division with remainder: a = q*b + r, deg r < deg b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    db = degree(b)
+    lead = b[-1]
+    while len(normalize(r)) - 1 >= db:
+        r = normalize(r)
+        k = len(r) - 1 - db
+        c = r[-1] / lead
+        q[k] = c
+        for j in range(len(b)):
+            r[k + j] = r[k + j] - c * b[j]
+        r = r[:-1]
+    return normalize(q), normalize(r)
+
+
+def monic(p):
+    if not p:
+        return []
+    lead = p[-1]
+    if lead == ONE:
+        return list(p)
+    return [c / lead for c in p]
+
+
+def gcd(a, b):
+    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
+    a, b = normalize(list(a)), normalize(list(b))
+    while b:
+        _, r = divmod_exact(a, b)
+        a, b = b, r
+    return monic(a)

@@ -1,5 +1,5 @@
-"""Every name that a module of the package or of its tests imports is read
-somewhere in that module, or exported through its __all__."""
+"""Every name that a module of the package, of its tests or of the bench
+imports is read somewhere in that module, or exported through its __all__."""
 
 import ast
 import glob
@@ -9,7 +9,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "gzlie", "*.py"))
-                 + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+                 + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 
 
 def unused_imports(source):

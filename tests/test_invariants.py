@@ -14,6 +14,8 @@ from gzlie.invariants import (InvariantVector, reduced_char,
 from gzlie.rand import Sampler
 from gzlie import polys
 
+from qi_reference import divmod_exact
+
 
 def spectrum_pairs(ctx, mat, m=None):
     """Rational pair representatives of the spectrum at a chain level, when
@@ -43,7 +45,7 @@ def _rational_roots(q):
                     for s in (1, -1):
                         z = QI(Fraction(s * p, d))
                         # remainder theorem: z is a root iff x - z divides
-                        if not polys.divmod_exact(rem, [-z, ONE])[1]:
+                        if not divmod_exact(rem, [-z, ONE])[1]:
                             found = z
                             break
                     if found:
@@ -53,7 +55,7 @@ def _rational_roots(q):
         if found is None:
             raise ValueError("polynomial has an irrational root")
         roots.append(found)
-        rem, r = polys.divmod_exact(rem, [-found, ONE])
+        rem, r = divmod_exact(rem, [-found, ONE])
         assert not r
     return roots
 

