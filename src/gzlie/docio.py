@@ -7,8 +7,7 @@ from .scalars import parse_scalar, format_scalar
 from .matrices import Mat
 from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, partial_kw, coincidence_count)
-from .regularity import (is_nsreg, is_sreg, kostant_jacobian_rank,
-                         centralizer_dims)
+from .regularity import chain_centralizer_ranks, kostant_jacobian_rank
 
 
 class DocumentError(ValueError):
@@ -86,21 +85,24 @@ def parse_invariant_doc(doc):
 
 def analysis_report(ctx, mat):
     """Full regularity analysis of one element: one centralizer system per
-    chain level, one nsreg system per level above the floor."""
-    dims = centralizer_dims(ctx, mat)
-    nsreg = is_nsreg(ctx, mat)
+    chain level gives dim z_(g_m)(x_m) and whether x_m is nsreg; sreg is
+    nsreg at every level above the floor."""
+    ranks = chain_centralizer_ranks(ctx, mat)
+    dims = [lvl.dim - grank for lvl, (_, grank) in zip(ctx.levels, ranks)]
+    nsreg = [krank == lvl.k_dim() for lvl, (krank, _) in
+             zip(ctx.levels[:-1], ranks)]
     jrank = kostant_jacobian_rank(ctx, mat)
     return {
         "algebra": ctx.kind,
         "n": ctx.n,
         "coincidence": coincidence_count(ctx, mat),
-        "regular": dims[-1] == ctx.invariant_rank(ctx.n),
-        "nsreg": nsreg,
-        "sreg": nsreg and is_sreg(ctx.child, ctx.down(mat)),
+        "regular": dims[0] == ctx.invariant_rank(ctx.n),
+        "nsreg": nsreg[0],
+        "sreg": all(nsreg),
         "jacobian_rank": jrank,
         "jacobian_full_rank": (jrank == ctx.invariant_rank(ctx.n)
                                + ctx.invariant_rank(ctx.n - 1)),
-        "centralizer_dims": dims,
+        "centralizer_dims": dims[::-1],
         "partial_values": emit_invariant_doc(partial_kw(ctx, mat))["values"],
     }
 

@@ -126,6 +126,11 @@ class AlgebraContext:
         self.basis_supports = supports
         self.basis = [_from_support(n, sup) for sup in supports]
         self.basis_positions = [sup[0][:2] for sup in supports]
+        # position_index[i][j]: the k with basis_positions[k] == (i, j),
+        # None off the basis positions
+        self.position_index = [[None] * n for _ in range(n)]
+        for k, (i, j) in enumerate(self.basis_positions):
+            self.position_index[i][j] = k
         self.dim = len(self.basis)
         self.cartan_basis = [b for b, (i, j) in
                              zip(self.basis, self.basis_positions) if i == j]
@@ -208,10 +213,15 @@ class AlgebraContext:
 
         # theta permutes the basis up to sign (see theta); k is spanned by
         # the fixed basis vectors and b + theta(b) for each swapped pair, at
-        # the pair's larger index: the nullspace of Theta - id, in its order
+        # the pair's larger index: the nullspace of Theta - id, in its order.
+        # The basis vectors at the other indices (the smaller index of each
+        # swapped pair, the negated vectors and the gl corner) complete the
+        # k basis to a basis of g: k_adapted_supports lists the k basis,
+        # then those vectors.
         owner = {(i, j): (k, c) for k, sup in enumerate(self.basis_supports)
                  for i, j, c in sup}
         self.k_supports = []
+        completion = []
         for k, sup in enumerate(self.basis_supports):
             i, j, _ = sup[0]             # the entry +1
             k2, c2 = owner[perm[i], perm[j]]
@@ -224,7 +234,10 @@ class AlgebraContext:
                 self.k_supports.append(
                     sup + [(p, q, sign * e)
                            for p, q, e in self.basis_supports[k2]])
+            else:
+                completion.append(sup)
         self.k_basis = [_from_support(n, sup) for sup in self.k_supports]
+        self.k_adapted_supports = self.k_supports + completion
 
     def _build_chain_maps(self):
         """TD (n x n-1) and PD (n-1 x n) with PD TD = I: down(x) = PD x TD

@@ -293,7 +293,14 @@ def rank(mat):
 
 
 def rank_rows(row_vectors, ncols):
-    return len(_echelon(_zi_rows(row_vectors)[0], ncols)[0])
+    return len(pivot_columns(row_vectors, ncols))
+
+
+def pivot_columns(row_vectors, ncols):
+    """The pivot columns of the forward pass, in increasing order.  The
+    pivots left of column c are the rank of the first c columns, since the
+    pass clears them column by column from the left."""
+    return _echelon(_zi_rows(row_vectors)[0], ncols)[0]
 
 
 def last_rref_row(rows, ncols):

@@ -3,11 +3,17 @@ criterion for the partial chain-restriction map.
 
 Tests that need only a dimension take the rank of a centralizer system;
 nullspace bases are built only for callers that want the vectors.  A
-system is written from the basis supports, so it makes no matrix product.
+system is written from the column supports, so it makes no matrix product,
+and in the coordinates of g: [y, x] lies in g, so each x gives one row per
+basis position of g (n(n-1)/2 rows on so(n), not n^2).
 x is nsreg when z_k(x) = 0, the system of [y, x] = 0 over the basis of k
 having rank dim k.  Strong regularity is nsreg at every chain level (see
 is_sreg); chain_centralizers keeps its definition as the reference.  The
 per-level tests read each level m with x_m from AlgebraContext.chain(x).
+Readers of both ranks at every level (centralizer dimensions and the
+analysis report) take one forward pass per level over the k-adapted
+columns, the k basis first: its pivots in that prefix are the k-rank (see
+chain_centralizer_ranks).
 
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
@@ -22,81 +28,116 @@ tr(G b) is the sum of c * G[j][i] over the support (i, j, c) of b.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .scalars import ZERO
-from .matrices import Mat, nullspace, rank_rows, char_poly_fl, sub_pfaffians
+from .matrices import (Mat, nullspace, rank_rows, pivot_columns,
+                       char_poly_fl, sub_pfaffians)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec
 
 
-def _ambient_basis(ctx, ambient):
-    if ambient == "g":
-        return ctx.basis, ctx.basis_supports
-    if ambient == "k":
-        return ctx.k_basis, ctx.k_supports
-    raise ValueError("ambient must be 'g' or 'k'")
+def _centralizer_system(ctx, mats, supports):
+    """Rows of the linear system [y, x] = 0 (x in mats), one column per
+    vector of ``supports``: the basis of g, of k, or the k-adapted basis
+    AlgebraContext.k_adapted_supports, the k basis followed by the basis
+    vectors of g that complete it.  The first dim k columns of the
+    k-adapted system are the k-system, so one forward pass gives both
+    ranks (see chain_centralizer_ranks).
 
+    [y, x] lies in g, so its coordinates fix it: each x gives one row per
+    basis position of g (ctx.position_index), n(n-1)/2 rows on so(n) and
+    n^2 on gl(n).  On so(n) the other cells repeat these up to sign (the
+    cell (n-1-j, n-1-i) holds minus the cell (i, j)) or are zero (the
+    antidiagonal), so the row space is that of all n^2 cells: ranks are
+    the same, and so are nullspaces, read off the unique reduced form.
 
-def _centralizer_system(ctx, mats, ambient):
-    """Rows of the linear system [y, x] = 0 (x in mats) in the coordinates
-    of the ambient basis, and that basis.  [E_ij, x] is row j of x placed
-    in row i minus column i of x placed in column j, so each column is
-    written from the support of its basis vector and the nonzero cells of
-    the rows and columns of x, read once per x."""
-    basis, supports = _ambient_basis(ctx, ambient)
+    [E_ij, x] is row j of x placed in row i minus column i of x placed in
+    column j, so each column is written from the support of its vector
+    and the nonzero cells of the rows and columns of x, read once per x;
+    a cell off the basis positions is skipped."""
     size = ctx.n
+    at = ctx.position_index
+    ncols = len(supports)
     rows = []
     for x in mats:
         row_cells = [[(q, v) for q, v in enumerate(r) if v] for r in x.a]
-        col_cells = [[] for _ in range(size)]
-        for p, cells in enumerate(row_cells):
-            for q, v in cells:
-                col_cells[q].append((p, v))
         row_neg = [[(q, -v) for q, v in cells] for cells in row_cells]
-        col_neg = [[(p, -v) for p, v in cells] for cells in col_cells]
-        block = [[ZERO] * len(basis) for _ in range(size * size)]
+        col_cells = [[] for _ in range(size)]
+        col_neg = [[] for _ in range(size)]
+        for p, (cells, negs) in enumerate(zip(row_cells, row_neg)):
+            for (q, v), (_, w) in zip(cells, negs):
+                col_cells[q].append((p, v))
+                col_neg[q].append((p, w))
+        block = [[ZERO] * ncols for _ in range(ctx.dim)]
         for k, support in enumerate(supports):
             for i, j, c in support:
                 src, dst = ((row_cells, col_neg) if c == 1
                             else (row_neg, col_cells))
-                cells = [(i * size + q, v) for q, v in src[j]]
-                cells += [(p * size + j, v) for p, v in dst[i]]
-                for cell, v in cells:
-                    row = block[cell]
-                    row[k] = v if row[k] is ZERO else row[k] + v
+                at_i = at[i]
+                for q, v in src[j]:
+                    r = at_i[q]
+                    if r is not None:
+                        row = block[r]
+                        row[k] = v if row[k] is ZERO else row[k] + v
+                for p, v in dst[i]:
+                    r = at[p][j]
+                    if r is not None:
+                        row = block[r]
+                        row[k] = v if row[k] is ZERO else row[k] + v
         rows.extend(block)
-    return rows, basis
+    return rows
 
 
-def _centralizer_rank(ctx, mats, ambient="g"):
-    """Rank of the joint centralizer system: dim ambient - dim centralizer."""
-    rows, basis = _centralizer_system(ctx, mats, ambient)
-    return rank_rows(rows, len(basis))
-
-
-def joint_centralizer(ctx, mats, ambient="g"):
-    """Basis of {y in ambient : [y, x] = 0 for all x in mats}."""
-    rows, basis = _centralizer_system(ctx, mats, ambient)
+def _centralizer_basis(ctx, mats, basis, supports):
+    """Basis of {y in span(basis) : [y, x] = 0 for all x in mats}; the
+    basis vectors have the given supports."""
+    rows = _centralizer_system(ctx, mats, supports)
     ns = nullspace(Mat(rows)) if rows else []
     return [sum((c * b for c, b in zip(coeffs, basis) if c),
                 Mat.zeros(basis[0].n)) for coeffs in ns]
 
 
+def joint_centralizer(ctx, mats):
+    """Basis of {y in g : [y, x] = 0 for all x in mats}."""
+    return _centralizer_basis(ctx, mats, ctx.basis, ctx.basis_supports)
+
+
+def chain_centralizer_ranks(ctx, mat):
+    """(rank of the k-system, rank of the g-system) of [y, x_m] = 0 at every
+    chain level m, top first, from one forward pass per level: dim k_m -
+    dim z_(k_m)(x_m) and dim g_m - dim z_(g_m)(x_m).
+
+    The columns are the k basis followed by the basis vectors of g that
+    complete it (AlgebraContext.k_adapted_supports).  The pass pivots
+    column by column from the left, so its pivots in the first dim k
+    columns are the rank of the k-system, and all its pivots the rank of
+    the g-system in a basis of g."""
+    ranks = []
+    for lvl, xm in ctx.chain(mat):
+        pivots = pivot_columns(
+            _centralizer_system(lvl, [xm], lvl.k_adapted_supports), lvl.dim)
+        ranks.append((bisect_left(pivots, lvl.k_dim()), len(pivots)))
+    return ranks
+
+
 def centralizer_dims(ctx, mat):
     """dim z_{g_m}(x_m) = dim g_m - rank, for every chain level m from the
     floor up."""
-    return [lvl.dim - _centralizer_rank(lvl, [xm])
-            for lvl, xm in ctx.chain(mat)][::-1]
+    return [lvl.dim - grank for lvl, (_, grank) in
+            zip(ctx.levels, chain_centralizer_ranks(ctx, mat))][::-1]
 
 
 def nsreg_intersection(ctx, mat):
     """Basis of z_k(x) = {y in k : [y, x] = 0}, which is
     z_k(x_k) intersect z_g(x)."""
-    return joint_centralizer(ctx, [mat], "k")
+    return _centralizer_basis(ctx, [mat], ctx.k_basis, ctx.k_supports)
 
 
 def is_nsreg(ctx, mat):
     """z_k(x) = 0: Ad(K) x has dimension dim k."""
-    return _centralizer_rank(ctx, [mat], "k") == ctx.k_dim()
+    rows = _centralizer_system(ctx, [mat], ctx.k_supports)
+    return rank_rows(rows, ctx.k_dim()) == ctx.k_dim()
 
 
 def _pfaffian_gradient(x):

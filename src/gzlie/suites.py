@@ -16,7 +16,7 @@ from .matrices import Mat, row_space_contains
 from .liealg import make_algebra, adjoint
 from .invariants import partial_kw, coincidence_count
 from .regularity import (is_nsreg, is_sreg, kostant_jacobian_rank,
-                         nsreg_intersection, centralizer_dims)
+                         nsreg_intersection, chain_centralizer_ranks)
 from .korbits import (enumerate_orbits, stable_parabolic, nilfibre_components,
                       nilfibre_overlap_vector, sample_nilfibre, sample_yq,
                       sample_g0, sample_chain_disjoint, sample_xi, xi_shape,
@@ -391,9 +391,10 @@ def suite_sreg_chain(cfg):
         s2 = _claim_sampler(cfg, cid2)
         for t in range(trials):
             x = s2.algebra_element(ctx)
-            if is_sreg(ctx, x):
-                ok = all(d == lvl.invariant_rank() for d, lvl in
-                         zip(centralizer_dims(ctx, x)[::-1], ctx.levels))
+            ranks = list(zip(ctx.levels, chain_centralizer_ranks(ctx, x)))
+            if all(krank == lvl.k_dim() for lvl, (krank, _) in ranks[:-1]):
+                ok = all(lvl.dim - grank == lvl.invariant_rank()
+                         for lvl, (_, grank) in ranks)
                 c2.check(ok, _witness(ctx, x, t))
             else:
                 c2.check(True)

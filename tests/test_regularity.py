@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import rat, ZERO
 from gzlie.matrices import Mat, rank_rows, char_poly_fl
-from gzlie.liealg import make_algebra
+from gzlie.liealg import make_algebra, MAX_N
 from gzlie.regularity import (joint_centralizer, centralizer_dims,
                               nsreg_intersection, is_nsreg,
                               partial_map_jacobian,
                               kostant_jacobian_rank, full_map_jacobian_rank,
                               chain_centralizers, is_sreg,
+                              chain_centralizer_ranks,
                               _level_gradient_rows, _pfaffian_gradient,
                               _centralizer_system)
 from gzlie.korbits import sample_chain_disjoint
@@ -252,11 +253,33 @@ def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
 
 
 def _assert_systems_match_brackets(ctx, x):
-    # ambient g, k, and g at the level below
-    for lvl, mats, ambient in [(ctx, [x], "g"), (ctx, [x], "k"),
-                               (ctx.child, [ctx.down(x)], "g")]:
-        rows, _ = _centralizer_system(lvl, mats, ambient)
-        assert rows == centralizer_system_by_brackets(lvl, mats, ambient)
+    # ambient g, k, and g at the level below.  [y, x] lies in g, so the
+    # system is the bracket rows at the basis positions, entry by entry;
+    # every other bracket row is zero (the so antidiagonal) or minus the
+    # kept row at its mirror cell (n-1-j, n-1-i)
+    for lvl, mats, supports, ambient in [
+            (ctx, [x], ctx.basis_supports, "g"),
+            (ctx, [x], ctx.k_supports, "k"),
+            (ctx.child, [ctx.down(x)], ctx.child.basis_supports, "g")]:
+        n = lvl.n
+        kept = set(lvl.basis_positions)
+        dense = centralizer_system_by_brackets(lvl, mats, ambient)
+        blocks = [dense[b * n * n:(b + 1) * n * n] for b in range(len(mats))]
+        assert _centralizer_system(lvl, mats, supports) == [
+            block[i * n + j] for block in blocks
+            for i, j in lvl.basis_positions]
+        for block in blocks:
+            for i in range(n):
+                for j in range(n):
+                    if (i, j) in kept:
+                        continue
+                    row, mirror = block[i * n + j], (n - 1 - j, n - 1 - i)
+                    if mirror == (i, j):
+                        assert not any(row), (i, j)
+                    else:
+                        assert mirror in kept, (i, j)
+                        assert row == [-v for v in block[mirror[0] * n
+                                                         + mirror[1]]]
 
 
 @given(st.sampled_from([("gl", n) for n in range(3, 7)]
@@ -275,14 +298,73 @@ def test_centralizer_system_matches_brackets_at_zero_and_so3_witness():
         _assert_systems_match_brackets(*parse_matrix_doc(json.load(fh)))
 
 
+def _support_rows(n, supports):
+    """The flattened matrices with the entry c at (i, j) for each (i, j, c)
+    of each support."""
+    rows = []
+    for support in supports:
+        row = [ZERO] * (n * n)
+        for i, j, c in support:
+            row[i * n + j] = rat(c)
+        rows.append(row)
+    return rows
+
+
+def _assert_chain_ranks_match_brackets(ctx, x):
+    # one forward pass per level against the dense bracket systems over k
+    # and over g (all n^2 rows); its columns are the k basis completed to a
+    # basis of g
+    ranks = chain_centralizer_ranks(ctx, x)
+    assert len(ranks) == len(ctx.levels)
+    for (lvl, xm), got in zip(ctx.chain(x), ranks):
+        adapted = _support_rows(lvl.n, lvl.k_adapted_supports)
+        assert adapted[:lvl.k_dim()] == [b.flatten() for b in lvl.k_basis]
+        assert len(adapted) == lvl.dim == rank_rows(adapted, lvl.n ** 2)
+        want = (rank_rows(centralizer_system_by_brackets(lvl, [xm], "k"),
+                          lvl.k_dim()),
+                rank_rows(centralizer_system_by_brackets(lvl, [xm], "g"),
+                          lvl.dim))
+        assert got == want, lvl.describe()
+
+
+@pytest.mark.parametrize("kind,n", [("gl", n) for n in range(2, MAX_N + 1)]
+                         + [("so", n) for n in range(3, MAX_N + 1)])
+def test_chain_centralizer_ranks_match_brackets_per_size(kind, n):
+    # one Borel draw per size, down its whole chain: the dense reference
+    # costs dim g products of size n per level whatever x is, and a Borel
+    # element keeps its elimination small at n = MAX_N
+    ctx = _algebra(kind, n)
+    _assert_chain_ranks_match_brackets(
+        ctx, Sampler(n).span_element(ctx.borel_basis))
+
+
+@given(st.sampled_from([("gl", n) for n in range(2, 7)]
+                       + [("so", n) for n in range(3, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=20, deadline=None)
+def test_chain_centralizer_ranks_match_brackets(algebra, seed, t):
+    ctx = _algebra(*algebra)
+    _assert_chain_ranks_match_brackets(ctx,
+                                       _mixed_sample(ctx, Sampler(seed), t))
+
+
+def test_chain_centralizer_ranks_match_brackets_at_zero_and_so3_witness():
+    for kind, n in [("gl", 2), ("gl", 3), ("so", 3), ("so", 4), ("so", 5),
+                    ("so", 6)]:
+        _assert_chain_ranks_match_brackets(make_algebra(kind, n),
+                                           Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_chain_ranks_match_brackets(*parse_matrix_doc(json.load(fh)))
+
+
 def _assert_nsreg_matches_theta_split(ctx, x):
     # for y in k, [y, x_k] and [y, x_p] are the k- and p-parts of [y, x],
     # so the one-matrix system and the theta-split one share a row space
-    rows, basis = _centralizer_system(ctx, [x], "k")
+    rows = _centralizer_system(ctx, [x], ctx.k_supports)
     split = k_system_by_theta_split(ctx, x)
-    r = rank_rows(rows, len(basis))
-    assert r == rank_rows(split, len(basis))
-    assert r == rank_rows(rows + split, len(basis))
+    r = rank_rows(rows, ctx.k_dim())
+    assert r == rank_rows(split, ctx.k_dim())
+    assert r == rank_rows(rows + split, ctx.k_dim())
     assert is_nsreg(ctx, x) == (r == ctx.k_dim())
     assert nsreg_intersection(ctx, x) == nsreg_intersection_by_theta_split(
         ctx, x)
