@@ -4,10 +4,11 @@ analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'."""
 from __future__ import annotations
 
 from .scalars import parse_scalar, format_scalar
-from .matrices import Mat
+from .matrices import Mat, char_poly_fl, rank_rows
 from .liealg import analyzable_algebra
-from .invariants import (InvariantVector, partial_kw, coincidence_count)
-from .regularity import chain_centralizer_ranks, kostant_jacobian_rank
+from .invariants import (InvariantVector, pfaffian_minors, level_values,
+                         coincidence_of)
+from .regularity import chain_centralizer_ranks, _level_gradient_rows
 
 
 class DocumentError(ValueError):
@@ -86,16 +87,32 @@ def parse_invariant_doc(doc):
 def analysis_report(ctx, mat):
     """Full regularity analysis of one element: one centralizer system per
     chain level gives dim z_(g_m)(x_m) and whether x_m is nsreg; sreg is
-    nsreg at every level above the floor."""
+    nsreg at every level above the floor.
+
+    The two top levels, x and x_(n-1) (one step down), make one
+    Faddeev-LeVerrier run each and, on so(even), fill one memo of the
+    sub-Pfaffians of S x_m each.  The coefficients give the generator
+    values and the coincidence count (what partial_kw and
+    coincidence_count compute), the auxiliary matrices and the memo the
+    Jacobian rows (kostant_jacobian_rank), and pf(S x_m) is read from the
+    memo that the Pfaffian gradient filled."""
     ranks = chain_centralizer_ranks(ctx, mat)
     dims = [lvl.dim - grank for lvl, (_, grank) in zip(ctx.levels, ranks)]
     nsreg = [krank == lvl.k_dim() for lvl, (krank, _) in
              zip(ctx.levels[:-1], ranks)]
-    jrank = kostant_jacobian_rank(ctx, mat)
+    coeffs, values, rows = [], [], []
+    for lvl, xm in ((ctx.child, ctx.down(mat)), (ctx, mat)):
+        b, aux = char_poly_fl(xm)
+        minors = pfaffian_minors(lvl, xm)
+        rows += _level_gradient_rows(ctx, lvl, aux, minors)
+        pf = None if minors is None else minors(tuple(range(lvl.n)))
+        values += level_values(lvl, b, pf)
+        coeffs.append(b)
+    jrank = rank_rows(rows, ctx.dim)
     return {
         "algebra": ctx.kind,
         "n": ctx.n,
-        "coincidence": coincidence_count(ctx, mat),
+        "coincidence": coincidence_of(ctx, coeffs[1], coeffs[0]),
         "regular": dims[0] == ctx.invariant_rank(ctx.n),
         "nsreg": nsreg[0],
         "sreg": all(nsreg),
@@ -103,7 +120,7 @@ def analysis_report(ctx, mat):
         "jacobian_full_rank": (jrank == ctx.invariant_rank(ctx.n)
                                + ctx.invariant_rank(ctx.n - 1)),
         "centralizer_dims": dims[::-1],
-        "partial_values": emit_invariant_doc(partial_kw(ctx, mat))["values"],
+        "partial_values": [format_scalar(v) for v in values],
     }
 
 

@@ -4,6 +4,11 @@ projection one level down.
 
 The generator conventions are stated once, in generator_spec; values,
 reconstruction from values and the gradient rows of regularity read it.
+level_values and coincidence_of are pure functions of the coefficients b of
+det(t*I - x_m) (and of pf(S x_m)), so a caller that has already run the
+Faddeev-LeVerrier recurrence on a level (docio.analysis_report) reads the
+values and the coincidence count off that one run; partial_kw and
+coincidence_count compute their own coefficients.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import polys
-from .matrices import Mat, char_poly, pfaffian
+from .matrices import Mat, char_poly, pfaffian, sub_pfaffians
 from .scalars import ZERO, ONE
 
 
@@ -70,18 +75,35 @@ def pfaffian_generator(ctx, mat):
     return pfaffian(Mat._raw(mat.a[::-1]))      # S x: x, rows reversed
 
 
-def _level_values(ctx_m, mat_m):
-    """Generator values of one chain level; mat_m is realized at that level."""
+def pfaffian_minors(ctx_m, mat_m):
+    """The sub-Pfaffian memo (matrices.sub_pfaffians) of S x_m on a level
+    whose last generator is pf(S x_m), else None.  Unlike
+    pfaffian_generator it does not check that S x_m is antisymmetric."""
+    if not generator_spec(ctx_m).pfaffian:
+        return None
+    return sub_pfaffians(mat_m.a[::-1])
+
+
+def level_values(ctx_m, b, pf):
+    """Generator values of one chain level from b_1..b_m of det(t*I - x_m)
+    and pf = pf(S x_m), None unless that is a generator of the level.
+    Raises unless the odd-index b_j vanish on so (polys.even_part) and
+    pf^2 = +-b_m."""
     spec = generator_spec(ctx_m)
-    b = _coefficients(mat_m)
     _reduced(spec, b)                  # checks the parity on so
     values = [_signed(sign, b[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:
-        pf = pfaffian_generator(ctx_m, mat_m)
         if b[-1] != _signed(spec.pfaffian, pf * pf):
             raise AssertionError("Pfaffian square does not match determinant")
         values.append(pf)
     return values
+
+
+def _level_values(ctx_m, mat_m):
+    """Generator values of one chain level; mat_m is realized at that level."""
+    pf = (pfaffian_generator(ctx_m, mat_m)
+          if generator_spec(ctx_m).pfaffian else None)
+    return level_values(ctx_m, _coefficients(mat_m), pf)
 
 
 def partial_kw(ctx, mat):
@@ -95,13 +117,19 @@ def full_kw(ctx, mat):
     return InvariantVector(ctx.kind, ctx.n, "full", sum(values, []))
 
 
+def coincidence_of(ctx, b, b_sub):
+    """The coincidence count (see coincidence_count) from b_1..b_n of x and
+    b_1..b_(n-1) of its projection one level down."""
+    return polys.degree(polys.gcd(_reduced(generator_spec(ctx), b),
+                                  _reduced(generator_spec(ctx.child), b_sub)))
+
+
 def coincidence_count(ctx, mat):
     """Number of matched eigenvalue pairs between x and its projection one
     level down: the degree of the gcd of the two reduced characteristic
     polynomials (in u = t^2 for so, in t for gl)."""
-    q_top = reduced_char(ctx, mat)
-    q_sub = reduced_char(ctx.child, ctx.down(mat))
-    return polys.degree(polys.gcd(q_top, q_sub))
+    return coincidence_of(ctx, _coefficients(mat),
+                          _coefficients(ctx.down(mat)))
 
 
 def _poly_from_values(ctx_m, values):

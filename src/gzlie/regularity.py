@@ -19,7 +19,10 @@ Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
 gives every gradient row from a single recurrence per chain level; the
 Pfaffian row reads the Pfaffians of the cofactors of S*x, all from one memo
-of sub-Pfaffians.  A gradient at a lower level is embedded into g once and
+of sub-Pfaffians.  _level_gradient_rows takes that data, so a caller that
+also reads the coefficients and pf(S*x) off the same run and memo
+(docio.analysis_report) computes them once; the public Jacobians compute
+their own.  A gradient at a lower level is embedded into g once and
 paired with the basis of g there: projection is v -> L v R and embedding
 G -> R G L, so tr(G proj(v)) = tr(embed(G) v), and the basis is never
 projected.  The pairing reads G through the basis supports:
@@ -32,9 +35,9 @@ from bisect import bisect_left
 
 from .scalars import ZERO
 from .matrices import (Mat, nullspace, rank_rows, pivot_columns,
-                       char_poly_fl, sub_pfaffians)
+                       char_poly_fl)
 from .liealg import embed_from_subalgebra
-from .invariants import generator_spec
+from .invariants import generator_spec, pfaffian_minors
 
 
 def _centralizer_system(ctx, mats, supports):
@@ -140,19 +143,18 @@ def is_nsreg(ctx, mat):
     return rank_rows(rows, ctx.k_dim()) == ctx.k_dim()
 
 
-def _pfaffian_gradient(x):
-    """G with d pf(S x)(V) = tr(G V) for x, V in so(m); S x is x with its
-    rows reversed.  The derivative of pf(A) in a_ij (i < j) is
-    (-1)^(i+j+1) pf(A without rows and columns i, j), and
-    (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian sits at (j, m-1-i).
-    Every cofactor is a sub-Pfaffian of the same S x, so all of them read
-    one memo."""
-    m = x.n
-    pf = sub_pfaffians(x.a[::-1])
+def _pfaffian_gradient(minors, m):
+    """G with d pf(S x)(V) = tr(G V) for x, V in so(m), from minors, the
+    sub-Pfaffian memo of S x (invariants.pfaffian_minors).  The derivative
+    of pf(A) in a_ij (i < j) is (-1)^(i+j+1) pf(A without rows and columns
+    i, j), and (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian sits at
+    (j, m-1-i).  The cofactors with i = 0 are the minors of the expansion
+    of pf(S x) along its first row, so once G is built minors reads pf(S x)
+    with m - 1 products."""
     grad = Mat.zeros(m)
     for i in range(m):
         for j in range(i + 1, m):
-            v = pf(tuple(k for k in range(m) if k != i and k != j))
+            v = minors(tuple(k for k in range(m) if k != i and k != j))
             grad.a[j][m - 1 - i] = v if (i + j) % 2 else -v
     return grad
 
@@ -166,38 +168,47 @@ def _basis_pairing(g, supports, sign):
         s = ZERO
         for i, j, c in support:
             v = g[j][i]
-            if v:
-                v = v if c == sign else -v
-                if s is ZERO:
-                    s = v
-                else:
-                    s = s + v
-                    s = s if s else ZERO
+            if v is ZERO or not v:
+                continue
+            v = v if c == sign else -v
+            if s is ZERO:
+                s = v
+            else:
+                s = s + v
+                s = s if s else ZERO
         row.append(s)
     return row
 
 
-def _level_gradient_rows(ctx, lvl, xm):
+def _level_gradient_rows(ctx, lvl, aux, minors):
     """Gradient rows (one per generator of the chain level lvl, at the
-    projection xm of x there) against the basis of g: each gradient matrix
+    projection x_m of x there) against the basis of g: each gradient matrix
     is embedded into g and paired with the basis there through the basis
-    supports."""
+    supports.  aux are the auxiliary matrices of matrices.char_poly_fl(x_m)
+    (aux[j-1] = M_j, d b_j = -tr(M_j V)); minors is
+    invariants.pfaffian_minors(lvl, x_m), which the Pfaffian row fills with
+    every cofactor of S x_m."""
     spec = generator_spec(lvl)
-    _, aux = char_poly_fl(xm)          # aux[j-1] = M_j, d b_j = -tr(M_j V)
     grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:
-        grads.append((1, _pfaffian_gradient(xm)))
+        grads.append((1, _pfaffian_gradient(minors, lvl.n)))
     return [_basis_pairing(embed_from_subalgebra(ctx, grad, lvl.n).a,
                            ctx.basis_supports, sign)
             for sign, grad in grads]
+
+
+def _gradient_rows_at(ctx, lvl, xm):
+    """_level_gradient_rows with its data computed from x_m."""
+    _, aux = char_poly_fl(xm)
+    return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))
 
 
 def partial_map_jacobian(ctx, mat):
     """Jacobian of the two-level restriction map in algebra coordinates:
     rows are generator gradients of levels n-1 and n, columns the basis of
     g."""
-    return (_level_gradient_rows(ctx, ctx.child, ctx.down(mat))
-            + _level_gradient_rows(ctx, ctx, mat))
+    return (_gradient_rows_at(ctx, ctx.child, ctx.down(mat))
+            + _gradient_rows_at(ctx, ctx, mat))
 
 
 def kostant_jacobian_rank(ctx, mat):
@@ -206,7 +217,7 @@ def kostant_jacobian_rank(ctx, mat):
 
 def full_map_jacobian_rank(ctx, mat):
     return rank_rows([row for lvl, xm in ctx.chain(mat)
-                      for row in _level_gradient_rows(ctx, lvl, xm)],
+                      for row in _gradient_rows_at(ctx, lvl, xm)],
                      ctx.dim)
 
 

@@ -179,7 +179,9 @@ _SCALAR_RE = _re.compile(
 
 
 def parse_scalar(text):
-    """Parse 'a/b+c/d*i' style input into a QI scalar."""
+    """Parse 'a/b+c/d*i' style input into a QI scalar.  Every spelling of
+    zero ('0', '-0', '0/7', '0*i', ...) gives the shared ZERO, so parsed
+    matrices take the ``is ZERO`` fast paths of the matrix kernels."""
     m = _SCALAR_RE.match(text)
     if m is None or (m.group("re") is None and m.group("im") is None
                      and m.group("imsign") is None):
@@ -192,6 +194,8 @@ def parse_scalar(text):
         im_part = -_ONE if m.group("imsign") == "-" else _ONE
     else:
         im_part = _ZERO
+    if not (re_part or im_part):
+        return ZERO
     return QI._raw(re_part, im_part)
 
 

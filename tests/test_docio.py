@@ -2,15 +2,19 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gzlie.matrices import Mat
 from gzlie.liealg import make_algebra, root_vector
-from gzlie.invariants import partial_kw, full_kw
+from gzlie.invariants import partial_kw, full_kw, coincidence_count
+from gzlie.regularity import kostant_jacobian_rank
 from gzlie.docio import (DocumentError, parse_matrix_doc, emit_matrix_doc,
                          emit_invariant_doc, parse_invariant_doc,
                          analysis_report, analysis_text)
 from gzlie.korbits import (sample_nilfibre, sample_g0,
                            sample_chain_disjoint)
 from gzlie.rand import Sampler
+from gzlie.suites import _mixed_sample
 
 
 def test_matrix_doc_round_trip():
@@ -98,6 +102,48 @@ def test_analysis_report_fields_and_text():
     assert "so(5)" in text and "coincidence" in text
     # deterministic given the same element
     assert analysis_report(ctx, x) == rep
+
+
+def _assert_report_matches_separate(ctx, x):
+    # the report reads one Faddeev-LeVerrier run and one Pfaffian memo per
+    # level; the public functions each compute their own
+    rep = analysis_report(ctx, x)
+    assert rep["coincidence"] == coincidence_count(ctx, x)
+    assert rep["partial_values"] == emit_invariant_doc(
+        partial_kw(ctx, x))["values"]
+    assert rep["jacobian_rank"] == kostant_jacobian_rank(ctx, x)
+
+
+@given(st.sampled_from([("gl", n) for n in range(2, 8)]
+                       + [("so", n) for n in range(3, 10)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_analysis_report_matches_separate_computations(algebra, seed, t):
+    # the mixed stream: generic, Borel, nilpotent, patterned, coincidence-
+    # free and partially coincident elements
+    ctx = make_algebra(*algebra)
+    _assert_report_matches_separate(ctx, _mixed_sample(ctx, Sampler(seed), t))
+
+
+@pytest.mark.parametrize("kind,n", [("gl", 2), ("gl", 5), ("so", 3),
+                                    ("so", 4), ("so", 6), ("so", 9)])
+def test_analysis_report_matches_separate_at_zero_and_nilpotent(kind, n):
+    ctx = make_algebra(kind, n)
+    nilpotent = _mixed_sample(ctx, Sampler("nilpotent/%s%d" % (kind, n)), 2)
+    for x in [Mat.zeros(n), nilpotent]:
+        _assert_report_matches_separate(ctx, x)
+
+
+def test_analysis_report_keeps_the_generator_checks():
+    # not elements of so(4): an odd characteristic coefficient, and an even
+    # characteristic polynomial with pf(S x)^2 != det x
+    ctx = make_algebra("so", 4)
+    with pytest.raises(ValueError, match="parity"):
+        analysis_report(ctx, Mat.from_ints([[1, 0, 0, 0], [0, 1, 0, 0],
+                                            [0, 0, 1, 0], [0, 0, 0, 1]]))
+    with pytest.raises(AssertionError, match="Pfaffian square"):
+        analysis_report(ctx, Mat.from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
+                                            [0, 0, -1, 0], [0, 1, -1, 0]]))
 
 
 # --- the analysis fingerprint ------------------------------------------------

@@ -8,7 +8,7 @@ from gzlie.scalars import QI, qi, rat, ZERO, ONE
 from gzlie.matrices import Mat
 from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
 from gzlie.invariants import (InvariantVector, reduced_char,
-                              pfaffian_generator,
+                              pfaffian_generator, level_values,
                               partial_kw, full_kw, coincidence_count,
                               stratum_of_value)
 from gzlie.rand import Sampler
@@ -114,6 +114,23 @@ def test_so4_pfaffian_generator():
     with pytest.raises(ValueError):
         pfaffian_generator(make_algebra("so", 5), diag_cartan(
             make_algebra("so", 5), [1, 2]))
+
+
+def test_level_values_check_parity_and_pfaffian_square():
+    # the checks that partial_kw and the analysis report share
+    ctx = make_algebra("so", 4)
+    x = diag_cartan(ctx, [2, 3])
+    b = [qi(0), qi(-13), qi(0), qi(36)]
+    pf = pfaffian_generator(ctx, x)
+    assert level_values(ctx, b, pf) == partial_kw(ctx, x).values[1:]
+    with pytest.raises(ValueError):         # odd coefficient on so
+        level_values(ctx, [qi(1)] + b[1:], pf)
+    with pytest.raises(AssertionError):     # pf^2 != b_4
+        level_values(ctx, b, pf + ONE)
+    not_antisymmetric = Mat.from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
+                                       [0, 0, -1, 0], [0, 1, -1, 0]])
+    with pytest.raises(ValueError):
+        pfaffian_generator(ctx, not_antisymmetric)
 
 
 def test_vector_shapes():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import rat, ZERO
-from gzlie.matrices import Mat, rank_rows, char_poly_fl
+from gzlie.matrices import Mat, rank_rows, char_poly_fl, pfaffian
+from gzlie.invariants import pfaffian_minors
 from gzlie.liealg import make_algebra, MAX_N
 from gzlie.regularity import (joint_centralizer, centralizer_dims,
                               nsreg_intersection, is_nsreg,
@@ -199,9 +200,16 @@ def test_sreg_identity_on_zero_and_so3_witness():
     assert is_sreg(ctx, x) and _sreg_by_definition(ctx, x)
 
 
+def _gradient_rows(ctx, lvl, xm):
+    # the level's Faddeev-LeVerrier aux matrices and sub-Pfaffian memo,
+    # computed here as the public Jacobians compute them
+    _, aux = char_poly_fl(xm)
+    return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))
+
+
 def _assert_gradients_match_jets(ctx, x):
     for lvl, xm in ctx.chain(x):
-        assert (_level_gradient_rows(ctx, lvl, xm)
+        assert (_gradient_rows(ctx, lvl, xm)
                 == partial_map_jacobian_jet(ctx, x, [lvl.n]))
 
 
@@ -234,7 +242,7 @@ def test_level_gradient_rows_match_dense_trace_at_every_level(algebra, seed,
     ctx = _algebra(*algebra)
     x = _mixed_sample(ctx, Sampler(seed), t)
     for lvl, xm in ctx.chain(x):
-        assert (_level_gradient_rows(ctx, lvl, xm)
+        assert (_gradient_rows(ctx, lvl, xm)
                 == level_gradient_rows_by_trace(ctx, x, lvl.n)), lvl.n
 
 
@@ -248,8 +256,21 @@ def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
     x = _mixed_sample(ctx, Sampler(seed), t)
     for lvl, xm in ctx.chain(x):
         if lvl.n % 2 == 0:
-            assert (_pfaffian_gradient(xm)
+            assert (_pfaffian_gradient(pfaffian_minors(lvl, xm), lvl.n)
                     == pfaffian_gradient_by_cofactors(lvl.form * xm))
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_pfaffian_read_from_gradient_memo(n):
+    # the analysis report reads pf(S x) from the memo that the Pfaffian
+    # gradient filled; it must be the checked Pfaffian of the dense S x
+    ctx = make_algebra("so", n)
+    s = Sampler("pf-memo/%d" % n)
+    for x in [s.algebra_element(ctx), s.span_element(ctx.borel_basis),
+              Mat.zeros(n)]:
+        minors = pfaffian_minors(ctx, x)
+        _pfaffian_gradient(minors, n)
+        assert minors(tuple(range(n))) == pfaffian(ctx.form * x)
 
 
 def _assert_systems_match_brackets(ctx, x):

@@ -22,6 +22,13 @@ def test_parse_basic_forms():
     assert parse_scalar("-i") == -I
 
 
+@pytest.mark.parametrize("text", ["0", "-0", "+0", "0/7", "-0/3", "0*i",
+                                  "-0*i", "0+0*i", "0-0/5*i"])
+def test_parse_zero_is_shared_zero(text):
+    # parsed matrices then take the `is ZERO` fast paths of the kernels
+    assert parse_scalar(text) is ZERO
+
+
 @pytest.mark.parametrize("bad", ["", "x", "1/2/3", "2i+3", "1 + ", "/3"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
