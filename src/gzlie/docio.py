@@ -4,11 +4,11 @@ analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'."""
 from __future__ import annotations
 
 from .scalars import parse_scalar, format_scalar
-from .matrices import Mat, char_poly_fl, rank_rows
+from .matrices import Mat, char_poly_fl, rank_zi_rows
 from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, pfaffian_minors, level_values,
                          coincidence_of)
-from .regularity import chain_centralizer_ranks, _level_gradient_rows
+from .regularity import _centralizer_ranks, _level_gradient_rows
 
 
 class DocumentError(ValueError):
@@ -89,26 +89,29 @@ def analysis_report(ctx, mat):
     chain level gives dim z_(g_m)(x_m) and whether x_m is nsreg; sreg is
     nsreg at every level above the floor.
 
-    The two top levels, x and x_(n-1) (one step down), make one
+    The two top levels, x and x_(n-1) (taken from the same walk down the
+    chain as the centralizer ranks), make one
     Faddeev-LeVerrier run each and, on so(even), fill one memo of the
     sub-Pfaffians of S x_m each.  The coefficients give the generator
     values and the coincidence count (what partial_kw and
     coincidence_count compute), the auxiliary matrices and the memo the
     Jacobian rows (kostant_jacobian_rank), and pf(S x_m) is read from the
     memo that the Pfaffian gradient filled."""
-    ranks = chain_centralizer_ranks(ctx, mat)
+    chain = list(ctx.chain(mat))
+    ranks = [_centralizer_ranks(lvl, xm) for lvl, xm in chain]
     dims = [lvl.dim - grank for lvl, (_, grank) in zip(ctx.levels, ranks)]
     nsreg = [krank == lvl.k_dim() for lvl, (krank, _) in
              zip(ctx.levels[:-1], ranks)]
     coeffs, values, rows = [], [], []
-    for lvl, xm in ((ctx.child, ctx.down(mat)), (ctx, mat)):
+    for lvl, xm in chain[1::-1]:        # x_(n-1), then x
         b, aux = char_poly_fl(xm)
         minors = pfaffian_minors(lvl, xm)
-        rows += _level_gradient_rows(ctx, lvl, aux, minors)
+        rows += [row for row, _ in
+                 _level_gradient_rows(ctx, lvl, aux, minors)]
         pf = None if minors is None else minors(tuple(range(lvl.n)))
         values += level_values(lvl, b, pf)
         coeffs.append(b)
-    jrank = rank_rows(rows, ctx.dim)
+    jrank = rank_zi_rows(rows, ctx.dim)
     return {
         "algebra": ctx.kind,
         "n": ctx.n,

@@ -14,6 +14,10 @@ needs no projection onto the fixed part first (see AlgebraContext.down).
 Both steps are read from index lists: PD and TD have at most two nonzero
 entries per row and column, so each entry of PD x TD or TD y PD is a sum
 of at most four weighted entries of x or y, and no matrix product is made.
+The step down is also stored once per context in basis coordinates:
+down_coords[k] lists the int weights of down(b_k) over the child's basis,
+all over the one down_scale (2 on even so, 1 otherwise), so a row against
+the child's basis is read against this basis with no matrix at all.
 
 Basis matrices are built from their supports and share storage: every
 all-zero row of a basis matrix of size n is one read-only list, and every
@@ -23,6 +27,8 @@ Roots are recorded in epsilon-coordinates (integer tuples of length l).
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .scalars import QI, ZERO, ONE, rat
 from .matrices import Mat, bracket, det, inverse
@@ -100,6 +106,7 @@ class AlgebraContext:
         self.child = (make_algebra(kind, n - 1)
                       if n > CHAIN_FLOOR[kind] else None)
         self.levels = (self,) + (self.child.levels if self.child else ())
+        self._build_down_coords()
 
     # --- basis and roots ---------------------------------------------------
 
@@ -271,6 +278,39 @@ class AlgebraContext:
         td_cols, pd_cols = list(zip(*td.a)), list(zip(*pd.a))
         self._down_cells = _product_cells(pd.a, td_cols)
         self._up_cells = _product_cells(td.a, pd_cols)
+
+    def _build_down_coords(self):
+        """down_coords[k]: the int pairs (l, w) with down(b_k) = sum of
+        w * b'_l / down_scale over the basis b' of the child, l increasing.
+        down_scale is 2 on even so (the 1/2 of PD) and 1 otherwise.
+        down(b_k) lies in the child, so its coordinates are its entries at
+        the child's basis positions; they are read from the cells of the
+        step down and the supports of b_k, with no matrix product."""
+        self.down_coords = self.down_scale = None
+        if self.child is None:
+            return
+        at = self.child.position_index
+        # (i, j) -> (l, weight) for each child basis position l whose cell
+        # reads x[i][j]
+        reads = {}
+        for p, crow in enumerate(self._down_cells):
+            for q, terms in enumerate(crow):
+                l = at[p][q]
+                if l is not None:
+                    for i, j, w in terms:
+                        reads.setdefault((i, j), []).append(
+                            (l, 1 if w is None else w.re))
+        coords = []
+        for support in self.basis_supports:
+            acc = {}
+            for i, j, c in support:
+                for l, w in reads.get((i, j), ()):
+                    acc[l] = acc.get(l, 0) + c * w
+            coords.append(sorted((l, w) for l, w in acc.items() if w))
+        scale = lcm(*(w.denominator for pairs in coords for _, w in pairs))
+        self.down_scale = scale
+        self.down_coords = [tuple((l, int(w * scale)) for l, w in pairs)
+                            for pairs in coords]
 
     # --- element services --------------------------------------------------
 

@@ -23,7 +23,11 @@ clear it.
 
 char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
 denominator of A, over Z[i], where its division by k is exact, and rescales
-the coefficients by d^k and the auxiliary matrices by d^(k-1).
+the coefficients by d^k.  Its auxiliary matrices stay the recurrence's
+integers M_k(X) (AuxMatrices): the Jacobian rows of gzlie.regularity read
+them with d and never leave Z[i], and indexing gives the Q(i) matrices
+M_k(A) = M_k(X)/d^(k-1).  Rows already over Z[i] enter the kernel through
+``rank_zi_rows``; ``zi_matrix`` clears one common denominator of a matrix.
 
 No code path of the package uses jets.  ``pfaffian`` is ring-generic, and
 tests/qi_reference.py runs it and a ring-generic Faddeev-LeVerrier loop on
@@ -188,6 +192,19 @@ def _zi_rows(rows):
     return out, dens
 
 
+def zi_matrix(rows):
+    """(re, im, d): Q(i) rows as int rows over one common denominator d,
+    rows = (re + i*im) / d; im is None when every entry is real."""
+    zi, dens = _zi_rows(rows)
+    d = lcm(*dens)
+    re = [[v * (d // e) for v in r] for (r, _), e in zip(zi, dens)]
+    im = None
+    if any(s is not None for _, s in zi):
+        im = [[v * (d // e) for v in s] if s is not None else [0] * len(r)
+              for (r, s), e in zip(zi, dens)]
+    return re, im, d
+
+
 def _qi(x, y, p, q=0):
     """(x + i*y) / (p + i*q) for Gaussian integers, as a Q(i) scalar."""
     if not (x or y):
@@ -296,6 +313,13 @@ def rank_rows(row_vectors, ncols):
     return len(pivot_columns(row_vectors, ncols))
 
 
+def rank_zi_rows(rows, ncols):
+    """Rank of rows already in the kernel's form, pairs [re, im] of int
+    lists (im None while the row is real), eliminating on the first
+    ``ncols`` columns.  The rows are consumed."""
+    return len(_echelon(rows, ncols)[0])
+
+
 def pivot_columns(row_vectors, ncols):
     """The pivot columns of the forward pass, in increasing order.  The
     pivots left of column c are the rank of the first c columns, since the
@@ -394,6 +418,35 @@ def _imatmul(a, b):
     return [[sum(map(_mul, row, col)) for col in cols] for row in a]
 
 
+class AuxMatrices:
+    """The auxiliary matrices of one Faddeev-LeVerrier run on X = d*A, held
+    as the recurrence's Gaussian integers: ints[k] is the pair (re, im) of
+    int rows of M_(k+1)(X), im None while X is real.  As a sequence it is
+    the Q(i) view: aux[k] is M_(k+1)(A) = M_(k+1)(X) / d^k, built through
+    _qi on each access.  Readers must not mutate ints."""
+
+    __slots__ = ("d", "ints")
+
+    def __init__(self, d, ints):
+        self.d = d
+        self.ints = ints
+
+    def __len__(self):
+        return len(self.ints)
+
+    def __getitem__(self, k):
+        k = range(len(self.ints))[k]
+        re, im = self.ints[k]
+        dk = self.d ** k
+        if im is None:
+            return Mat._raw([[_qi(x, 0, dk) for x in r] for r in re])
+        return Mat._raw([[_qi(x, y, dk) for x, y in zip(r, s)]
+                         for r, s in zip(re, im)])
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+
 def char_poly_fl(mat):
     """Faddeev-LeVerrier over Q(i).  Returns (coeffs, aux) where
     det(t*I - A) = t^n + b[0]*t^(n-1) + ... + b[n-1]
@@ -403,33 +456,20 @@ def char_poly_fl(mat):
     The recurrence M_1 = I, b_k = -tr(X M_k)/k, M_(k+1) = X M_k + b_k I runs
     on the Gaussian-integer matrix X = d*A, d the least common denominator
     of the entries; there the division by k is exact.  Then
-    b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).
+    b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  aux is an
+    AuxMatrices: its ints and d are the recurrence's own integers, which
+    the Jacobian rows of gzlie.regularity read without leaving Z[i].
     """
-    return _faddeev_leverrier(mat, True)
-
-
-def _faddeev_leverrier(mat, with_aux):
-    """char_poly_fl; aux stays empty unless with_aux."""
     n = mat.n
     if n == 0:
-        return [], []
-    rows, dens = _zi_rows(mat.a)
-    d = lcm(*dens)
-    xre = [[v * (d // e) for v in re] for (re, _), e in zip(rows, dens)]
-    xim = None
-    if any(im is not None for _, im in rows):
-        xim = [[v * (d // e) for v in im] if im is not None else [0] * n
-               for (_, im), e in zip(rows, dens)]
+        return [], AuxMatrices(1, [])
+    xre, xim, d = zi_matrix(mat.a)
     mre = [[int(i == j) for j in range(n)] for i in range(n)]
     mim = None
-    coeffs, aux = [], []
+    coeffs, ints = [], []
     dk = 1                               # d^(k-1)
     for k in range(1, n + 1):
-        if with_aux and mim is None:
-            aux.append(Mat._raw([[_qi(x, 0, dk) for x in r] for r in mre]))
-        elif with_aux:
-            aux.append(Mat._raw([[_qi(x, y, dk) for x, y in zip(r, s)]
-                                 for r, s in zip(mre, mim)]))
+        ints.append((mre, mim))
         if xim is None:
             are, aim = _imatmul(xre, mre), None
         else:
@@ -449,13 +489,13 @@ def _faddeev_leverrier(mat, with_aux):
                 if aim:
                     aim[i][i] += bi
             mre, mim = are, aim
-    return coeffs, aux
+    return coeffs, AuxMatrices(d, ints)
 
 
 def char_poly(mat):
     """Monic characteristic polynomial of A, low degree first:
     det(t*I - A) as a coefficient list [c0, ..., 1]."""
-    coeffs, _ = _faddeev_leverrier(mat, False)
+    coeffs, _ = char_poly_fl(mat)
     return coeffs[::-1] + [ONE]
 
 

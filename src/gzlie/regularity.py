@@ -22,11 +22,21 @@ Pfaffian row reads the Pfaffians of the cofactors of S*x, all from one memo
 of sub-Pfaffians.  _level_gradient_rows takes that data, so a caller that
 also reads the coefficients and pf(S*x) off the same run and memo
 (docio.analysis_report) computes them once; the public Jacobians compute
-their own.  A gradient at a lower level is embedded into g once and
-paired with the basis of g there: projection is v -> L v R and embedding
-G -> R G L, so tr(G proj(v)) = tr(embed(G) v), and the basis is never
-projected.  The pairing reads G through the basis supports:
-tr(G b) is the sum of c * G[j][i] over the support (i, j, c) of b.
+their own.
+
+The rows stay over Z[i] from the recurrence to the rank, since a row
+scaled by a nonzero constant spans the same line: a coefficient row is the
+pairing of the recurrence's integer M_j(X), X = d*x_m, with the basis
+supports of g_m (tr(G b) is the sum of c * G[j][i] over the support
+(i, j, c) of b), and the Pfaffian row is the memo's cofactors over their
+common denominator.  Each row is lifted to the basis of g through
+AlgebraContext.down_coords of every level above (tr(G down(b_k)) is a
+weighted sum of the pairings with the child's basis), so no basis matrix
+is projected and no gradient embedded.  Every row carries its scale
+(sign * d^(j-1) * s^e for e steps through even so, where s = 2; the
+Pfaffian row's common denominator in place of d^(j-1)): the Jacobian
+ranks eliminate the integer rows directly (matrices.rank_zi_rows), and
+partial_map_jacobian divides by the scales.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .scalars import ZERO
-from .matrices import (Mat, nullspace, rank_rows, pivot_columns,
-                       char_poly_fl)
+from .matrices import (Mat, nullspace, rank_rows, rank_zi_rows,
+                       pivot_columns, char_poly_fl, zi_matrix, _qi)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
@@ -116,12 +126,15 @@ def chain_centralizer_ranks(ctx, mat):
     column by column from the left, so its pivots in the first dim k
     columns are the rank of the k-system, and all its pivots the rank of
     the g-system in a basis of g."""
-    ranks = []
-    for lvl, xm in ctx.chain(mat):
-        pivots = pivot_columns(
-            _centralizer_system(lvl, [xm], lvl.k_adapted_supports), lvl.dim)
-        ranks.append((bisect_left(pivots, lvl.k_dim()), len(pivots)))
-    return ranks
+    return [_centralizer_ranks(lvl, xm) for lvl, xm in ctx.chain(mat)]
+
+
+def _centralizer_ranks(lvl, xm):
+    """(rank of the k-system, rank of the g-system) of [y, x_m] = 0 on one
+    chain level, from one forward pass (see chain_centralizer_ranks)."""
+    pivots = pivot_columns(
+        _centralizer_system(lvl, [xm], lvl.k_adapted_supports), lvl.dim)
+    return bisect_left(pivots, lvl.k_dim()), len(pivots)
 
 
 def centralizer_dims(ctx, mat):
@@ -159,42 +172,67 @@ def _pfaffian_gradient(minors, m):
     return grad
 
 
-def _basis_pairing(g, supports, sign):
-    """[sign * tr(G b) for each basis vector b], G given by its rows g:
-    tr(G b) is the sum of c * G[j][i] over the support (i, j, c) of b.  A
-    sum that cancels is the shared ZERO."""
+def _pair_with_basis(g, supports):
+    """[tr(G b) for each basis vector b] for an int matrix G given by its
+    rows g: tr(G b) is the sum of c * G[j][i] over the support (i, j, c)
+    of b."""
     row = []
     for support in supports:
-        s = ZERO
+        v = 0
         for i, j, c in support:
-            v = g[j][i]
-            if v is ZERO or not v:
-                continue
-            v = v if c == sign else -v
-            if s is ZERO:
-                s = v
-            else:
-                s = s + v
-                s = s if s else ZERO
-        row.append(s)
+            v += g[j][i] if c == 1 else -g[j][i]
+        row.append(v)
     return row
+
+
+def _lift(vals, down_coords):
+    """A row against the basis of a child, read against the basis of its
+    parent: entry k is the sum of w * vals[l] over down_coords[k], that is
+    down_scale times the pairing with down(b_k)."""
+    out = []
+    for pairs in down_coords:
+        v = 0
+        for l, w in pairs:
+            v += w * vals[l]
+        out.append(v)
+    return out
 
 
 def _level_gradient_rows(ctx, lvl, aux, minors):
     """Gradient rows (one per generator of the chain level lvl, at the
-    projection x_m of x there) against the basis of g: each gradient matrix
-    is embedded into g and paired with the basis there through the basis
-    supports.  aux are the auxiliary matrices of matrices.char_poly_fl(x_m)
-    (aux[j-1] = M_j, d b_j = -tr(M_j V)); minors is
-    invariants.pfaffian_minors(lvl, x_m), which the Pfaffian row fills with
-    every cofactor of S x_m."""
+    projection x_m of x there) against the basis of g, as pairs
+    ([re, im], scale): re + i*im is a Gaussian-integer row (im None when
+    real) and the gradient is that row divided by the nonzero int scale.
+    aux are the auxiliary matrices of matrices.char_poly_fl(x_m), read as
+    the recurrence's integers: d b_j = -tr(M_j(X) V) / d^(j-1) with
+    X = d x_m.  minors is invariants.pfaffian_minors(lvl, x_m), which the
+    Pfaffian row fills with every cofactor of S x_m; that row is scaled
+    into Z[i] by the lcm of the cofactors' denominators.
+
+    Each gradient matrix is paired with the basis of g_m through its
+    supports, then lifted level by level through down_coords: projection
+    is v -> PD v TD, so the pairing of G with down(b_k) is the sum of the
+    weights of down(b_k) times the pairings with the child's basis, and
+    each level above multiplies the scale by its down_scale."""
     spec = generator_spec(lvl)
-    grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
+    grads = [(aux.ints[j - 1], -sign * aux.d ** (j - 1))
+             for j, sign in spec.coeffs]
     if spec.pfaffian:
-        grads.append((1, _pfaffian_gradient(minors, lvl.n)))
-    return [_basis_pairing(embed_from_subalgebra(ctx, grad, lvl.n).a,
-                           ctx.basis_supports, sign)
-            for sign, grad in grads]
+        re, im, den = zi_matrix(_pfaffian_gradient(minors, lvl.n).a)
+        grads.append(((re, im), den))
+    supports = lvl.basis_supports
+    rows = []
+    for (re, im), scale in grads:
+        row_re = _pair_with_basis(re, supports)
+        row_im = None if im is None else _pair_with_basis(im, supports)
+        for upper in reversed(ctx.levels[:ctx.n - lvl.n]):
+            row_re = _lift(row_re, upper.down_coords)
+            if row_im is not None:
+                row_im = _lift(row_im, upper.down_coords)
+            scale *= upper.down_scale
+        rows.append(([row_re, row_im if row_im and any(row_im) else None],
+                     scale))
+    return rows
 
 
 def _gradient_rows_at(ctx, lvl, xm):
@@ -203,22 +241,30 @@ def _gradient_rows_at(ctx, lvl, xm):
     return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))
 
 
-def partial_map_jacobian(ctx, mat):
-    """Jacobian of the two-level restriction map in algebra coordinates:
-    rows are generator gradients of levels n-1 and n, columns the basis of
-    g."""
+def _partial_rows(ctx, mat):
+    """The gradient rows of levels n-1 and n, with their scales."""
     return (_gradient_rows_at(ctx, ctx.child, ctx.down(mat))
             + _gradient_rows_at(ctx, ctx, mat))
 
 
+def partial_map_jacobian(ctx, mat):
+    """Jacobian of the two-level restriction map in algebra coordinates:
+    rows are generator gradients of levels n-1 and n, columns the basis of
+    g; each is its Gaussian-integer row divided by its scale."""
+    return [[_qi(x, 0, scale) for x in re] if im is None else
+            [_qi(x, y, scale) for x, y in zip(re, im)]
+            for (re, im), scale in _partial_rows(ctx, mat)]
+
+
 def kostant_jacobian_rank(ctx, mat):
-    return rank_rows(partial_map_jacobian(ctx, mat), ctx.dim)
+    return rank_zi_rows([row for row, _ in _partial_rows(ctx, mat)],
+                        ctx.dim)
 
 
 def full_map_jacobian_rank(ctx, mat):
-    return rank_rows([row for lvl, xm in ctx.chain(mat)
-                      for row in _gradient_rows_at(ctx, lvl, xm)],
-                     ctx.dim)
+    return rank_zi_rows([row for lvl, xm in ctx.chain(mat)
+                         for row, _ in _gradient_rows_at(ctx, lvl, xm)],
+                        ctx.dim)
 
 
 def chain_centralizers(ctx, mat):

@@ -2,8 +2,10 @@
 
 perfbench/tracer.py names the traced functions and methods by module and
 qualified name and reads each one with vars(owner)[attr], so renaming or
-deleting one of them breaks only ``perfbench/run.py --trace 1``.  This test
-installs the tracer on every gzlie module and removes it again.
+deleting one of them breaks only ``perfbench/run.py --trace 1``.  The first
+test installs the tracer on every gzlie module and removes it again; the
+second runs the traced Jacobian and analysis paths, whose elimination entry
+points the tracer reads entry by entry (``ELIM_SIZES``).
 """
 
 import importlib
@@ -12,6 +14,7 @@ import os
 import pkgutil
 
 import gzlie
+from gzlie import docio, liealg, rand, regularity
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -37,3 +40,26 @@ def test_tracer_installs_on_every_traced_function():
     for name, m in modules.items():
         now = vars(m)
         assert all(now[k] is v for k, v in before[name].items()), name
+
+
+def test_traced_jacobian_and_analysis_paths_run():
+    # a Gaussian-integer row handed to a wrapped Q(i) entry point (rank,
+    # rank_rows, nullspace) would raise in the tracer's size reader
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer(tracer_mod.gzlie_modules())
+    tracer.install()
+    try:
+        runs = 0
+        for kind, n in [("gl", 4), ("so", 6)]:
+            ctx = liealg.make_algebra(kind, n)
+            x = rand.Sampler("tracer/%s%d" % (kind, n)).algebra_element(ctx)
+            regularity.is_nsreg(ctx, x)
+            regularity.kostant_jacobian_rank(ctx, x)
+            regularity.full_map_jacobian_rank(ctx, x)
+            docio.analysis_report(ctx, x)
+            # one Faddeev-LeVerrier run per level of the partial map (twice:
+            # the Jacobian and the report) and per level of the chain
+            runs += 2 + len(ctx.levels) + 2
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["matrices.char_poly"] == runs

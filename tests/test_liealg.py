@@ -183,6 +183,22 @@ def test_chain_step_matches_dense_products(seed):
             assert ctx.up(y) == chain_up_dense(ctx, y), (kind, n)
 
 
+def test_down_coords_match_dense_step_of_every_basis_vector():
+    # down_coords[k] / down_scale are the coordinates of PD b_k TD over the
+    # child's basis, for every basis vector of every chain step up to MAX_N
+    for kind, floor in sorted(CHAIN_FLOOR.items()):
+        for n in range(floor + 1, MAX_N + 1):
+            ctx = make_algebra(kind, n)
+            s = ctx.down_scale
+            assert s == (2 if kind == "so" and n % 2 == 0 else 1)
+            for b, pairs in zip(ctx.basis, ctx.down_coords):
+                coords = [ZERO] * ctx.child.dim
+                for l, w in pairs:
+                    coords[l] = rat(w, s)
+                assert (ctx.child.from_coordinates(coords)
+                        == chain_down_dense(ctx, b)), (kind, n)
+
+
 def test_cancelled_chain_step_entries_are_the_shared_zero():
     # on even so the middle entry of PD x TD is a sum of four entries of x
     # that cancels for every x in the algebra

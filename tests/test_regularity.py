@@ -5,8 +5,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import rat, ZERO
-from gzlie.matrices import Mat, rank_rows, char_poly_fl, pfaffian
+from gzlie.scalars import QI, rat, ZERO
+from gzlie.matrices import Mat, rank_rows, char_poly_fl, pfaffian, _qi
 from gzlie.invariants import pfaffian_minors
 from gzlie.liealg import make_algebra, MAX_N
 from gzlie.regularity import (joint_centralizer, centralizer_dims,
@@ -200,11 +200,19 @@ def test_sreg_identity_on_zero_and_so3_witness():
     assert is_sreg(ctx, x) and _sreg_by_definition(ctx, x)
 
 
+def _divided(row, scale):
+    """A Gaussian-integer row [re, im] divided by its scale, over Q(i)."""
+    re, im = row
+    return [_qi(x, y, scale) for x, y in zip(re, im or [0] * len(re))]
+
+
 def _gradient_rows(ctx, lvl, xm):
     # the level's Faddeev-LeVerrier aux matrices and sub-Pfaffian memo,
-    # computed here as the public Jacobians compute them
+    # computed here as the public Jacobians compute them; each row over
+    # Q(i), its Gaussian integers divided by its scale
     _, aux = char_poly_fl(xm)
-    return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))
+    return [_divided(row, scale) for row, scale in
+            _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))]
 
 
 def _assert_gradients_match_jets(ctx, x):
@@ -244,6 +252,58 @@ def test_level_gradient_rows_match_dense_trace_at_every_level(algebra, seed,
     for lvl, xm in ctx.chain(x):
         assert (_gradient_rows(ctx, lvl, xm)
                 == level_gradient_rows_by_trace(ctx, x, lvl.n)), lvl.n
+
+
+# Above this dimension a jet pass per basis direction, and the rank of
+# the full-map rows of an element with Gaussian entries, take seconds to
+# minutes per element (so(10): about a minute of jets; gl(7): the Gaussian
+# full-map rank does not finish in 60 s, a limit of the elimination
+# kernel, which divides rows only by integer content).
+JET_DIM = 25
+
+
+def _assert_integer_rows_match_references(ctx, x):
+    # at every chain level the Gaussian-integer rows, each divided by its
+    # scale, against the dense-trace rows and, up to JET_DIM, the jet rows,
+    # entry by entry; then both Jacobian ranks against rank_rows of the
+    # reference rows
+    ref = {}
+    for lvl, xm in ctx.chain(x):
+        got = _gradient_rows(ctx, lvl, xm)
+        ref[lvl.n] = level_gradient_rows_by_trace(ctx, x, lvl.n)
+        assert got == ref[lvl.n], lvl.n
+        if ctx.dim <= JET_DIM:
+            assert got == partial_map_jacobian_jet(ctx, x, [lvl.n]), lvl.n
+    partial = ref[ctx.n - 1] + ref[ctx.n]
+    assert partial_map_jacobian(ctx, x) == partial
+    assert kostant_jacobian_rank(ctx, x) == rank_rows(partial, ctx.dim)
+    assert (full_map_jacobian_rank(ctx, x)
+            == rank_rows([r for rows in ref.values() for r in rows],
+                         ctx.dim))
+
+
+@given(st.sampled_from([("gl", n) for n in range(2, 8)]
+                       + [("so", n) for n in range(3, 11)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_integer_gradient_rows_match_references(algebra, seed, t, gaussian):
+    # the mixed stream; up to JET_DIM optionally plus i times a generic
+    # element, so that the recurrence runs on Gaussian integers
+    ctx = _algebra(*algebra)
+    s = Sampler(seed)
+    x = _mixed_sample(ctx, s, t)
+    if gaussian and ctx.dim <= JET_DIM:
+        x = x + s.algebra_element(ctx).scale(QI(0, 1))
+    _assert_integer_rows_match_references(ctx, x)
+
+
+def test_integer_gradient_rows_match_references_at_zero_and_so3_witness():
+    for kind, n in [("gl", 2), ("gl", 3), ("so", 3), ("so", 4), ("so", 6)]:
+        _assert_integer_rows_match_references(make_algebra(kind, n),
+                                              Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_integer_rows_match_references(
+            *parse_matrix_doc(json.load(fh)))
 
 
 @given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
