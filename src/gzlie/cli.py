@@ -47,9 +47,9 @@ def cmd_analyze(args):
         return _fail_usage("invalid JSON in %s: %s" % (args.input, exc))
     try:
         ctx, mat = parse_matrix_doc(doc)
+        report = analysis_report(ctx, mat)
     except DocumentError as exc:
         return _fail_usage(str(exc))
-    report = analysis_report(ctx, mat)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -1,10 +1,19 @@
 """External document formats: matrix documents, invariant vectors and
-analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'."""
+analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'.
+
+An analysis report walks the chain once on Gaussian integers
+(AlgebraContext.walk): the ZiMatrix of x, then one integer step down per
+level, and each level's image feeds its centralizer ranks, and on the two
+top levels the Faddeev-LeVerrier run and the sub-Pfaffian memo.  The
+values it prints are checked to fit Python's integer-to-string limit
+before any of that work (see analysis_report)."""
 
 from __future__ import annotations
 
+import sys
+
 from .scalars import parse_scalar, format_scalar
-from .matrices import Mat, char_poly_fl, rank_zi_rows
+from .matrices import Mat, char_poly_fl, rank_zi_rows, zi_matrix, _qi
 from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, pfaffian_minors, level_values,
                          coincidence_of)
@@ -84,31 +93,68 @@ def parse_invariant_doc(doc):
                             for i, v in enumerate(values)])
 
 
+# Digits, beyond n times the digits of the larger of d and M, that a
+# printed value of a report can need (see _check_printable).
+VALUE_DIGIT_SLACK = 40
+
+
+def _check_printable(ctx, image):
+    """DocumentError unless every value of the report of x fits the
+    integer-to-string limit (sys.get_int_max_str_digits, 0: none).
+
+    With x = X/d, d the common denominator and M the largest integer part
+    of X, a generator value of level m <= n is a homogeneous polynomial of
+    degree k <= m in the entries over d^k: its numerator is at most
+    C(n, k) (2k)^(k/2) M^k (principal minors, Hadamard's bound for
+    Gaussian entries) and its denominator at most d^k.  One level down the
+    entries are at most 16 M over 2d.  So n times the digits of max(d, M),
+    plus VALUE_DIGIT_SLACK for the factors, bounds every printed part."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    re, im, d = image
+    big = max([d] + [abs(v) for part in (re, im or []) for row in part
+                     for v in row])
+    digits = big.bit_length() * 30103 // 100000 + 1
+    if ctx.n * digits + VALUE_DIGIT_SLACK > limit:
+        raise DocumentError(
+            "entries too large to report: over their common denominator an "
+            "entry of %s has %d digits, and %d * %d + %d exceeds the limit "
+            "of %d digits for printing an integer"
+            % (ctx.describe(), digits, ctx.n, digits, VALUE_DIGIT_SLACK,
+               limit))
+
+
 def analysis_report(ctx, mat):
     """Full regularity analysis of one element: one centralizer system per
     chain level gives dim z_(g_m)(x_m) and whether x_m is nsreg; sreg is
     nsreg at every level above the floor.
 
-    The two top levels, x and x_(n-1) (taken from the same walk down the
-    chain as the centralizer ranks), make one
-    Faddeev-LeVerrier run each and, on so(even), fill one memo of the
-    sub-Pfaffians of S x_m each.  The coefficients give the generator
-    values and the coincidence count (what partial_kw and
-    coincidence_count compute), the auxiliary matrices and the memo the
-    Jacobian rows (kostant_jacobian_rank), and pf(S x_m) is read from the
-    memo that the Pfaffian gradient filled."""
-    chain = list(ctx.chain(mat))
-    ranks = [_centralizer_ranks(lvl, xm) for lvl, xm in chain]
+    The chain is walked once on Gaussian integers: each level's ZiMatrix
+    writes its centralizer system, and on the two top levels, x and
+    x_(n-1), it also feeds one Faddeev-LeVerrier run each and, on
+    so(even), one memo of the sub-Pfaffians of S X_m each.  The
+    coefficients give the generator values and the coincidence count
+    (what partial_kw and coincidence_count compute), the auxiliary
+    matrices and the memo the Jacobian rows (kostant_jacobian_rank), and
+    pf(S x_m) is read from the memo that the Pfaffian gradient filled.
+    Raises DocumentError, before any of that, when a value of the report
+    could exceed the integer-to-string limit (_check_printable)."""
+    image = zi_matrix(mat.a)
+    _check_printable(ctx, image)
+    chain = list(ctx.walk(image))
+    ranks = [_centralizer_ranks(lvl, img) for lvl, img in chain]
     dims = [lvl.dim - grank for lvl, (_, grank) in zip(ctx.levels, ranks)]
     nsreg = [krank == lvl.k_dim() for lvl, (krank, _) in
              zip(ctx.levels[:-1], ranks)]
     coeffs, values, rows = [], [], []
-    for lvl, xm in chain[1::-1]:        # x_(n-1), then x
-        b, aux = char_poly_fl(xm)
-        minors = pfaffian_minors(lvl, xm)
+    for lvl, img in chain[1::-1]:       # x_(n-1), then x
+        b, aux = char_poly_fl(img)
+        minors = pfaffian_minors(lvl, img)
         rows += [row for row, _ in
                  _level_gradient_rows(ctx, lvl, aux, minors)]
-        pf = None if minors is None else minors(tuple(range(lvl.n)))
+        pf = (None if minors is None else
+              _qi(*minors(tuple(range(lvl.n))), img.d ** (lvl.n // 2)))
         values += level_values(lvl, b, pf)
         coeffs.append(b)
     jrank = rank_zi_rows(rows, ctx.dim)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import polys
-from .matrices import Mat, char_poly, pfaffian, sub_pfaffians
+from .matrices import Mat, char_poly, pfaffian, zi_sub_pfaffians
 from .scalars import ZERO, ONE
 
 
@@ -75,13 +75,17 @@ def pfaffian_generator(ctx, mat):
     return pfaffian(Mat._raw(mat.a[::-1]))      # S x: x, rows reversed
 
 
-def pfaffian_minors(ctx_m, mat_m):
-    """The sub-Pfaffian memo (matrices.sub_pfaffians) of S x_m on a level
-    whose last generator is pf(S x_m), else None.  Unlike
-    pfaffian_generator it does not check that S x_m is antisymmetric."""
+def pfaffian_minors(ctx_m, image):
+    """The sub-Pfaffian memo (matrices.zi_sub_pfaffians) of S X_m on a
+    level whose last generator is pf(S x_m), else None; image is the
+    ZiMatrix (re, im, d) of x_m and X_m = d x_m its integers, so S X_m is
+    re and im with their rows reversed, and pf(S x_m) is the memo's
+    Pfaffian of all m indices over d^(m/2).  Unlike pfaffian_generator it
+    does not check that S x_m is antisymmetric."""
     if not generator_spec(ctx_m).pfaffian:
         return None
-    return sub_pfaffians(mat_m.a[::-1])
+    re, im, _ = image
+    return zi_sub_pfaffians(re[::-1], None if im is None else im[::-1])
 
 
 def level_values(ctx_m, b, pf):

@@ -14,9 +14,14 @@ needs no projection onto the fixed part first (see AlgebraContext.down).
 Both steps are read from index lists: PD and TD have at most two nonzero
 entries per row and column, so each entry of PD x TD or TD y PD is a sum
 of at most four weighted entries of x or y, and no matrix product is made.
-The step down is also stored once per context in basis coordinates:
-down_coords[k] lists the int weights of down(b_k) over the child's basis,
-all over the one down_scale (2 on even so, 1 otherwise), so a row against
+The same cells with their weights times one down_scale (2 on even so, the
+1/2 of PD; 1 otherwise) step a Gaussian-integer image (re, im, d) of x
+down (down_zi), and walk(image) takes it down the whole chain on integers:
+one image per level, which the centralizer systems, Faddeev-LeVerrier and
+the sub-Pfaffian memo of gzlie.regularity and gzlie.docio read.
+chain(x) is the Q(i) view of that walk.  The step down is also stored once
+per context in basis coordinates: down_coords[k] lists the int weights of
+down(b_k) over the child's basis, all over down_scale, so a row against
 the child's basis is read against this basis with no matrix at all.
 
 Basis matrices are built from their supports and share storage: every
@@ -28,10 +33,12 @@ Roots are recorded in epsilon-coordinates (integer tuples of length l).
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 
 from .scalars import QI, ZERO, ONE, rat
-from .matrices import Mat, bracket, det, inverse
+from .matrices import (Mat, ZiMatrix, bracket, det, inverse, zi_matrix,
+                       qi_matrix)
 
 HALF = rat(1, 2)
 TWO = rat(2)
@@ -88,8 +95,9 @@ class AlgebraContext:
     A context is read-only once built: make_algebra shares one context per
     (kind, n) across the process, and every context's ``child`` is that
     shared context one size down.  ``levels`` is this context and every one
-    below it, top first: levels[k] is level n - k.  ``chain(x)`` walks them
-    once.  Callers must not mutate its matrices."""
+    below it, top first: levels[k] is level n - k.  ``walk(image)`` takes a
+    Gaussian-integer image of x down them once, and ``chain(x)`` is its Q(i)
+    view.  Callers must not mutate its matrices."""
 
     def __init__(self, kind, n):
         if kind not in CHAIN_FLOOR:
@@ -258,10 +266,15 @@ class AlgebraContext:
         rows of PD and the columns of TD (for down), and of the rows of TD
         and the columns of PD (for up): at most two terms each, of weight 1
         except the even-so scalings 2 and 1/2.  chain_TD and chain_PD stay
-        as the data those terms are read from."""
+        as the data those terms are read from.  A term's weight is stored as
+        an int times the step's one scale, the least common denominator of
+        its weights (see _product_cells): down_scale is 2 on even so (the
+        1/2 of PD) and 1 otherwise.  The integer step (down_zi) reads those
+        ints; the Q(i) steps read each weight through a table of at most
+        three Q(i) scalars."""
         n, kind = self.n, self.kind
         self.chain_TD = self.chain_PD = None
-        self._down_cells = self._up_cells = None
+        self._down_cells = self._up_cells = self.down_scale = None
         if n == CHAIN_FLOOR[kind]:
             return
         l = n // 2
@@ -276,17 +289,17 @@ class AlgebraContext:
             pd.a[l - 1][l - 1] = pd.a[l - 1][l] = HALF
         self.chain_TD, self.chain_PD = td, pd
         td_cols, pd_cols = list(zip(*td.a)), list(zip(*pd.a))
-        self._down_cells = _product_cells(pd.a, td_cols)
-        self._up_cells = _product_cells(td.a, pd_cols)
+        self._down_cells, self.down_scale, self._down_weights = (
+            _product_cells(pd.a, td_cols))
+        self._up_cells, _, self._up_weights = _product_cells(td.a, pd_cols)
 
     def _build_down_coords(self):
         """down_coords[k]: the int pairs (l, w) with down(b_k) = sum of
         w * b'_l / down_scale over the basis b' of the child, l increasing.
-        down_scale is 2 on even so (the 1/2 of PD) and 1 otherwise.
         down(b_k) lies in the child, so its coordinates are its entries at
-        the child's basis positions; they are read from the cells of the
-        step down and the supports of b_k, with no matrix product."""
-        self.down_coords = self.down_scale = None
+        the child's basis positions; they are read from the integer cells
+        of the step down and the supports of b_k, with no matrix product."""
+        self.down_coords = None
         if self.child is None:
             return
         at = self.child.position_index
@@ -298,19 +311,15 @@ class AlgebraContext:
                 l = at[p][q]
                 if l is not None:
                     for i, j, w in terms:
-                        reads.setdefault((i, j), []).append(
-                            (l, 1 if w is None else w.re))
+                        reads.setdefault((i, j), []).append((l, w))
         coords = []
         for support in self.basis_supports:
             acc = {}
             for i, j, c in support:
                 for l, w in reads.get((i, j), ()):
                     acc[l] = acc.get(l, 0) + c * w
-            coords.append(sorted((l, w) for l, w in acc.items() if w))
-        scale = lcm(*(w.denominator for pairs in coords for _, w in pairs))
-        self.down_scale = scale
-        self.down_coords = [tuple((l, int(w * scale)) for l, w in pairs)
-                            for pairs in coords]
+            coords.append(tuple(sorted((l, w) for l, w in acc.items() if w)))
+        self.down_coords = coords
 
     # --- element services --------------------------------------------------
 
@@ -363,14 +372,40 @@ class AlgebraContext:
         of PD up to one common sign), so x needs no theta-averaging first."""
         if self._down_cells is None:
             raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        return _apply_cells(self._down_cells, mat.a)
+        return _apply_cells(self._down_cells, self._down_weights, mat.a)
+
+    def down_zi(self, image):
+        """The step down on a ZiMatrix (re, im, d) of x: the ZiMatrix of
+        PD x TD over its least common denominator, so the same one that
+        zi_matrix(down(x).a) gives.  Each cell is an int sum of the weights
+        of the step, stored times down_scale (see _build_chain_maps), over
+        d * down_scale; that denominator and every part are then divided by
+        their gcd.  im is None when no imaginary part is left."""
+        if self._down_cells is None:
+            raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
+        re, im, d = image
+        d *= self.down_scale
+        re = _apply_int_cells(self._down_cells, re)
+        parts = [re]
+        if im is not None:
+            im = _apply_int_cells(self._down_cells, im)
+            if any(map(any, im)):
+                parts.append(im)
+            else:
+                im = None
+        g = gcd(d, *(v for part in parts for row in part for v in row))
+        if g > 1:
+            d //= g
+            re, im = [[[v // g for v in row] for row in part]
+                      if part is not None else None for part in (re, im)]
+        return ZiMatrix(re, im, d)
 
     def up(self, small):
         """Embed an element of the next algebra down back into this one:
         TD y PD, read from index lists."""
         if self._up_cells is None:
             raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        return _apply_cells(self._up_cells, small.a)
+        return _apply_cells(self._up_cells, self._up_weights, small.a)
 
     def group_up(self, g_small):
         """Embed a group element one size down (acting trivially on the
@@ -386,14 +421,22 @@ class AlgebraContext:
                              % (m, self.kind, self.n))
         return self.levels[self.n - m]
 
+    def walk(self, image):
+        """(level, image) for every chain level m from n down to the floor:
+        the ZiMatrix of x itself, then one integer step down (down_zi) per
+        level, each made only when the next pair is asked for."""
+        yield self, image
+        for upper, lvl in zip(self.levels, self.levels[1:]):
+            image = upper.down_zi(image)
+            yield lvl, image
+
     def chain(self, mat):
         """(level, x_m) for every chain level m from n down to the floor:
-        x itself, then one step down per level, each made only when the
-        next pair is asked for."""
+        x itself, then the Q(i) matrix of each level's image in walk, each
+        step made only when the next pair is asked for."""
         yield self, mat
-        for upper, lvl in zip(self.levels, self.levels[1:]):
-            mat = upper.down(mat)
-            yield lvl, mat
+        for lvl, image in islice(self.walk(zi_matrix(mat.a)), 1, None):
+            yield lvl, qi_matrix(*image)
 
     def invariant_rank(self, m=None):
         m = self.n if m is None else m
@@ -432,24 +475,36 @@ def _from_support(n, support):
 
 
 def _product_cells(left_rows, right_cols):
-    """cells[p][q]: the terms (i, j, w) with (L x R)[p][q] = sum of
-    w * x[i][j], from the nonzero entries of row p of L and column q of R;
-    w is None where the weight is 1."""
-    def weight(wi, wj):
-        w = wj if wi is ONE else wi if wj is ONE else wi * wj
-        return None if w is ONE or w == ONE else w
+    """(cells, scale, weights) of L x R, for L and R with rational entries:
+    cells[p][q] are the terms (i, j, w) with (L x R)[p][q] = sum of
+    w * x[i][j] / scale, from the nonzero entries of row p of L and column
+    q of R; w is an int, scale the least common denominator of the entry
+    products, and weights[w] the Q(i) weight w / scale, None where it is
+    1.  The products are taken on the ints of each entry a/b."""
+    def parts(vectors):
+        return [[(i, w.re.numerator, w.re.denominator)
+                 for i, w in enumerate(v) if w] for v in vectors]
 
-    terms_l = [[(i, w) for i, w in enumerate(r) if w] for r in left_rows]
-    terms_r = [[(j, w) for j, w in enumerate(c) if w] for c in right_cols]
-    return [[tuple([(i, j, weight(wi, wj)) for i, wi in tl for j, wj in tr])
-             for tr in terms_r] for tl in terms_l]
+    terms_r = parts(right_cols)
+    cells = [[[(i, j, a * c, b * d) for i, a, b in tl for j, c, d in tr]
+              for tr in terms_r] for tl in parts(left_rows)]
+    scale = lcm(*(b // gcd(a, b) for crow in cells for terms in crow
+                  for _, _, a, b in terms))
+    weights = {}
+    for crow in cells:
+        for q, terms in enumerate(crow):
+            crow[q] = tuple((i, j, a * scale // b) for i, j, a, b in terms)
+            for _, _, w in crow[q]:
+                if w not in weights:
+                    weights[w] = None if w == scale else rat(w, scale)
+    return cells, scale, weights
 
 
-def _apply_cells(cells, a):
-    """The matrix whose entry (p, q) is the sum of w * a[i][j] over the
-    terms (i, j, w) of cells[p][q] (w None: weight 1).  A lone term of
-    weight 1 copies its entry, an empty cell or a sum that cancels is the
-    shared ZERO."""
+def _apply_cells(cells, weights, a):
+    """The Q(i) matrix whose entry (p, q) is the sum of weights[w] * a[i][j]
+    over the terms (i, j, w) of cells[p][q] (weights[w] None: weight 1).  A
+    lone term of weight 1 copies its entry, an empty cell or a sum that
+    cancels is the shared ZERO."""
     out = []
     for crow in cells:
         row = []
@@ -457,17 +512,26 @@ def _apply_cells(cells, a):
             if len(terms) == 1:
                 i, j, w = terms[0]
                 v = a[i][j]
+                w = weights[w]
                 row.append(v if w is None else (v * w if v else ZERO))
                 continue
             s = ZERO
             for i, j, w in terms:
                 v = a[i][j]
                 if v:
+                    w = weights[w]
                     v = v if w is None else v * w
                     s = v if s is ZERO else s + v
             row.append(s if s else ZERO)
         out.append(row)
     return Mat._raw(out)
+
+
+def _apply_int_cells(cells, a):
+    """The int matrix whose entry (p, q) is the sum of w * a[i][j] over the
+    terms (i, j, w) of cells[p][q]."""
+    return [[sum([w * a[i][j] for i, j, w in terms]) for terms in crow]
+            for crow in cells]
 
 
 def monomial_pairs(t):

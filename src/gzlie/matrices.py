@@ -1,9 +1,13 @@
 """Dense exact matrices over Q(i).
 
 The exact kernel works on Gaussian integers held as pairs of Python ints;
-rationals appear only at its boundary.  A row enters it scaled by the least
-common denominator of its entries (``_zi_rows``) and results leave it
-through ``_qi``.
+rationals appear only at its boundary.  A Q(i) row enters it scaled by the
+least common denominator of its entries (``_zi_rows``), a matrix as a
+ZiMatrix (re, im, d) over one common denominator (``zi_matrix``), and
+results leave it through ``_qi`` (``qi_matrix`` for a whole matrix).  Rows
+already over Z[i], such as the centralizer systems of gzlie.regularity,
+enter through ``rank_zi_rows``, ``pivots_zi_rows`` and
+``nullspace_zi_rows``.
 
 Rank, nullspace, determinant, solve, inverse and the polynomial gcd of
 gzlie.polys all read one fraction-free elimination, ``_echelon``, with a
@@ -16,18 +20,21 @@ Gauss-Jordan elimination.  Rank and determinant take the forward pass (the
 determinant undoes the recorded row scalings); nullspace, solve and
 inverse read the reduced row echelon form, dividing by each pivot once at
 the end.  That form is unique, so their results do not depend on the
-order of elimination.  The gcd reads only its last nonzero row
-(``last_rref_row``): the last pivot row of the forward pass divided by its
-pivot, since that row is zero left of its pivot and no later pivot would
-clear it.
+order of elimination, nor on the scaling or order of the rows.  The gcd
+reads only its last nonzero row (``last_rref_row``): the last pivot row of
+the forward pass divided by its pivot, since that row is zero left of its
+pivot and no later pivot would clear it.
 
 char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
 denominator of A, over Z[i], where its division by k is exact, and rescales
-the coefficients by d^k.  Its auxiliary matrices stay the recurrence's
-integers M_k(X) (AuxMatrices): the Jacobian rows of gzlie.regularity read
-them with d and never leave Z[i], and indexing gives the Q(i) matrices
-M_k(A) = M_k(X)/d^(k-1).  Rows already over Z[i] enter the kernel through
-``rank_zi_rows``; ``zi_matrix`` clears one common denominator of a matrix.
+the coefficients by d^k; it takes A as a Mat or as its ZiMatrix, the form
+in which a chain level arrives from gzlie.liealg.AlgebraContext.walk.  Its
+auxiliary matrices stay the recurrence's integers M_k(X) (AuxMatrices):
+the Jacobian rows of gzlie.regularity read them with d and never leave
+Z[i], and indexing gives the Q(i) matrices M_k(A) = M_k(X)/d^(k-1).
+``zi_sub_pfaffians`` is the memo of sub-Pfaffians of an antisymmetric
+Gaussian-integer matrix that those Jacobian rows and the analysis report
+read.
 
 No code path of the package uses jets.  ``pfaffian`` is ring-generic, and
 tests/qi_reference.py runs it and a ring-generic Faddeev-LeVerrier loop on
@@ -36,6 +43,7 @@ first-order jets, next to the Q(i) Gauss-Jordan references.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm
 from operator import mul as _mul
 
@@ -192,9 +200,13 @@ def _zi_rows(rows):
     return out, dens
 
 
+# (re, im, d): the matrix (re + i*im) / d with re and im int rows (im None
+# when every entry is real) over one common denominator d
+ZiMatrix = namedtuple("ZiMatrix", "re im d")
+
+
 def zi_matrix(rows):
-    """(re, im, d): Q(i) rows as int rows over one common denominator d,
-    rows = (re + i*im) / d; im is None when every entry is real."""
+    """The ZiMatrix of Q(i) rows over their least common denominator d."""
     zi, dens = _zi_rows(rows)
     d = lcm(*dens)
     re = [[v * (d // e) for v in r] for (r, _), e in zip(zi, dens)]
@@ -202,7 +214,15 @@ def zi_matrix(rows):
     if any(s is not None for _, s in zi):
         im = [[v * (d // e) for v in s] if s is not None else [0] * len(r)
               for (r, s), e in zip(zi, dens)]
-    return re, im, d
+    return ZiMatrix(re, im, d)
+
+
+def qi_matrix(re, im, d):
+    """The Q(i) matrix (re + i*im) / d of int rows, im None when real."""
+    if im is None:
+        return Mat._raw([[_qi(x, 0, d) for x in r] for r in re])
+    return Mat._raw([[_qi(x, y, d) for x, y in zip(r, s)]
+                     for r, s in zip(re, im)])
 
 
 def _qi(x, y, p, q=0):
@@ -310,7 +330,7 @@ def rank(mat):
 
 
 def rank_rows(row_vectors, ncols):
-    return len(pivot_columns(row_vectors, ncols))
+    return len(_echelon(_zi_rows(row_vectors)[0], ncols)[0])
 
 
 def rank_zi_rows(rows, ncols):
@@ -320,11 +340,12 @@ def rank_zi_rows(rows, ncols):
     return len(_echelon(rows, ncols)[0])
 
 
-def pivot_columns(row_vectors, ncols):
-    """The pivot columns of the forward pass, in increasing order.  The
-    pivots left of column c are the rank of the first c columns, since the
-    pass clears them column by column from the left."""
-    return _echelon(_zi_rows(row_vectors)[0], ncols)[0]
+def pivots_zi_rows(rows, ncols):
+    """The pivot columns of the forward pass over rows in the kernel's form
+    (see rank_zi_rows), in increasing order.  The pivots left of column c
+    are the rank of the first c columns, since the pass clears them column
+    by column from the left.  The rows are consumed."""
+    return _echelon(rows, ncols)[0]
 
 
 def last_rref_row(rows, ncols):
@@ -344,12 +365,20 @@ def last_rref_row(rows, ncols):
 def nullspace(mat):
     """Deterministic basis of the right kernel, one vector (length-n list)
     per free column, 1 at that column and 0 at the other free columns."""
-    rows, _ = _zi_rows(mat.a)
-    pivots, _, _ = _echelon(rows, mat.n, reduced=True)
-    free = sorted(set(range(mat.n)) - set(pivots))
+    return nullspace_zi_rows(_zi_rows(mat.a)[0], mat.n)
+
+
+def nullspace_zi_rows(rows, ncols):
+    """nullspace of the matrix with ``ncols`` columns whose rows, in the
+    kernel's form (see rank_zi_rows), span its row space; no rows is the
+    zero matrix.  The vectors are Q(i) lists, read off the reduced row
+    echelon form, which depends only on that row space.  The rows are
+    consumed."""
+    pivots, _, _ = _echelon(rows, ncols, reduced=True)
+    free = sorted(set(range(ncols)) - set(pivots))
     basis = []
     for fc in free:
-        vec = [ZERO] * mat.n
+        vec = [ZERO] * ncols
         vec[fc] = ONE
         for (re, im), pc in zip(rows, pivots):
             if im is None:
@@ -437,11 +466,7 @@ class AuxMatrices:
     def __getitem__(self, k):
         k = range(len(self.ints))[k]
         re, im = self.ints[k]
-        dk = self.d ** k
-        if im is None:
-            return Mat._raw([[_qi(x, 0, dk) for x in r] for r in re])
-        return Mat._raw([[_qi(x, y, dk) for x, y in zip(r, s)]
-                         for r, s in zip(re, im)])
+        return qi_matrix(re, im, self.d ** k)
 
     def __eq__(self, other):
         return list(self) == list(other)
@@ -459,11 +484,13 @@ def char_poly_fl(mat):
     b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  aux is an
     AuxMatrices: its ints and d are the recurrence's own integers, which
     the Jacobian rows of gzlie.regularity read without leaving Z[i].
+    ``mat`` is a Mat, or already the ZiMatrix of A over that d (a chain
+    level's image, see AlgebraContext.walk).
     """
-    n = mat.n
+    xre, xim, d = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
+    n = len(xre)
     if n == 0:
         return [], AuxMatrices(1, [])
-    xre, xim, d = zi_matrix(mat.a)
     mre = [[int(i == j) for j in range(n)] for i in range(n)]
     mim = None
     coeffs, ints = [], []
@@ -541,6 +568,41 @@ def sub_pfaffians(a):
             s = a[i][rest[0]] - a[i][rest[0]]  # ring zero
         memo[idx] = s
         return s
+
+    return pf
+
+
+def zi_sub_pfaffians(re, im):
+    """pf(idx): the Pfaffian (p, q), p + i*q, of the rows and columns idx
+    (an increasing tuple of even length) of the antisymmetric
+    Gaussian-integer matrix re + i*im (im None when real), by expansion
+    along the first index.  One memo serves every call of the returned pf,
+    as in sub_pfaffians; real and Gaussian matrices share this path."""
+    memo = {}
+
+    def pf(idx):
+        if not idx:
+            return 1, 0
+        got = memo.get(idx)
+        if got is not None:
+            return got
+        i = idx[0]
+        rest = idx[1:]
+        row_re = re[i]
+        row_im = im[i] if im is not None else None
+        p = q = 0
+        for t, j in enumerate(rest):
+            a = row_re[j]
+            b = row_im[j] if row_im is not None else 0
+            if not (a or b):
+                continue
+            if t % 2 == 1:
+                a, b = -a, -b
+            u, v = pf(rest[:t] + rest[t + 1:])
+            p += a * u - b * v
+            q += a * v + b * u
+        memo[idx] = p, q
+        return p, q
 
     return pf
 

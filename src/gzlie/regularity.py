@@ -1,119 +1,138 @@
 """Centralizers, regularity, strong regularity and the differential
 criterion for the partial chain-restriction map.
 
+Every reader here takes x through its Gaussian-integer image
+(matrices.ZiMatrix) and the chain through AlgebraContext.walk, one
+integer step per level, and its systems stay over Z[i] to the rank.
+
 Tests that need only a dimension take the rank of a centralizer system;
-nullspace bases are built only for callers that want the vectors.  A
-system is written from the column supports, so it makes no matrix product,
-and in the coordinates of g: [y, x] lies in g, so each x gives one row per
-basis position of g (n(n-1)/2 rows on so(n), not n^2).
-x is nsreg when z_k(x) = 0, the system of [y, x] = 0 over the basis of k
-having rank dim k.  Strong regularity is nsreg at every chain level (see
-is_sreg); chain_centralizers keeps its definition as the reference.  The
-per-level tests read each level m with x_m from AlgebraContext.chain(x).
-Readers of both ranks at every level (centralizer dimensions and the
-analysis report) take one forward pass per level over the k-adapted
-columns, the k basis first: its pivots in that prefix are the k-rank (see
+nullspace bases are built only for callers that want the vectors.  One
+writer, _centralizer_system, writes every system: from the column
+supports and the nonzero cells of the image's integers, so it makes no
+matrix product, each row divided by its integer content, and in the
+coordinates of g: [y, x] lies in g, so each x gives one row per basis
+position of g (n(n-1)/2 rows on so(n), not n^2).  x is nsreg when
+z_k(x) = 0, the system of [y, x] = 0 over the basis of k having rank
+dim k.  Strong regularity is nsreg at every chain level (see is_sreg);
+chain_centralizers keeps its definition as the reference.  Readers of
+both ranks at every level (centralizer dimensions and the analysis
+report) take one forward pass per level over the k-adapted columns, the
+k basis first: its pivots in that prefix are the k-rank (see
 chain_centralizer_ranks).
 
 Differentials of characteristic coefficients are read off the auxiliary
 matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
 gives every gradient row from a single recurrence per chain level; the
-Pfaffian row reads the Pfaffians of the cofactors of S*x, all from one memo
-of sub-Pfaffians.  _level_gradient_rows takes that data, so a caller that
-also reads the coefficients and pf(S*x) off the same run and memo
-(docio.analysis_report) computes them once; the public Jacobians compute
-their own.
+Pfaffian row reads the Pfaffians of the cofactors of S*X, all from one memo
+of sub-Pfaffians on the integers X = d*x_m.  _level_gradient_rows takes
+that data, so a caller that also reads the coefficients and pf(S*x) off
+the same run and memo (docio.analysis_report) computes them once; the
+public Jacobians compute their own.
 
 The rows stay over Z[i] from the recurrence to the rank, since a row
 scaled by a nonzero constant spans the same line: a coefficient row is the
 pairing of the recurrence's integer M_j(X), X = d*x_m, with the basis
 supports of g_m (tr(G b) is the sum of c * G[j][i] over the support
-(i, j, c) of b), and the Pfaffian row is the memo's cofactors over their
-common denominator.  Each row is lifted to the basis of g through
-AlgebraContext.down_coords of every level above (tr(G down(b_k)) is a
-weighted sum of the pairings with the child's basis), so no basis matrix
-is projected and no gradient embedded.  Every row carries its scale
-(sign * d^(j-1) * s^e for e steps through even so, where s = 2; the
-Pfaffian row's common denominator in place of d^(j-1)): the Jacobian
-ranks eliminate the integer rows directly (matrices.rank_zi_rows), and
-partial_map_jacobian divides by the scales.
+(i, j, c) of b), and the Pfaffian row is the memo's cofactors of S*X.
+Each row is lifted to the basis of g through AlgebraContext.down_coords
+of every level above (tr(G down(b_k)) is a weighted sum of the pairings
+with the child's basis), so no basis matrix is projected and no gradient
+embedded.  Every row carries its scale (sign * d^(j-1) * s^e for e steps
+through even so, where s = 2; d^((m-2)/2), the degree of the cofactors,
+for the Pfaffian row): the Jacobian ranks eliminate the integer rows
+directly (matrices.rank_zi_rows), and partial_map_jacobian divides by the
+scales.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd
 
-from .scalars import ZERO
-from .matrices import (Mat, nullspace, rank_rows, rank_zi_rows,
-                       pivot_columns, char_poly_fl, zi_matrix, _qi)
+from .matrices import (Mat, rank_zi_rows, pivots_zi_rows, nullspace_zi_rows,
+                       char_poly_fl, zi_matrix, _qi)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
 
-def _centralizer_system(ctx, mats, supports):
-    """Rows of the linear system [y, x] = 0 (x in mats), one column per
-    vector of ``supports``: the basis of g, of k, or the k-adapted basis
-    AlgebraContext.k_adapted_supports, the k basis followed by the basis
-    vectors of g that complete it.  The first dim k columns of the
-    k-adapted system are the k-system, so one forward pass gives both
-    ranks (see chain_centralizer_ranks).
-
-    [y, x] lies in g, so its coordinates fix it: each x gives one row per
-    basis position of g (ctx.position_index), n(n-1)/2 rows on so(n) and
-    n^2 on gl(n).  On so(n) the other cells repeat these up to sign (the
-    cell (n-1-j, n-1-i) holds minus the cell (i, j)) or are zero (the
-    antidiagonal), so the row space is that of all n^2 cells: ranks are
-    the same, and so are nullspaces, read off the unique reduced form.
-
-    [E_ij, x] is row j of x placed in row i minus column i of x placed in
-    column j, so each column is written from the support of its vector
-    and the nonzero cells of the rows and columns of x, read once per x;
-    a cell off the basis positions is skipped."""
-    size = ctx.n
+def _bracket_block(ctx, a, supports):
+    """block[r][k]: coordinate r (basis position r of g) of [b_k, A] for
+    the int matrix A and the basis vector b_k with the k-th support.
+    [E_ij, A] is row j of A placed in row i minus column i of A placed in
+    column j, so each column is written from its support and the nonzero
+    cells of the rows and columns of A, read once; a cell off the basis
+    positions is skipped."""
     at = ctx.position_index
-    ncols = len(supports)
+    row_cells = [[(q, v) for q, v in enumerate(r) if v] for r in a]
+    col_cells = [[] for _ in a]
+    for p, cells in enumerate(row_cells):
+        for q, v in cells:
+            col_cells[q].append((p, v))
+    block = [[0] * len(supports) for _ in range(ctx.dim)]
+    for k, support in enumerate(supports):
+        for i, j, c in support:
+            at_i = at[i]
+            for q, v in row_cells[j]:
+                r = at_i[q]
+                if r is not None:
+                    block[r][k] += c * v
+            for p, v in col_cells[i]:
+                r = at[p][j]
+                if r is not None:
+                    block[r][k] -= c * v
+    return block
+
+
+def _centralizer_system(ctx, images, supports):
+    """Rows of the linear system [y, x] = 0 (x of each ZiMatrix in images),
+    one column per vector of ``supports``, in the kernel's form: pairs
+    [re, im] of int lists, im None when real.  supports is the basis of g,
+    of k, or the k-adapted basis AlgebraContext.k_adapted_supports, the k
+    basis followed by the basis vectors of g that complete it.  The first
+    dim k columns of the k-adapted system are the k-system, so one forward
+    pass gives both ranks (see chain_centralizer_ranks).
+
+    The system is homogeneous, so it is written for d*x, the image's
+    integers, and each row is divided by its integer content; zero rows
+    are left out.  [y, x] lies in g, so its coordinates fix it: each x
+    gives one row per basis position of g (ctx.position_index), n(n-1)/2
+    rows on so(n) and n^2 on gl(n).  On so(n) the other cells repeat these
+    up to sign (the cell (n-1-j, n-1-i) holds minus the cell (i, j)) or are
+    zero (the antidiagonal), so the row space is that of all n^2 cells:
+    ranks and pivot columns are the same, and so are nullspaces, read off
+    the unique reduced form."""
     rows = []
-    for x in mats:
-        row_cells = [[(q, v) for q, v in enumerate(r) if v] for r in x.a]
-        row_neg = [[(q, -v) for q, v in cells] for cells in row_cells]
-        col_cells = [[] for _ in range(size)]
-        col_neg = [[] for _ in range(size)]
-        for p, (cells, negs) in enumerate(zip(row_cells, row_neg)):
-            for (q, v), (_, w) in zip(cells, negs):
-                col_cells[q].append((p, v))
-                col_neg[q].append((p, w))
-        block = [[ZERO] * ncols for _ in range(ctx.dim)]
-        for k, support in enumerate(supports):
-            for i, j, c in support:
-                src, dst = ((row_cells, col_neg) if c == 1
-                            else (row_neg, col_cells))
-                at_i = at[i]
-                for q, v in src[j]:
-                    r = at_i[q]
-                    if r is not None:
-                        row = block[r]
-                        row[k] = v if row[k] is ZERO else row[k] + v
-                for p, v in dst[i]:
-                    r = at[p][j]
-                    if r is not None:
-                        row = block[r]
-                        row[k] = v if row[k] is ZERO else row[k] + v
-        rows.extend(block)
+    for re, im, _ in images:
+        block_re = _bracket_block(ctx, re, supports)
+        block_im = (_bracket_block(ctx, im, supports) if im is not None
+                    else [None] * len(block_re))
+        for r, s in zip(block_re, block_im):
+            if s is not None and not any(s):
+                s = None
+            g = gcd(*r, *(s or ()))
+            if not g:
+                continue
+            if g > 1:
+                r = [v // g for v in r]
+                if s is not None:
+                    s = [v // g for v in s]
+            rows.append([r, s])
     return rows
 
 
-def _centralizer_basis(ctx, mats, basis, supports):
-    """Basis of {y in span(basis) : [y, x] = 0 for all x in mats}; the
-    basis vectors have the given supports."""
-    rows = _centralizer_system(ctx, mats, supports)
-    ns = nullspace(Mat(rows)) if rows else []
+def _centralizer_basis(ctx, images, basis, supports):
+    """Basis of {y in span(basis) : [y, x] = 0 for x of each ZiMatrix in
+    images}; the basis vectors have the given supports."""
+    ns = nullspace_zi_rows(_centralizer_system(ctx, images, supports),
+                           len(supports))
     return [sum((c * b for c, b in zip(coeffs, basis) if c),
                 Mat.zeros(basis[0].n)) for coeffs in ns]
 
 
 def joint_centralizer(ctx, mats):
     """Basis of {y in g : [y, x] = 0 for all x in mats}."""
-    return _centralizer_basis(ctx, mats, ctx.basis, ctx.basis_supports)
+    return _centralizer_basis(ctx, [zi_matrix(x.a) for x in mats],
+                              ctx.basis, ctx.basis_supports)
 
 
 def chain_centralizer_ranks(ctx, mat):
@@ -126,14 +145,16 @@ def chain_centralizer_ranks(ctx, mat):
     column by column from the left, so its pivots in the first dim k
     columns are the rank of the k-system, and all its pivots the rank of
     the g-system in a basis of g."""
-    return [_centralizer_ranks(lvl, xm) for lvl, xm in ctx.chain(mat)]
+    return [_centralizer_ranks(lvl, image)
+            for lvl, image in ctx.walk(zi_matrix(mat.a))]
 
 
-def _centralizer_ranks(lvl, xm):
+def _centralizer_ranks(lvl, image):
     """(rank of the k-system, rank of the g-system) of [y, x_m] = 0 on one
-    chain level, from one forward pass (see chain_centralizer_ranks)."""
-    pivots = pivot_columns(
-        _centralizer_system(lvl, [xm], lvl.k_adapted_supports), lvl.dim)
+    chain level, from one forward pass over the ZiMatrix of x_m (see
+    chain_centralizer_ranks)."""
+    pivots = pivots_zi_rows(
+        _centralizer_system(lvl, [image], lvl.k_adapted_supports), lvl.dim)
     return bisect_left(pivots, lvl.k_dim()), len(pivots)
 
 
@@ -147,29 +168,40 @@ def centralizer_dims(ctx, mat):
 def nsreg_intersection(ctx, mat):
     """Basis of z_k(x) = {y in k : [y, x] = 0}, which is
     z_k(x_k) intersect z_g(x)."""
-    return _centralizer_basis(ctx, [mat], ctx.k_basis, ctx.k_supports)
+    return _centralizer_basis(ctx, [zi_matrix(mat.a)], ctx.k_basis,
+                              ctx.k_supports)
 
 
 def is_nsreg(ctx, mat):
     """z_k(x) = 0: Ad(K) x has dimension dim k."""
-    rows = _centralizer_system(ctx, [mat], ctx.k_supports)
-    return rank_rows(rows, ctx.k_dim()) == ctx.k_dim()
+    return _nsreg(ctx, zi_matrix(mat.a))
+
+
+def _nsreg(ctx, image):
+    """is_nsreg of the x whose ZiMatrix is image."""
+    rows = _centralizer_system(ctx, [image], ctx.k_supports)
+    return rank_zi_rows(rows, ctx.k_dim()) == ctx.k_dim()
 
 
 def _pfaffian_gradient(minors, m):
-    """G with d pf(S x)(V) = tr(G V) for x, V in so(m), from minors, the
-    sub-Pfaffian memo of S x (invariants.pfaffian_minors).  The derivative
+    """(re, im), the Gaussian-integer G with d pf(S X)(V) = tr(G V) for
+    X = d x in so(m) and V in so(m), im None when real, from minors, the
+    sub-Pfaffian memo of S X (invariants.pfaffian_minors).  The derivative
     of pf(A) in a_ij (i < j) is (-1)^(i+j+1) pf(A without rows and columns
     i, j), and (S V)_ij = V_(m-1-i)j, so that cofactor Pfaffian sits at
-    (j, m-1-i).  The cofactors with i = 0 are the minors of the expansion
-    of pf(S x) along its first row, so once G is built minors reads pf(S x)
-    with m - 1 products."""
-    grad = Mat.zeros(m)
+    (j, m-1-i).  Each cofactor has degree (m-2)/2, so G over d^((m-2)/2)
+    is the gradient of pf(S x).  The cofactors with i = 0 are the minors of
+    the expansion of pf(S X) along its first row, so once G is built
+    minors reads pf(S X) with m - 1 products."""
+    re = [[0] * m for _ in range(m)]
+    im = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            v = minors(tuple(k for k in range(m) if k != i and k != j))
-            grad.a[j][m - 1 - i] = v if (i + j) % 2 else -v
-    return grad
+            u, v = minors(tuple(k for k in range(m) if k != i and k != j))
+            if (i + j) % 2 == 0:
+                u, v = -u, -v
+            re[j][m - 1 - i], im[j][m - 1 - i] = u, v
+    return re, (im if any(map(any, im)) else None)
 
 
 def _pair_with_basis(g, supports):
@@ -203,11 +235,11 @@ def _level_gradient_rows(ctx, lvl, aux, minors):
     projection x_m of x there) against the basis of g, as pairs
     ([re, im], scale): re + i*im is a Gaussian-integer row (im None when
     real) and the gradient is that row divided by the nonzero int scale.
-    aux are the auxiliary matrices of matrices.char_poly_fl(x_m), read as
-    the recurrence's integers: d b_j = -tr(M_j(X) V) / d^(j-1) with
-    X = d x_m.  minors is invariants.pfaffian_minors(lvl, x_m), which the
-    Pfaffian row fills with every cofactor of S x_m; that row is scaled
-    into Z[i] by the lcm of the cofactors' denominators.
+    aux are the auxiliary matrices of matrices.char_poly_fl on the level's
+    ZiMatrix, read as the recurrence's integers: d b_j = -tr(M_j(X) V) /
+    d^(j-1) with X = d x_m.  minors is invariants.pfaffian_minors of the
+    same image, which the Pfaffian row fills with every cofactor of S X;
+    a cofactor has degree (m-2)/2, so that row's scale is d^((m-2)/2).
 
     Each gradient matrix is paired with the basis of g_m through its
     supports, then lifted level by level through down_coords: projection
@@ -218,8 +250,8 @@ def _level_gradient_rows(ctx, lvl, aux, minors):
     grads = [(aux.ints[j - 1], -sign * aux.d ** (j - 1))
              for j, sign in spec.coeffs]
     if spec.pfaffian:
-        re, im, den = zi_matrix(_pfaffian_gradient(minors, lvl.n).a)
-        grads.append(((re, im), den))
+        grads.append((_pfaffian_gradient(minors, lvl.n),
+                      aux.d ** ((lvl.n - 2) // 2)))
     supports = lvl.basis_supports
     rows = []
     for (re, im), scale in grads:
@@ -235,16 +267,18 @@ def _level_gradient_rows(ctx, lvl, aux, minors):
     return rows
 
 
-def _gradient_rows_at(ctx, lvl, xm):
-    """_level_gradient_rows with its data computed from x_m."""
-    _, aux = char_poly_fl(xm)
-    return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))
+def _gradient_rows_at(ctx, lvl, image):
+    """_level_gradient_rows with its data computed from the ZiMatrix of
+    x_m."""
+    _, aux = char_poly_fl(image)
+    return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, image))
 
 
 def _partial_rows(ctx, mat):
     """The gradient rows of levels n-1 and n, with their scales."""
-    return (_gradient_rows_at(ctx, ctx.child, ctx.down(mat))
-            + _gradient_rows_at(ctx, ctx, mat))
+    image = zi_matrix(mat.a)
+    return (_gradient_rows_at(ctx, ctx.child, ctx.down_zi(image))
+            + _gradient_rows_at(ctx, ctx, image))
 
 
 def partial_map_jacobian(ctx, mat):
@@ -262,8 +296,8 @@ def kostant_jacobian_rank(ctx, mat):
 
 
 def full_map_jacobian_rank(ctx, mat):
-    return rank_zi_rows([row for lvl, xm in ctx.chain(mat)
-                         for row, _ in _gradient_rows_at(ctx, lvl, xm)],
+    return rank_zi_rows([row for lvl, image in ctx.walk(zi_matrix(mat.a))
+                         for row, _ in _gradient_rows_at(ctx, lvl, image)],
                         ctx.dim)
 
 
@@ -271,8 +305,9 @@ def chain_centralizers(ctx, mat):
     """For every chain level, the centralizer of the projection, embedded
     back into the top algebra; returned as {level: list of flattened rows}."""
     return {lvl.n: [embed_from_subalgebra(ctx, z, lvl.n).flatten()
-                    for z in joint_centralizer(lvl, [xm])]
-            for lvl, xm in ctx.chain(mat)}
+                    for z in _centralizer_basis(lvl, [image], lvl.basis,
+                                                lvl.basis_supports)]
+            for lvl, image in ctx.walk(zi_matrix(mat.a))}
 
 
 def is_sreg(ctx, mat):
@@ -281,5 +316,5 @@ def is_sreg(ctx, mat):
     (m-1, m) is the nsreg intersection of x_m (Kostant-Wallach's centralizer
     criterion): x is sreg iff it is nsreg at every level above the floor.
     (This also forces every projection to be regular.)"""
-    return all(is_nsreg(lvl, xm) for lvl, xm in ctx.chain(mat)
+    return all(_nsreg(lvl, image) for lvl, image in ctx.walk(zi_matrix(mat.a))
                if lvl.child is not None)

@@ -9,9 +9,10 @@ numbers Jet), the Jacobian of the chain-restriction map computed one jet
 pass per basis direction of g, projected down the chain, the gradient
 rows traced densely against every basis matrix, with one Pfaffian
 expansion per cofactor, the chain step as the dense products PD x TD and
-TD y PD, the centralizer system built from dense brackets, the nsreg
-system of z_k(x) from the theta-split pair (x_k, x_p), the fixed
-subalgebra k as the nullspace of Theta - id, the data of theta_Q read off
+TD y PD, the centralizer system written on Q(i) scalars and built from
+dense brackets, the nsreg system of z_k(x) from the theta-split pair
+(x_k, x_p), the fixed subalgebra k as the nullspace of Theta - id, the
+data of theta_Q read off
 conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
 orbit K.vB with the codimension read off k meet Ad(v)b, and polynomial
 arithmetic over Q(i) with the gcd by the Euclidean algorithm.
@@ -301,6 +302,46 @@ def centralizer_system_by_brackets(ctx, mats, ambient):
         cols = [bracket(b, x).flatten() for b in basis]
         for r in range(ctx.n * ctx.n):
             rows.append([c[r] for c in cols])
+    return rows
+
+
+def centralizer_system_qi(ctx, mats, supports):
+    """Rows of [y, x] = 0 (x in mats) over Q(i), one column per vector of
+    ``supports`` and one row per basis position of g: the writer that
+    gzlie.regularity._centralizer_system replaced, which writes the same
+    system on the Gaussian integers of each x, row by row divided by its
+    content.  [E_ij, x] is row j of x placed in row i minus column i of x
+    placed in column j; a cell off the basis positions is skipped."""
+    size = ctx.n
+    at = ctx.position_index
+    ncols = len(supports)
+    rows = []
+    for x in mats:
+        row_cells = [[(q, v) for q, v in enumerate(r) if v] for r in x.a]
+        row_neg = [[(q, -v) for q, v in cells] for cells in row_cells]
+        col_cells = [[] for _ in range(size)]
+        col_neg = [[] for _ in range(size)]
+        for p, (cells, negs) in enumerate(zip(row_cells, row_neg)):
+            for (q, v), (_, w) in zip(cells, negs):
+                col_cells[q].append((p, v))
+                col_neg[q].append((p, w))
+        block = [[ZERO] * ncols for _ in range(ctx.dim)]
+        for k, support in enumerate(supports):
+            for i, j, c in support:
+                src, dst = ((row_cells, col_neg) if c == 1
+                            else (row_neg, col_cells))
+                at_i = at[i]
+                for q, v in src[j]:
+                    r = at_i[q]
+                    if r is not None:
+                        row = block[r]
+                        row[k] = v if row[k] is ZERO else row[k] + v
+                for p, v in dst[i]:
+                    r = at[p][j]
+                    if r is not None:
+                        row = block[r]
+                        row[k] = v if row[k] is ZERO else row[k] + v
+        rows.extend(block)
     return rows
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gzlie
@@ -134,6 +135,27 @@ def test_sizes_above_the_bound_are_refused(tmp_path, capsys):
         assert code == 2 and out == ""
         assert "n <= %d" % MAX_N in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_analyze_refuses_values_too_large_to_print(tmp_path, capsys):
+    # gl(5) with diagonal 10^999 + i: its determinant has about 5000
+    # digits, above the integer-to-string limit; refused before the
+    # analysis, and the limit is left as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no integer-to-string limit in this interpreter")
+    entries = [["0"] * 5 for _ in range(5)]
+    for i in range(5):
+        entries[i][i] = str(10 ** 999 + i)
+        if i < 4:
+            entries[i][i + 1] = "1"
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"algebra": "gl", "n": 5,
+                                "entries": entries}))
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "too large" in err and len(err.strip().splitlines()) == 1
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_rejects_negative_trials(capsys):

@@ -1,9 +1,12 @@
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gzlie import scalars
 from gzlie.matrices import Mat
 from gzlie.liealg import make_algebra, root_vector
 from gzlie.invariants import partial_kw, full_kw, coincidence_count
@@ -190,3 +193,32 @@ def test_analysis_reports_match_fixture():
     with open(os.path.join(FIXTURES, "analyze_reports.json")) as fh:
         expect = json.load(fh)
     assert analyze_fingerprint() == expect
+
+
+class _StrictMpq(Fraction):
+    """A stand-in for gmpy2.mpq: a Fraction that, like mpq, refuses a
+    string with a leading '+'."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, str) and numerator.lstrip().startswith("+"):
+            raise ValueError("invalid digits: %r" % numerator)
+        return super().__new__(cls, numerator, denominator)
+
+
+def test_reports_and_jacobian_ranks_under_an_mpq_stand_in(monkeypatch):
+    # gmpy2 is not installed here, so its path runs on a stand-in bound on
+    # every module that imported _mpq, not only scalars
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("gzlie.") and vars(m).get("_mpq")
+             is scalars._mpq]
+    assert scalars in bound and len(bound) > 1
+    for m in bound:
+        monkeypatch.setattr(m, "_mpq", _StrictMpq)
+    with open(os.path.join(FIXTURES, "analyze_reports.json")) as fh:
+        expect = json.load(fh)
+    for key, item in expect.items():
+        ctx, x = parse_matrix_doc(item["doc"])
+        assert all(isinstance(z.re, _StrictMpq) for z in x.flatten() if z)
+        assert analysis_report(ctx, x) == item["report"], key
+        assert (kostant_jacobian_rank(ctx, x)
+                == item["report"]["jacobian_rank"]), key

@@ -2,13 +2,14 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie import liealg
-from gzlie.scalars import qi, rat, ZERO, ONE, parse_scalar
-from gzlie.matrices import Mat, bracket
+from gzlie.scalars import QI, qi, rat, ZERO, ONE, parse_scalar
+from gzlie.matrices import Mat, bracket, char_poly_fl, zi_matrix, qi_matrix
 from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           cartan_coordinates, sl2_triple,
                           weyl_representative, cayley_element,
@@ -280,14 +281,41 @@ def test_chain_walk_matches_projection_at_every_size(kind):
                     call(m)
 
 
+@pytest.mark.parametrize("kind", ["gl", "so"])
+def test_integer_step_down_matches_the_qi_step(kind):
+    # at every level of gl(2..MAX_N) and so(3..MAX_N), for a real x and for
+    # x plus i times another element: the walk's image (re, im, d) over d is
+    # down(x) entry by entry, d is the least common denominator (gcd of d
+    # and every part is 1), so the image is zi_matrix of the Q(i) step, and
+    # its Faddeev-LeVerrier integers are those of char_poly_fl(x_m)
+    s = Sampler("zi-step/" + kind)
+    for n in range(CHAIN_FLOOR[kind] + 1, MAX_N + 1):
+        ctx = make_algebra(kind, n)
+        real = s.algebra_element(ctx)
+        for x in (real, real + s.algebra_element(ctx).scale(QI(0, 1))):
+            xm = x
+            for k, (lvl, image) in enumerate(ctx.walk(zi_matrix(x.a))):
+                if k:
+                    xm = ctx.levels[k - 1].down(xm)
+                re, im, d = image
+                assert qi_matrix(re, im, d) == xm, lvl.describe()
+                parts = [v for part in (re, im or []) for row in part
+                         for v in row]
+                assert gcd(d, *parts) == 1, lvl.describe()
+                assert image == zi_matrix(xm.a), lvl.describe()
+                assert (char_poly_fl(image)[1].ints
+                        == char_poly_fl(xm)[1].ints), lvl.describe()
+
+
 def test_chain_walk_steps_down_only_when_asked(monkeypatch):
+    # chain(x) is a view of the integer walk: each step is one down_zi
     ctx = make_algebra("so", 7)
     x = Sampler(4).algebra_element(ctx)
     steps = []
-    down = liealg.AlgebraContext.down
-    monkeypatch.setattr(liealg.AlgebraContext, "down",
-                        lambda self, mat: steps.append(self.n)
-                        or down(self, mat))
+    down = liealg.AlgebraContext.down_zi
+    monkeypatch.setattr(liealg.AlgebraContext, "down_zi",
+                        lambda self, image: steps.append(self.n)
+                        or down(self, image))
     walk = ctx.chain(x)
     assert next(walk) == (ctx, x) and steps == []
     assert next(walk)[0] is ctx.child and steps == [7]

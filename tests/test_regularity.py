@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import QI, rat, ZERO
-from gzlie.matrices import Mat, rank_rows, char_poly_fl, pfaffian, _qi
+from gzlie.matrices import (Mat, rank_rows, char_poly_fl, pfaffian, nullspace,
+                            pivots_zi_rows, zi_matrix, qi_matrix, _qi)
 from gzlie.invariants import pfaffian_minors
 from gzlie.liealg import make_algebra, MAX_N
 from gzlie.regularity import (joint_centralizer, centralizer_dims,
@@ -21,8 +22,9 @@ from gzlie.korbits import sample_chain_disjoint
 from gzlie.docio import parse_matrix_doc
 from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
-from qi_reference import (partial_map_jacobian_jet,
+from qi_reference import (partial_map_jacobian_jet, echelon,
                           centralizer_system_by_brackets, trace_against,
+                          centralizer_system_qi,
                           level_gradient_rows_by_trace,
                           pfaffian_gradient_by_cofactors,
                           k_system_by_theta_split,
@@ -208,11 +210,13 @@ def _divided(row, scale):
 
 def _gradient_rows(ctx, lvl, xm):
     # the level's Faddeev-LeVerrier aux matrices and sub-Pfaffian memo,
-    # computed here as the public Jacobians compute them; each row over
-    # Q(i), its Gaussian integers divided by its scale
-    _, aux = char_poly_fl(xm)
+    # computed here from the level's Gaussian-integer image as the public
+    # Jacobians compute them; each row over Q(i), its Gaussian integers
+    # divided by its scale
+    image = zi_matrix(xm.a)
+    _, aux = char_poly_fl(image)
     return [_divided(row, scale) for row, scale in
-            _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, xm))]
+            _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, image))]
 
 
 def _assert_gradients_match_jets(ctx, x):
@@ -316,8 +320,16 @@ def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
     x = _mixed_sample(ctx, Sampler(seed), t)
     for lvl, xm in ctx.chain(x):
         if lvl.n % 2 == 0:
-            assert (_pfaffian_gradient(pfaffian_minors(lvl, xm), lvl.n)
+            assert (_pfaffian_gradient_of(lvl, xm)
                     == pfaffian_gradient_by_cofactors(lvl.form * xm))
+
+
+def _pfaffian_gradient_of(lvl, xm):
+    # the Gaussian-integer gradient of pf(S X), X = d x_m, over the
+    # d^((m-2)/2) of its cofactors: the gradient of pf(S x_m)
+    image = zi_matrix(xm.a)
+    re, im = _pfaffian_gradient(pfaffian_minors(lvl, image), lvl.n)
+    return qi_matrix(re, im, image.d ** ((lvl.n - 2) // 2))
 
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
@@ -327,10 +339,13 @@ def test_pfaffian_read_from_gradient_memo(n):
     ctx = make_algebra("so", n)
     s = Sampler("pf-memo/%d" % n)
     for x in [s.algebra_element(ctx), s.span_element(ctx.borel_basis),
-              Mat.zeros(n)]:
-        minors = pfaffian_minors(ctx, x)
+              s.algebra_element(ctx) + s.algebra_element(ctx).scale(
+                  QI(0, 1)), Mat.zeros(n)]:
+        image = zi_matrix(x.a)
+        minors = pfaffian_minors(ctx, image)
         _pfaffian_gradient(minors, n)
-        assert minors(tuple(range(n))) == pfaffian(ctx.form * x)
+        assert (_qi(*minors(tuple(range(n))), image.d ** (n // 2))
+                == pfaffian(ctx.form * x))
 
 
 def _assert_systems_match_brackets(ctx, x):
@@ -346,7 +361,7 @@ def _assert_systems_match_brackets(ctx, x):
         kept = set(lvl.basis_positions)
         dense = centralizer_system_by_brackets(lvl, mats, ambient)
         blocks = [dense[b * n * n:(b + 1) * n * n] for b in range(len(mats))]
-        assert _centralizer_system(lvl, mats, supports) == [
+        assert centralizer_system_qi(lvl, mats, supports) == [
             block[i * n + j] for block in blocks
             for i, j in lvl.basis_positions]
         for block in blocks:
@@ -441,7 +456,7 @@ def test_chain_centralizer_ranks_match_brackets_at_zero_and_so3_witness():
 def _assert_nsreg_matches_theta_split(ctx, x):
     # for y in k, [y, x_k] and [y, x_p] are the k- and p-parts of [y, x],
     # so the one-matrix system and the theta-split one share a row space
-    rows = _centralizer_system(ctx, [x], ctx.k_supports)
+    rows = centralizer_system_qi(ctx, [x], ctx.k_supports)
     split = k_system_by_theta_split(ctx, x)
     r = rank_rows(rows, ctx.k_dim())
     assert r == rank_rows(split, ctx.k_dim())
@@ -468,3 +483,59 @@ def test_nsreg_system_matches_theta_split_at_zero_and_so3_witness():
                                           Mat.zeros(n))
     with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
         _assert_nsreg_matches_theta_split(*parse_matrix_doc(json.load(fh)))
+
+
+def _assert_integer_system_matches_qi_writer(ctx, x):
+    # at every chain level, the one writer (the Gaussian integers of x_m,
+    # each row divided by its content, zero rows left out) against the Q(i)
+    # writer it replaced: identical pivot columns over the basis of g, of k
+    # and the k-adapted basis, so identical k- and g-ranks, and identical
+    # nullspace bases for joint_centralizer and nsreg_intersection
+    for lvl, xm in ctx.chain(x):
+        image = zi_matrix(xm.a)
+        for supports in (lvl.basis_supports, lvl.k_supports,
+                         lvl.k_adapted_supports):
+            ncols = len(supports)
+            want, _ = echelon(
+                centralizer_system_qi(lvl, [xm], supports), ncols)
+            got = pivots_zi_rows(_centralizer_system(lvl, [image], supports),
+                                 ncols)
+            assert got == want, (lvl.describe(), ncols)
+        for basis, supports, got in [
+                (lvl.basis, lvl.basis_supports, joint_centralizer(lvl, [xm])),
+                (lvl.k_basis, lvl.k_supports, nsreg_intersection(lvl, xm))]:
+            ns = nullspace(Mat(centralizer_system_qi(lvl, [xm], supports)))
+            assert got == [sum((c * b for c, b in zip(v, basis) if c),
+                               Mat.zeros(lvl.n)) for v in ns], lvl.describe()
+
+
+# Above this dimension one elimination of a Gaussian centralizer system
+# takes seconds to minutes, from either writer (gl(5): about 30 s for the
+# k-adapted system), because the kernel divides a row only by its integer
+# content; Gaussian draws stop here.
+GAUSSIAN_DIM = 16
+
+
+@given(st.sampled_from([("gl", n) for n in range(2, 7)]
+                       + [("so", n) for n in range(3, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_integer_centralizer_rows_match_qi_writer(algebra, seed, t, gaussian):
+    # the mixed stream, up to GAUSSIAN_DIM optionally plus i times a
+    # generic element
+    ctx = _algebra(*algebra)
+    s = Sampler(seed)
+    x = _mixed_sample(ctx, s, t)
+    if gaussian and ctx.dim <= GAUSSIAN_DIM:
+        x = x + s.algebra_element(ctx).scale(QI(0, 1))
+    _assert_integer_system_matches_qi_writer(ctx, x)
+
+
+def test_integer_centralizer_rows_match_qi_writer_at_zero_and_so3_witness():
+    for kind, n in [("gl", 2), ("gl", 3), ("so", 3), ("so", 4), ("so", 5),
+                    ("so", 6)]:
+        _assert_integer_system_matches_qi_writer(make_algebra(kind, n),
+                                                 Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_integer_system_matches_qi_writer(
+            *parse_matrix_doc(json.load(fh)))
