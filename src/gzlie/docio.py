@@ -4,8 +4,8 @@ analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'.
 An analysis report walks the chain once on Gaussian integers
 (AlgebraContext.walk): the ZiMatrix of x, then one integer step down per
 level, and each level's image feeds its centralizer ranks, and on the two
-top levels the Faddeev-LeVerrier run and the sub-Pfaffian memo.  The
-values it prints are checked to fit Python's integer-to-string limit
+top levels the level data that partial_kw reads (invariants._level_data).
+The values it prints are checked to fit Python's integer-to-string limit
 before any of that work (see analysis_report)."""
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import sys
 
 from .scalars import parse_scalar, format_scalar
-from .matrices import Mat, char_poly_fl, rank_zi_rows, zi_matrix, _qi
+from .matrices import Mat, rank_zi_rows, zi_matrix
 from .liealg import analyzable_algebra
-from .invariants import (InvariantVector, pfaffian_minors, level_values,
+from .invariants import (InvariantVector, _level_data, level_values,
                          coincidence_of)
 from .regularity import _centralizer_ranks, _level_gradient_rows
 
@@ -131,13 +131,11 @@ def analysis_report(ctx, mat):
     nsreg at every level above the floor.
 
     The chain is walked once on Gaussian integers: each level's ZiMatrix
-    writes its centralizer system, and on the two top levels, x and
-    x_(n-1), it also feeds one Faddeev-LeVerrier run each and, on
-    so(even), one memo of the sub-Pfaffians of S X_m each.  The
-    coefficients give the generator values and the coincidence count
-    (what partial_kw and coincidence_count compute), the auxiliary
-    matrices and the memo the Jacobian rows (kostant_jacobian_rank), and
-    pf(S x_m) is read from the memo that the Pfaffian gradient filled.
+    writes its centralizer system, and x and x_(n-1) also give their level
+    data (invariants._level_data), whose coefficients and pf(S x_m) give
+    the values and the coincidence count, as in partial_kw and
+    coincidence_count, and whose auxiliary matrices and sub-Pfaffian memo
+    give the Jacobian rows (kostant_jacobian_rank).
     Raises DocumentError, before any of that, when a value of the report
     could exceed the integer-to-string limit (_check_printable)."""
     image = zi_matrix(mat.a)
@@ -149,12 +147,9 @@ def analysis_report(ctx, mat):
              zip(ctx.levels[:-1], ranks)]
     coeffs, values, rows = [], [], []
     for lvl, img in chain[1::-1]:       # x_(n-1), then x
-        b, aux = char_poly_fl(img)
-        minors = pfaffian_minors(lvl, img)
+        b, aux, minors, pf = _level_data(lvl, img)
         rows += [row for row, _ in
                  _level_gradient_rows(ctx, lvl, aux, minors)]
-        pf = (None if minors is None else
-              _qi(*minors(tuple(range(lvl.n))), img.d ** (lvl.n // 2)))
         values += level_values(lvl, b, pf)
         coeffs.append(b)
     jrank = rank_zi_rows(rows, ctx.dim)

@@ -4,11 +4,11 @@ projection one level down.
 
 The generator conventions are stated once, in generator_spec; values,
 reconstruction from values and the gradient rows of regularity read it.
-level_values and coincidence_of are pure functions of the coefficients b of
-det(t*I - x_m) (and of pf(S x_m)), so a caller that has already run the
-Faddeev-LeVerrier recurrence on a level (docio.analysis_report) reads the
-values and the coincidence count off that one run; partial_kw and
-coincidence_count compute their own coefficients.
+Every reader walks the Gaussian-integer image of x down the chain
+(AlgebraContext.down_zi and walk), and _level_data reads a level's image
+once for the values and docio.analysis_report: the coefficients b of
+det(t*I - x_m), of which level_values and coincidence_of are pure
+functions, the auxiliary matrices, the sub-Pfaffian memo and pf(S x_m).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import polys
-from .matrices import Mat, char_poly, pfaffian, zi_sub_pfaffians
+from .matrices import char_poly_fl, zi_matrix, zi_sub_pfaffians, _qi
 from .scalars import ZERO, ONE
 
 
@@ -58,21 +58,10 @@ def _reduced(spec, b):
     return polys.even_part(p, len(b) % 2) if spec.even else p
 
 
-def _coefficients(mat):
-    """b_1..b_m of det(t*I - x) = t^m + b_1 t^(m-1) + ... + b_m."""
-    return char_poly(mat)[-2::-1]
-
-
 def reduced_char(ctx, mat):
     """For so: the monic q with char(t) = t^(n mod 2) * q(t^2).
-    For gl: the characteristic polynomial itself."""
-    return _reduced(generator_spec(ctx), _coefficients(mat))
-
-
-def pfaffian_generator(ctx, mat):
-    if ctx.kind != "so" or ctx.n % 2 != 0:
-        raise ValueError("pfaffian generator needs so(even)")
-    return pfaffian(Mat._raw(mat.a[::-1]))      # S x: x, rows reversed
+    For gl: the characteristic polynomial itself.  mat may be a ZiMatrix."""
+    return _reduced(generator_spec(ctx), char_poly_fl(mat)[0])
 
 
 def pfaffian_minors(ctx_m, image):
@@ -80,12 +69,24 @@ def pfaffian_minors(ctx_m, image):
     level whose last generator is pf(S x_m), else None; image is the
     ZiMatrix (re, im, d) of x_m and X_m = d x_m its integers, so S X_m is
     re and im with their rows reversed, and pf(S x_m) is the memo's
-    Pfaffian of all m indices over d^(m/2).  Unlike pfaffian_generator it
-    does not check that S x_m is antisymmetric."""
+    Pfaffian of all m indices over d^(m/2).  Raises ValueError unless
+    S X_m is antisymmetric (x_m in so(m))."""
     if not generator_spec(ctx_m).pfaffian:
         return None
     re, im, _ = image
     return zi_sub_pfaffians(re[::-1], None if im is None else im[::-1])
+
+
+def _level_data(ctx_m, image):
+    """(b, aux, minors, pf) from the ZiMatrix of x_m: b_1..b_m of
+    det(t*I - x_m) and the auxiliary matrices (matrices.char_poly_fl), and
+    pfaffian_minors with pf(S x_m) read from it, both None unless pf(S x_m)
+    is a generator of the level."""
+    b, aux = char_poly_fl(image)
+    minors = pfaffian_minors(ctx_m, image)
+    pf = (None if minors is None else
+          _qi(*minors(tuple(range(ctx_m.n))), image.d ** (ctx_m.n // 2)))
+    return b, aux, minors, pf
 
 
 def level_values(ctx_m, b, pf):
@@ -103,21 +104,23 @@ def level_values(ctx_m, b, pf):
     return values
 
 
-def _level_values(ctx_m, mat_m):
-    """Generator values of one chain level; mat_m is realized at that level."""
-    pf = (pfaffian_generator(ctx_m, mat_m)
-          if generator_spec(ctx_m).pfaffian else None)
-    return level_values(ctx_m, _coefficients(mat_m), pf)
+def _values_at(ctx_m, image):
+    """Generator values of one chain level from the ZiMatrix of x_m."""
+    b, _, _, pf = _level_data(ctx_m, image)
+    return level_values(ctx_m, b, pf)
 
 
 def partial_kw(ctx, mat):
-    values = _level_values(ctx.child, ctx.down(mat)) + _level_values(ctx, mat)
+    image = zi_matrix(mat.a)
+    values = (_values_at(ctx.child, ctx.down_zi(image))
+              + _values_at(ctx, image))
     return InvariantVector(ctx.kind, ctx.n, "partial", values)
 
 
 def full_kw(ctx, mat):
     """Generator values of every chain level, from the floor up."""
-    values = [_level_values(lvl, xm) for lvl, xm in ctx.chain(mat)][::-1]
+    values = [_values_at(lvl, image)
+              for lvl, image in ctx.walk(zi_matrix(mat.a))][::-1]
     return InvariantVector(ctx.kind, ctx.n, "full", sum(values, []))
 
 
@@ -132,13 +135,14 @@ def coincidence_count(ctx, mat):
     """Number of matched eigenvalue pairs between x and its projection one
     level down: the degree of the gcd of the two reduced characteristic
     polynomials (in u = t^2 for so, in t for gl)."""
-    return coincidence_of(ctx, _coefficients(mat),
-                          _coefficients(ctx.down(mat)))
+    image = zi_matrix(mat.a)
+    return coincidence_of(ctx, char_poly_fl(image)[0],
+                          char_poly_fl(ctx.down_zi(image))[0])
 
 
 def _poly_from_values(ctx_m, values):
     """Reconstruct the reduced characteristic polynomial from generator
-    values of one level (inverse of _level_values up to the redundant
+    values of one level (inverse of level_values up to the redundant
     coefficient)."""
     spec = generator_spec(ctx_m)
     b = [ZERO] * ctx_m.n

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .scalars import ZERO, ONE
-from .matrices import Mat, inverse, row_space_contains
+from .matrices import Mat, inverse, row_space_contains, zi_matrix
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
                      adjoint, monomial_pairs)
 from .invariants import coincidence_count, reduced_char
@@ -363,7 +363,8 @@ def sample_chain_disjoint(ctx, sampler):
     at every consecutive pair of levels."""
     for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
-        qs = [reduced_char(lvl, xm) for lvl, xm in ctx.chain(x)]
+        qs = [reduced_char(lvl, image)
+              for lvl, image in ctx.walk(zi_matrix(x.a))]
         # (level m, level m + 1), as qs runs from the top down
         if all(polys.degree(polys.gcd(low, high)) == 0
                for low, high in zip(qs[1:], qs)):

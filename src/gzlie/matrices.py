@@ -15,7 +15,8 @@ fixed pivoting rule: the first nonzero entry, scanning columns left to
 right and rows top to bottom.  A row with entry f under pivot p becomes
 p*row - f*prow (p and f first divided by their common integer factor);
 when it was scaled, its integer parts are then divided by their gcd, the
-row content, which keeps entries small without the fractions of
+row content, and a row with an imaginary part also by the gcd in Z[i] of
+its entries.  That keeps entries small without the fractions of
 Gauss-Jordan elimination.  Rank and determinant take the forward pass (the
 determinant undoes the recorded row scalings); nullspace, solve and
 inverse read the reduced row echelon form, dividing by each pivot once at
@@ -32,12 +33,13 @@ in which a chain level arrives from gzlie.liealg.AlgebraContext.walk.  Its
 auxiliary matrices stay the recurrence's integers M_k(X) (AuxMatrices):
 the Jacobian rows of gzlie.regularity read them with d and never leave
 Z[i], and indexing gives the Q(i) matrices M_k(A) = M_k(X)/d^(k-1).
-``zi_sub_pfaffians`` is the memo of sub-Pfaffians of an antisymmetric
-Gaussian-integer matrix that those Jacobian rows and the analysis report
-read.
+``zi_sub_pfaffians`` is the one Pfaffian expansion: a memo of the
+sub-Pfaffians of an antisymmetric Gaussian-integer matrix, which the
+generator values, the Jacobian rows and the analysis report read, and
+``pfaffian`` reads it on the integers of a Q(i) matrix.
 
-No code path of the package uses jets.  ``pfaffian`` is ring-generic, and
-tests/qi_reference.py runs it and a ring-generic Faddeev-LeVerrier loop on
+No code path of the package uses jets.  tests/qi_reference.py keeps a
+ring-generic Pfaffian and Faddeev-LeVerrier loop, which it runs on
 first-order jets, next to the Q(i) Gauss-Jordan references.
 """
 
@@ -234,6 +236,26 @@ def _qi(x, y, p, q=0):
     return QI._raw(_mpq(x, p), _mpq(y, p) if y else _Q0)
 
 
+def _zi_content(re, im):
+    """A gcd (p, q), p + i*q, in Z[i] of the entries re[c] + i*im[c], not
+    all zero: Euclid with nearest-integer quotients from the integer gcd of
+    their norms, which it divides, stopping at (1, 0) on a unit."""
+    p = q = 0
+    for a, b in zip(re, im):
+        p = gcd(p, a * a + b * b)
+    if p == 1:
+        return 1, 0
+    for a, b in zip(re, im):
+        while a or b:
+            n = a * a + b * b
+            x, y = p * a + q * b, q * a - p * b       # (p + iq)(a - ib)
+            u, v = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+            p, q, a, b = a, b, p - u * a + v * b, q - u * b - v * a
+        if p * p + q * q == 1:
+            return 1, 0
+    return p, q
+
+
 def _echelon(rows, ncols, reduced=False):
     """Fraction-free elimination of Gaussian-integer rows (see _zi_rows) in
     place; returns (pivot columns, row swaps, scalings).
@@ -243,8 +265,10 @@ def _echelon(rows, ncols, reduced=False):
     entry f in the pivot column is nonzero becomes p'*row - f'*prow, where
     p' and f' are p and f divided by the gcd of their integer parts (signed
     so that a negative integer pivot gives p' > 0).  When p' is not 1 the row
-    is then divided by the gcd g of its integer parts, and (p', g) goes to
-    ``scalings``: the step multiplied the determinant by p'/g.  Rows with a
+    is then divided by the gcd g of its integer parts and, if it still has
+    an imaginary part, by its gcd c in Z[i] (without which a factor such as
+    1 + i would stay and grow), and ``scalings`` gets (re p', im p', re g*c,
+    im g*c): the step multiplied the determinant by p'/(g*c).  Rows with a
     zero in the pivot column are not touched.  Each row stays a nonzero
     multiple of the row that elimination over Q(i) would give, so pivots and
     swaps are the same.  The forward pass clears below each pivot; with
@@ -301,7 +325,7 @@ def _echelon(rows, ncols, reduced=False):
                 g = gcd(*re)
                 if g > 1:
                     re[:] = [x // g for x in re]
-                scalings.append((a, 0, g or 1))
+                scalings.append((a, 0, g or 1, 0))
                 continue
             if im is None:
                 im = row[1] = [0] * width
@@ -315,12 +339,17 @@ def _echelon(rows, ncols, reduced=False):
                            for x, y, u, v in zip(re, im, pre, qim)],
                           [a * y + b * x - f * v - h * u
                            for x, y, u, v in zip(re, im, pre, qim)])
-                g = gcd(*re, *im)
+                g = gcd(*re, *im) or 1
                 if g > 1:
                     re = [x // g for x in re]
                     im = [y // g for y in im]
+                c, e = _zi_content(re, im) if any(im) else (1, 0)
+                if e or c != 1:
+                    n = c * c + e * e
+                    re, im = ([(x * c + y * e) // n for x, y in zip(re, im)],
+                              [(y * c - x * e) // n for x, y in zip(re, im)])
                 row[0] = re
-                scalings.append((a, b, g or 1))
+                scalings.append((a, b, g * c, g * e))
             row[1] = im if any(im) else None
     return pivots, swaps, scalings
 
@@ -403,8 +432,8 @@ def det(mat):
         u, v = re[k], (im[k] if im is not None else 0)
         x, y = x * u - y * v, x * v + y * u
     p, q = 1, 0
-    for a, b, g in scalings:
-        x, y = x * g, y * g
+    for a, b, c, e in scalings:
+        x, y = x * c - y * e, x * e + y * c
         p, q = p * a - q * b, p * b + q * a
     for d in dens:
         p, q = p * d, q * d
@@ -527,49 +556,14 @@ def char_poly(mat):
 
 
 def pfaffian(mat):
-    """Pfaffian of an antisymmetric matrix by memoized expansion along the
-    first remaining row.  Entries may be QI or any ring with the same
-    operators (the test reference runs it on first-order jets)."""
+    """Pfaffian of an antisymmetric Q(i) matrix A of even size n: the
+    sub-Pfaffian memo (zi_sub_pfaffians) of X = d*A, d the least common
+    denominator, read at all n indices and divided by d^(n/2)."""
     n = mat.n
     if n % 2 != 0:
         raise ValueError("pfaffian needs even size")
-    for p in range(n):
-        for q in range(p, n):
-            if mat.a[p][q] != -mat.a[q][p]:
-                raise ValueError("matrix is not antisymmetric")
-    return sub_pfaffians(mat.a)(tuple(range(n)))
-
-
-def sub_pfaffians(a):
-    """pf(idx): the Pfaffian of the rows and columns idx (an increasing
-    tuple of even length) of the antisymmetric rows a, by expansion along
-    the first index.  One memo serves every call of the returned pf, so
-    the Pfaffians of many principal submatrices share their minors."""
-    memo = {}
-
-    def pf(idx):
-        if not idx:
-            return ONE
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        i = idx[0]
-        rest = idx[1:]
-        s = None
-        for t, j in enumerate(rest):
-            v = a[i][j]
-            if not v:
-                continue
-            term = v * pf(rest[:t] + rest[t + 1:])
-            if t % 2 == 1:
-                term = -term
-            s = term if s is None else s + term
-        if s is None:
-            s = a[i][rest[0]] - a[i][rest[0]]  # ring zero
-        memo[idx] = s
-        return s
-
-    return pf
+    re, im, d = zi_matrix(mat.a)
+    return _qi(*zi_sub_pfaffians(re, im)(tuple(range(n))), d ** (n // 2))
 
 
 def zi_sub_pfaffians(re, im):
@@ -577,7 +571,12 @@ def zi_sub_pfaffians(re, im):
     (an increasing tuple of even length) of the antisymmetric
     Gaussian-integer matrix re + i*im (im None when real), by expansion
     along the first index.  One memo serves every call of the returned pf,
-    as in sub_pfaffians; real and Gaussian matrices share this path."""
+    so the Pfaffians of many principal submatrices share their minors;
+    real and Gaussian matrices share this path.  Raises ValueError unless
+    the matrix is square and antisymmetric."""
+    for part in (re,) if im is None else (re, im):
+        if [[-v for v in col] for col in zip(*part)] != part:
+            raise ValueError("matrix is not antisymmetric")
     memo = {}
 
     def pf(idx):

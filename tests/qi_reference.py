@@ -4,8 +4,10 @@ readings of the involution theta in gzlie.liealg and gzlie.korbits.
 
 These are the routines the fast paths replaced, kept to pin them:
 Gauss-Jordan elimination directly on Q(i) scalars, the ring-generic
-Faddeev-LeVerrier loop (which also runs on first-order jets, the dual
-numbers Jet), the Jacobian of the chain-restriction map computed one jet
+Faddeev-LeVerrier loop and Pfaffian expansion (which also run on
+first-order jets, the dual numbers Jet), the generator values of a chain
+level read from its Q(i) matrix with them, the Jacobian of the
+chain-restriction map computed one jet
 pass per basis direction of g, projected down the chain, the gradient
 rows traced densely against every basis matrix, with one Pfaffian
 expansion per cofactor, the chain step as the dense products PD x TD and
@@ -19,9 +21,9 @@ arithmetic over Q(i) with the gcd by the Euclidean algorithm.
 """
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce
-from gzlie.matrices import Mat, pfaffian, bracket, intersection_dim
+from gzlie.matrices import Mat, bracket, intersection_dim
 from gzlie.liealg import project_to_subalgebra, root_vector
-from gzlie.invariants import generator_spec, _signed
+from gzlie.invariants import generator_spec, level_values, _signed
 from gzlie.korbits import _act
 from gzlie.polys import normalize, degree
 
@@ -199,6 +201,72 @@ def char_poly_fl(mat):
             mk = am + bk * ident
             aux.append(mk)
     return coeffs, aux
+
+
+def sub_pfaffians(a):
+    """pf(idx): the Pfaffian of the rows and columns idx (an increasing
+    tuple of even length) of the antisymmetric rows a, by expansion along
+    the first index, in the entries' own ring (Q(i) or jets over it).  One
+    memo serves every call of the returned pf."""
+    memo = {}
+
+    def pf(idx):
+        if not idx:
+            return ONE
+        got = memo.get(idx)
+        if got is not None:
+            return got
+        i = idx[0]
+        rest = idx[1:]
+        s = None
+        for t, j in enumerate(rest):
+            v = a[i][j]
+            if not v:
+                continue
+            term = v * pf(rest[:t] + rest[t + 1:])
+            if t % 2 == 1:
+                term = -term
+            s = term if s is None else s + term
+        if s is None:
+            s = a[i][rest[0]] - a[i][rest[0]]  # ring zero
+        memo[idx] = s
+        return s
+
+    return pf
+
+
+def pfaffian(mat):
+    """Pfaffian of an antisymmetric matrix of even size in the entries' own
+    ring, by memoized expansion along the first remaining row."""
+    n = mat.n
+    if n % 2 != 0:
+        raise ValueError("pfaffian needs even size")
+    for p in range(n):
+        for q in range(p, n):
+            if mat.a[p][q] != -mat.a[q][p]:
+                raise ValueError("matrix is not antisymmetric")
+    return sub_pfaffians(mat.a)(tuple(range(n)))
+
+
+def pfaffian_generator(ctx, mat):
+    """pf(S x) on so(even): the Pfaffian of x with its rows reversed."""
+    if ctx.kind != "so" or ctx.n % 2 != 0:
+        raise ValueError("pfaffian generator needs so(even)")
+    return pfaffian(Mat(mat.a[::-1]))
+
+
+def coefficients(mat):
+    """b_1..b_m of det(t*I - x) = t^m + b_1 t^(m-1) + ... + b_m, by the
+    ring-generic Faddeev-LeVerrier loop."""
+    return char_poly_fl(mat)[0]
+
+
+def level_values_qi(ctx_m, mat_m):
+    """Generator values of one chain level from its Q(i) matrix x_m:
+    coefficients and the ring-generic Pfaffian, checked by level_values."""
+    pf = (pfaffian_generator(ctx_m, mat_m)
+          if generator_spec(ctx_m).pfaffian else None)
+    return level_values(ctx_m, coefficients(mat_m), pf)
 
 
 def jet_mat(point, direction):

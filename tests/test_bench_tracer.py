@@ -5,7 +5,8 @@ qualified name and reads each one with vars(owner)[attr], so renaming or
 deleting one of them breaks only ``perfbench/run.py --trace 1``.  The first
 test installs the tracer on every gzlie module and removes it again; the
 second runs the traced Jacobian and analysis paths, whose elimination entry
-points the tracer reads entry by entry (``ELIM_SIZES``).
+points the tracer reads entry by entry (``ELIM_SIZES``), and the
+generator-value readers and samplers, counting their Faddeev-LeVerrier runs.
 """
 
 import importlib
@@ -14,7 +15,7 @@ import os
 import pkgutil
 
 import gzlie
-from gzlie import docio, liealg, rand, regularity
+from gzlie import docio, invariants, korbits, liealg, rand, regularity
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -44,7 +45,9 @@ def test_tracer_installs_on_every_traced_function():
 
 def test_traced_jacobian_and_analysis_paths_run():
     # a Gaussian-integer row handed to a wrapped Q(i) entry point (rank,
-    # rank_rows, nullspace) would raise in the tracer's size reader
+    # rank_rows, nullspace) would raise in the tracer's size reader; the
+    # generator-value readers must reach char_poly_fl through a module
+    # binding that the tracer rebinds, or their runs go uncounted
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer(tracer_mod.gzlie_modules())
     tracer.install()
@@ -52,14 +55,23 @@ def test_traced_jacobian_and_analysis_paths_run():
         runs = 0
         for kind, n in [("gl", 4), ("so", 6)]:
             ctx = liealg.make_algebra(kind, n)
-            x = rand.Sampler("tracer/%s%d" % (kind, n)).algebra_element(ctx)
+            s = rand.Sampler("tracer/%s%d" % (kind, n))
+            x = s.algebra_element(ctx)
             regularity.is_nsreg(ctx, x)
             regularity.kostant_jacobian_rank(ctx, x)
             regularity.full_map_jacobian_rank(ctx, x)
             docio.analysis_report(ctx, x)
-            # one Faddeev-LeVerrier run per level of the partial map (twice:
-            # the Jacobian and the report) and per level of the chain
-            runs += 2 + len(ctx.levels) + 2
+            invariants.partial_kw(ctx, x)
+            invariants.full_kw(ctx, x)
+            invariants.coincidence_count(ctx, x)
+            # each sampler accepts its first draw of this stream
+            korbits.sample_g0(ctx, s)
+            korbits.sample_chain_disjoint(ctx, s)
+            # one Faddeev-LeVerrier run per level of the partial map (the
+            # Jacobian, the report, partial_kw, coincidence_count and
+            # sample_g0) and per level of the chain (the full-map Jacobian,
+            # full_kw and sample_chain_disjoint)
+            runs += 5 * 2 + 3 * len(ctx.levels)
     finally:
         tracer.uninstall()
     assert tracer.calls["matrices.char_poly"] == runs

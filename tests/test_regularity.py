@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import QI, rat, ZERO
-from gzlie.matrices import (Mat, rank_rows, char_poly_fl, pfaffian, nullspace,
+from gzlie.matrices import (Mat, rank_rows, char_poly_fl, nullspace,
                             pivots_zi_rows, zi_matrix, qi_matrix, _qi)
 from gzlie.invariants import pfaffian_minors
 from gzlie.liealg import make_algebra, MAX_N
@@ -26,8 +26,8 @@ from qi_reference import (partial_map_jacobian_jet, echelon,
                           centralizer_system_by_brackets, trace_against,
                           centralizer_system_qi,
                           level_gradient_rows_by_trace,
-                          pfaffian_gradient_by_cofactors,
-                          k_system_by_theta_split,
+                          pfaffian_gradient_by_cofactors, pfaffian,
+                          pfaffian_generator, k_system_by_theta_split,
                           nsreg_intersection_by_theta_split)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -120,7 +120,6 @@ def test_pfaffian_generator_is_needed_for_the_differential():
     # on so(4), replacing the Pfaffian generator by the determinant
     # coefficient c_2 = pf^2 kills the rank wherever pf vanishes while the
     # Pfaffian gradient itself survives
-    from gzlie.invariants import pfaffian_generator
     ctx = make_algebra("so", 4)
     x = ctx.from_coordinates([rat(c) for c in [1, -1, 3, 1, -1, 0]])
     assert pfaffian_generator(ctx, x) == ZERO
@@ -258,11 +257,8 @@ def test_level_gradient_rows_match_dense_trace_at_every_level(algebra, seed,
                 == level_gradient_rows_by_trace(ctx, x, lvl.n)), lvl.n
 
 
-# Above this dimension a jet pass per basis direction, and the rank of
-# the full-map rows of an element with Gaussian entries, take seconds to
-# minutes per element (so(10): about a minute of jets; gl(7): the Gaussian
-# full-map rank does not finish in 60 s, a limit of the elimination
-# kernel, which divides rows only by integer content).
+# Above this dimension a jet pass per basis direction takes seconds to
+# minutes per element (so(10): about a minute of jets).
 JET_DIM = 25
 
 
@@ -335,7 +331,7 @@ def _pfaffian_gradient_of(lvl, xm):
 @pytest.mark.parametrize("n", range(2, 17, 2))
 def test_pfaffian_read_from_gradient_memo(n):
     # the analysis report reads pf(S x) from the memo that the Pfaffian
-    # gradient filled; it must be the checked Pfaffian of the dense S x
+    # gradient filled; it must be the ring-generic Pfaffian of the dense S x
     ctx = make_algebra("so", n)
     s = Sampler("pf-memo/%d" % n)
     for x in [s.algebra_element(ctx), s.span_element(ctx.borel_basis),
@@ -509,11 +505,11 @@ def _assert_integer_system_matches_qi_writer(ctx, x):
                                Mat.zeros(lvl.n)) for v in ns], lvl.describe()
 
 
-# Above this dimension one elimination of a Gaussian centralizer system
-# takes seconds to minutes, from either writer (gl(5): about 30 s for the
-# k-adapted system), because the kernel divides a row only by its integer
-# content; Gaussian draws stop here.
-GAUSSIAN_DIM = 16
+# Gaussian draws stop at this dimension to bound the test's time: one
+# Gaussian draw, with the Q(i) references, takes about 1 s on gl(5) and
+# so(7), and 3-5 s on so(8) and gl(6), mostly in elimination on entries
+# of several hundred bits.
+GAUSSIAN_DIM = 25
 
 
 @given(st.sampled_from([("gl", n) for n in range(2, 7)]
