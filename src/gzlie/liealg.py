@@ -14,15 +14,18 @@ needs no projection onto the fixed part first (see AlgebraContext.down).
 Both steps are read from index lists: PD and TD have at most two nonzero
 entries per row and column, so each entry of PD x TD or TD y PD is a sum
 of at most four weighted entries of x or y, and no matrix product is made.
-The same cells with their weights times one down_scale (2 on even so, the
-1/2 of PD; 1 otherwise) step a Gaussian-integer image (re, im, d) of x
-down (down_zi), and walk(image) takes it down the whole chain on integers:
-one image per level, which the centralizer systems, Faddeev-LeVerrier and
-the sub-Pfaffian memo of gzlie.regularity and gzlie.docio read.
-chain(x) is the Q(i) view of that walk.  The step down is also stored once
-per context in basis coordinates: down_coords[k] lists the int weights of
-down(b_k) over the child's basis, all over down_scale, so a row against
-the child's basis is read against this basis with no matrix at all.
+One evaluator, _step_zi, takes both steps on Gaussian-integer images
+(re, im, d): the weights are ints over one scale (2 on even so, the 1/2
+of PD; 1 otherwise).  down_zi steps an image down, and walk(image) takes
+it down the whole chain on integers: one image per level, which the
+centralizer systems, Faddeev-LeVerrier and the sub-Pfaffian memo of
+gzlie.regularity and gzlie.docio read.  down, up, chain(x),
+project_to_subalgebra and embed_from_subalgebra are Q(i) views of those
+integer steps, converting once at each end.  The step down is also stored
+once per context in basis coordinates: down_coords[k] lists the int
+weights of down(b_k) over the child's basis, all over down_scale, so a row
+against the child's basis is read against this basis with no matrix at
+all.
 
 Basis matrices are built from their supports and share storage: every
 all-zero row of a basis matrix of size n is one read-only list, and every
@@ -262,19 +265,19 @@ class AlgebraContext:
         l-1 coordinates scaled by 2 in TD and by 1/2 in PD so that the
         induced form is exactly the standard one in size n-1.
 
-        The steps are applied from the nonzero (index, weight) terms of the
+        Both steps are read from the nonzero (index, weight) terms of the
         rows of PD and the columns of TD (for down), and of the rows of TD
         and the columns of PD (for up): at most two terms each, of weight 1
         except the even-so scalings 2 and 1/2.  chain_TD and chain_PD stay
         as the data those terms are read from.  A term's weight is stored as
         an int times the step's one scale, the least common denominator of
-        its weights (see _product_cells): down_scale is 2 on even so (the
-        1/2 of PD) and 1 otherwise.  The integer step (down_zi) reads those
-        ints; the Q(i) steps read each weight through a table of at most
-        three Q(i) scalars."""
+        its weights (see _product_cells): 2 on even so and 1 otherwise, for
+        either step.  _step_zi takes both on Gaussian-integer images; down
+        and up are their Q(i) views."""
         n, kind = self.n, self.kind
         self.chain_TD = self.chain_PD = None
-        self._down_cells = self._up_cells = self.down_scale = None
+        self._down_cells = self._up_cells = None
+        self.down_scale = self._up_scale = None
         if n == CHAIN_FLOOR[kind]:
             return
         l = n // 2
@@ -289,9 +292,8 @@ class AlgebraContext:
             pd.a[l - 1][l - 1] = pd.a[l - 1][l] = HALF
         self.chain_TD, self.chain_PD = td, pd
         td_cols, pd_cols = list(zip(*td.a)), list(zip(*pd.a))
-        self._down_cells, self.down_scale, self._down_weights = (
-            _product_cells(pd.a, td_cols))
-        self._up_cells, _, self._up_weights = _product_cells(td.a, pd_cols)
+        self._down_cells, self.down_scale = _product_cells(pd.a, td_cols)
+        self._up_cells, self._up_scale = _product_cells(td.a, pd_cols)
 
     def _build_down_coords(self):
         """down_coords[k]: the int pairs (l, w) with down(b_k) = sum of
@@ -367,45 +369,25 @@ class AlgebraContext:
 
     def down(self, mat):
         """Project to the next algebra in the chain, realized one size down:
-        PD x TD, read from index lists (see _build_chain_maps).
+        PD x TD, the Q(i) view of down_zi.
         PD theta(x) TD = PD x TD (theta fixes the columns of TD and the rows
         of PD up to one common sign), so x needs no theta-averaging first."""
-        if self._down_cells is None:
-            raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        return _apply_cells(self._down_cells, self._down_weights, mat.a)
+        return qi_matrix(*self.down_zi(zi_matrix(mat.a)))
 
     def down_zi(self, image):
         """The step down on a ZiMatrix (re, im, d) of x: the ZiMatrix of
-        PD x TD over its least common denominator, so the same one that
-        zi_matrix(down(x).a) gives.  Each cell is an int sum of the weights
-        of the step, stored times down_scale (see _build_chain_maps), over
-        d * down_scale; that denominator and every part are then divided by
-        their gcd.  im is None when no imaginary part is left."""
+        PD x TD over its least common denominator (see _step_zi)."""
         if self._down_cells is None:
             raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        re, im, d = image
-        d *= self.down_scale
-        re = _apply_int_cells(self._down_cells, re)
-        parts = [re]
-        if im is not None:
-            im = _apply_int_cells(self._down_cells, im)
-            if any(map(any, im)):
-                parts.append(im)
-            else:
-                im = None
-        g = gcd(d, *(v for part in parts for row in part for v in row))
-        if g > 1:
-            d //= g
-            re, im = [[[v // g for v in row] for row in part]
-                      if part is not None else None for part in (re, im)]
-        return ZiMatrix(re, im, d)
+        return _step_zi(self._down_cells, self.down_scale, image)
 
     def up(self, small):
         """Embed an element of the next algebra down back into this one:
-        TD y PD, read from index lists."""
+        TD y PD, taken on the Gaussian-integer image of y (see _step_zi)."""
         if self._up_cells is None:
             raise ValueError("chain stops at %s(%d)" % (self.kind, self.n))
-        return _apply_cells(self._up_cells, self._up_weights, small.a)
+        return qi_matrix(*_step_zi(self._up_cells, self._up_scale,
+                                   zi_matrix(small.a)))
 
     def group_up(self, g_small):
         """Embed a group element one size down (acting trivially on the
@@ -475,12 +457,11 @@ def _from_support(n, support):
 
 
 def _product_cells(left_rows, right_cols):
-    """(cells, scale, weights) of L x R, for L and R with rational entries:
+    """(cells, scale) of L x R, for L and R with rational entries:
     cells[p][q] are the terms (i, j, w) with (L x R)[p][q] = sum of
     w * x[i][j] / scale, from the nonzero entries of row p of L and column
     q of R; w is an int, scale the least common denominator of the entry
-    products, and weights[w] the Q(i) weight w / scale, None where it is
-    1.  The products are taken on the ints of each entry a/b."""
+    products.  The products are taken on the ints of each entry a/b."""
     def parts(vectors):
         return [[(i, w.re.numerator, w.re.denominator)
                  for i, w in enumerate(v) if w] for v in vectors]
@@ -490,41 +471,34 @@ def _product_cells(left_rows, right_cols):
               for tr in terms_r] for tl in parts(left_rows)]
     scale = lcm(*(b // gcd(a, b) for crow in cells for terms in crow
                   for _, _, a, b in terms))
-    weights = {}
     for crow in cells:
         for q, terms in enumerate(crow):
             crow[q] = tuple((i, j, a * scale // b) for i, j, a, b in terms)
-            for _, _, w in crow[q]:
-                if w not in weights:
-                    weights[w] = None if w == scale else rat(w, scale)
-    return cells, scale, weights
+    return cells, scale
 
 
-def _apply_cells(cells, weights, a):
-    """The Q(i) matrix whose entry (p, q) is the sum of weights[w] * a[i][j]
-    over the terms (i, j, w) of cells[p][q] (weights[w] None: weight 1).  A
-    lone term of weight 1 copies its entry, an empty cell or a sum that
-    cancels is the shared ZERO."""
-    out = []
-    for crow in cells:
-        row = []
-        for terms in crow:
-            if len(terms) == 1:
-                i, j, w = terms[0]
-                v = a[i][j]
-                w = weights[w]
-                row.append(v if w is None else (v * w if v else ZERO))
-                continue
-            s = ZERO
-            for i, j, w in terms:
-                v = a[i][j]
-                if v:
-                    w = weights[w]
-                    v = v if w is None else v * w
-                    s = v if s is ZERO else s + v
-            row.append(s if s else ZERO)
-        out.append(row)
-    return Mat._raw(out)
+def _step_zi(cells, scale, image):
+    """The ZiMatrix, over its least common denominator, of the chain step
+    read from cells and scale (see _product_cells) on the matrix whose
+    ZiMatrix is image (re, im, d): each cell is an int sum of weighted
+    parts over d * scale; that denominator and every part are then divided
+    by their gcd.  im is None when no imaginary part is left."""
+    re, im, d = image
+    d *= scale
+    re = _apply_int_cells(cells, re)
+    parts = [re]
+    if im is not None:
+        im = _apply_int_cells(cells, im)
+        if any(map(any, im)):
+            parts.append(im)
+        else:
+            im = None
+    g = gcd(d, *(v for part in parts for row in part for v in row))
+    if g > 1:
+        d //= g
+        re, im = [[[v // g for v in row] for row in part]
+                  if part is not None else None for part in (re, im)]
+    return ZiMatrix(re, im, d)
 
 
 def _apply_int_cells(cells, a):
@@ -573,20 +547,21 @@ def analyzable_algebra(kind, n):
 
 
 def project_to_subalgebra(ctx, mat, m):
-    """x_m: x taken down the chain to level m."""
+    """x_m: x taken down the chain to level m, the Q(i) matrix of its
+    image in walk."""
     ctx.level(m)                       # ValueError outside floor..n
-    for step in ctx.levels[:ctx.n - m]:
-        mat = step.down(mat)
-    return mat
+    _, image = next(islice(ctx.walk(zi_matrix(mat.a)), ctx.n - m, None))
+    return qi_matrix(*image)
 
 
 def embed_from_subalgebra(ctx, mat, m):
     """Inverse of projection on the subalgebra: embed a level-m element into
-    the top algebra."""
+    the top algebra, stepping its Gaussian-integer image up."""
     ctx.level(m)                       # ValueError outside floor..n
+    image = zi_matrix(mat.a)
     for step in reversed(ctx.levels[:ctx.n - m]):
-        mat = step.up(mat)
-    return mat
+        image = _step_zi(step._up_cells, step._up_scale, image)
+    return qi_matrix(*image)
 
 
 def root_vector(ctx, root):

@@ -32,7 +32,7 @@ the coefficients by d^k; it takes A as a Mat or as its ZiMatrix, the form
 in which a chain level arrives from gzlie.liealg.AlgebraContext.walk.  Its
 auxiliary matrices stay the recurrence's integers M_k(X) (AuxMatrices):
 the Jacobian rows of gzlie.regularity read them with d and never leave
-Z[i], and indexing gives the Q(i) matrices M_k(A) = M_k(X)/d^(k-1).
+Z[i]; the Q(i) matrices are M_k(A) = M_k(X)/d^(k-1).
 ``zi_sub_pfaffians`` is the one Pfaffian expansion: a memo of the
 sub-Pfaffians of an antisymmetric Gaussian-integer matrix, which the
 generator values, the Jacobian rows and the analysis report read, and
@@ -137,9 +137,6 @@ class Mat:
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.m == other.m
                 and self.n == other.n and self.a == other.a)
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.a))
 
     def is_zero(self):
         return all(not x for r in self.a for x in r)
@@ -476,43 +473,25 @@ def _imatmul(a, b):
     return [[sum(map(_mul, row, col)) for col in cols] for row in a]
 
 
-class AuxMatrices:
-    """The auxiliary matrices of one Faddeev-LeVerrier run on X = d*A, held
-    as the recurrence's Gaussian integers: ints[k] is the pair (re, im) of
-    int rows of M_(k+1)(X), im None while X is real.  As a sequence it is
-    the Q(i) view: aux[k] is M_(k+1)(A) = M_(k+1)(X) / d^k, built through
-    _qi on each access.  Readers must not mutate ints."""
-
-    __slots__ = ("d", "ints")
-
-    def __init__(self, d, ints):
-        self.d = d
-        self.ints = ints
-
-    def __len__(self):
-        return len(self.ints)
-
-    def __getitem__(self, k):
-        k = range(len(self.ints))[k]
-        re, im = self.ints[k]
-        return qi_matrix(re, im, self.d ** k)
-
-    def __eq__(self, other):
-        return list(self) == list(other)
+# the auxiliary matrices of one Faddeev-LeVerrier run on X = d*A, held as
+# the recurrence's Gaussian integers: ints[k] is the pair (re, im) of int
+# rows of M_(k+1)(X) = d^k M_(k+1)(A), im None while X is real.  Readers
+# must not mutate ints.
+AuxMatrices = namedtuple("AuxMatrices", "d ints")
 
 
 def char_poly_fl(mat):
     """Faddeev-LeVerrier over Q(i).  Returns (coeffs, aux) where
     det(t*I - A) = t^n + b[0]*t^(n-1) + ... + b[n-1]
-    and aux[k] is the matrix M_{k+1} with directional derivative
+    and aux holds the matrices M_{k+1} with directional derivative
     d b[k](A; V) = -trace(M_{k+1} * V).
 
     The recurrence M_1 = I, b_k = -tr(X M_k)/k, M_(k+1) = X M_k + b_k I runs
     on the Gaussian-integer matrix X = d*A, d the least common denominator
     of the entries; there the division by k is exact.  Then
     b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  aux is an
-    AuxMatrices: its ints and d are the recurrence's own integers, which
-    the Jacobian rows of gzlie.regularity read without leaving Z[i].
+    AuxMatrices (d, ints): the recurrence's own integers, which the
+    Jacobian rows of gzlie.regularity read without leaving Z[i].
     ``mat`` is a Mat, or already the ZiMatrix of A over that d (a chain
     level's image, see AlgebraContext.walk).
     """

@@ -17,11 +17,13 @@ dense brackets, the nsreg system of z_k(x) from the theta-split pair
 data of theta_Q read off
 conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
 orbit K.vB with the codimension read off k meet Ad(v)b, and polynomial
-arithmetic over Q(i) with the gcd by the Euclidean algorithm.
+arithmetic over Q(i) with the gcd by the Euclidean algorithm.  aux_qi
+reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
+matrices of the reference loop.
 """
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce
-from gzlie.matrices import Mat, bracket, intersection_dim
+from gzlie.matrices import Mat, bracket, intersection_dim, qi_matrix
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, level_values, _signed
 from gzlie.korbits import _act
@@ -201,6 +203,13 @@ def char_poly_fl(mat):
             mk = am + bk * ident
             aux.append(mk)
     return coeffs, aux
+
+
+def aux_qi(aux):
+    """The Q(i) matrices M_(k+1)(A) = M_(k+1)(X) / d^k of the AuxMatrices
+    (d, ints) of gzlie.matrices.char_poly_fl, in the order of aux above."""
+    return [qi_matrix(re, im, aux.d ** k)
+            for k, (re, im) in enumerate(aux.ints)]
 
 
 def sub_pfaffians(a):

@@ -1,5 +1,7 @@
 """Every name that a module of the package, of its tests or of the bench
-imports is read somewhere in that module, or exported through its __all__."""
+imports is read somewhere in that module, or exported through its __all__,
+and every private function or class of the package is read somewhere in
+the package: code that only tests reach belongs in the tests."""
 
 import ast
 import glob
@@ -8,8 +10,8 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "gzlie", "*.py"))
-                 + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "gzlie", "*.py")))
+MODULES = sorted(PACKAGE + glob.glob(os.path.join(ROOT, "tests", "*.py"))
                  + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 
 
@@ -48,3 +50,46 @@ def test_scan_flags_an_unread_import():
 def test_no_unused_imports(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unread_private_definitions(sources):
+    """Functions and classes, methods included, with a private name (one
+    leading underscore, not a dunder) defined in any of the module sources
+    that no expression of them reads, as a name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defined.add(name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_scan_flags_an_unread_private_definition():
+    sources = ["def _used():\n    pass\n"
+               "class _Kept:\n"
+               "    def _method(self):\n        return _used()\n"
+               "    def __len__(self):\n        return 0\n"
+               "    def _dead_method(self):\n        pass\n"
+               "def _dead():\n    pass\n"
+               "class _Gone:\n    pass\n",
+               "from a import _Kept\n_Kept()._method()\n"]
+    assert unread_private_definitions(sources) == [
+        "_Gone", "_dead", "_dead_method"]
+
+
+def test_no_unread_private_definitions_in_the_package():
+    sources = []
+    for path in PACKAGE:
+        with open(path) as fh:
+            sources.append(fh.read())
+    assert unread_private_definitions(sources) == []

@@ -17,7 +17,7 @@ from gzlie.suites import _mixed_sample
 from gzlie import polys
 
 from qi_reference import (divmod_exact, pfaffian_generator, coefficients,
-                          level_values_qi)
+                          level_values_qi, chain_down_dense)
 
 
 def spectrum_pairs(ctx, mat, m=None):
@@ -258,11 +258,11 @@ def test_generic_element_has_zero_coincidence():
 
 
 def _qi_levels(ctx, x):
-    """(level, x_m) from the top down, each x_m one Q(i) step (ctx.down)
-    below the last."""
+    """(level, x_m) from the top down, each x_m the dense Q(i) step
+    PD x TD (chain_down_dense) of the last."""
     out = [(ctx, x)]
     for lvl in ctx.levels[1:]:
-        out.append((lvl, out[-1][0].down(out[-1][1])))
+        out.append((lvl, chain_down_dense(*out[-1])))
     return out
 
 

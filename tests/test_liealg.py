@@ -255,10 +255,22 @@ def test_projection_embedding_round_trip():
     assert step == project_to_subalgebra(ctx, x, 4)
 
 
+def _dense_chain(ctx, x):
+    """x, then PD x TD composed one level at a time down to the floor: the
+    dense reference of the walk (qi_reference.chain_down_dense)."""
+    out = [x]
+    for step in ctx.levels[:-1]:
+        out.append(chain_down_dense(step, out[-1]))
+    return out
+
+
 @pytest.mark.parametrize("kind", ["gl", "so"])
 def test_chain_walk_matches_projection_at_every_size(kind):
     # levels is the chain of shared contexts, top first; chain(x) yields
-    # each level with x projected there, the floor included
+    # each level with x projected there, the floor included.  The walk,
+    # project_to_subalgebra and embed_from_subalgebra all read the integer
+    # steps, so each is pinned to the dense products PD x TD and TD y PD
+    # composed level by level
     floor = CHAIN_FLOOR[kind]
     s = Sampler("chain-walk/" + kind)
     for n in range(floor, MAX_N + 1):
@@ -267,10 +279,16 @@ def test_chain_walk_matches_projection_at_every_size(kind):
         for k, lvl in enumerate(ctx.levels):
             assert lvl is make_algebra(kind, n - k)
         x = s.algebra_element(ctx)
+        dense = _dense_chain(ctx, x)
         walk = list(ctx.chain(x))
+        assert walk == list(zip(ctx.levels, dense))
         assert walk == [(ctx.level(m), project_to_subalgebra(ctx, x, m))
                         for m in range(n, floor - 1, -1)]
-        for lvl, xm in walk:
+        for k, (lvl, xm) in enumerate(walk):
+            top = xm
+            for step in reversed(ctx.levels[:k]):
+                top = chain_up_dense(step, top)
+            assert embed_from_subalgebra(ctx, xm, lvl.n) == top, (n, lvl.n)
             assert project_to_subalgebra(
                 ctx, embed_from_subalgebra(ctx, xm, lvl.n), lvl.n) == xm
         for m in (floor - 1, n + 1):
@@ -285,18 +303,17 @@ def test_chain_walk_matches_projection_at_every_size(kind):
 def test_integer_step_down_matches_the_qi_step(kind):
     # at every level of gl(2..MAX_N) and so(3..MAX_N), for a real x and for
     # x plus i times another element: the walk's image (re, im, d) over d is
-    # down(x) entry by entry, d is the least common denominator (gcd of d
-    # and every part is 1), so the image is zi_matrix of the Q(i) step, and
-    # its Faddeev-LeVerrier integers are those of char_poly_fl(x_m)
+    # the dense Q(i) step PD x TD, composed level by level, entry by entry;
+    # d is the least common denominator (gcd of d and every part is 1), so
+    # the image is zi_matrix of the Q(i) step, and its Faddeev-LeVerrier
+    # integers are those of char_poly_fl(x_m)
     s = Sampler("zi-step/" + kind)
     for n in range(CHAIN_FLOOR[kind] + 1, MAX_N + 1):
         ctx = make_algebra(kind, n)
         real = s.algebra_element(ctx)
         for x in (real, real + s.algebra_element(ctx).scale(QI(0, 1))):
-            xm = x
-            for k, (lvl, image) in enumerate(ctx.walk(zi_matrix(x.a))):
-                if k:
-                    xm = ctx.levels[k - 1].down(xm)
+            walk = ctx.walk(zi_matrix(x.a))
+            for (lvl, image), xm in zip(walk, _dense_chain(ctx, x)):
                 re, im, d = image
                 assert qi_matrix(re, im, d) == xm, lvl.describe()
                 parts = [v for part in (re, im or []) for row in part
@@ -372,6 +389,19 @@ def test_cayley_element_lies_in_the_group():
 
 
 def test_group_up_lands_in_the_group():
+    # group_up(g) is the dense TD (g - I) PD + I at every chain step up to
+    # MAX_N; on so it preserves the form, and Ad of a subgroup element
+    # preserves the algebra
+    for kind, floor in sorted(CHAIN_FLOOR.items()):
+        for n in range(floor + 1, MAX_N + 1):
+            ctx = make_algebra(kind, n)
+            s = Sampler(5)
+            g = s.group_element(ctx.child)
+            lifted = ctx.group_up(g)
+            assert lifted == (chain_up_dense(ctx, g - Mat.identity(n - 1))
+                              + Mat.identity(n)), (kind, n)
+            if kind == "so":
+                assert preserves_form(ctx, lifted), n
     for kind, n in [("so", 5), ("so", 6)]:
         ctx = make_algebra(kind, n)
         s = Sampler(5)

@@ -24,6 +24,7 @@ from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
 from qi_reference import (partial_map_jacobian_jet, echelon,
                           centralizer_system_by_brackets, trace_against,
+                          aux_qi,
                           centralizer_system_qi,
                           level_gradient_rows_by_trace,
                           pfaffian_gradient_by_cofactors, pfaffian,
@@ -127,7 +128,7 @@ def test_pfaffian_generator_is_needed_for_the_differential():
     assert rank_rows(rows, ctx.dim) == 3    # full: r_3 + r_4 = 1 + 2
     # same jacobian with the last row built from c_2 instead of pf
     _, aux = char_poly_fl(x)
-    det_row = [-trace_against(aux[3], v) for v in ctx.basis]
+    det_row = [-trace_against(aux_qi(aux)[3], v) for v in ctx.basis]
     assert rank_rows(rows[:-1] + [det_row], ctx.dim) == 2
     assert any(v for v in rows[-1])
     assert not any(det_row)
