@@ -92,6 +92,11 @@ class Root:
         return out[1:] if out.startswith("+") else out
 
 
+def _opposite(p, q):
+    """p == -q for reduced rationals, read off their parts."""
+    return p.numerator == -q.numerator and p.denominator == q.denominator
+
+
 class AlgebraContext:
     """One algebra in the chain, plus the link to the next one down.
 
@@ -337,22 +342,29 @@ class AlgebraContext:
         return m
 
     def membership_violations(self, mat):
+        """One message per entry (i, j) of mat that breaks Z^T S + S Z = 0
+        on so(n): the entry must be minus its mirror (bar j, bar i).  The
+        parts are compared as reduced numerators and denominators, with no
+        scalar arithmetic."""
         if mat.m != self.n or mat.n != self.n:
             return ["shape %dx%d, expected %dx%d"
                     % (mat.m, mat.n, self.n, self.n)]
         if self.kind == "gl":
             return []
+        a = mat.a
+        top = self.n - 1
         out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                lhs = mat.a[i][j]
-                rhs = -mat.a[self._bar(j)][self._bar(i)]
-                if lhs != rhs:
-                    out.append("entry (%d,%d)=%s violates Z^T S + S Z = 0 "
-                               "against (%d,%d)=%s"
-                               % (i + 1, j + 1, lhs,
-                                  self._bar(j) + 1, self._bar(i) + 1,
-                                  mat.a[self._bar(j)][self._bar(i)]))
+        for i, row in enumerate(a):
+            for j, lhs in enumerate(row):
+                mirror = a[top - j][top - i]
+                if ((lhs is ZERO and mirror is ZERO)
+                        or (_opposite(lhs.re, mirror.re)
+                            and _opposite(lhs.im, mirror.im))):
+                    continue
+                out.append("entry (%d,%d)=%s violates Z^T S + S Z = 0 "
+                           "against (%d,%d)=%s"
+                           % (i + 1, j + 1, lhs, top - j + 1, top - i + 1,
+                              mirror))
         return out
 
     def contains(self, mat):

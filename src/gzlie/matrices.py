@@ -26,13 +26,26 @@ reads only its last nonzero row (``last_rref_row``): the last pivot row of
 the forward pass divided by its pivot, since that row is zero left of its
 pivot and no later pivot would clear it.
 
+rank, rank_rows, rank_zi_rows and pivots_zi_rows return only the rank or
+the pivot columns, which depend only on the row space, so they hand
+``_echelon`` their rows sorted by size (``_row_size``, the sum of the
+absolute values of the integer parts), smallest first.  Small rows then
+become the pivots, and more updates find a pivot that divides their entry
+and take the unscaled path.  det, solve, inverse, the nullspaces and
+last_rref_row eliminate the rows in the order given: det reads the
+recorded swaps and scalings, and on augmented rows whose rank exceeds that
+of their first ``ncols`` columns the last pivot row of last_rref_row
+depends on the order.
+
 char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
 denominator of A, over Z[i], where its division by k is exact, and rescales
 the coefficients by d^k; it takes A as a Mat or as its ZiMatrix, the form
-in which a chain level arrives from gzlie.liealg.AlgebraContext.walk.  Its
-auxiliary matrices stay the recurrence's integers M_k(X) (AuxMatrices):
-the Jacobian rows of gzlie.regularity read them with d and never leave
-Z[i]; the Q(i) matrices are M_k(A) = M_k(X)/d^(k-1).
+in which a chain level arrives from gzlie.liealg.AlgebraContext.walk.  An
+n x n run takes n - 2 matrix products: X M_1 is X, and at k = n only the
+trace of X M_n is read.  Its auxiliary matrices stay the recurrence's
+integers M_k(X) (AuxMatrices): the Jacobian rows of gzlie.regularity read
+them with d and never leave Z[i]; the Q(i) matrices are
+M_k(A) = M_k(X)/d^(k-1).
 ``zi_sub_pfaffians`` is the one Pfaffian expansion: a memo of the
 sub-Pfaffians of an antisymmetric Gaussian-integer matrix, which the
 generator values, the Jacobian rows and the analysis report read, and
@@ -351,19 +364,30 @@ def _echelon(rows, ncols, reduced=False):
     return pivots, swaps, scalings
 
 
+def _row_size(row):
+    """Sort key of a kernel row (see rank_zi_rows): the sum of the absolute
+    values of its integer parts."""
+    re, im = row
+    if im is None:
+        return sum(map(abs, re))
+    return sum(map(abs, re)) + sum(map(abs, im))
+
+
 def rank(mat):
-    return len(_echelon(_zi_rows(mat.a)[0], mat.n)[0])
+    return len(_echelon(sorted(_zi_rows(mat.a)[0], key=_row_size),
+                        mat.n)[0])
 
 
 def rank_rows(row_vectors, ncols):
-    return len(_echelon(_zi_rows(row_vectors)[0], ncols)[0])
+    return len(_echelon(sorted(_zi_rows(row_vectors)[0], key=_row_size),
+                        ncols)[0])
 
 
 def rank_zi_rows(rows, ncols):
     """Rank of rows already in the kernel's form, pairs [re, im] of int
     lists (im None while the row is real), eliminating on the first
     ``ncols`` columns.  The rows are consumed."""
-    return len(_echelon(rows, ncols)[0])
+    return len(_echelon(sorted(rows, key=_row_size), ncols)[0])
 
 
 def pivots_zi_rows(rows, ncols):
@@ -371,7 +395,7 @@ def pivots_zi_rows(rows, ncols):
     (see rank_zi_rows), in increasing order.  The pivots left of column c
     are the rank of the first c columns, since the pass clears them column
     by column from the left.  The rows are consumed."""
-    return _echelon(rows, ncols)[0]
+    return _echelon(sorted(rows, key=_row_size), ncols)[0]
 
 
 def last_rref_row(rows, ncols):
@@ -473,6 +497,11 @@ def _imatmul(a, b):
     return [[sum(map(_mul, row, col)) for col in cols] for row in a]
 
 
+def _itrace(a, b):
+    """tr(a b) of square int matrices, without forming the product."""
+    return sum(sum(map(_mul, row, col)) for row, col in zip(a, zip(*b)))
+
+
 # the auxiliary matrices of one Faddeev-LeVerrier run on X = d*A, held as
 # the recurrence's Gaussian integers: ints[k] is the pair (re, im) of int
 # rows of M_(k+1)(X) = d^k M_(k+1)(A), im None while X is real.  Readers
@@ -489,7 +518,10 @@ def char_poly_fl(mat):
     The recurrence M_1 = I, b_k = -tr(X M_k)/k, M_(k+1) = X M_k + b_k I runs
     on the Gaussian-integer matrix X = d*A, d the least common denominator
     of the entries; there the division by k is exact.  Then
-    b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  aux is an
+    b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  It forms n - 2
+    products (four real ones each for a Gaussian X): X M_1 is a copy of X,
+    and at k = n, where only b_n is read, tr(X M_n) is the sum of
+    X_ij (M_n)_ji (_itrace) and X M_n is not formed.  aux is an
     AuxMatrices (d, ints): the recurrence's own integers, which the
     Jacobian rows of gzlie.regularity read without leaving Z[i].
     ``mat`` is a Mat, or already the ZiMatrix of A over that d (a chain
@@ -505,7 +537,22 @@ def char_poly_fl(mat):
     dk = 1                               # d^(k-1)
     for k in range(1, n + 1):
         ints.append((mre, mim))
-        if xim is None:
+        dk *= d
+        if k == n:
+            # only b_n is read: tr(X M_n), no product
+            tr_re = _itrace(xre, mre)
+            tr_im = 0
+            if xim is not None:
+                tr_im = _itrace(xim, mre)
+                if mim is not None:
+                    tr_re -= _itrace(xim, mim)
+                    tr_im += _itrace(xre, mim)
+            coeffs.append(_qi(-tr_re // k, -tr_im // k, dk))
+            break
+        if k == 1:                       # X M_1 = X
+            are = [list(r) for r in xre]
+            aim = [list(r) for r in xim] if xim is not None else None
+        elif xim is None:
             are, aim = _imatmul(xre, mre), None
         else:
             are, aim = _imatmul(xre, mre), _imatmul(xim, mre)
@@ -516,14 +563,12 @@ def char_poly_fl(mat):
                        for r, s in zip(aim, _imatmul(xre, mim))]
         br = -sum(are[i][i] for i in range(n)) // k
         bi = -sum(aim[i][i] for i in range(n)) // k if aim else 0
-        dk *= d
         coeffs.append(_qi(br, bi, dk))
-        if k < n:
-            for i in range(n):
-                are[i][i] += br
-                if aim:
-                    aim[i][i] += bi
-            mre, mim = are, aim
+        for i in range(n):
+            are[i][i] += br
+            if aim:
+                aim[i][i] += bi
+        mre, mim = are, aim
     return coeffs, AuxMatrices(d, ints)
 
 

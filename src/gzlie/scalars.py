@@ -171,27 +171,37 @@ def rat(num, den=1):
 # c/d*i, joined by a sign; denominators are nonzero.  Examples: "3", "-1/2",
 # "2+1/3*i", "-1/2*i", "0".
 
-_RAT = r"[+-]?\d+(?:/0*[1-9]\d*)?"
+# A rational a or a/b; its numerator and denominator are the groups
+# <name> and <name>den.
+_RAT = r"(?P<%(n)s>[+-]?\d+)(?:/(?P<%(n)sden>0*[1-9]\d*))?"
 _SCALAR_RE = _re.compile(
-    r"^\s*(?:(?P<re>%(r)s)(?=\s*(?:[+-]|$)))?\s*"
-    r"(?:(?P<im>%(r)s)\s*\*\s*i|(?P<imsign>[+-]?)\s*i)?\s*$" % {"r": _RAT}
-)
+    r"^\s*(?:%s(?=\s*(?:[+-]|$)))?\s*"
+    r"(?:%s\s*\*\s*i|(?P<imsign>[+-]?)\s*i)?\s*$"
+    % (_RAT % {"n": "re"}, _RAT % {"n": "im"}), _re.ASCII)
+
+
+def _rat_parts(num, den):
+    """The rational of the digit strings of a numerator and a denominator
+    (None: 1); int() reads a leading '+' too."""
+    return _mpq(int(num), int(den)) if den else _mpq(int(num))
 
 
 def parse_scalar(text):
     """Parse 'a/b+c/d*i' style input into a QI scalar.  Every spelling of
     zero ('0', '-0', '0/7', '0*i', ...) gives the shared ZERO, so parsed
-    matrices take the ``is ZERO`` fast paths of the matrix kernels."""
+    matrices take the ``is ZERO`` fast paths of the matrix kernels.  Digits
+    are ASCII only; a part with more digits than Python's limit for
+    converting a string to an integer raises ValueError, from int()."""
     m = _SCALAR_RE.match(text)
-    if m is None or (m.group("re") is None and m.group("im") is None
-                     and m.group("imsign") is None):
+    re_num, re_den, im_num, im_den, imsign = (
+        m.group("re", "reden", "im", "imden", "imsign") if m else (None,) * 5)
+    if re_num is None and im_num is None and imsign is None:
         raise ValueError("bad scalar syntax: %r" % text)
-    # mpq() rejects a leading '+', Fraction does not
-    re_part = _mpq(Fraction(m.group("re"))) if m.group("re") else _ZERO
-    if m.group("im") is not None:
-        im_part = _mpq(Fraction(m.group("im")))
-    elif m.group("imsign") is not None:
-        im_part = -_ONE if m.group("imsign") == "-" else _ONE
+    re_part = _rat_parts(re_num, re_den) if re_num else _ZERO
+    if im_num is not None:
+        im_part = _rat_parts(im_num, im_den)
+    elif imsign is not None:
+        im_part = -_ONE if imsign == "-" else _ONE
     else:
         im_part = _ZERO
     if not (re_part or im_part):

@@ -17,12 +17,16 @@ dense brackets, the nsreg system of z_k(x) from the theta-split pair
 data of theta_Q read off
 conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
 orbit K.vB with the codimension read off k meet Ad(v)b, and polynomial
-arithmetic over Q(i) with the gcd by the Euclidean algorithm.  aux_qi
+arithmetic over Q(i) with the gcd by the Euclidean algorithm, and the
+scalar parser that read each rational part through Fraction(text).  aux_qi
 reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
 matrices of the reference loop.
 """
 
-from gzlie.scalars import QI, ZERO, ONE, rat, _coerce
+import re as _re
+from fractions import Fraction
+
+from gzlie.scalars import QI, ZERO, ONE, rat, _coerce, _mpq
 from gzlie.matrices import Mat, bracket, intersection_dim, qi_matrix
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, level_values, _signed
@@ -582,3 +586,31 @@ def gcd(a, b):
         _, r = divmod_exact(a, b)
         a, b = b, r
     return monic(a)
+
+
+# --- the scalar grammar, each rational part read by Fraction(text) --------
+
+_RAT = r"[+-]?\d+(?:/0*[1-9]\d*)?"
+_SCALAR_RE = _re.compile(
+    r"^\s*(?:(?P<re>%(r)s)(?=\s*(?:[+-]|$)))?\s*"
+    r"(?:(?P<im>%(r)s)\s*\*\s*i|(?P<imsign>[+-]?)\s*i)?\s*$" % {"r": _RAT},
+    _re.ASCII)
+
+
+def parse_scalar(text):
+    """gzlie.scalars.parse_scalar with each rational part parsed twice:
+    by Fraction's own pattern, then converted by _mpq."""
+    m = _SCALAR_RE.match(text)
+    if m is None or (m.group("re") is None and m.group("im") is None
+                     and m.group("imsign") is None):
+        raise ValueError("bad scalar syntax: %r" % text)
+    re_part = _mpq(Fraction(m.group("re"))) if m.group("re") else _mpq(0)
+    if m.group("im") is not None:
+        im_part = _mpq(Fraction(m.group("im")))
+    elif m.group("imsign") is not None:
+        im_part = _mpq(-1 if m.group("imsign") == "-" else 1)
+    else:
+        im_part = _mpq(0)
+    if not (re_part or im_part):
+        return ZERO
+    return QI._raw(re_part, im_part)

@@ -137,6 +137,17 @@ def test_sizes_above_the_bound_are_refused(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_analyze_refuses_non_ascii_digits(tmp_path, capsys):
+    # an Arabic-Indic three, then a fullwidth two in a denominator
+    for cell in ("\u0663", "1/\uff12"):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"algebra": "gl", "n": 2,
+                                    "entries": [[cell, "0"], ["0", "1"]]}))
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "entry (1,1)" in err and len(err.strip().splitlines()) == 1
+
+
 def test_analyze_refuses_values_too_large_to_print(tmp_path, capsys):
     # gl(5) with diagonal 10^999 + i: its determinant has about 5000
     # digits, above the integer-to-string limit; refused before the

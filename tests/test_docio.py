@@ -56,6 +56,44 @@ def test_matrix_doc_membership_enforced():
     assert "not an element" in str(err.value)
 
 
+def _so3(corner, mirror):
+    return {"algebra": "so", "n": 3,
+            "entries": [[corner, "0", "0"], ["0", "0", "0"],
+                        ["0", "0", mirror]]}
+
+
+def test_membership_reads_values_not_spellings():
+    # (1,1) and its mirror (3,3): 1/2 against -2/4 is minus itself
+    _, x = parse_matrix_doc(_so3("1/2", "-2/4"))
+    assert x == parse_matrix_doc(_so3("1/2", "-1/2"))[1]
+    _, x = parse_matrix_doc(_so3("+02/4-3*i", "-1/2+06/2*i"))
+    assert x == parse_matrix_doc(_so3("1/2-3*i", "-1/2+3*i"))[1]
+
+
+@pytest.mark.parametrize("doc,message", [
+    # the real parts are opposite, the imaginary parts are not
+    (_so3("1+i", "-1+i"),
+     "not an element of so(3): entry (1,1)=1+1*i violates Z^T S + S Z = 0 "
+     "against (3,3)=-1+1*i; entry (3,3)=-1+1*i violates Z^T S + S Z = 0 "
+     "against (1,1)=1+1*i"),
+    # an antidiagonal cell is its own mirror, so it must be zero
+    ({"algebra": "so", "n": 4,
+      "entries": [["0", "0", "0", "1"]] + [["0"] * 4] * 3},
+     "not an element of so(4): entry (1,4)=1 violates Z^T S + S Z = 0 "
+     "against (1,4)=1"),
+])
+def test_membership_messages(doc, message):
+    with pytest.raises(DocumentError) as err:
+        parse_matrix_doc(doc)
+    assert str(err.value) == message
+
+
+def test_non_ascii_digits_are_refused_in_documents():
+    with pytest.raises(DocumentError) as err:
+        parse_matrix_doc(_so3("\u0663", "-3"))
+    assert str(err.value) == "entry (1,1): bad scalar syntax: '\u0663'"
+
+
 def test_invariant_doc_round_trip():
     for kind, n in [("so", 6), ("so", 3), ("gl", 4), ("gl", 2)]:
         ctx = make_algebra(kind, n)

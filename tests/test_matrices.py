@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import qi, rat, ZERO, ONE, I
+from gzlie import matrices
 from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim,
-                            last_rref_row, pivots_zi_rows, zi_matrix)
+                            last_rref_row, pivots_zi_rows, rank_zi_rows,
+                            zi_matrix)
 
 import qi_reference
 from qi_reference import Jet, jet_mat, aux_qi
@@ -262,6 +264,74 @@ def test_gaussian_kernel_matches_qi_reference(case):
     assert got == (rows[len(pivots) - 1] if pivots else [])
     if a.m == a.n:
         assert det(a) == qi_reference.det(a)
+
+
+@st.composite
+def _row_order_case(draw):
+    """(rows, ncols, order): Gaussian-integer rows (real ones in half the
+    cases, Gaussian rationals for a fifth of the new rows) with zero rows,
+    repeated rows and Gaussian multiples of earlier rows, and a
+    permutation of them."""
+    n = draw(st.integers(1, 7))
+    real = draw(st.booleans())
+    cell = (st.builds(qi, st.integers(-9, 9)) if real else _GAUSS_SMALL)
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat",
+                                     "multiple"]))
+        if kind == "zero":
+            row = [ZERO] * n
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "multiple" and rows:
+            c = draw(st.sampled_from(_GAUSS_FACTORS[1:]))
+            row = [c * v for v in draw(st.sampled_from(rows))]
+        else:
+            row = [draw(cell) for _ in range(n)]
+            if draw(st.integers(0, 4)) == 0:
+                row = [v * rat(1, draw(st.integers(2, 6))) for v in row]
+        rows.append(row)
+    return rows, n, draw(st.permutations(range(len(rows))))
+
+
+@given(_row_order_case())
+@settings(max_examples=200, deadline=None)
+def test_rank_does_not_depend_on_row_order(case):
+    # the rank entries eliminate on rows ordered by size; their results
+    # depend only on the row space
+    rows, n, order = case
+    want_rank = qi_reference.rank(Mat(rows))
+    want_pivots, _ = qi_reference.echelon([list(r) for r in rows], n)
+    for mat in (Mat(rows), Mat([rows[k] for k in order])):
+        assert rank(mat) == want_rank
+        assert rank_rows(mat.a, n) == want_rank
+        assert rank_zi_rows(_kernel_rows(mat), n) == want_rank
+        assert pivots_zi_rows(_kernel_rows(mat), n) == want_pivots
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_char_poly_fl_takes_n_minus_2_products(n, monkeypatch):
+    # M_1 = I needs no product, and b_n is read as tr(X M_n) without one
+    calls = []
+    product = matrices._imatmul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(matrices, "_imatmul", counted)
+    a = Mat([[rat((3 * i + 5 * j) % 11 - 5, 1 + (i * j) % 3)
+              for j in range(n)] for i in range(n)])
+    got, aux = char_poly_fl(a)
+    assert len(calls) == max(n - 2, 0)
+    assert (got, aux_qi(aux)) == qi_reference.char_poly_fl(a)
+    # a Gaussian input takes the same steps, four real products each
+    b = a + Mat([[qi(0, (i + 2 * j) % 3 - 1) for j in range(n)]
+                 for i in range(n)])
+    del calls[:]
+    got, aux = char_poly_fl(b)
+    assert len(calls) == 4 * max(n - 2, 0)
+    assert (got, aux_qi(aux)) == qi_reference.char_poly_fl(b)
 
 
 def test_char_poly_oracle():

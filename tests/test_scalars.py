@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import (ZERO, ONE, I, rat, qi, parse_scalar,
                            format_scalar)
+import qi_reference
 from qi_reference import Jet
 
 rationals = st.fractions(max_denominator=50)
@@ -23,7 +25,8 @@ def test_parse_basic_forms():
 
 
 @pytest.mark.parametrize("text", ["0", "-0", "+0", "0/7", "-0/3", "0*i",
-                                  "-0*i", "0+0*i", "0-0/5*i"])
+                                  "-0*i", "0+0*i", "0-0/5*i", "+000/007",
+                                  "+0+0*i", "-00/1-0/03*i"])
 def test_parse_zero_is_shared_zero(text):
     # parsed matrices then take the `is ZERO` fast paths of the kernels
     assert parse_scalar(text) is ZERO
@@ -33,6 +36,71 @@ def test_parse_zero_is_shared_zero(text):
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff13", "1/\u0662",
+                                  "\u0663*i", "1+\uff12*i", "\u0661/2",
+                                  "2-1/\u0663*i"])
+def test_parse_refuses_non_ascii_digits(text):
+    # Arabic-Indic and fullwidth digits, in the numerator, the denominator
+    # and the imaginary part alike
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+# Pieces of the scalar grammar: a sign (a leading '+' too), zero padding,
+# numerators that are zero in a third of the draws, optional spaces
+_SIGN = st.sampled_from(["", "+", "-"])
+_PAD = st.sampled_from(["", "0", "000"])
+_SPACE = st.sampled_from(["", " "])
+
+
+@st.composite
+def _rat_text(draw, sign=_SIGN):
+    big = st.integers(1, 10 ** 30)
+    num = draw(st.one_of(st.just(0), big, big))
+    text = draw(sign) + draw(_PAD) + str(num)
+    if draw(st.booleans()):
+        text += "/" + draw(_PAD) + str(draw(st.integers(1, 10 ** 30)))
+    return text
+
+
+@st.composite
+def _scalar_text(draw):
+    """A string of the grammar: a rational part, an imaginary part c*i or
+    a bare i, or both joined by a sign."""
+    re = draw(_rat_text()) if draw(st.booleans()) else ""
+    joined = st.sampled_from(["+", "-"]) if re else _SIGN
+    im = draw(st.sampled_from(["part", "unit", "none" if re else "unit"]))
+    if im == "part":
+        im = (draw(_SPACE) + draw(_rat_text(joined)) + draw(_SPACE) + "*"
+              + draw(_SPACE) + "i")
+    elif im == "unit":
+        im = draw(_SPACE) + draw(joined) + "i"
+    else:
+        im = ""
+    return draw(_SPACE) + re + im + draw(_SPACE)
+
+
+@given(_scalar_text())
+@settings(max_examples=300)
+def test_parse_matches_fraction_reference(text):
+    # the parse that read each part through Fraction(text)
+    got, want = parse_scalar(text), qi_reference.parse_scalar(text)
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is type(want.re) and type(got.im) is type(want.im)
+    assert (got is ZERO) == (not want)
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 5000, "-" + "1" * 5000, "+" + "0" * 5000, "1/" + "3" * 5000,
+    "1+" + "7" * 5000 + "*i", "2/3-1/" + "9" * 5000 + "*i"])
+def test_parse_refuses_parts_beyond_the_digit_limit(text):
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("no integer-from-string limit in this interpreter")
+    for parse in (parse_scalar, qi_reference.parse_scalar):
+        with pytest.raises(ValueError):
+            parse(text)
 
 
 @given(scalars)
