@@ -1,23 +1,25 @@
 """External document formats: matrix documents, invariant vectors and
 analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'.
 
-An analysis report walks the chain once on Gaussian integers
-(AlgebraContext.walk): the ZiMatrix of x, then one integer step down per
-level, and each level's image feeds its centralizer ranks, and on the two
-top levels the level data that partial_kw reads (invariants._level_data).
+An analysis report reads the centralizer ranks of every chain level from
+one nested elimination of the top system of the Gaussian-integer image of
+x (regularity.chain_centralizer_ranks), and takes one integer step down
+(AlgebraContext.walk) for the level data of x_(n-1), read with that of x
+as partial_kw reads them (invariants._level_data).
 The values it prints are checked to fit Python's integer-to-string limit
 before any of that work (see analysis_report)."""
 
 from __future__ import annotations
 
 import sys
+from itertools import islice
 
 from .scalars import parse_scalar, format_scalar
 from .matrices import Mat, rank_zi_rows, zi_matrix
 from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, _level_data, level_values,
                          coincidence_of)
-from .regularity import _centralizer_ranks, _level_gradient_rows
+from .regularity import _chain_ranks, _level_gradient_rows
 
 
 class DocumentError(ValueError):
@@ -126,27 +128,27 @@ def _check_printable(ctx, image):
 
 
 def analysis_report(ctx, mat):
-    """Full regularity analysis of one element: one centralizer system per
-    chain level gives dim z_(g_m)(x_m) and whether x_m is nsreg; sreg is
+    """Full regularity analysis of one element: one nested elimination of
+    the top centralizer system gives, at every chain level, dim z_(g_m)(x_m)
+    and whether x_m is nsreg (regularity.chain_centralizer_ranks); sreg is
     nsreg at every level above the floor.
 
-    The chain is walked once on Gaussian integers: each level's ZiMatrix
-    writes its centralizer system, and x and x_(n-1) also give their level
-    data (invariants._level_data), whose coefficients and pf(S x_m) give
-    the values and the coincidence count, as in partial_kw and
-    coincidence_count, and whose auxiliary matrices and sub-Pfaffian memo
-    give the Jacobian rows (kostant_jacobian_rank).
+    The chain is walked on Gaussian integers down to x_(n-1): x and x_(n-1)
+    give their level data (invariants._level_data), whose coefficients and
+    pf(S x_m) give the values and the coincidence count, as in partial_kw
+    and coincidence_count, and whose auxiliary matrices and sub-Pfaffian
+    memo give the Jacobian rows (kostant_jacobian_rank).
     Raises DocumentError, before any of that, when a value of the report
     could exceed the integer-to-string limit (_check_printable)."""
     image = zi_matrix(mat.a)
     _check_printable(ctx, image)
-    chain = list(ctx.walk(image))
-    ranks = [_centralizer_ranks(lvl, img) for lvl, img in chain]
+    ranks = _chain_ranks(ctx, image)
     dims = [lvl.dim - grank for lvl, (_, grank) in zip(ctx.levels, ranks)]
     nsreg = [krank == lvl.k_dim() for lvl, (krank, _) in
              zip(ctx.levels[:-1], ranks)]
     coeffs, values, rows = [], [], []
-    for lvl, img in chain[1::-1]:       # x_(n-1), then x
+    top, below = islice(ctx.walk(image), 2)
+    for lvl, img in (below, top):
         b, aux, minors, pf = _level_data(lvl, img)
         rows += [row for row, _ in
                  _level_gradient_rows(ctx, lvl, aux, minors)]

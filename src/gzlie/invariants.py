@@ -126,9 +126,10 @@ def full_kw(ctx, mat):
 
 def coincidence_of(ctx, b, b_sub):
     """The coincidence count (see coincidence_count) from b_1..b_n of x and
-    b_1..b_(n-1) of its projection one level down."""
-    return polys.degree(polys.gcd(_reduced(generator_spec(ctx), b),
-                                  _reduced(generator_spec(ctx.child), b_sub)))
+    b_1..b_(n-1) of its projection one level down, through the rank of
+    their Sylvester rows over Z[i] (polys.gcd_degree)."""
+    return polys.gcd_degree(_reduced(generator_spec(ctx), b),
+                            _reduced(generator_spec(ctx.child), b_sub))
 
 
 def coincidence_count(ctx, mat):

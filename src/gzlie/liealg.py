@@ -239,8 +239,8 @@ class AlgebraContext:
         # the pair's larger index: the nullspace of Theta - id, in its order.
         # The basis vectors at the other indices (the smaller index of each
         # swapped pair, the negated vectors and the gl corner) complete the
-        # k basis to a basis of g: k_adapted_supports lists the k basis,
-        # then those vectors.
+        # k basis to a basis of g: completion_supports lists them, in basis
+        # order.  At the floor k is 0 and they are the whole basis.
         owner = {(i, j): (k, c) for k, sup in enumerate(self.basis_supports)
                  for i, j, c in sup}
         self.k_supports = []
@@ -260,7 +260,7 @@ class AlgebraContext:
             else:
                 completion.append(sup)
         self.k_basis = [_from_support(n, sup) for sup in self.k_supports]
-        self.k_adapted_supports = self.k_supports + completion
+        self.completion_supports = completion
 
     def _build_chain_maps(self):
         """TD (n x n-1) and PD (n-1 x n) with PD TD = I: down(x) = PD x TD

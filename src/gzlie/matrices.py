@@ -6,7 +6,7 @@ least common denominator of its entries (``_zi_rows``), a matrix as a
 ZiMatrix (re, im, d) over one common denominator (``zi_matrix``), and
 results leave it through ``_qi`` (``qi_matrix`` for a whole matrix).  Rows
 already over Z[i], such as the centralizer systems of gzlie.regularity,
-enter through ``rank_zi_rows``, ``pivots_zi_rows`` and
+enter through ``rank_zi_rows``, ``nested_pivots_zi_rows`` and
 ``nullspace_zi_rows``.
 
 Rank, nullspace, determinant, solve, inverse and the polynomial gcd of
@@ -26,9 +26,9 @@ reads only its last nonzero row (``last_rref_row``): the last pivot row of
 the forward pass divided by its pivot, since that row is zero left of its
 pivot and no later pivot would clear it.
 
-rank, rank_rows, rank_zi_rows and pivots_zi_rows return only the rank or
-the pivot columns, which depend only on the row space, so they hand
-``_echelon`` their rows sorted by size (``_row_size``, the sum of the
+rank, rank_rows, rank_zi_rows and nested_pivots_zi_rows return only the
+rank or the pivot columns, which depend only on the row space, so they
+hand ``_echelon`` their rows sorted by size (``_row_size``, the sum of the
 absolute values of the integer parts), smallest first.  Small rows then
 become the pivots, and more updates find a pivot that divides their entry
 and take the unscaled path.  det, solve, inverse, the nullspaces and
@@ -390,12 +390,21 @@ def rank_zi_rows(rows, ncols):
     return len(_echelon(sorted(rows, key=_row_size), ncols)[0])
 
 
-def pivots_zi_rows(rows, ncols):
-    """The pivot columns of the forward pass over rows in the kernel's form
-    (see rank_zi_rows), in increasing order.  The pivots left of column c
-    are the rank of the first c columns, since the pass clears them column
-    by column from the left.  The rows are consumed."""
-    return _echelon(sorted(rows, key=_row_size), ncols)[0]
+def nested_pivots_zi_rows(blocks, ncols):
+    """For blocks of rows in the kernel's form (see rank_zi_rows), yields
+    after each block the pivot columns, in increasing order, of the forward
+    pass over the rows of that block and every block before it.  The
+    pivots left of column c are the rank of the first c columns, since the
+    pass clears them column by column from the left.  The pivot rows of
+    the pass so far span its rows, so only they are kept: each new block
+    goes in sorted by size after them, and _echelon takes them all again,
+    finding the kept rows already reduced.  The rows are consumed."""
+    kept = []
+    for block in blocks:
+        rows = kept + sorted(block, key=_row_size)
+        pivots = _echelon(rows, ncols)[0]
+        kept = rows[:len(pivots)]
+        yield pivots
 
 
 def last_rref_row(rows, ncols):

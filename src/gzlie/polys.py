@@ -9,12 +9,16 @@ gzlie.matrices.  For nonzero a and b of degrees m and n, the rows x^j a
 m + n; that is one shift of each more than Syl(a, b) has, so constants need
 no case of their own.  With columns running from the top degree down, the
 last nonzero row of the reduced row echelon form is the multiple of least
-degree with leading coefficient 1: the monic gcd itself.
+degree with leading coefficient 1: the monic gcd itself.  The same rows
+give the degree of the gcd alone (gcd_degree): they span
+m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
+their rank, taken over Z[i] with each polynomial scaled once by the least
+common denominator of its coefficients.
 """
 
 from __future__ import annotations
 
-from .matrices import last_rref_row
+from .matrices import last_rref_row, rank_zi_rows, _zi_rows
 from .scalars import ZERO
 
 
@@ -41,6 +45,22 @@ def gcd(a, b):
                 for p, shifts in ((a, len(b)), (b, len(a)))
                 for j in range(shifts)]
     return normalize(last_rref_row(rows, width)[::-1])
+
+
+def gcd_degree(a, b):
+    """degree(gcd(a, b)), from the rank of the Sylvester rows of gcd over
+    Z[i] (see above)."""
+    a, b = normalize(list(a)), normalize(list(b))
+    if not (a and b):
+        return degree(a or b)
+    width = len(a) + len(b) - 1
+    rows = []
+    for (re, im), shifts in zip(_zi_rows([a, b])[0], (len(b), len(a))):
+        for j in range(shifts):
+            low, high = [0] * j, [0] * (width - len(re) - j)
+            rows.append([low + re + high,
+                         None if im is None else low + im + high])
+    return width - rank_zi_rows(rows, width)
 
 
 def even_part(p, parity):

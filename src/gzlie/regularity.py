@@ -16,8 +16,10 @@ z_k(x) = 0, the system of [y, x] = 0 over the basis of k having rank
 dim k.  Strong regularity is nsreg at every chain level (see is_sreg);
 chain_centralizers keeps its definition as the reference.  Readers of
 both ranks at every level (centralizer dimensions and the analysis
-report) take one forward pass per level over the k-adapted columns, the
-k basis first: its pivots in that prefix are the k-rank (see
+report) write the top system once, in coordinates adapted to the whole
+chain (_chain_data), and eliminate it once, its rows going
+in one level at a time from the floor up: after level m the pivots left
+of dim g_m and of dim g_(m-1) are the two ranks of that level (see
 chain_centralizer_ranks).
 
 Differentials of characteristic coefficients are read off the auxiliary
@@ -47,10 +49,11 @@ scales.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from math import gcd
 
-from .matrices import (Mat, rank_zi_rows, pivots_zi_rows, nullspace_zi_rows,
-                       char_poly_fl, zi_matrix, _qi)
+from .matrices import (Mat, rank_zi_rows, nested_pivots_zi_rows,
+                       nullspace_zi_rows, char_poly_fl, zi_matrix, _qi)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
@@ -86,37 +89,43 @@ def _bracket_block(ctx, a, supports):
 def _centralizer_system(ctx, images, supports):
     """Rows of the linear system [y, x] = 0 (x of each ZiMatrix in images),
     one column per vector of ``supports``, in the kernel's form: pairs
-    [re, im] of int lists, im None when real.  supports is the basis of g,
-    of k, or the k-adapted basis AlgebraContext.k_adapted_supports, the k
-    basis followed by the basis vectors of g that complete it.  The first
-    dim k columns of the k-adapted system are the k-system, so one forward
-    pass gives both ranks (see chain_centralizer_ranks).
+    [re, im] of int lists, im None when real.  supports is the basis of g
+    or of k.
 
     The system is homogeneous, so it is written for d*x, the image's
     integers, and each row is divided by its integer content; zero rows
-    are left out.  [y, x] lies in g, so its coordinates fix it: each x
-    gives one row per basis position of g (ctx.position_index), n(n-1)/2
-    rows on so(n) and n^2 on gl(n).  On so(n) the other cells repeat these
-    up to sign (the cell (n-1-j, n-1-i) holds minus the cell (i, j)) or are
-    zero (the antidiagonal), so the row space is that of all n^2 cells:
-    ranks and pivot columns are the same, and so are nullspaces, read off
-    the unique reduced form."""
+    are left out (_kernel_rows).  [y, x] lies in g, so its coordinates fix
+    it: each x gives one row per basis position of g (ctx.position_index),
+    n(n-1)/2 rows on so(n) and n^2 on gl(n).  On so(n) the other cells
+    repeat these up to sign (the cell (n-1-j, n-1-i) holds minus the cell
+    (i, j)) or are zero (the antidiagonal), so the row space is that of all
+    n^2 cells: ranks and pivot columns are the same, and so are nullspaces,
+    read off the unique reduced form."""
     rows = []
     for re, im, _ in images:
         block_re = _bracket_block(ctx, re, supports)
         block_im = (_bracket_block(ctx, im, supports) if im is not None
                     else [None] * len(block_re))
-        for r, s in zip(block_re, block_im):
-            if s is not None and not any(s):
-                s = None
-            g = gcd(*r, *(s or ()))
-            if not g:
-                continue
-            if g > 1:
-                r = [v // g for v in r]
-                if s is not None:
-                    s = [v // g for v in s]
-            rows.append([r, s])
+        rows += _kernel_rows(zip(block_re, block_im))
+    return rows
+
+
+def _kernel_rows(pairs):
+    """The pairs (re, im) of int rows, im None or all zero when real, in
+    the kernel's form: each divided by the gcd of its integer parts, and
+    the zero rows left out."""
+    rows = []
+    for r, s in pairs:
+        if s is not None and not any(s):
+            s = None
+        g = gcd(*r, *(s or ()))
+        if not g:
+            continue
+        if g > 1:
+            r = [v // g for v in r]
+            if s is not None:
+                s = [v // g for v in s]
+        rows.append([r, s])
     return rows
 
 
@@ -137,25 +146,119 @@ def joint_centralizer(ctx, mats):
 
 def chain_centralizer_ranks(ctx, mat):
     """(rank of the k-system, rank of the g-system) of [y, x_m] = 0 at every
-    chain level m, top first, from one forward pass per level: dim k_m -
-    dim z_(k_m)(x_m) and dim g_m - dim z_(g_m)(x_m).
-
-    The columns are the k basis followed by the basis vectors of g that
-    complete it (AlgebraContext.k_adapted_supports).  The pass pivots
-    column by column from the left, so its pivots in the first dim k
-    columns are the rank of the k-system, and all its pivots the rank of
-    the g-system in a basis of g."""
-    return [_centralizer_ranks(lvl, image)
-            for lvl, image in ctx.walk(zi_matrix(mat.a))]
+    chain level m, top first: dim k_m - dim z_(k_m)(x_m) and
+    dim g_m - dim z_(g_m)(x_m), all from one nested elimination of the
+    top system (_chain_ranks)."""
+    return _chain_ranks(ctx, zi_matrix(mat.a))
 
 
-def _centralizer_ranks(lvl, image):
-    """(rank of the k-system, rank of the g-system) of [y, x_m] = 0 on one
-    chain level, from one forward pass over the ZiMatrix of x_m (see
-    chain_centralizer_ranks)."""
-    pivots = pivots_zi_rows(
-        _centralizer_system(lvl, [image], lvl.k_adapted_supports), lvl.dim)
-    return bisect_left(pivots, lvl.k_dim()), len(pivots)
+def _chain_ranks(ctx, image):
+    """chain_centralizer_ranks of the x whose ZiMatrix is image.
+
+    The system is written once, over the columns of _chain_data(ctx): the
+    coordinates of [c, x] for every column c, d*x being the image's
+    integers (_bracket_block).  Level m's rows are its recipes read on
+    them.  For c in (the image of) g_m, a recipe of level m or below reads
+    a coordinate of the step down of [c, x] to g_m, which is [c, x_m]:
+    g_(m-1) is the theta-fixed k of g_m, the step down reads k and kills
+    p, and [k, p] lies in p.  The recipes of the
+    levels up to m read a basis of the dual of g_m there, so on the first
+    d_m = dim g_m columns those rows are the centralizer system of x_m, and
+    on the first d_(m-1) (spanning k_m = g_(m-1)) its k-system.
+
+    The levels go to the kernel one block at a time, floor first
+    (matrices.nested_pivots_zi_rows): after level m the pivots left of
+    column d_m are the g-rank of level m and those left of d_(m-1) its
+    k-rank, since a forward pass pivots column by column from the left
+    and the rows of the lower levels, read through the step down, lie in
+    the span of level m's.  The k-rank of the floor is 0 (k is 0 there)."""
+    columns, recipes, dims = _chain_data(ctx)
+    re, im, _ = image
+    block_re = _bracket_block(ctx, re, columns)
+    block_im = None if im is None else _bracket_block(ctx, im, columns)
+
+    def level_rows(level):
+        return _kernel_rows(
+            (_read_recipe(block_re, terms),
+             None if block_im is None else _read_recipe(block_im, terms))
+            for terms in level)
+
+    ranks, lower = [], 0
+    for dim, pivots in zip(dims, nested_pivots_zi_rows(
+            map(level_rows, recipes), ctx.dim)):
+        ranks.append((bisect_left(pivots, lower), bisect_left(pivots, dim)))
+        lower = dim
+    return ranks[::-1]
+
+
+@lru_cache(maxsize=None)
+def _chain_data(ctx):
+    """(columns, recipes, dims): the chain of ctx in coordinates adapted to
+    every level, built once per context from the child's and the int cells
+    of one step (AlgebraContext._up_cells and down_coords), with no Q(i)
+    product:
+
+    - columns: elements of g as int supports (i, j, c), one per nonzero
+      cell: the floor basis, then the completion vectors of each level above
+      it (AlgebraContext.completion_supports), each carried up to g by the
+      integer step up and divided by the gcd of its entries;
+    - recipes: one list per level, floor first, of functionals on g as
+      terms (basis position r of g, int weight) divided by their gcd: the
+      positions of the level's completion vectors (every position at the
+      floor), each read through the composite step down;
+    - dims: dim g_m per level, floor first.
+
+    The first dims[k] columns span level k; the recipes of the levels up to
+    k read a basis of its dual on them.  On gl the data is a permutation;
+    on so a column has at most four entries and a recipe two terms."""
+    at = ctx.position_index
+    columns = [tuple(sup) for sup in ctx.completion_supports]
+    recipes = [((at[i][j], 1),) for (i, j, _), *_ in ctx.completion_supports]
+    if ctx.child is None:
+        return columns, (recipes,), (ctx.dim,)
+    below_columns, below_recipes, below_dims = _chain_data(ctx.child)
+    # a child cell (i, j) -> the cells ((p, q), w) of the step up reading
+    # it; a child position l -> the terms (k, w) of coordinate l of down(z)
+    up_reads = {}
+    for p, crow in enumerate(ctx._up_cells):
+        for q, terms in enumerate(crow):
+            for i, j, w in terms:
+                up_reads.setdefault((i, j), []).append(((p, q), w))
+    down_reads = [[] for _ in range(ctx.child.dim)]
+    for k, pairs in enumerate(ctx.down_coords):
+        for l, w in pairs:
+            down_reads[l].append((k, w))
+    return ([tuple((p, q, c) for (p, q), c in
+                   _compose((((i, j), c) for i, j, c in column), up_reads))
+             for column in below_columns] + columns,
+            tuple([_compose(terms, down_reads) for terms in level]
+                  for level in below_recipes) + (recipes,),
+            below_dims + (ctx.dim,))
+
+
+def _compose(terms, reads):
+    """The terms (key, c) read through reads (key -> terms (key', w)): the
+    terms (key', sum of c * w) with a nonzero sum, in key order, divided by
+    the gcd of the sums."""
+    acc = {}
+    for key, c in terms:
+        for key2, w in reads[key]:
+            acc[key2] = acc.get(key2, 0) + c * w
+    items = sorted((key, v) for key, v in acc.items() if v)
+    g = gcd(*(v for _, v in items))
+    return tuple((key, v // g) for key, v in items)
+
+
+def _read_recipe(block, terms):
+    """The sum of w * block[r] over the terms (r, w) of a recipe, as a new
+    list."""
+    (r, w), *rest = terms
+    row = [w * v for v in block[r]] if w != 1 else block[r][:]
+    for r, w in rest:
+        for k, v in enumerate(block[r]):
+            if v:
+                row[k] += w * v
+    return row
 
 
 def centralizer_dims(ctx, mat):

@@ -24,13 +24,16 @@ matrices of the reference loop.
 """
 
 import re as _re
+from bisect import bisect_left
 from fractions import Fraction
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce, _mpq
-from gzlie.matrices import Mat, bracket, intersection_dim, qi_matrix
+from gzlie.matrices import (Mat, bracket, intersection_dim, qi_matrix,
+                            zi_matrix, nested_pivots_zi_rows)
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, level_values, _signed
 from gzlie.korbits import _act
+from gzlie.regularity import _centralizer_system
 from gzlie.polys import normalize, degree
 
 
@@ -424,6 +427,23 @@ def centralizer_system_qi(ctx, mats, supports):
                         row[k] = v if row[k] is ZERO else row[k] + v
         rows.extend(block)
     return rows
+
+
+def chain_centralizer_ranks_per_level(ctx, x):
+    """(rank of the k-system, rank of the g-system) of [y, x_m] = 0 at every
+    chain level m, top first, as gzlie.regularity.chain_centralizer_ranks
+    read them before its nested elimination: one integer step down per
+    level, and one forward pass per level over the k basis completed to a
+    basis of g (k_supports, then completion_supports), whose pivots in
+    the first dim k columns are the k-rank and all of whose pivots are the
+    g-rank."""
+    ranks = []
+    for lvl, image in ctx.walk(zi_matrix(x.a)):
+        supports = lvl.k_supports + lvl.completion_supports
+        pivots = next(nested_pivots_zi_rows(
+            [_centralizer_system(lvl, [image], supports)], lvl.dim))
+        ranks.append((bisect_left(pivots, lvl.k_dim()), len(pivots)))
+    return ranks
 
 
 def theta_fixed_part(ctx, x):

@@ -193,6 +193,28 @@ def test_analyze_of_a_gaussian_gl7_element_ends(tmp_path):
     assert report["n"] == 7 and len(report["centralizer_dims"]) == 7
 
 
+def test_analyze_of_a_dense_real_gl11_element_ends(tmp_path):
+    # a partially coincident conjugate in gl(11): dense entries at every
+    # chain level, whose centralizer ranks took seconds per level when
+    # each level eliminated its own system; one nested elimination of the
+    # top system reads them all
+    ctx = make_algebra("gl", 11)
+    x = suites._mixed_sample(ctx, Sampler(12345), 3)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(emit_matrix_doc(ctx, x)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gzlie.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from gzlie.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "analyze", "--json", "--input", str(path)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["n"] == 11 and len(report["centralizer_dims"]) == 11
+
+
 def test_verify_rejects_negative_trials(capsys):
     code, out, err = run(capsys, "verify", "--suite", "gzero-nsreg",
                          "--trials", "-5")

@@ -8,8 +8,8 @@ from gzlie import matrices
 from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim,
-                            last_rref_row, pivots_zi_rows, rank_zi_rows,
-                            zi_matrix)
+                            last_rref_row, rank_zi_rows,
+                            nested_pivots_zi_rows, zi_matrix)
 
 import qi_reference
 from qi_reference import Jet, jet_mat, aux_qi
@@ -255,7 +255,7 @@ def test_gaussian_kernel_matches_qi_reference(case):
     a, b = case
     assert rank(a) == qi_reference.rank(a)
     pivots, _ = qi_reference.echelon([list(r) for r in a.a], a.n)
-    assert pivots_zi_rows(_kernel_rows(a), a.n) == pivots
+    assert next(nested_pivots_zi_rows([_kernel_rows(a)], a.n)) == pivots
     assert nullspace(a) == qi_reference.nullspace(a)
     assert solve(a, b) == qi_reference.solve(a, b)
     rows = [list(r) + list(s) for r, s in zip(a.a, b.a)]
@@ -306,7 +306,24 @@ def test_rank_does_not_depend_on_row_order(case):
         assert rank(mat) == want_rank
         assert rank_rows(mat.a, n) == want_rank
         assert rank_zi_rows(_kernel_rows(mat), n) == want_rank
-        assert pivots_zi_rows(_kernel_rows(mat), n) == want_pivots
+        assert next(nested_pivots_zi_rows([_kernel_rows(mat)],
+                                          n)) == want_pivots
+
+
+@given(st.lists(_row_order_case(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_nested_pivots_match_one_pass_over_the_rows_so_far(cases):
+    # after each block, the pivots of the rows of that block and every
+    # block before it, whatever the blocks' sizes and orders
+    n = min(ncols for _, ncols, _ in cases)
+    blocks = [[row[:n] for row in rows] for rows, _, _ in cases]
+    got = list(nested_pivots_zi_rows(
+        (_kernel_rows(Mat(rows)) for rows in blocks), n))
+    so_far = []
+    for rows, pivots in zip(blocks, got):
+        so_far += rows
+        assert pivots == qi_reference.echelon([list(r) for r in so_far],
+                                              n)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

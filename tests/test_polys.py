@@ -92,6 +92,21 @@ def test_gcd_matches_euclid(shared, extra, p, q):
         assert polys.gcd(u, v) == qi_reference.gcd(u, v)
 
 
+@given(root_lists, root_lists, root_lists, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_gcd_degree_matches_gcd_with_planted_roots(shared, left, right,
+                                                   gaussian):
+    # polynomials with planted common roots, real or with i among their
+    # roots, and scaled by a Gaussian rational; the zero polynomial too
+    extra = [I, ONE + I] if gaussian else []
+    c = rat(3, 2) + I if gaussian else rat(-2, 3)
+    a = [c * v for v in from_roots(shared + left + extra)]
+    b = from_roots(shared + right + extra[:1])
+    for u, v in ((a, b), (b, a), (a, a), (a, []), ([], b), ([], [])):
+        assert polys.gcd_degree(u, v) == polys.degree(polys.gcd(u, v))
+    assert polys.gcd_degree(a, b) >= len(shared) + len(extra[:1])
+
+
 def test_evaluate():
     p = from_roots([rat(1, 2), 3])
     assert evaluate(p, rat(1, 2)) == ZERO

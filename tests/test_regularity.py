@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import QI, rat, ZERO
-from gzlie.matrices import (Mat, rank_rows, char_poly_fl, nullspace,
-                            pivots_zi_rows, zi_matrix, qi_matrix, _qi)
+from gzlie.matrices import (Mat, rank_rows, rank_zi_rows,
+                            char_poly_fl, nullspace, nested_pivots_zi_rows,
+                            zi_matrix, qi_matrix, _qi)
 from gzlie.invariants import pfaffian_minors
-from gzlie.liealg import make_algebra, MAX_N
+from gzlie.liealg import (make_algebra, MAX_N, project_to_subalgebra,
+                          embed_from_subalgebra)
 from gzlie.regularity import (joint_centralizer, centralizer_dims,
                               nsreg_intersection, is_nsreg,
                               partial_map_jacobian,
@@ -17,7 +19,7 @@ from gzlie.regularity import (joint_centralizer, centralizer_dims,
                               chain_centralizers, is_sreg,
                               chain_centralizer_ranks,
                               _level_gradient_rows, _pfaffian_gradient,
-                              _centralizer_system)
+                              _centralizer_system, _chain_data)
 from gzlie.korbits import sample_chain_disjoint
 from gzlie.docio import parse_matrix_doc
 from gzlie.suites import _mixed_sample
@@ -29,7 +31,8 @@ from qi_reference import (partial_map_jacobian_jet, echelon,
                           level_gradient_rows_by_trace,
                           pfaffian_gradient_by_cofactors, pfaffian,
                           pfaffian_generator, k_system_by_theta_split,
-                          nsreg_intersection_by_theta_split)
+                          nsreg_intersection_by_theta_split,
+                          chain_centralizer_ranks_per_level)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -404,13 +407,14 @@ def _support_rows(n, supports):
 
 
 def _assert_chain_ranks_match_brackets(ctx, x):
-    # one forward pass per level against the dense bracket systems over k
-    # and over g (all n^2 rows); its columns are the k basis completed to a
-    # basis of g
+    # the nested elimination against the dense bracket systems over k and
+    # over g (all n^2 rows) of every level; the k basis completed to a
+    # basis of g is the column order of the per-level reference
     ranks = chain_centralizer_ranks(ctx, x)
     assert len(ranks) == len(ctx.levels)
     for (lvl, xm), got in zip(ctx.chain(x), ranks):
-        adapted = _support_rows(lvl.n, lvl.k_adapted_supports)
+        adapted = _support_rows(lvl.n,
+                                lvl.k_supports + lvl.completion_supports)
         assert adapted[:lvl.k_dim()] == [b.flatten() for b in lvl.k_basis]
         assert len(adapted) == lvl.dim == rank_rows(adapted, lvl.n ** 2)
         want = (rank_rows(centralizer_system_by_brackets(lvl, [xm], "k"),
@@ -491,12 +495,12 @@ def _assert_integer_system_matches_qi_writer(ctx, x):
     for lvl, xm in ctx.chain(x):
         image = zi_matrix(xm.a)
         for supports in (lvl.basis_supports, lvl.k_supports,
-                         lvl.k_adapted_supports):
+                         lvl.k_supports + lvl.completion_supports):
             ncols = len(supports)
             want, _ = echelon(
                 centralizer_system_qi(lvl, [xm], supports), ncols)
-            got = pivots_zi_rows(_centralizer_system(lvl, [image], supports),
-                                 ncols)
+            got = next(nested_pivots_zi_rows(
+                [_centralizer_system(lvl, [image], supports)], ncols))
             assert got == want, (lvl.describe(), ncols)
         for basis, supports, got in [
                 (lvl.basis, lvl.basis_supports, joint_centralizer(lvl, [xm])),
@@ -536,3 +540,83 @@ def test_integer_centralizer_rows_match_qi_writer_at_zero_and_so3_witness():
     with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
         _assert_integer_system_matches_qi_writer(
             *parse_matrix_doc(json.load(fh)))
+
+
+def _assert_nested_ranks_match_per_level(ctx, x):
+    assert (chain_centralizer_ranks(ctx, x)
+            == chain_centralizer_ranks_per_level(ctx, x)), ctx.describe()
+
+
+@given(st.sampled_from([("gl", n) for n in range(2, 10)]
+                       + [("so", n) for n in range(3, 15)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_nested_chain_ranks_match_per_level_reference(algebra, seed, t,
+                                                     gaussian):
+    # the one nested elimination of the top system against one integer
+    # step down and one forward pass per level, on the mixed stream, up to
+    # GAUSSIAN_DIM optionally plus i times a generic element
+    ctx = _algebra(*algebra)
+    s = Sampler(seed)
+    x = _mixed_sample(ctx, s, t)
+    if gaussian and ctx.dim <= GAUSSIAN_DIM:
+        x = x + s.algebra_element(ctx).scale(QI(0, 1))
+    _assert_nested_ranks_match_per_level(ctx, x)
+
+
+def test_nested_chain_ranks_match_per_level_at_zero_and_so3_witness():
+    for kind, n in [("gl", 2), ("gl", 3), ("gl", 9), ("so", 3), ("so", 4),
+                    ("so", 5), ("so", 6), ("so", 14)]:
+        _assert_nested_ranks_match_per_level(make_algebra(kind, n),
+                                             Mat.zeros(n))
+    with open(os.path.join(FIXTURES, "so3_sreg_witness.json")) as fh:
+        _assert_nested_ranks_match_per_level(*parse_matrix_doc(json.load(fh)))
+
+
+@pytest.mark.parametrize("kind,n", [("gl", n) for n in range(2, MAX_N + 1)]
+                         + [("so", n) for n in range(3, MAX_N + 1)])
+def test_chain_data_is_adapted_to_every_level(kind, n):
+    # the chain dims, the size of the chain data (a permutation on gl; on so
+    # at most 4 entries per column, 2 terms per recipe and weights of 64),
+    # the columns of each level inside the image of that level (a round
+    # trip down to it and back up is the identity), and the recipes of the
+    # levels up to m reading a basis of the dual of g_m on its columns
+    ctx = make_algebra(kind, n)
+    columns, recipes, dims = _chain_data(ctx)
+    assert dims == tuple(lvl.dim for lvl in reversed(ctx.levels))
+    lows = (0,) + dims[:-1]
+    assert [len(r) for r in recipes] == [
+        d - e for d, e in zip(dims, lows)]
+    assert len(columns) == ctx.dim
+    weights = ([c for col in columns for _, _, c in col]
+               + [w for level in recipes for terms in level
+                  for _, w in terms])
+    if kind == "gl":
+        assert all(len(col) == 1 for col in columns)
+        assert all(len(terms) == 1 for level in recipes
+                   for terms in level)
+        assert set(weights) == {1}
+    else:
+        assert max(map(len, columns)) <= 4
+        assert max(len(terms) for level in recipes
+                   for terms in level) <= 2
+        assert max(map(abs, weights)) <= 64
+    dense = []
+    for k, col in enumerate(columns):
+        a = [[0] * n for _ in range(n)]
+        for i, j, c in col:
+            a[i][j] = c
+        x = qi_matrix(a, None, 1)
+        assert ctx.contains(x)
+        m = next(lvl.n for lvl, d, e in zip(reversed(ctx.levels), dims, lows)
+                 if e <= k < d)
+        assert embed_from_subalgebra(
+            ctx, project_to_subalgebra(ctx, x, m), m) == x
+        dense.append(a)
+    so_far = []
+    for level, d in zip(recipes, dims):
+        so_far += level
+        read = [[sum(w * a[i][j] for r, w in terms
+                     for i, j in [ctx.basis_positions[r]])
+                 for a in dense[:d]] for terms in so_far]
+        assert rank_zi_rows([[row, None] for row in read], d) == d
