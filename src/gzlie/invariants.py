@@ -169,5 +169,5 @@ def stratum_of_value(ctx, vector):
                vector.n))
     q_sub = _poly_from_values(ctx.child, vector.values[:r_sub])
     q_top = _poly_from_values(ctx, vector.values[r_sub:])
-    return polys.degree(polys.gcd(q_sub, q_top))
+    return polys.gcd_degree(q_sub, q_top)
 

@@ -15,8 +15,10 @@ basis is stored: an orbit section is Ad(k v) of an element of b.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from itertools import pairwise
 
-from .scalars import ZERO, ONE
+from .scalars import ONE
 from .matrices import Mat, inverse, row_space_contains, zi_matrix
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
                      adjoint, monomial_pairs)
@@ -282,24 +284,13 @@ def stable_parabolic(ctx, i):
     return Parabolic(i, r_basis, z_basis, lss_basis, nil_basis, ("so", m))
 
 
-def degenerate_to_levi(ctx, mat, i):
-    """Linear projection r -> levi killing the nilradical: the limit of the
-    one-parameter contraction by the center of the Levi.  Requires x in r."""
-    coords = ctx.coordinates(mat)
-    for r in ctx.roots:
-        k = ctx.root_index[r.coords]
-        if coords[k] and not _in_levi(r, i):
-            if not r.is_positive():
-                raise ValueError("element is not in the parabolic")
-            coords[k] = ZERO
-    return ctx.from_coordinates(coords)
-
-
 # --- distinguished element families ---------------------------------------
 
+@lru_cache(maxsize=None)
 def nilfibre_components(ctx):
     """Bases of the nilradicals n_+ (and n_- in the odd case) whose K-orbits
-    cover the fibre of the partial map over zero."""
+    cover the fibre of the partial map over zero, built once per context:
+    do not mutate the lists."""
     if ctx.kind != "so":
         raise ValueError("nilfibre only for so(n), not " + ctx.describe())
     plus = [root_vector(ctx, r) for r in ctx.positive_roots]
@@ -311,11 +302,13 @@ def nilfibre_components(ctx):
     return [plus, minus]
 
 
+@lru_cache(maxsize=None)
 def nilfibre_overlap_vector(ctx, component=0):
     """Canonical vector of the line that the joint centralizer of any
     element of the given nilfibre component must contain: the highest-root
     space of that component's Borel (its theta-symmetrization when the
-    highest root is not compact, which happens only for so(4))."""
+    highest root is not compact, which happens only for so(4)), built once
+    per context and component."""
     l = ctx.l
     if l < 2:
         raise ValueError("needs rank at least 2")
@@ -360,14 +353,15 @@ def sample_g0(ctx, sampler):
 
 def sample_chain_disjoint(ctx, sampler):
     """Random element whose chain projections have pairwise disjoint spectra
-    at every consecutive pair of levels."""
+    at every consecutive pair of levels.  A draw is refused at the first
+    pair with a common root, before the levels below it are walked."""
     for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
-        qs = [reduced_char(lvl, image)
-              for lvl, image in ctx.walk(zi_matrix(x.a))]
-        # (level m, level m + 1), as qs runs from the top down
-        if all(polys.degree(polys.gcd(low, high)) == 0
-               for low, high in zip(qs[1:], qs)):
+        qs = (reduced_char(lvl, image)
+              for lvl, image in ctx.walk(zi_matrix(x.a)))
+        # (level m + 1, level m), as qs runs from the top down
+        if all(polys.gcd_degree(low, high) == 0
+               for high, low in pairwise(qs)):
             return x
     raise RuntimeError("could not sample a chain-disjoint element")
 

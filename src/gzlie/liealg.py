@@ -40,7 +40,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .scalars import QI, ZERO, ONE, rat
-from .matrices import (Mat, ZiMatrix, bracket, det, inverse, zi_matrix,
+from .matrices import (Mat, ZiMatrix, bracket, inverse, zi_matrix,
                        qi_matrix)
 
 HALF = rat(1, 2)
@@ -330,9 +330,6 @@ class AlgebraContext:
 
     # --- element services --------------------------------------------------
 
-    def coordinates(self, mat):
-        return [mat.a[i][j] for (i, j) in self.basis_positions]
-
     def from_coordinates(self, coords):
         m = Mat.zeros(self.n)
         for c, sup in zip(coords, self.basis_supports):
@@ -366,9 +363,6 @@ class AlgebraContext:
                            % (i + 1, j + 1, lhs, top - j + 1, top - i + 1,
                               mirror))
         return out
-
-    def contains(self, mat):
-        return not self.membership_violations(mat)
 
     def theta(self, mat):
         """t x t as a signed relabeling (see monomial_pairs): entry (p, q)
@@ -585,17 +579,6 @@ def root_vector(ctx, root):
     return ctx.basis[k]
 
 
-def cartan_coordinates(ctx, h_mat):
-    coords = [h_mat.a[a][a] for a in range(ctx.l)]
-    # verify the element is actually in the Cartan
-    rebuilt = Mat.zeros(ctx.n)
-    for c, hb in zip(coords, ctx.cartan_basis):
-        rebuilt = rebuilt + c * hb
-    if rebuilt != h_mat:
-        raise ValueError("element is not in the diagonal Cartan")
-    return coords
-
-
 def root_value(root, cartan_coords):
     s = ZERO
     for c, a in zip(root.coords, cartan_coords):
@@ -662,14 +645,6 @@ def cayley_element(ctx, root):
         elif hp != ZERO:
             raise ValueError("unexpected coroot entry %s" % hp)
     return expf * mid * expe
-
-
-def preserves_form(ctx, g):
-    """g^T S g = S and det g = 1 (exact)."""
-    if ctx.kind == "gl":
-        return bool(det(g))
-    return (g.transpose() * ctx.form * g == ctx.form
-            and det(g) == ONE)
 
 
 def adjoint(g, mat):

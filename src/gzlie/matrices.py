@@ -91,13 +91,6 @@ class Mat:
             z.a[k][k] = ONE
         return z
 
-    @classmethod
-    def from_ints(cls, rows):
-        return cls([[QI(v) for v in r] for r in rows])
-
-    def copy(self):
-        return Mat(self.a)
-
     # sums, differences and multiples leave an entry as it is when the other
     # operand is zero: chain projections of sparse matrices are mostly zeros
     def __add__(self, other):
@@ -153,9 +146,6 @@ class Mat:
 
     def is_zero(self):
         return all(not x for r in self.a for x in r)
-
-    def transpose(self):
-        return Mat([list(c) for c in zip(*self.a)])
 
     def trace(self):
         t = ZERO

@@ -14,6 +14,12 @@ give the degree of the gcd alone (gcd_degree): they span
 m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
 their rank, taken over Z[i] with each polynomial scaled once by the least
 common denominator of its coefficients.
+
+Every common-root test of the package reads gcd_degree: the coincidence
+count, stratum_of_value and sample_chain_disjoint.  No package path reads
+gcd itself, nor gzlie.matrices.last_rref_row behind it; the bench tracer
+(perfbench/tracer.py) names gcd as its polys.gcd layer, and the tests pin
+it to the Euclidean algorithm.
 """
 
 from __future__ import annotations

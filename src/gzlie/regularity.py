@@ -261,13 +261,6 @@ def _read_recipe(block, terms):
     return row
 
 
-def centralizer_dims(ctx, mat):
-    """dim z_{g_m}(x_m) = dim g_m - rank, for every chain level m from the
-    floor up."""
-    return [lvl.dim - grank for lvl, (_, grank) in
-            zip(ctx.levels, chain_centralizer_ranks(ctx, mat))][::-1]
-
-
 def nsreg_intersection(ctx, mat):
     """Basis of z_k(x) = {y in k : [y, x] = 0}, which is
     z_k(x_k) intersect z_g(x)."""

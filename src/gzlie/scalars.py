@@ -127,14 +127,6 @@ class QI:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_rational(self):
-        return self.im == 0
-
-    def as_fraction(self):
-        if self.im != 0:
-            raise ValueError("not a rational number: %s" % self)
-        return Fraction(int(self.re.numerator), int(self.re.denominator))
-
     def __str__(self):
         return format_scalar(self)
 
@@ -155,10 +147,6 @@ def _coerce(v):
 ZERO = QI(0)
 ONE = QI(1)
 I = QI(0, 1)
-
-
-def qi(re=0, im=0):
-    return QI(re, im)
 
 
 def rat(num, den=1):

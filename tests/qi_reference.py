@@ -21,6 +21,11 @@ arithmetic over Q(i) with the gcd by the Euclidean algorithm, and the
 scalar parser that read each rational part through Fraction(text).  aux_qi
 reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
 matrices of the reference loop.
+
+The last section holds the constructors and checks that only the tests
+read: scalar and matrix constructors, membership, basis and Cartan
+coordinates, the form test of a group element, the Levi degeneration of a
+theta-stable parabolic and the centralizer dimensions of every chain level.
 """
 
 import re as _re
@@ -28,12 +33,12 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce, _mpq
-from gzlie.matrices import (Mat, bracket, intersection_dim, qi_matrix,
+from gzlie.matrices import (Mat, bracket, det, intersection_dim, qi_matrix,
                             zi_matrix, nested_pivots_zi_rows)
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, level_values, _signed
-from gzlie.korbits import _act
-from gzlie.regularity import _centralizer_system
+from gzlie.korbits import _act, _in_levi
+from gzlie.regularity import _centralizer_system, chain_centralizer_ranks
 from gzlie.polys import normalize, degree
 
 
@@ -470,7 +475,7 @@ def k_basis_by_nullspace(ctx):
     """The fixed subalgebra of theta: the nullspace of Theta - id in basis
     coordinates, Theta read off t*b*t for every basis matrix b."""
     t = ctx.theta_mat
-    cols = [ctx.coordinates(t * b * t) for b in ctx.basis]
+    cols = [coordinates(ctx, t * b * t) for b in ctx.basis]
     m = Mat.zeros(ctx.dim)
     for j, c in enumerate(cols):
         for i in range(ctx.dim):
@@ -634,3 +639,81 @@ def parse_scalar(text):
     if not (re_part or im_part):
         return ZERO
     return QI._raw(re_part, im_part)
+
+
+# --- constructors and checks that only the tests read ---------------------
+
+def qi(re=0, im=0):
+    return QI(re, im)
+
+
+def is_rational(z):
+    return z.im == 0
+
+
+def as_fraction(z):
+    if z.im != 0:
+        raise ValueError("not a rational number: %s" % z)
+    return Fraction(int(z.re.numerator), int(z.re.denominator))
+
+
+def from_ints(rows):
+    return Mat([[QI(v) for v in r] for r in rows])
+
+
+def mat_copy(mat):
+    return Mat(mat.a)
+
+
+def transpose(mat):
+    return Mat([list(c) for c in zip(*mat.a)])
+
+
+def contains(ctx, mat):
+    """mat lies in the algebra of ctx."""
+    return not ctx.membership_violations(mat)
+
+
+def coordinates(ctx, mat):
+    """The coordinates of mat over ctx.basis (inverse of
+    ctx.from_coordinates on the algebra)."""
+    return [mat.a[i][j] for (i, j) in ctx.basis_positions]
+
+
+def cartan_coordinates(ctx, h_mat):
+    coords = [h_mat.a[a][a] for a in range(ctx.l)]
+    # verify the element is actually in the Cartan
+    rebuilt = Mat.zeros(ctx.n)
+    for c, hb in zip(coords, ctx.cartan_basis):
+        rebuilt = rebuilt + c * hb
+    if rebuilt != h_mat:
+        raise ValueError("element is not in the diagonal Cartan")
+    return coords
+
+
+def preserves_form(ctx, g):
+    """g^T S g = S and det g = 1 (exact)."""
+    if ctx.kind == "gl":
+        return bool(det(g))
+    return (transpose(g) * ctx.form * g == ctx.form
+            and det(g) == ONE)
+
+
+def degenerate_to_levi(ctx, mat, i):
+    """Linear projection r -> levi killing the nilradical: the limit of the
+    one-parameter contraction by the center of the Levi.  Requires x in r."""
+    coords = coordinates(ctx, mat)
+    for r in ctx.roots:
+        k = ctx.root_index[r.coords]
+        if coords[k] and not _in_levi(r, i):
+            if not r.is_positive():
+                raise ValueError("element is not in the parabolic")
+            coords[k] = ZERO
+    return ctx.from_coordinates(coords)
+
+
+def centralizer_dims(ctx, mat):
+    """dim z_{g_m}(x_m) = dim g_m - rank, for every chain level m from the
+    floor up."""
+    return [lvl.dim - grank for lvl, (_, grank) in
+            zip(ctx.levels, chain_centralizer_ranks(ctx, mat))][::-1]

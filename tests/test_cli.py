@@ -345,6 +345,18 @@ def test_sampler_failure_exits_one(capsys, monkeypatch):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_gzero_nsreg_witness_carries_the_joint_stabilizer_dimension(
+        monkeypatch):
+    # the claim decides with is_nsreg; only a failure builds z_k(x)
+    monkeypatch.setattr(suites, "is_nsreg", lambda ctx, x: False)
+    report = run_suite(SuiteConfig("gzero-nsreg", trials=2, n_min=4,
+                                   n_max=4))
+    claims = {c.claim: c for c in report.claims}
+    witness = claims["gzero-nsreg-so4"].failures[1]
+    assert witness["trial"] == 1 and witness["dim"] == 0
+    assert set(witness) == {"trial", "matrix", "dim"}
+
+
 # --- fuzzing: every input ends in exit 0, 1 or 2, never in a traceback -------
 
 _SCALARS = st.sampled_from(["0", "1", "-2", "1/2", "-1/3*i", "2+i", "3*i"])

@@ -18,6 +18,7 @@ from gzlie.korbits import (sample_nilfibre, sample_g0,
                            sample_chain_disjoint)
 from gzlie.rand import Sampler
 from gzlie.suites import _mixed_sample
+from qi_reference import from_ints
 
 
 def test_matrix_doc_round_trip():
@@ -181,11 +182,11 @@ def test_analysis_report_keeps_the_generator_checks():
     # memo refuses it before pf(S x)^2 is compared with det x)
     ctx = make_algebra("so", 4)
     with pytest.raises(ValueError, match="parity"):
-        analysis_report(ctx, Mat.from_ints([[1, 0, 0, 0], [0, 1, 0, 0],
-                                            [0, 0, 1, 0], [0, 0, 0, 1]]))
+        analysis_report(ctx, from_ints([[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]]))
     with pytest.raises(ValueError, match="not antisymmetric"):
-        analysis_report(ctx, Mat.from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
-                                            [0, 0, -1, 0], [0, 1, -1, 0]]))
+        analysis_report(ctx, from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
+                                        [0, 0, -1, 0], [0, 1, -1, 0]]))
 
 
 # --- the analysis fingerprint ------------------------------------------------

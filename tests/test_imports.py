@@ -1,18 +1,37 @@
 """Every name that a module of the package, of its tests or of the bench
-imports is read somewhere in that module, or exported through its __all__,
-and every private function or class of the package is read somewhere in
-the package: code that only tests reach belongs in the tests."""
+imports is read somewhere in that module, or exported through its __all__;
+every private function or class of the package is read somewhere in the
+package, and so is every public one that is not API: code that only tests
+reach belongs in the tests.
+
+The API is declared in three places, and read from them here: the names in
+code spans and code blocks of README.md, the entry function of each
+[project.scripts] entry of pyproject.toml, and every name that perfbench/
+reads, the functions and methods its tracer wraps (SPAN_LAYERS and
+COUNT_LAYERS) included."""
 
 import ast
 import glob
 import os
+import re
 
 import pytest
 
+from test_bench_tracer import _load_tracer
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "gzlie", "*.py")))
+BENCH = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 MODULES = sorted(PACKAGE + glob.glob(os.path.join(ROOT, "tests", "*.py"))
-                 + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+                 + BENCH)
+
+
+def _sources(paths):
+    out = []
+    for path in paths:
+        with open(path) as fh:
+            out.append(fh.read())
+    return out
 
 
 def unused_imports(source):
@@ -52,26 +71,37 @@ def test_no_unused_imports(path):
         assert unused_imports(fh.read()) == []
 
 
-def unread_private_definitions(sources):
-    """Functions and classes, methods included, with a private name (one
-    leading underscore, not a dunder) defined in any of the module sources
-    that no expression of them reads, as a name or as an attribute."""
-    defined, read = set(), set()
+def _definitions(sources):
+    """Names of the functions and classes, methods included, that the
+    module sources define."""
+    return {node.name for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def _reads(sources):
+    """Names that an expression of the module sources reads, as a name or
+    as an attribute."""
+    read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                name = node.name
-                if name.startswith("_") and not (name.startswith("__")
-                                                 and name.endswith("__")):
-                    defined.add(name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                           ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                                 ast.Load):
                 read.add(node.attr)
-    return sorted(defined - read)
+    return read
+
+
+def unread_private_definitions(sources):
+    """Functions and classes, methods included, with a private name (one
+    leading underscore, not a dunder) defined in any of the module sources
+    that no expression of them reads, as a name or as an attribute."""
+    private = {name for name in _definitions(sources)
+               if name.startswith("_")
+               and not (name.startswith("__") and name.endswith("__"))}
+    return sorted(private - _reads(sources))
 
 
 def test_scan_flags_an_unread_private_definition():
@@ -88,8 +118,71 @@ def test_scan_flags_an_unread_private_definition():
 
 
 def test_no_unread_private_definitions_in_the_package():
-    sources = []
-    for path in PACKAGE:
-        with open(path) as fh:
-            sources.append(fh.read())
-    assert unread_private_definitions(sources) == []
+    assert unread_private_definitions(_sources(PACKAGE)) == []
+
+
+def api_names(readme, pyproject, bench_sources, traced_layers):
+    """The names the package offers to readers outside it: every name in a
+    code span or code block of the README text, the entry function of each
+    [project.scripts] entry of the pyproject text, every name that the
+    bench sources read, and the last part of every qualified name in the
+    tracer's layer tables (layer -> [(module, qualified name), ...])."""
+    blocks = re.findall(r"```.*?```", readme, re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme,
+                                            flags=re.S))
+    names = set(re.findall(r"\w+", " ".join(blocks + spans)))
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)",
+                        pyproject, re.M).group(1)
+    names.update(re.findall(r":(\w+)[\"']", scripts))
+    names |= _reads(bench_sources)
+    names.update(qual.rsplit(".", 1)[-1] for layers in traced_layers
+                 for specs in layers.values() for _, qual in specs)
+    return names
+
+
+def unread_public_definitions(sources, api):
+    """Functions and classes, methods included, with a public name (no
+    leading underscore) defined in any of the module sources that no
+    expression of them reads and that api does not hold."""
+    public = {name for name in _definitions(sources)
+              if not name.startswith("_")}
+    return sorted(public - _reads(sources) - api)
+
+
+def test_scan_flags_an_unread_public_definition():
+    sources = ["def used():\n    pass\n"
+               "class Kept:\n"
+               "    def method(self):\n        return used()\n"
+               "    def dead_method(self):\n        pass\n"
+               "    def benched(self):\n        pass\n"
+               "    def traced(self):\n        pass\n"
+               "def dead():\n    pass\n"
+               "def documented():\n    pass\n"
+               "def listed():\n    pass\n"
+               "def main():\n    pass\n",
+               "from a import Kept\nKept().method()\n"]
+    readme = ("Call `documented(x)`; plain words such as dead do not "
+              "count.\n\n```\nfrom a import listed\n```\n")
+    pyproject = ('[project]\nname = "a"\n\n[project.scripts]\n'
+                 'a = "a.cli:main"\n\n[tool.x]\ny = "b:dead"\n')
+    bench = ["def run(k):\n    return k.benched()\n"]
+    layers = [{"a.layer": [("a", "Kept.traced")]}]
+    api = api_names(readme, pyproject, bench, layers)
+    assert unread_public_definitions(sources, api) == ["dead", "dead_method"]
+    # without the bench source, the method it reads is flagged too
+    api = api_names(readme, pyproject, [], layers)
+    assert unread_public_definitions(sources, api) == [
+        "benched", "dead", "dead_method"]
+
+
+def test_no_unread_public_definitions_in_the_package():
+    """A public function, class or method of gzlie that no package code
+    reads is API (see the module docstring) or belongs in the tests."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        pyproject = fh.read()
+    tracer = _load_tracer()
+    api = api_names(readme, pyproject, _sources(BENCH),
+                    [tracer.SPAN_LAYERS, tracer.COUNT_LAYERS])
+    assert unread_public_definitions(_sources(PACKAGE), api) == []

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from gzlie.scalars import QI, qi, rat, ZERO, ONE, I
+from gzlie.scalars import QI, rat, ZERO, ONE, I
 from gzlie.matrices import Mat, zi_matrix
 from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
 from gzlie.invariants import (InvariantVector, reduced_char,
@@ -17,7 +17,8 @@ from gzlie.suites import _mixed_sample
 from gzlie import polys
 
 from qi_reference import (divmod_exact, pfaffian_generator, coefficients,
-                          level_values_qi, chain_down_dense)
+                          level_values_qi, chain_down_dense, qi,
+                          as_fraction, from_ints)
 
 
 def spectrum_pairs(ctx, mat, m=None):
@@ -39,7 +40,7 @@ def _rational_roots(q):
             found = ZERO
         else:
             # rational root theorem on the integer-cleared polynomial
-            fracs = [c.as_fraction() for c in rem]
+            fracs = [as_fraction(c) for c in rem]
             mult = lcm(*[f.denominator for f in fracs])
             ints = [f * mult for f in fracs]
             a0, ak = abs(ints[0].numerator), abs(ints[-1].numerator)
@@ -129,8 +130,8 @@ def test_level_values_check_parity_and_pfaffian_square():
         level_values(ctx, [qi(1)] + b[1:], pf)
     with pytest.raises(AssertionError):     # pf^2 != b_4
         level_values(ctx, b, pf + ONE)
-    not_antisymmetric = Mat.from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
-                                       [0, 0, -1, 0], [0, 1, -1, 0]])
+    not_antisymmetric = from_ints([[0, 0, 1, 1], [1, 1, 0, -1],
+                                   [0, 0, -1, 0], [0, 1, -1, 0]])
     for reader in (partial_kw, full_kw):
         with pytest.raises(ValueError, match="not antisymmetric"):
             reader(ctx, not_antisymmetric)
@@ -185,8 +186,8 @@ def test_coincidence_matches_brute_force(kind, n, coords):
 def test_spectrum_pairs_oracle_and_irrational():
     ctx = make_algebra("gl", 3)
     x = diag_cartan(ctx, [1, 2, 3])
-    assert sorted(v.as_fraction() for v in spectrum_pairs(ctx, x)) == [1, 2, 3]
-    irr = Mat.from_ints([[0, 2], [1, 0]])   # eigenvalues +-sqrt(2)
+    assert sorted(as_fraction(v) for v in spectrum_pairs(ctx, x)) == [1, 2, 3]
+    irr = from_ints([[0, 2], [1, 0]])   # eigenvalues +-sqrt(2)
     with pytest.raises(ValueError):
         spectrum_pairs(make_algebra("gl", 2), irr)
 

@@ -1,8 +1,9 @@
 import pytest
 
 from gzlie.scalars import ZERO
-from gzlie.matrices import bracket, inverse, row_space_contains
-from gzlie.liealg import make_algebra, Root, preserves_form, adjoint, MAX_N
+from gzlie import korbits
+from gzlie.matrices import Mat, bracket, inverse, row_space_contains
+from gzlie.liealg import make_algebra, Root, adjoint, MAX_N
 from gzlie.invariants import partial_kw, coincidence_count
 from gzlie.regularity import nsreg_intersection, is_nsreg
 from gzlie.korbits import (COMPACT, NONCOMPACT, COMPLEX_STABLE,
@@ -10,7 +11,6 @@ from gzlie.korbits import (COMPACT, NONCOMPACT, COMPLEX_STABLE,
                            closed_orbits, enumerate_orbits,
                            orbit_by_name, orbit_graph,
                            orbit_graph_text, stable_parabolic,
-                           degenerate_to_levi,
                            nilfibre_components, nilfibre_overlap_vector,
                            sample_nilfibre, sample_yq, sample_g0,
                            sample_chain_disjoint, xi_slot_count, sample_xi,
@@ -18,7 +18,8 @@ from gzlie.korbits import (COMPACT, NONCOMPACT, COMPLEX_STABLE,
 from gzlie.rand import Sampler
 from qi_reference import (theta_q_data_by_conjugation,
                           borel_basis_by_conjugation,
-                          orbit_codim_by_intersection)
+                          orbit_codim_by_intersection, contains,
+                          preserves_form, degenerate_to_levi)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -194,9 +195,40 @@ def test_nilfibre_components_and_overlap():
         s = Sampler(n)
         for ci in range(len(comps)):
             x = sample_nilfibre(ctx, s, ci)
-            assert ctx.contains(x)
+            assert contains(ctx, x)
             # the whole fibre maps to zero
             assert all(v == ZERO for v in partial_kw(ctx, x).values)
+
+
+def test_nilfibre_bases_are_built_once_per_context():
+    for n in range(3, 10):
+        ctx = make_algebra("so", n)
+        comps = nilfibre_components(ctx)
+        assert nilfibre_components(ctx) is comps
+        assert nilfibre_components.__wrapped__(ctx) == comps
+        for comp in range(len(comps) if n > 3 else 0):
+            line = nilfibre_overlap_vector(ctx, comp)
+            assert nilfibre_overlap_vector(ctx, comp) is line
+            assert nilfibre_overlap_vector.__wrapped__(ctx, comp) == line
+
+
+def test_sample_chain_disjoint_refuses_a_draw_at_its_first_common_root(
+        monkeypatch):
+    ctx = make_algebra("so", 7)
+    good = sample_chain_disjoint(ctx, Sampler(3))
+    s = Sampler(3)
+    draws = iter([Mat.zeros(7), good])
+    monkeypatch.setattr(s, "algebra_element", lambda c: next(draws))
+    walked = []
+    read = korbits.reduced_char
+
+    def counted(lvl, image):
+        walked.append(lvl.n)
+        return read(lvl, image)
+    monkeypatch.setattr(korbits, "reduced_char", counted)
+    assert sample_chain_disjoint(ctx, s) is good
+    # zero has a common root at the top pair: levels 7 and 6 only
+    assert walked == [7, 6] + [lvl.n for lvl in ctx.levels]
 
 
 def test_overlap_vector_obstructs_nsreg():
@@ -219,7 +251,7 @@ def test_yq_and_g0_samplers():
     s = Sampler(77)
     q1 = orbit_by_name(ctx, "Q1")
     y = sample_yq(ctx, q1, s)
-    assert ctx.contains(y)
+    assert contains(ctx, y)
     assert coincidence_count(ctx, y) >= q1.codim
     g = sample_g0(ctx, s)
     assert coincidence_count(ctx, g) == 0
@@ -228,7 +260,7 @@ def test_yq_and_g0_samplers():
 def test_chain_disjoint_sampler():
     ctx = make_algebra("so", 6)
     x = sample_chain_disjoint(ctx, Sampler(5))
-    assert ctx.contains(x)
+    assert contains(ctx, x)
     assert coincidence_count(ctx, x) == 0
 
 
@@ -242,7 +274,7 @@ def test_xi_patterns_round_trip(n):
         for mask in range(2 ** i):
             pat = "".join("U" if (mask >> j) & 1 else "L" for j in range(i))
             x = sample_xi(ctx, i, pat, s)
-            assert ctx.contains(x)
+            assert contains(ctx, x)
             assert xi_shape(ctx, x, i) == pat
     with pytest.raises(ValueError):
         sample_xi(ctx, 1, "X", s)

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import QI, qi, rat, ZERO, ONE, I
+from gzlie.scalars import QI, rat, ZERO, ONE, I
 from gzlie import polys
 
 import qi_reference
+from qi_reference import qi
 
 coeffs = st.lists(st.builds(rat, st.integers(-9, 9),
                             st.integers(1, 5)), max_size=5)

@@ -12,7 +12,7 @@ from gzlie.matrices import (Mat, rank_rows, rank_zi_rows,
 from gzlie.invariants import pfaffian_minors
 from gzlie.liealg import (make_algebra, MAX_N, project_to_subalgebra,
                           embed_from_subalgebra)
-from gzlie.regularity import (joint_centralizer, centralizer_dims,
+from gzlie.regularity import (joint_centralizer,
                               nsreg_intersection, is_nsreg,
                               partial_map_jacobian,
                               kostant_jacobian_rank, full_map_jacobian_rank,
@@ -32,7 +32,8 @@ from qi_reference import (partial_map_jacobian_jet, echelon,
                           pfaffian_gradient_by_cofactors, pfaffian,
                           pfaffian_generator, k_system_by_theta_split,
                           nsreg_intersection_by_theta_split,
-                          chain_centralizer_ranks_per_level)
+                          chain_centralizer_ranks_per_level,
+                          centralizer_dims, contains, from_ints)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -53,7 +54,7 @@ def is_regular(ctx, x):
 def test_gl3_principal_nilpotent_centralizer():
     # N = E12 + E23: centralizer is span{I, N, N^2}, dimension 3 by hand
     ctx = make_algebra("gl", 3)
-    n = Mat.from_ints([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    n = from_ints([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     z = joint_centralizer(ctx, [n])
     assert len(z) == 3
     assert is_regular(ctx, n)
@@ -65,7 +66,7 @@ def test_gl2_nilpotent_is_nsreg():
     # x = E12; k = gl(1) = span{E11}; [E11, E12] = E12 != 0, so the joint
     # centralizer in k is trivial
     ctx = make_algebra("gl", 2)
-    x = Mat.from_ints([[0, 1], [0, 0]])
+    x = from_ints([[0, 1], [0, 0]])
     assert is_regular(ctx, x)
     assert nsreg_intersection(ctx, x) == []
     assert is_nsreg(ctx, x)
@@ -76,7 +77,7 @@ def test_gl2_nilpotent_is_nsreg():
 def test_joint_centralizer_shrinks():
     ctx = make_algebra("gl", 3)
     a = diag_cartan(ctx, [1, 2, 3])
-    b = Mat.from_ints([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    b = from_ints([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     za = joint_centralizer(ctx, [a])
     zab = joint_centralizer(ctx, [a, b])
     assert len(za) == 3
@@ -607,7 +608,7 @@ def test_chain_data_is_adapted_to_every_level(kind, n):
         for i, j, c in col:
             a[i][j] = c
         x = qi_matrix(a, None, 1)
-        assert ctx.contains(x)
+        assert contains(ctx, x)
         m = next(lvl.n for lvl, d, e in zip(reversed(ctx.levels), dims, lows)
                  if e <= k < d)
         assert embed_from_subalgebra(

