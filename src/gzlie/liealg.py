@@ -280,7 +280,7 @@ class AlgebraContext:
         either step.  _step_zi takes both on Gaussian-integer images; down
         and up are their Q(i) views."""
         n, kind = self.n, self.kind
-        self.chain_TD = self.chain_PD = None
+        self.chain_TD = self.chain_PD = self._line = None
         self._down_cells = self._up_cells = None
         self.down_scale = self._up_scale = None
         if n == CHAIN_FLOOR[kind]:
@@ -296,6 +296,7 @@ class AlgebraContext:
             td.a[l][l - 1] = ONE
             pd.a[l - 1][l - 1] = pd.a[l - 1][l] = HALF
         self.chain_TD, self.chain_PD = td, pd
+        self._line = Mat.identity(n) - td * pd
         td_cols, pd_cols = list(zip(*td.a)), list(zip(*pd.a))
         self._down_cells, self.down_scale = _product_cells(pd.a, td_cols)
         self._up_cells, self._up_scale = _product_cells(td.a, pd_cols)
@@ -330,9 +331,10 @@ class AlgebraContext:
 
     # --- element services --------------------------------------------------
 
-    def from_coordinates(self, coords):
+    def from_coordinates(self, coords, supports=None):
+        """sum c_k b_k over the vectors with the given disjoint supports."""
         m = Mat.zeros(self.n)
-        for c, sup in zip(coords, self.basis_supports):
+        for c, sup in zip(coords, supports or self.basis_supports):
             if c:
                 for i, j, e in sup:
                     m.a[i][j] = c if e == 1 else -c
@@ -396,11 +398,9 @@ class AlgebraContext:
                                    zi_matrix(small.a)))
 
     def group_up(self, g_small):
-        """Embed a group element one size down (acting trivially on the
-        complementary line): up(g - I) + I, as TD PD is the projection
-        onto the image of TD."""
-        ident = Mat.identity(g_small.n)
-        return self.up(g_small - ident) + Mat.identity(self.n)
+        """Embed a group element one size down, trivially on the line TD PD
+        kills: up(g - I) + I = up(g) + _line, with _line = I - TD PD."""
+        return self.up(g_small) + self._line
 
     def level(self, m):
         """The context of chain level m, for floor <= m <= n."""

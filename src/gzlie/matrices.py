@@ -9,33 +9,37 @@ already over Z[i], such as the centralizer systems of gzlie.regularity,
 enter through ``rank_zi_rows``, ``nested_pivots_zi_rows`` and
 ``nullspace_zi_rows``.
 
-Rank, nullspace, determinant, solve, inverse and the polynomial gcd of
-gzlie.polys all read one fraction-free elimination, ``_echelon``, with a
-fixed pivoting rule: the first nonzero entry, scanning columns left to
-right and rows top to bottom.  A row with entry f under pivot p becomes
-p*row - f*prow (p and f first divided by their common integer factor);
-when it was scaled, its integer parts are then divided by their gcd, the
-row content, and a row with an imaginary part also by the gcd in Z[i] of
-its entries.  That keeps entries small without the fractions of
-Gauss-Jordan elimination.  Rank and determinant take the forward pass (the
-determinant undoes the recorded row scalings); nullspace, solve and
-inverse read the reduced row echelon form, dividing by each pivot once at
-the end.  That form is unique, so their results do not depend on the
-order of elimination, nor on the scaling or order of the rows.  The gcd
-reads only its last nonzero row (``last_rref_row``): the last pivot row of
-the forward pass divided by its pivot, since that row is zero left of its
-pivot and no later pivot would clear it.
+Rank, nullspace, solve, inverse, row-space membership and the polynomial
+gcd of gzlie.polys all read one fraction-free elimination, ``_echelon``,
+which returns only its pivot columns, with a fixed pivoting rule: the
+first nonzero entry, scanning columns left to right and rows top to
+bottom.  A row with entry f under pivot p becomes p*row - f*prow (p and f
+first divided by their common integer factor); when it was scaled, its
+integer parts are then divided by their gcd, the row content, and a row
+with an imaginary part also by the gcd in Z[i] of its entries.  That keeps
+entries small without the fractions of Gauss-Jordan elimination.  Rank
+takes the forward pass; nullspace, solve and inverse read the reduced row
+echelon form, dividing by each pivot once at the end.  That form is
+unique, so their results do not depend on the order of elimination, nor
+on the scaling or order of the rows.  The gcd reads only its last nonzero
+row (``last_rref_row``): the last pivot row of the forward pass divided by
+its pivot, since that row is zero left of its pivot and no later pivot
+would clear it.
 
 rank, rank_rows, rank_zi_rows and nested_pivots_zi_rows return only the
 rank or the pivot columns, which depend only on the row space, so they
 hand ``_echelon`` their rows sorted by size (``_row_size``, the sum of the
 absolute values of the integer parts), smallest first.  Small rows then
 become the pivots, and more updates find a pivot that divides their entry
-and take the unscaled path.  det, solve, inverse, the nullspaces and
-last_rref_row eliminate the rows in the order given: det reads the
-recorded swaps and scalings, and on augmented rows whose rank exceeds that
-of their first ``ncols`` columns the last pivot row of last_rref_row
-depends on the order.
+and take the unscaled path.  row_space_contains and intersection_dim read
+nested pivots: a vector is in a span when it adds no pivot after the
+span's rows.  solve, inverse, the nullspaces and last_rref_row eliminate
+the rows in the order given: on augmented rows whose rank exceeds that of
+their first ``ncols`` columns the last pivot row of last_rref_row depends
+on the order.
+
+det is (-1)^n times the last Faddeev-LeVerrier coefficient (below), not an
+elimination; the package decides invertibility by rank.
 
 char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
 denominator of A, over Z[i], where its division by k is exact, and rescales
@@ -147,12 +151,6 @@ class Mat:
     def is_zero(self):
         return all(not x for r in self.a for x in r)
 
-    def trace(self):
-        t = ZERO
-        for k in range(min(self.m, self.n)):
-            t = t + self.a[k][k]
-        return t
-
     def flatten(self):
         return [x for r in self.a for x in r]
 
@@ -172,9 +170,9 @@ def bracket(x, y):
 
 
 def _zi_rows(rows):
-    """Gaussian-integer rows of Q(i) rows; returns (rows, dens) with
-    row k = (re + i*im) / dens[k].  A shared ZERO entry costs no conversion."""
-    out, dens = [], []
+    """Gaussian-integer rows of Q(i) rows, each scaled by the least common
+    denominator of its entries.  A shared ZERO entry costs no conversion."""
+    out = []
     for row in rows:
         width = len(row)
         parts = []
@@ -198,8 +196,7 @@ def _zi_rows(rows):
                     im = [0] * width
                 im[c] = bn * (den // bd)
         out.append([re, im])
-        dens.append(den)
-    return out, dens
+    return out
 
 
 # (re, im, d): the matrix (re + i*im) / d with re and im int rows (im None
@@ -208,14 +205,16 @@ ZiMatrix = namedtuple("ZiMatrix", "re im d")
 
 
 def zi_matrix(rows):
-    """The ZiMatrix of Q(i) rows over their least common denominator d."""
-    zi, dens = _zi_rows(rows)
-    d = lcm(*dens)
-    re = [[v * (d // e) for v in r] for (r, _), e in zip(zi, dens)]
+    """The ZiMatrix of Q(i) rows over their least common denominator d,
+    taken in one pass over the denominators of every entry."""
+    d = lcm(*{x.denominator for r in rows for z in r if z is not ZERO
+              for x in (z.re, z.im)})
+    re = [[0 if z is ZERO else z.re.numerator * (d // z.re.denominator)
+           for z in r] for r in rows]
     im = None
-    if any(s is not None for _, s in zi):
-        im = [[v * (d // e) for v in s] if s is not None else [0] * len(r)
-              for (r, s), e in zip(zi, dens)]
+    if any(z.im for r in rows for z in r if z is not ZERO):
+        im = [[0 if z is ZERO else z.im.numerator * (d // z.im.denominator)
+               for z in r] for r in rows]
     return ZiMatrix(re, im, d)
 
 
@@ -258,7 +257,7 @@ def _zi_content(re, im):
 
 def _echelon(rows, ncols, reduced=False):
     """Fraction-free elimination of Gaussian-integer rows (see _zi_rows) in
-    place; returns (pivot columns, row swaps, scalings).
+    place; returns the pivot columns.
 
     The pivot is the first nonzero entry, scanning the first ``ncols``
     columns left to right and rows top to bottom.  With pivot p, a row whose
@@ -267,17 +266,15 @@ def _echelon(rows, ncols, reduced=False):
     so that a negative integer pivot gives p' > 0).  When p' is not 1 the row
     is then divided by the gcd g of its integer parts and, if it still has
     an imaginary part, by its gcd c in Z[i] (without which a factor such as
-    1 + i would stay and grow), and ``scalings`` gets (re p', im p', re g*c,
-    im g*c): the step multiplied the determinant by p'/(g*c).  Rows with a
-    zero in the pivot column are not touched.  Each row stays a nonzero
-    multiple of the row that elimination over Q(i) would give, so pivots and
-    swaps are the same.  The forward pass clears below each pivot; with
+    1 + i would stay and grow).  Rows with a zero in the pivot column are
+    not touched.  Each row stays a nonzero multiple of the row that
+    elimination over Q(i) would give, so the pivots are the same.  The
+    forward pass clears below each pivot; with
     ``reduced`` it clears above as well, and row k divided by its pivot is
     row k of the reduced row echelon form.  Row operations run across the
     whole row, so an augmented block comes along.
     """
-    pivots, scalings = [], []
-    swaps = 0
+    pivots = []
     nrows = len(rows)
     for pc in range(ncols):
         pr = len(pivots)
@@ -289,9 +286,7 @@ def _echelon(rows, ncols, reduced=False):
                 break
         else:
             continue
-        if r != pr:
-            rows[pr], rows[r] = rows[r], rows[pr]
-            swaps += 1
+        rows[pr], rows[r] = rows[r], rows[pr]
         pivots.append(pc)
         pre, pim = rows[pr]
         width = len(pre)
@@ -325,7 +320,6 @@ def _echelon(rows, ncols, reduced=False):
                 g = gcd(*re)
                 if g > 1:
                     re[:] = [x // g for x in re]
-                scalings.append((a, 0, g or 1, 0))
                 continue
             if im is None:
                 im = row[1] = [0] * width
@@ -339,7 +333,7 @@ def _echelon(rows, ncols, reduced=False):
                            for x, y, u, v in zip(re, im, pre, qim)],
                           [a * y + b * x - f * v - h * u
                            for x, y, u, v in zip(re, im, pre, qim)])
-                g = gcd(*re, *im) or 1
+                g = gcd(*re, *im)
                 if g > 1:
                     re = [x // g for x in re]
                     im = [y // g for y in im]
@@ -349,9 +343,8 @@ def _echelon(rows, ncols, reduced=False):
                     re, im = ([(x * c + y * e) // n for x, y in zip(re, im)],
                               [(y * c - x * e) // n for x, y in zip(re, im)])
                 row[0] = re
-                scalings.append((a, b, g * c, g * e))
             row[1] = im if any(im) else None
-    return pivots, swaps, scalings
+    return pivots
 
 
 def _row_size(row):
@@ -364,20 +357,18 @@ def _row_size(row):
 
 
 def rank(mat):
-    return len(_echelon(sorted(_zi_rows(mat.a)[0], key=_row_size),
-                        mat.n)[0])
+    return rank_zi_rows(_zi_rows(mat.a), mat.n)
 
 
 def rank_rows(row_vectors, ncols):
-    return len(_echelon(sorted(_zi_rows(row_vectors)[0], key=_row_size),
-                        ncols)[0])
+    return rank_zi_rows(_zi_rows(row_vectors), ncols)
 
 
 def rank_zi_rows(rows, ncols):
     """Rank of rows already in the kernel's form, pairs [re, im] of int
     lists (im None while the row is real), eliminating on the first
     ``ncols`` columns.  The rows are consumed."""
-    return len(_echelon(sorted(rows, key=_row_size), ncols)[0])
+    return len(_echelon(sorted(rows, key=_row_size), ncols))
 
 
 def nested_pivots_zi_rows(blocks, ncols):
@@ -392,7 +383,7 @@ def nested_pivots_zi_rows(blocks, ncols):
     kept = []
     for block in blocks:
         rows = kept + sorted(block, key=_row_size)
-        pivots = _echelon(rows, ncols)[0]
+        pivots = _echelon(rows, ncols)
         kept = rows[:len(pivots)]
         yield pivots
 
@@ -400,8 +391,8 @@ def nested_pivots_zi_rows(blocks, ncols):
 def last_rref_row(rows, ncols):
     """The last nonzero row of the reduced row echelon form of Q(i) rows,
     eliminating on the first ``ncols`` columns; [] at rank 0."""
-    zi, _ = _zi_rows(rows)
-    pivots, _, _ = _echelon(zi, ncols)
+    zi = _zi_rows(rows)
+    pivots = _echelon(zi, ncols)
     if not pivots:
         return []
     pc = pivots[-1]
@@ -414,7 +405,7 @@ def last_rref_row(rows, ncols):
 def nullspace(mat):
     """Deterministic basis of the right kernel, one vector (length-n list)
     per free column, 1 at that column and 0 at the other free columns."""
-    return nullspace_zi_rows(_zi_rows(mat.a)[0], mat.n)
+    return nullspace_zi_rows(_zi_rows(mat.a), mat.n)
 
 
 def nullspace_zi_rows(rows, ncols):
@@ -423,7 +414,7 @@ def nullspace_zi_rows(rows, ncols):
     zero matrix.  The vectors are Q(i) lists, read off the reduced row
     echelon form, which depends only on that row space.  The rows are
     consumed."""
-    pivots, _, _ = _echelon(rows, ncols, reduced=True)
+    pivots = _echelon(rows, ncols, reduced=True)
     free = sorted(set(range(ncols)) - set(pivots))
     basis = []
     for fc in free:
@@ -439,25 +430,14 @@ def nullspace_zi_rows(rows, ncols):
 
 
 def det(mat):
-    """Determinant: the product of the pivots of the forward pass, corrected
-    by the row scalings and the denominators cleared on entry."""
+    """Determinant: (-1)^n b_n, the last coefficient of det(t*I - A) from
+    char_poly_fl; ONE at size 0."""
     if mat.m != mat.n:
         raise ValueError("determinant of non-square matrix")
-    rows, dens = _zi_rows(mat.a)
-    pivots, swaps, scalings = _echelon(rows, mat.n)
-    if len(pivots) < mat.n:
-        return ZERO
-    x, y = (-1 if swaps % 2 else 1), 0
-    for k, (re, im) in enumerate(rows):
-        u, v = re[k], (im[k] if im is not None else 0)
-        x, y = x * u - y * v, x * v + y * u
-    p, q = 1, 0
-    for a, b, c, e in scalings:
-        x, y = x * c - y * e, x * e + y * c
-        p, q = p * a - q * b, p * b + q * a
-    for d in dens:
-        p, q = p * d, q * d
-    return _qi(x, y, p, q)
+    coeffs, _ = char_poly_fl(mat)
+    if not coeffs:
+        return ONE
+    return -coeffs[-1] if mat.n % 2 else coeffs[-1]
 
 
 def solve(mat, rhs):
@@ -466,8 +446,8 @@ def solve(mat, rhs):
     if rhs.m != mat.m:
         raise ValueError("shape mismatch")
     n = mat.n
-    rows, _ = _zi_rows([list(r) + list(s) for r, s in zip(mat.a, rhs.a)])
-    pivots, _, _ = _echelon(rows, n + rhs.n, reduced=True)
+    rows = _zi_rows([list(r) + list(s) for r, s in zip(mat.a, rhs.a)])
+    pivots = _echelon(rows, n + rhs.n, reduced=True)
     if pivots and pivots[-1] >= n:
         return None
     out = [[ZERO] * rhs.n for _ in range(n)]
@@ -630,15 +610,17 @@ def zi_sub_pfaffians(re, im):
 
 
 def row_space_contains(basis_rows, vec, ncols):
-    """Is vec in the row span of basis_rows?  Exact."""
-    r0 = rank_rows(basis_rows, ncols)
-    r1 = rank_rows(list(basis_rows) + [vec], ncols)
-    return r0 == r1
+    """Is vec in the row span of basis_rows?  Exact: vec goes into one
+    forward pass after the basis rows (nested_pivots_zi_rows), and it is
+    in their span when it adds no pivot."""
+    rows = _zi_rows(list(basis_rows) + [vec])
+    before, after = nested_pivots_zi_rows([rows[:-1], rows[-1:]], ncols)
+    return len(before) == len(after)
 
 
 def intersection_dim(rows_a, rows_b, ncols):
-    """dim(span A  intersect  span B) for row-vector collections."""
-    ra = rank_rows(rows_a, ncols)
-    rb = rank_rows(rows_b, ncols)
-    rab = rank_rows(list(rows_a) + list(rows_b), ncols)
-    return ra + rb - rab
+    """dim(span A  intersect  span B) for row-vector collections: rank A +
+    rank B - rank (A, B), the first and last from one nested pass."""
+    ra, rab = map(len, nested_pivots_zi_rows(
+        [_zi_rows(rows_a), _zi_rows(rows_b)], ncols))
+    return ra + rank_rows(rows_b, ncols) - rab

@@ -61,7 +61,7 @@ def gcd_degree(a, b):
         return degree(a or b)
     width = len(a) + len(b) - 1
     rows = []
-    for (re, im), shifts in zip(_zi_rows([a, b])[0], (len(b), len(a))):
+    for (re, im), shifts in zip(_zi_rows([a, b]), (len(b), len(a))):
         for j in range(shifts):
             low, high = [0] * j, [0] * (width - len(re) - j)
             rows.append([low + re + high,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .scalars import rat
-from .matrices import Mat, det, solve
+from .matrices import Mat, rank, solve
 
 # rational() draws num / den, |num| <= NUM_BOUND, den = 1 or <= DEN_BOUND
 NUM_BOUND = 20
@@ -53,13 +53,14 @@ class Sampler:
     def group_element(self, ctx):
         """Rational point of the isometry group of ctx (so) or an invertible
         matrix (gl), via the Cayley transform (I + a)^-1 (I - a).  As
-        I - a = 2I - (I + a), (I + a) X = I - a is solvable iff det(I + a)."""
+        I - a = 2I - (I + a), (I + a) X = I - a is solvable iff I + a is
+        invertible; X is invertible iff I - a has full rank."""
         ident = Mat.identity(ctx.n)
         while True:
             a = ctx.from_coordinates([self.small_rational()
                                       for _ in range(ctx.dim)])
             g = solve(ident + a, ident - a)
-            if g is not None and det(ident - a):
+            if g is not None and rank(ident - a) == ctx.n:
                 return g
 
     def subgroup_element(self, ctx):

@@ -52,7 +52,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
 
-from .matrices import (Mat, rank_zi_rows, nested_pivots_zi_rows,
+from .matrices import (rank_zi_rows, nested_pivots_zi_rows,
                        nullspace_zi_rows, char_poly_fl, zi_matrix, _qi)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
@@ -129,19 +129,19 @@ def _kernel_rows(pairs):
     return rows
 
 
-def _centralizer_basis(ctx, images, basis, supports):
-    """Basis of {y in span(basis) : [y, x] = 0 for x of each ZiMatrix in
-    images}; the basis vectors have the given supports."""
+def _centralizer_basis(ctx, images, supports):
+    """Basis of {y : [y, x] = 0 for x of each ZiMatrix in images} in the
+    span of the vectors with the given supports (of g or of k), each
+    written through those supports (AlgebraContext.from_coordinates)."""
     ns = nullspace_zi_rows(_centralizer_system(ctx, images, supports),
                            len(supports))
-    return [sum((c * b for c, b in zip(coeffs, basis) if c),
-                Mat.zeros(basis[0].n)) for coeffs in ns]
+    return [ctx.from_coordinates(coeffs, supports) for coeffs in ns]
 
 
 def joint_centralizer(ctx, mats):
     """Basis of {y in g : [y, x] = 0 for all x in mats}."""
     return _centralizer_basis(ctx, [zi_matrix(x.a) for x in mats],
-                              ctx.basis, ctx.basis_supports)
+                              ctx.basis_supports)
 
 
 def chain_centralizer_ranks(ctx, mat):
@@ -264,8 +264,7 @@ def _read_recipe(block, terms):
 def nsreg_intersection(ctx, mat):
     """Basis of z_k(x) = {y in k : [y, x] = 0}, which is
     z_k(x_k) intersect z_g(x)."""
-    return _centralizer_basis(ctx, [zi_matrix(mat.a)], ctx.k_basis,
-                              ctx.k_supports)
+    return _centralizer_basis(ctx, [zi_matrix(mat.a)], ctx.k_supports)
 
 
 def is_nsreg(ctx, mat):
@@ -401,7 +400,7 @@ def chain_centralizers(ctx, mat):
     """For every chain level, the centralizer of the projection, embedded
     back into the top algebra; returned as {level: list of flattened rows}."""
     return {lvl.n: [embed_from_subalgebra(ctx, z, lvl.n).flatten()
-                    for z in _centralizer_basis(lvl, [image], lvl.basis,
+                    for z in _centralizer_basis(lvl, [image],
                                                 lvl.basis_supports)]
             for lvl, image in ctx.walk(zi_matrix(mat.a))}
 

@@ -2,7 +2,8 @@
 
 Every suite draws its randomness from a sampler seeded by (config seed,
 claim id), so a report is reproducible bit for bit from its configuration;
-failures carry replayable matrix documents as witnesses.
+failures carry replayable matrix documents as witnesses, which a check
+builds only when it fails (ClaimResult.check).
 """
 
 from __future__ import annotations
@@ -66,12 +67,14 @@ class ClaimResult:
         return not self.failures
 
     def check(self, cond, witness=None):
+        """Count one trial; on a failure, keep the document that the
+        zero-argument callable witness builds (only then is it called)."""
         self.trials += 1
         if cond:
             self.passes += 1
-        else:
-            if len(self.failures) < 10:
-                self.failures.append(witness or {"trial": self.trials})
+        elif len(self.failures) < 10:
+            self.failures.append(witness and witness()
+                                 or {"trial": self.trials})
         return cond
 
 
@@ -141,11 +144,11 @@ def suite_orbit_tables(cfg):
         expected_codims = sorted([l, l] + list(range(l)) if odd
                                  else [l - 1] + list(range(l - 1)))
         c.check(len(orbits) == expected_count,
-                {"got": len(orbits), "expected": expected_count})
+                lambda: {"got": len(orbits), "expected": expected_count})
         c.check(sorted(o.codim for o in orbits) == expected_codims,
-                {"got": sorted(o.codim for o in orbits)})
+                lambda: {"got": sorted(o.codim for o in orbits)})
         c.check(sum(o.closed for o in orbits) == (2 if odd else 1),
-                {"closed": [o.name for o in orbits if o.closed]})
+                lambda: {"closed": [o.name for o in orbits if o.closed]})
         # expected path-shaped edge set
         expected_edges = set()
         top = l - 1 if odd else l - 2
@@ -158,14 +161,14 @@ def suite_orbit_tables(cfg):
         for i in range(top, 0, -1):
             expected_edges.add(("Q%d" % i, i - 1, "Q%d" % (i - 1)))
         c.check(set(edges) == expected_edges,
-                {"got": sorted(set(edges)), "expected":
-                 sorted(expected_edges)})
+                lambda: {"got": sorted(set(edges)),
+                         "expected": sorted(expected_edges)})
         # closed orbit dimension: dim of flag variety of k
         kflag = ctx.child.flag_dim()
         for o in orbits:
             if o.closed:
                 c.check(ctx.flag_dim() - o.codim == kflag,
-                        {"orbit": o.name})
+                        lambda: {"orbit": o.name})
         claims.append(c)
     return claims
 
@@ -216,7 +219,8 @@ def suite_kostant_equivalence(cfg):
             a = is_nsreg(ctx, x)
             b = kostant_jacobian_rank(ctx, x) == full
             nsreg_seen += a
-            c.check(a == b, _witness(ctx, x, t, nsreg=a, full_rank=b))
+            c.check(a == b,
+                    lambda: _witness(ctx, x, t, nsreg=a, full_rank=b))
         c.extra["nsreg_fraction"] = nsreg_seen / max(trials, 1)
         claims.append(c)
     return claims
@@ -235,8 +239,7 @@ def suite_gzero_nsreg(cfg):
         for t in range(trials):
             x = sample_g0(ctx, s)
             nsreg = is_nsreg(ctx, x)
-            # the z_k(x) basis only for the witness of a failure
-            c.check(nsreg, None if nsreg else _witness(
+            c.check(nsreg, lambda: _witness(
                 ctx, x, t, dim=len(nsreg_intersection(ctx, x))))
         claims.append(c)
     return claims
@@ -260,7 +263,8 @@ def suite_nilfibre(cfg):
             x = sample_nilfibre(ctx, s, comp)
             zero = all(not v for v in partial_kw(ctx, x).values)
             c.check(zero and not is_nsreg(ctx, x),
-                    _witness(ctx, x, t, component=comp, maps_to_zero=zero))
+                    lambda: _witness(ctx, x, t, component=comp,
+                                     maps_to_zero=zero))
         claims.append(c)
     if 3 in sizes:
         claims.append(_so3_sreg_exception(cfg))
@@ -305,10 +309,11 @@ def suite_yq_strata(cfg):
                 cc = coincidence_count(ctx, x)
                 exact += cc == o.codim
                 c.check(cc >= o.codim,
-                        _witness(ctx, x, t, coincidence=cc, codim=o.codim))
+                        lambda: _witness(ctx, x, t, coincidence=cc,
+                                         codim=o.codim))
             frac = exact / max(trials, 1)
             c.extra["exact_fraction"] = frac
-            c.check(frac > 0.5, {"exact_fraction": frac})
+            c.check(frac > 0.5, lambda: {"exact_fraction": frac})
             claims.append(c)
     return claims
 
@@ -334,25 +339,26 @@ def suite_xi_families(cfg):
                 for t in range(trials):
                     x = sample_xi(ctx, i, pat, s)
                     c.check(coincidence_count(ctx, x) >= i,
-                            _witness(ctx, x, t, pattern=pat))
+                            lambda: _witness(ctx, x, t, pattern=pat))
                     c.check(xi_shape(ctx, x, i) == pat,
-                            _witness(ctx, x, t, pattern=pat))
+                            lambda: _witness(ctx, x, t, pattern=pat))
                     if pat == "U" * i:
                         rows = (borel if i > limit else
                                 [b.flatten() for b in
                                  stable_parabolic(ctx, i).r_basis])
                         c.check(row_space_contains(rows, x.flatten(),
                                                    ctx.n * ctx.n),
-                                _witness(ctx, x, t, pattern=pat,
-                                         reason="not inside parabolic"))
+                                lambda: _witness(
+                                    ctx, x, t, pattern=pat,
+                                    reason="not inside parabolic"))
                     if "L" in pat:
                         j = pat.index("L")
                         w = xi_flip_element(ctx, j)
                         y = adjoint(w, x)
                         np = xi_shape(ctx, y, i)
                         c.check(np is not None and np[j] == "U",
-                                _witness(ctx, x, t, pattern=pat,
-                                         flipped=np))
+                                lambda: _witness(ctx, x, t, pattern=pat,
+                                                 flipped=np))
         claims.append(c)
     return claims
 
@@ -368,8 +374,10 @@ def suite_dimension_identities(cfg):
             sub = ctx.child
             lhs = ctx.flag_dim() + sub.flag_dim()
             rhs = ctx.dim - ctx.invariant_rank(n) - ctx.invariant_rank(n - 1)
-            c.check(lhs == rhs, {"n": n, "flag_sum": lhs, "rhs": rhs})
-            c.check(rhs == sub.dim, {"n": n, "rhs": rhs, "dim_k": sub.dim})
+            c.check(lhs == rhs,
+                    lambda: {"n": n, "flag_sum": lhs, "rhs": rhs})
+            c.check(rhs == sub.dim,
+                    lambda: {"n": n, "rhs": rhs, "dim_k": sub.dim})
         claims.append(c)
     return claims
 
@@ -385,7 +393,7 @@ def suite_sreg_chain(cfg):
         s = _claim_sampler(cfg, cid)
         for t in range(trials):
             x = sample_chain_disjoint(ctx, s)
-            c.check(is_sreg(ctx, x), _witness(ctx, x, t))
+            c.check(is_sreg(ctx, x), lambda: _witness(ctx, x, t))
         # trivial chain intersections imply regularity at every level
         cid2 = "sreg-implies-regular-%s%d" % (kind, n)
         c2 = ClaimResult(cid2, "strongly regular elements of %s(%d) are "
@@ -397,7 +405,7 @@ def suite_sreg_chain(cfg):
             if all(krank == lvl.k_dim() for lvl, (krank, _) in ranks[:-1]):
                 ok = all(lvl.dim - grank == lvl.invariant_rank()
                          for lvl, (_, grank) in ranks)
-                c2.check(ok, _witness(ctx, x, t))
+                c2.check(ok, lambda: _witness(ctx, x, t))
             else:
                 c2.check(True)
         claims.extend([c, c2])
@@ -424,8 +432,8 @@ def suite_overlaps(cfg):
             line = adjoint(g, nilfibre_overlap_vector(ctx, comp))
             ok = bool(inter) and row_space_contains(
                 [b.flatten() for b in inter], line.flatten(), ctx.n * ctx.n)
-            c.check(ok, _witness(ctx, x, t, component=comp,
-                                 intersection_dim=len(inter)))
+            c.check(ok, lambda: _witness(ctx, x, t, component=comp,
+                                         intersection_dim=len(inter)))
         claims.append(c)
     return claims
 

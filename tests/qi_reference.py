@@ -11,11 +11,11 @@ chain-restriction map computed one jet
 pass per basis direction of g, projected down the chain, the gradient
 rows traced densely against every basis matrix, with one Pfaffian
 expansion per cofactor, the chain step as the dense products PD x TD and
-TD y PD, the centralizer system written on Q(i) scalars and built from
-dense brackets, the nsreg system of z_k(x) from the theta-split pair
-(x_k, x_p), the fixed subalgebra k as the nullspace of Theta - id, the
-data of theta_Q read off
-conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
+TD y PD (and the step up of a group element through g - I), the
+centralizer system written on Q(i) scalars and built from dense
+brackets, the nsreg system of z_k(x) from the theta-split pair (x_k, x_p),
+the fixed subalgebra k as the nullspace of Theta - id, the data of theta_Q
+read off conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
 orbit K.vB with the codimension read off k meet Ad(v)b, and polynomial
 arithmetic over Q(i) with the gcd by the Euclidean algorithm, and the
 scalar parser that read each rational part through Fraction(text).  aux_qi
@@ -23,9 +23,10 @@ reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
 matrices of the reference loop.
 
 The last section holds the constructors and checks that only the tests
-read: scalar and matrix constructors, membership, basis and Cartan
-coordinates, the form test of a group element, the Levi degeneration of a
-theta-stable parabolic and the centralizer dimensions of every chain level.
+read: scalar and matrix constructors, the trace, membership, basis and
+Cartan coordinates, the form test of a group element, the Levi
+degeneration of a theta-stable parabolic and the centralizer dimensions
+of every chain level.
 """
 
 import re as _re
@@ -33,7 +34,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce, _mpq
-from gzlie.matrices import (Mat, bracket, det, intersection_dim, qi_matrix,
+from gzlie.matrices import (Mat, bracket, intersection_dim, qi_matrix,
                             zi_matrix, nested_pivots_zi_rows)
 from gzlie.liealg import project_to_subalgebra, root_vector
 from gzlie.invariants import generator_spec, level_values, _signed
@@ -209,7 +210,7 @@ def char_poly_fl(mat):
     mk = ident
     for k in range(1, n + 1):
         am = mat * mk
-        bk = -(am.trace() / QI(k))
+        bk = -(trace(am) / QI(k))
         coeffs.append(bk)
         if k < n:
             mk = am + bk * ident
@@ -335,6 +336,13 @@ def chain_down_dense(ctx, x):
 def chain_up_dense(ctx, y):
     """One step up the chain as the dense product TD y PD."""
     return ctx.chain_TD * y * ctx.chain_PD
+
+
+def group_up_dense(ctx, g):
+    """A group element one size down embedded as up(g - I) + I, the step
+    up taken as the dense product TD y PD."""
+    return (chain_up_dense(ctx, g - Mat.identity(g.n))
+            + Mat.identity(ctx.n))
 
 
 def trace_against(m_aux, v):
@@ -663,6 +671,14 @@ def from_ints(rows):
 
 def mat_copy(mat):
     return Mat(mat.a)
+
+
+def trace(mat):
+    """The sum of the diagonal entries, in the entries' own ring."""
+    t = ZERO
+    for k in range(min(mat.m, mat.n)):
+        t = t + mat.a[k][k]
+    return t
 
 
 def transpose(mat):

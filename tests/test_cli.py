@@ -481,3 +481,18 @@ def test_analyze_fuzz_ends_in_an_exit_code(tmp_path_factory, data, as_json):
 @settings(max_examples=60, deadline=None)
 def test_argv_fuzz_ends_in_an_exit_code(argv):
     _exit_cleanly(argv)
+
+
+def test_a_witness_is_built_only_for_a_failure():
+    calls = []
+
+    def witness():
+        calls.append(1)
+        return {"doc": "w"}
+
+    c = suites.ClaimResult("c", "a statement")
+    assert c.check(True, witness) and calls == []
+    assert not c.check(False, witness)
+    assert calls == [1] and c.failures == [{"doc": "w"}]
+    c.check(False)
+    assert c.failures[-1] == {"trial": 3} and (c.passes, c.trials) == (1, 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie import liealg
-from gzlie.scalars import QI, rat, ZERO, ONE, parse_scalar
+from gzlie.scalars import QI, rat, ZERO, ONE, I, parse_scalar
 from gzlie.matrices import Mat, bracket, char_poly_fl, zi_matrix, qi_matrix
 from gzlie.liealg import (make_algebra, Root, root_vector, root_value,
                           sl2_triple, weyl_representative, cayley_element,
@@ -20,8 +20,8 @@ from gzlie.korbits import enumerate_orbits, sample_yq
 from gzlie.rand import Sampler
 from gzlie.suites import SuiteConfig, run_all
 from qi_reference import (k_basis_by_nullspace, chain_down_dense,
-                          chain_up_dense, theta_fixed_part, qi, mat_copy,
-                          transpose, contains, coordinates,
+                          chain_up_dense, group_up_dense, theta_fixed_part,
+                          qi, mat_copy, transpose, contains, coordinates,
                           cartan_coordinates, preserves_form)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -390,8 +390,9 @@ def test_cayley_element_lies_in_the_group():
 
 
 def test_group_up_lands_in_the_group():
-    # group_up(g) is the dense TD (g - I) PD + I at every chain step up to
-    # MAX_N; on so it preserves the form, and Ad of a subgroup element
+    # group_up(g) = up(g) + (I - TD PD) is the dense TD (g - I) PD + I at
+    # every chain step up to MAX_N, on a group element and on a Gaussian
+    # matrix; on so it preserves the form, and Ad of a subgroup element
     # preserves the algebra
     for kind, floor in sorted(CHAIN_FLOOR.items()):
         for n in range(floor + 1, MAX_N + 1):
@@ -399,8 +400,10 @@ def test_group_up_lands_in_the_group():
             s = Sampler(5)
             g = s.group_element(ctx.child)
             lifted = ctx.group_up(g)
-            assert lifted == (chain_up_dense(ctx, g - Mat.identity(n - 1))
-                              + Mat.identity(n)), (kind, n)
+            assert lifted == group_up_dense(ctx, g), (kind, n)
+            y = Mat([[s.rational() + s.small_rational() * I
+                      for _ in range(n - 1)] for _ in range(n - 1)])
+            assert ctx.group_up(y) == group_up_dense(ctx, y), (kind, n)
             if kind == "so":
                 assert preserves_form(ctx, lifted), n
     for kind, n in [("so", 5), ("so", 6)]:
@@ -411,6 +414,28 @@ def test_group_up_lands_in_the_group():
         # Ad(g) preserves the algebra and commutes with projection
         x = s.algebra_element(ctx)
         assert contains(ctx, adjoint(g, x))
+
+
+def test_basis_and_k_supports_are_disjoint():
+    # from_coordinates writes each vector's entries by assignment, which
+    # is the sum of the c_k b_k only when no position belongs to two
+    # vectors of one support list; the centralizer bases are written
+    # through the k supports that way
+    for kind, floor in sorted(CHAIN_FLOOR.items()):
+        for n in range(floor, MAX_N + 1):
+            ctx = make_algebra(kind, n)
+            for supports in (ctx.basis_supports, ctx.k_supports):
+                cells = [(i, j) for sup in supports for i, j, _ in sup]
+                assert len(cells) == len(set(cells)), (kind, n)
+    for kind, n in [("gl", 4), ("so", 5), ("so", 6)]:
+        ctx = make_algebra(kind, n)
+        s = Sampler(n)
+        coords = [s.rational() + s.rational() * I
+                  for _ in range(ctx.k_dim())]
+        total = Mat.zeros(n)
+        for c, b in zip(coords, ctx.k_basis):
+            total = total + c * b
+        assert ctx.from_coordinates(coords, ctx.k_supports) == total
 
 
 def test_adjoint_action_is_automorphism():

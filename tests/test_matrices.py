@@ -12,7 +12,8 @@ from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             nested_pivots_zi_rows, zi_matrix)
 
 import qi_reference
-from qi_reference import Jet, jet_mat, aux_qi, qi, from_ints, transpose
+from qi_reference import (Jet, jet_mat, aux_qi, qi, from_ints, transpose,
+                          trace)
 
 ints = st.integers(-6, 6)
 
@@ -26,7 +27,7 @@ def test_basic_algebra():
     b = from_ints([[0, 1], [1, 0]])
     assert (a * b).a[0][1] == qi(1)
     assert (a + b - a) == b
-    assert (rat(2) * a).trace() == qi(10)
+    assert trace(rat(2) * a) == qi(10)
     assert bracket(a, b) == a * b - b * a
     assert transpose(a).a[0][1] == qi(3)
 
@@ -80,6 +81,12 @@ def test_det_solve_inverse():
         inverse(from_ints([[1, 1], [1, 1]]))
     # one row swap flips the sign
     assert det(from_ints([[0, 1], [1, 0]])) == -ONE
+    # sizes 0 and 1: the empty product, and the entry itself
+    for a in (Mat([]), Mat([[qi(3) + I]]), Mat([[rat(-2, 7)]]),
+              Mat([[ZERO]])):
+        assert det(a) == qi_reference.det(a)
+    assert det(Mat([])) == ONE
+    assert det(Mat([[qi(3) + I]])) == qi(3) + I
 
 
 # small entry set: zeros make singular matrices and row swaps common
@@ -381,7 +388,7 @@ def test_fl_gradient_matches_jets():
     coeffs, aux = char_poly_fl(a)
     jcoeffs, _ = qi_reference.char_poly_fl(jet_mat(a, v))
     for k in range(3):
-        grad = -(aux_qi(aux)[k] * v).trace()
+        grad = -trace(aux_qi(aux)[k] * v)
         assert jcoeffs[k].val == coeffs[k]
         assert jcoeffs[k].eps == grad
 
@@ -439,3 +446,48 @@ def test_row_space_and_intersection():
     assert intersection_dim([e1, e2], [e2, e3], 3) == 1
     assert intersection_dim([e1], [e2], 3) == 0
     assert rank_rows([e1, e1], 3) == 1
+
+
+@st.composite
+def _span_case(draw):
+    """(basis, vec, other, n): Gaussian rows of width n, a fifth of them
+    scaled by a rational; the basis may be empty.  vec is a Gaussian
+    combination of the basis rows half of the time, else a random row;
+    other mixes combinations of the basis rows with random rows."""
+    n = draw(st.integers(1, 6))
+
+    def row():
+        r = [draw(_GAUSS_SMALL) for _ in range(n)]
+        if draw(st.integers(0, 4)) == 0:
+            r = [v * rat(1, draw(st.integers(2, 6))) for v in r]
+        return r
+
+    def combination(rows):
+        out = [ZERO] * n
+        for r in rows:
+            c = draw(_GAUSS_SMALL)
+            out = [v + c * x for v, x in zip(out, r)]
+        return out
+
+    basis = [row() for _ in range(draw(st.integers(0, 5)))]
+    inside = basis and draw(st.booleans())
+    vec = combination(basis) if inside else row()
+    other = [combination(basis) if basis and draw(st.booleans()) else row()
+             for _ in range(draw(st.integers(0, 5)))]
+    return basis, vec, other, n
+
+
+def _reference_rank(rows, ncols):
+    return len(qi_reference.echelon([list(r) for r in rows], ncols)[0])
+
+
+@given(_span_case())
+@settings(max_examples=150, deadline=None)
+def test_membership_and_intersection_match_reference_ranks(case):
+    # one nested pass each, against ranks of Gauss-Jordan on Q(i) scalars
+    basis, vec, other, n = case
+    rank_b = _reference_rank(basis, n)
+    assert row_space_contains(basis, vec, n) == (
+        _reference_rank(basis + [vec], n) == rank_b)
+    assert intersection_dim(basis, other, n) == (
+        rank_b + _reference_rank(other, n) - _reference_rank(basis + other, n))
