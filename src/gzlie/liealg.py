@@ -37,7 +37,7 @@ Roots are recorded in epsilon-coordinates (integer tuples of length l).
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 
 from .scalars import QI, ZERO, ONE, rat
 from .matrices import (Mat, ZiMatrix, bracket, inverse, zi_matrix,
@@ -77,19 +77,6 @@ class Root:
 
     def __repr__(self):
         return "Root%r" % (self.coords,)
-
-    def name(self):
-        terms = []
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            sign = "+" if c > 0 else "-"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            terms.append("%s%se%d" % (sign, mag, k + 1))
-        if not terms:
-            return "0"
-        out = "".join(terms)
-        return out[1:] if out.startswith("+") else out
 
 
 def _opposite(p, q):
@@ -134,12 +121,8 @@ class AlgebraContext:
         # in basis_supports[k]; the supports are disjoint
         n, kind = self.n, self.kind
         if kind == "gl":
-            self.form = None
             supports = [[(i, j, 1)] for i in range(n) for j in range(n)]
         else:
-            self.form = Mat.zeros(n)
-            for j in range(n):
-                self.form.a[j][self._bar(j)] = ONE
             supports = []
             for i in range(n):
                 for j in range(n):
@@ -275,10 +258,11 @@ class AlgebraContext:
         and the columns of PD (for up): at most two terms each, of weight 1
         except the even-so scalings 2 and 1/2.  chain_TD and chain_PD stay
         as the data those terms are read from.  A term's weight is stored as
-        an int times the step's one scale, the least common denominator of
-        its weights (see _product_cells): 2 on even so and 1 otherwise, for
-        either step.  _step_zi takes both on Gaussian-integer images; down
-        and up are their Q(i) views."""
+        an int over the step's one scale, the product of the common
+        denominators of PD and TD (see _product_cells): 2 on even so and 1
+        otherwise, for either step, and with the weights it has gcd 1.
+        _step_zi takes both on Gaussian-integer images; down and up are
+        their Q(i) views."""
         n, kind = self.n, self.kind
         self.chain_TD = self.chain_PD = self._line = None
         self._down_cells = self._up_cells = None
@@ -297,9 +281,8 @@ class AlgebraContext:
             pd.a[l - 1][l - 1] = pd.a[l - 1][l] = HALF
         self.chain_TD, self.chain_PD = td, pd
         self._line = Mat.identity(n) - td * pd
-        td_cols, pd_cols = list(zip(*td.a)), list(zip(*pd.a))
-        self._down_cells, self.down_scale = _product_cells(pd.a, td_cols)
-        self._up_cells, self._up_scale = _product_cells(td.a, pd_cols)
+        self._down_cells, self.down_scale = _product_cells(pd, td)
+        self._up_cells, self._up_scale = _product_cells(td, pd)
 
     def _build_down_coords(self):
         """down_coords[k]: the int pairs (l, w) with down(b_k) = sum of
@@ -462,25 +445,21 @@ def _from_support(n, support):
     return Mat._raw(rows)
 
 
-def _product_cells(left_rows, right_cols):
-    """(cells, scale) of L x R, for L and R with rational entries:
+def _product_cells(left, right):
+    """(cells, scale) of L x R, for the rational Mats L and R:
     cells[p][q] are the terms (i, j, w) with (L x R)[p][q] = sum of
     w * x[i][j] / scale, from the nonzero entries of row p of L and column
-    q of R; w is an int, scale the least common denominator of the entry
-    products.  The products are taken on the ints of each entry a/b."""
-    def parts(vectors):
-        return [[(i, w.re.numerator, w.re.denominator)
-                 for i, w in enumerate(v) if w] for v in vectors]
+    q of R.  The int weights w are products of the integers of zi_matrix(L)
+    and zi_matrix(R), and scale is the product of their denominators."""
+    lre, _, dl = zi_matrix(left.a)
+    rre, _, dr = zi_matrix(right.a)
 
-    terms_r = parts(right_cols)
-    cells = [[[(i, j, a * c, b * d) for i, a, b in tl for j, c, d in tr]
-              for tr in terms_r] for tl in parts(left_rows)]
-    scale = lcm(*(b // gcd(a, b) for crow in cells for terms in crow
-                  for _, _, a, b in terms))
-    for crow in cells:
-        for q, terms in enumerate(crow):
-            crow[q] = tuple((i, j, a * scale // b) for i, j, a, b in terms)
-    return cells, scale
+    def terms(vectors):
+        return [[(i, w) for i, w in enumerate(v) if w] for v in vectors]
+
+    terms_r = terms(zip(*rre))
+    return [[tuple((i, j, a * c) for i, a in tl for j, c in tr)
+             for tr in terms_r] for tl in terms(lre)], dl * dr
 
 
 def _step_zi(cells, scale, image):

@@ -1,12 +1,15 @@
 """Dense exact matrices over Q(i).
 
 The exact kernel works on Gaussian integers held as pairs of Python ints;
-rationals appear only at its boundary.  A Q(i) row enters it scaled by the
-least common denominator of its entries (``_zi_rows``), a matrix as a
-ZiMatrix (re, im, d) over one common denominator (``zi_matrix``), and
-results leave it through ``_qi`` (``qi_matrix`` for a whole matrix).  Rows
-already over Z[i], such as the centralizer systems of gzlie.regularity,
-enter through ``rank_zi_rows``, ``nested_pivots_zi_rows`` and
+rationals appear only at its boundary.  ``zi_matrix`` is the one reader of
+numerators and denominators: it takes Q(i) rows to a ZiMatrix (re, im, d)
+over their least common denominator.  A Q(i) row enters the kernel as a
+row of that ZiMatrix shaped by ``_kernel_rows``, the one row normalizer:
+divided by the gcd of its integer parts, so primitive, and left out when
+zero (``_zi_rows``).  Results leave the kernel through ``_qi``
+(``qi_matrix`` for a whole matrix).  Rows already over Z[i], such as the
+centralizer systems of gzlie.regularity, pass through ``_kernel_rows``
+too and enter through ``rank_zi_rows``, ``nested_pivots_zi_rows`` and
 ``nullspace_zi_rows``.
 
 Rank, nullspace, solve, inverse, row-space membership and the polynomial
@@ -165,38 +168,35 @@ def bracket(x, y):
 # --- the exact kernel over Z[i] ---------------------------------------------
 #
 # A row of Q(i) scalars enters the kernel as a Gaussian-integer row: a pair
-# [re, im] of int lists (im is None while the row is real), scaled by the
-# least common denominator of its entries.  Results leave it through _qi.
+# [re, im] of int lists (im is None while the row is real), read off
+# zi_matrix and divided by the gcd of its integer parts (_kernel_rows).
+# Results leave it through _qi.
 
 
 def _zi_rows(rows):
-    """Gaussian-integer rows of Q(i) rows, each scaled by the least common
-    denominator of its entries.  A shared ZERO entry costs no conversion."""
-    out = []
-    for row in rows:
-        width = len(row)
-        parts = []
-        den = 1
-        for c, z in enumerate(row):
-            if z is ZERO:
-                continue
-            a, b = z.re, z.im
-            an, bn = a.numerator, b.numerator
-            if an or bn:
-                ad, bd = a.denominator, b.denominator
-                parts.append((c, an, ad, bn, bd))
-                if ad != 1 or bd != 1:
-                    den = lcm(den, ad, bd)
-        re = [0] * width
-        im = None
-        for c, an, ad, bn, bd in parts:
-            re[c] = an * (den // ad)
-            if bn:
-                if im is None:
-                    im = [0] * width
-                im[c] = bn * (den // bd)
-        out.append([re, im])
-    return out
+    """The kernel's rows of Q(i) rows: the integers of their zi_matrix,
+    each row primitive, the zero rows left out (_kernel_rows)."""
+    re, im, _ = zi_matrix(rows)
+    return _kernel_rows(zip(re, im or [None] * len(re)))
+
+
+def _kernel_rows(pairs):
+    """The pairs (re, im) of int rows, im None or all zero when real, in
+    the kernel's form: each divided by the gcd of its integer parts, and
+    the zero rows left out."""
+    rows = []
+    for r, s in pairs:
+        if s is not None and not any(s):
+            s = None
+        g = gcd(*r, *(s or ()))
+        if not g:
+            continue
+        if g > 1:
+            r = [v // g for v in r]
+            if s is not None:
+                s = [v // g for v in s]
+        rows.append([r, s])
+    return rows
 
 
 # (re, im, d): the matrix (re + i*im) / d with re and im int rows (im None
@@ -205,8 +205,10 @@ ZiMatrix = namedtuple("ZiMatrix", "re im d")
 
 
 def zi_matrix(rows):
-    """The ZiMatrix of Q(i) rows over their least common denominator d,
-    taken in one pass over the denominators of every entry."""
+    """The ZiMatrix of Q(i) rows, any iterable of them, over their least
+    common denominator d, taken in one pass over the denominators of every
+    entry."""
+    rows = list(rows)
     d = lcm(*{x.denominator for r in rows for z in r if z is not ZERO
               for x in (z.re, z.im)})
     re = [[0 if z is ZERO else z.re.numerator * (d // z.re.denominator)
@@ -612,9 +614,11 @@ def zi_sub_pfaffians(re, im):
 def row_space_contains(basis_rows, vec, ncols):
     """Is vec in the row span of basis_rows?  Exact: vec goes into one
     forward pass after the basis rows (nested_pivots_zi_rows), and it is
-    in their span when it adds no pivot."""
-    rows = _zi_rows(list(basis_rows) + [vec])
-    before, after = nested_pivots_zi_rows([rows[:-1], rows[-1:]], ncols)
+    in their span when it adds no pivot.  The two blocks are converted
+    apart, since _zi_rows leaves zero rows out: a zero vec adds no pivot,
+    so it is in every span."""
+    before, after = nested_pivots_zi_rows(
+        [_zi_rows(basis_rows), _zi_rows([vec])], ncols)
     return len(before) == len(after)
 
 

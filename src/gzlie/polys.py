@@ -12,8 +12,8 @@ last nonzero row of the reduced row echelon form is the multiple of least
 degree with leading coefficient 1: the monic gcd itself.  The same rows
 give the degree of the gcd alone (gcd_degree): they span
 m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
-their rank, taken over Z[i] with each polynomial scaled once by the least
-common denominator of its coefficients.
+their rank, taken over Z[i] with each polynomial converted once, to its
+primitive Gaussian-integer row (gzlie.matrices._zi_rows).
 
 Every common-root test of the package reads gcd_degree: the coincidence
 count, stratum_of_value and sample_chain_disjoint.  No package path reads

@@ -9,16 +9,17 @@ Tests that need only a dimension take the rank of a centralizer system;
 nullspace bases are built only for callers that want the vectors.  One
 writer, _centralizer_system, writes every system: from the column
 supports and the nonzero cells of the image's integers, so it makes no
-matrix product, each row divided by its integer content, and in the
-coordinates of g: [y, x] lies in g, so each x gives one row per basis
-position of g (n(n-1)/2 rows on so(n), not n^2).  x is nsreg when
-z_k(x) = 0, the system of [y, x] = 0 over the basis of k having rank
-dim k.  Strong regularity is nsreg at every chain level (see is_sreg);
-chain_centralizers keeps its definition as the reference.  Readers of
-both ranks at every level (centralizer dimensions and the analysis
-report) write the top system once, in coordinates adapted to the whole
-chain (_chain_data), and eliminate it once, its rows going
-in one level at a time from the floor up: after level m the pivots left
+matrix product, each row made primitive by the kernel's one row
+normalizer (matrices._kernel_rows, which every Q(i) row also goes
+through), and in the coordinates of g: [y, x] lies in g, so each x gives
+one row per basis position of g (n(n-1)/2 rows on so(n), not n^2).  x is
+nsreg when z_k(x) = 0, the system of [y, x] = 0 over the basis of k
+having rank dim k.  Strong regularity is nsreg at every chain level (see
+is_sreg); chain_centralizers keeps its definition as the reference.
+Readers of both ranks at every level (centralizer dimensions and the
+analysis report) write the top system once, in coordinates adapted to the
+whole chain (_chain_data), and eliminate it once, its rows going in one
+level at a time from the floor up: after level m the pivots left
 of dim g_m and of dim g_(m-1) are the two ranks of that level (see
 chain_centralizer_ranks).
 
@@ -53,7 +54,8 @@ from functools import lru_cache
 from math import gcd
 
 from .matrices import (rank_zi_rows, nested_pivots_zi_rows,
-                       nullspace_zi_rows, char_poly_fl, zi_matrix, _qi)
+                       nullspace_zi_rows, char_poly_fl, zi_matrix,
+                       _kernel_rows, _qi)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
@@ -94,38 +96,20 @@ def _centralizer_system(ctx, images, supports):
 
     The system is homogeneous, so it is written for d*x, the image's
     integers, and each row is divided by its integer content; zero rows
-    are left out (_kernel_rows).  [y, x] lies in g, so its coordinates fix
-    it: each x gives one row per basis position of g (ctx.position_index),
-    n(n-1)/2 rows on so(n) and n^2 on gl(n).  On so(n) the other cells
-    repeat these up to sign (the cell (n-1-j, n-1-i) holds minus the cell
-    (i, j)) or are zero (the antidiagonal), so the row space is that of all
-    n^2 cells: ranks and pivot columns are the same, and so are nullspaces,
-    read off the unique reduced form."""
+    are left out (matrices._kernel_rows).  [y, x] lies in g, so its
+    coordinates fix it: each x gives one row per basis position of g
+    (ctx.position_index), n(n-1)/2 rows on so(n) and n^2 on gl(n).  On
+    so(n) the other cells repeat these up to sign (the cell
+    (n-1-j, n-1-i) holds minus the cell (i, j)) or are zero (the
+    antidiagonal), so the row space is that of all n^2 cells: ranks and
+    pivot columns are the same, and so are nullspaces, read off the unique
+    reduced form."""
     rows = []
     for re, im, _ in images:
         block_re = _bracket_block(ctx, re, supports)
         block_im = (_bracket_block(ctx, im, supports) if im is not None
                     else [None] * len(block_re))
         rows += _kernel_rows(zip(block_re, block_im))
-    return rows
-
-
-def _kernel_rows(pairs):
-    """The pairs (re, im) of int rows, im None or all zero when real, in
-    the kernel's form: each divided by the gcd of its integer parts, and
-    the zero rows left out."""
-    rows = []
-    for r, s in pairs:
-        if s is not None and not any(s):
-            s = None
-        g = gcd(*r, *(s or ()))
-        if not g:
-            continue
-        if g > 1:
-            r = [v // g for v in r]
-            if s is not None:
-                s = [v // g for v in s]
-        rows.append([r, s])
     return rows
 
 

@@ -112,9 +112,6 @@ class QI:
             k >>= 1
         return out
 
-    def conj(self):
-        return QI._raw(self.re, -self.im)
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:

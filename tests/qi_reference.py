@@ -23,8 +23,9 @@ reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
 matrices of the reference loop.
 
 The last section holds the constructors and checks that only the tests
-read: scalar and matrix constructors, the trace, membership, basis and
-Cartan coordinates, the form test of a group element, the Levi
+read: scalar and matrix constructors, the conjugate of a scalar, the
+trace, the antidiagonal form S of so(n), membership, basis and Cartan
+coordinates, the form test of a group element, the Levi
 degeneration of a theta-stable parabolic and the centralizer dimensions
 of every chain level.
 """
@@ -322,7 +323,7 @@ def partial_map_jacobian_jet(ctx, mat, levels=None):
             b, _ = char_poly_fl(jm)
             vals = [_signed(sign, b[j - 1]) for j, sign in spec.coeffs]
             if spec.pfaffian:
-                vals.append(pfaffian(lvl.form * jm))
+                vals.append(pfaffian(form(lvl.n) * jm))
             cols.append([_eps(v) for v in vals])
         rows.extend(list(r) for r in zip(*cols))
     return rows
@@ -380,7 +381,7 @@ def level_gradient_rows_by_trace(ctx, x, m):
     _, aux = char_poly_fl(xm)
     grads = [(-sign, aux[j - 1]) for j, sign in spec.coeffs]
     if spec.pfaffian:
-        grads.append((1, pfaffian_gradient_by_cofactors(lvl.form * xm)))
+        grads.append((1, pfaffian_gradient_by_cofactors(form(lvl.n) * xm)))
     rows = []
     for sign, grad in grads:
         for step in reversed(chain):
@@ -655,6 +656,11 @@ def qi(re=0, im=0):
     return QI(re, im)
 
 
+def conj(z):
+    """The complex conjugate of a Q(i) scalar."""
+    return QI._raw(z.re, -z.im)
+
+
 def is_rational(z):
     return z.im == 0
 
@@ -679,6 +685,13 @@ def trace(mat):
     for k in range(min(mat.m, mat.n)):
         t = t + mat.a[k][k]
     return t
+
+
+def form(n):
+    """S_n, the ones on the antidiagonal: so(n) is the Z with
+    Z^T S + S Z = 0."""
+    return Mat([[ONE if i + j == n - 1 else ZERO for j in range(n)]
+                for i in range(n)])
 
 
 def transpose(mat):
@@ -711,8 +724,8 @@ def preserves_form(ctx, g):
     """g^T S g = S and det g = 1 (exact)."""
     if ctx.kind == "gl":
         return bool(det(g))
-    return (transpose(g) * ctx.form * g == ctx.form
-            and det(g) == ONE)
+    s = form(ctx.n)
+    return transpose(g) * s * g == s and det(g) == ONE
 
 
 def degenerate_to_levi(ctx, mat, i):

@@ -6,9 +6,12 @@ reach belongs in the tests.
 
 The API is declared in three places, and read from them here: the names in
 code spans and code blocks of README.md, the entry function of each
-[project.scripts] entry of pyproject.toml, and every name that perfbench/
-reads, the functions and methods its tracer wraps (SPAN_LAYERS and
-COUNT_LAYERS) included."""
+[project.scripts] entry of pyproject.toml, and the functions and methods
+the bench tracer wraps (SPAN_LAYERS and COUNT_LAYERS).  Code of perfbench/
+reads the package as package code does.  A public function or class is
+read when an expression reads its name; a public method that is not a
+property only when one is called through an attribute (x.m(...)), so that
+a field or a local variable of the same name does not keep it."""
 
 import ast
 import glob
@@ -121,12 +124,12 @@ def test_no_unread_private_definitions_in_the_package():
     assert unread_private_definitions(_sources(PACKAGE)) == []
 
 
-def api_names(readme, pyproject, bench_sources, traced_layers):
-    """The names the package offers to readers outside it: every name in a
-    code span or code block of the README text, the entry function of each
-    [project.scripts] entry of the pyproject text, every name that the
-    bench sources read, and the last part of every qualified name in the
-    tracer's layer tables (layer -> [(module, qualified name), ...])."""
+def api_names(readme, pyproject, traced_layers):
+    """The names the package declares to readers outside it: every name in
+    a code span or code block of the README text, the entry function of
+    each [project.scripts] entry of the pyproject text, and the last part
+    of every qualified name in the tracer's layer tables (layer ->
+    [(module, qualified name), ...])."""
     blocks = re.findall(r"```.*?```", readme, re.S)
     spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme,
                                             flags=re.S))
@@ -134,19 +137,54 @@ def api_names(readme, pyproject, bench_sources, traced_layers):
     scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)",
                         pyproject, re.M).group(1)
     names.update(re.findall(r":(\w+)[\"']", scripts))
-    names |= _reads(bench_sources)
     names.update(qual.rsplit(".", 1)[-1] for layers in traced_layers
                  for specs in layers.values() for _, qual in specs)
     return names
 
 
-def unread_public_definitions(sources, api):
-    """Functions and classes, methods included, with a public name (no
-    leading underscore) defined in any of the module sources that no
-    expression of them reads and that api does not hold."""
-    public = {name for name in _definitions(sources)
-              if not name.startswith("_")}
-    return sorted(public - _reads(sources) - api)
+def _public_definitions(sources):
+    """(functions, methods): the public names (no leading underscore) of
+    the functions and classes, and of the methods that are not properties,
+    that the module sources define.  A method is a function defined in the
+    body of a class."""
+    functions, methods = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        method_nodes = {
+            node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(isinstance(d, ast.Name) and d.id == "property"
+                        for d in node.decorator_list)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                (methods if node in method_nodes else functions).add(
+                    node.name)
+    return functions, methods
+
+
+def _attribute_calls(sources):
+    """Names that an expression of the module sources calls through an
+    attribute, as m in x.m(...)."""
+    return {node.func.attr for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)}
+
+
+def unread_public_definitions(sources, bench_sources, api):
+    """Public definitions of the module sources that no reader reaches and
+    that api does not hold.  A function or class is reached when an
+    expression of the module or bench sources reads its name, as a name or
+    as an attribute; a method that is not a property only when one of them
+    calls it through an attribute (x.m(...)), so a field or a local
+    variable of the same name does not count."""
+    functions, methods = _public_definitions(sources)
+    readers = sources + bench_sources
+    return sorted((functions - _reads(readers) - api)
+                  | (methods - _attribute_calls(readers) - api))
 
 
 def test_scan_flags_an_unread_public_definition():
@@ -156,23 +194,27 @@ def test_scan_flags_an_unread_public_definition():
                "    def dead_method(self):\n        pass\n"
                "    def benched(self):\n        pass\n"
                "    def traced(self):\n        pass\n"
+               "    def field(self):\n        pass\n"
+               "    def local(self):\n        pass\n"
+               "    @property\n    def prop(self):\n        pass\n"
                "def dead():\n    pass\n"
                "def documented():\n    pass\n"
                "def listed():\n    pass\n"
                "def main():\n    pass\n",
-               "from a import Kept\nKept().method()\n"]
+               "from a import Kept\nKept().method()\n"
+               "local = Kept().prop\nprint(local, Kept().field)\n"]
     readme = ("Call `documented(x)`; plain words such as dead do not "
               "count.\n\n```\nfrom a import listed\n```\n")
     pyproject = ('[project]\nname = "a"\n\n[project.scripts]\n'
                  'a = "a.cli:main"\n\n[tool.x]\ny = "b:dead"\n')
-    bench = ["def run(k):\n    return k.benched()\n"]
-    layers = [{"a.layer": [("a", "Kept.traced")]}]
-    api = api_names(readme, pyproject, bench, layers)
-    assert unread_public_definitions(sources, api) == ["dead", "dead_method"]
-    # without the bench source, the method it reads is flagged too
-    api = api_names(readme, pyproject, [], layers)
-    assert unread_public_definitions(sources, api) == [
-        "benched", "dead", "dead_method"]
+    bench = ["def run(k):\n    return k.benched(), k.field\n"]
+    api = api_names(readme, pyproject, [{"a.layer": [("a", "Kept.traced")]}])
+    # a method read only as a field or as a local variable is flagged
+    assert unread_public_definitions(sources, bench, api) == [
+        "dead", "dead_method", "field", "local"]
+    # without the bench source, the method it calls is flagged too
+    assert unread_public_definitions(sources, [], api) == [
+        "benched", "dead", "dead_method", "field", "local"]
 
 
 def test_no_unread_public_definitions_in_the_package():
@@ -183,6 +225,7 @@ def test_no_unread_public_definitions_in_the_package():
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:
         pyproject = fh.read()
     tracer = _load_tracer()
-    api = api_names(readme, pyproject, _sources(BENCH),
+    api = api_names(readme, pyproject,
                     [tracer.SPAN_LAYERS, tracer.COUNT_LAYERS])
-    assert unread_public_definitions(_sources(PACKAGE), api) == []
+    assert unread_public_definitions(_sources(PACKAGE), _sources(BENCH),
+                                     api) == []

@@ -22,7 +22,7 @@ from gzlie.suites import SuiteConfig, run_all
 from qi_reference import (k_basis_by_nullspace, chain_down_dense,
                           chain_up_dense, group_up_dense, theta_fixed_part,
                           qi, mat_copy, transpose, contains, coordinates,
-                          cartan_coordinates, preserves_form)
+                          cartan_coordinates, preserves_form, form)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -71,7 +71,7 @@ def test_membership_and_coordinates():
     assert msgs and "(1,2)" in msgs[0]
     # every basis matrix satisfies Z^T S + S Z = 0
     for b in ctx.basis:
-        assert (transpose(b) * ctx.form + ctx.form * b).is_zero()
+        assert (transpose(b) * form(5) + form(5) * b).is_zero()
 
 
 def test_theta_is_involutive_automorphism():
@@ -187,12 +187,18 @@ def test_chain_step_matches_dense_products(seed):
 
 def test_down_coords_match_dense_step_of_every_basis_vector():
     # down_coords[k] / down_scale are the coordinates of PD b_k TD over the
-    # child's basis, for every basis vector of every chain step up to MAX_N
+    # child's basis, for every basis vector of every chain step up to MAX_N;
+    # each step's scale has gcd 1 with its weights, so it is their least
+    # common denominator
     for kind, floor in sorted(CHAIN_FLOOR.items()):
         for n in range(floor + 1, MAX_N + 1):
             ctx = make_algebra(kind, n)
             s = ctx.down_scale
-            assert s == (2 if kind == "so" and n % 2 == 0 else 1)
+            assert s == ctx._up_scale == (
+                2 if kind == "so" and n % 2 == 0 else 1)
+            for cells in (ctx._down_cells, ctx._up_cells):
+                assert gcd(s, *(w for crow in cells for terms in crow
+                                for _, _, w in terms)) == 1, (kind, n)
             for b, pairs in zip(ctx.basis, ctx.down_coords):
                 coords = [ZERO] * ctx.child.dim
                 for l, w in pairs:

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim,
                             last_rref_row, rank_zi_rows,
-                            nested_pivots_zi_rows, zi_matrix)
+                            nested_pivots_zi_rows, zi_matrix, _zi_rows, _qi)
 
 import qi_reference
 from qi_reference import (Jet, jet_mat, aux_qi, qi, from_ints, transpose,
@@ -246,9 +247,10 @@ def _gaussian_case(draw):
     return Mat(rows), rhs
 
 
-def _kernel_rows(mat):
-    """The rows of mat in the kernel's form: [re, im] int lists over one
-    common denominator, im None on a real row."""
+def _unreduced_rows(mat):
+    """The rows of mat as pairs [re, im] of int lists over one common
+    denominator, im None on a real row, neither made primitive nor with
+    the zero rows left out: the kernel's entry points take such rows too."""
     re, im, _ = zi_matrix(mat.a)
     return [[r, s if s is not None and any(s) else None]
             for r, s in zip(re, im or [None] * len(re))]
@@ -262,7 +264,7 @@ def test_gaussian_kernel_matches_qi_reference(case):
     a, b = case
     assert rank(a) == qi_reference.rank(a)
     pivots, _ = qi_reference.echelon([list(r) for r in a.a], a.n)
-    assert next(nested_pivots_zi_rows([_kernel_rows(a)], a.n)) == pivots
+    assert next(nested_pivots_zi_rows([_unreduced_rows(a)], a.n)) == pivots
     assert nullspace(a) == qi_reference.nullspace(a)
     assert solve(a, b) == qi_reference.solve(a, b)
     rows = [list(r) + list(s) for r, s in zip(a.a, b.a)]
@@ -271,6 +273,62 @@ def test_gaussian_kernel_matches_qi_reference(case):
     assert got == (rows[len(pivots) - 1] if pivots else [])
     if a.m == a.n:
         assert det(a) == qi_reference.det(a)
+
+
+@st.composite
+def _zi_rows_case(draw):
+    """(rows, B): m x n Q(i) rows, m from 0, each zero, Gaussian, real over
+    mixed denominators, or integers with a content above 1; B is m x 2."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "gaussian", "mixed", "content"]))
+        if kind == "zero":
+            row = [ZERO] * n
+        elif kind == "gaussian":
+            row = [draw(_GAUSS_SMALL) * rat(1, draw(st.integers(1, 4)))
+                   for _ in range(n)]
+        elif kind == "mixed":
+            row = [rat(draw(ints), draw(st.integers(1, 6)))
+                   for _ in range(n)]
+        else:
+            c = draw(st.integers(2, 6))
+            row = [qi(c * draw(ints)) for _ in range(n)]
+        rows.append(row)
+    rhs = Mat([[draw(_GAUSS_SMALL) for _ in range(2)] for _ in range(m)])
+    return rows, rhs
+
+
+@given(_zi_rows_case())
+@settings(max_examples=150, deadline=None)
+def test_zi_rows_are_primitive_and_nonzero(case):
+    # every Q(i) row enters the kernel as a primitive nonzero row: a
+    # positive rational multiple of itself, the zero rows left out, im None
+    # exactly on a real row; the kernel's readings match the references
+    rows, b = case
+    got = _zi_rows(rows)
+    nonzero = [r for r in rows if any(r)]
+    assert len(got) == len(nonzero)
+    for (re, im), row in zip(got, nonzero):
+        assert gcd(*re, *(im or ())) == 1
+        assert (im is None) == all(not z.im for z in row)
+        vals = [_qi(x, 0, 1) for x in re] if im is None else [
+            _qi(x, y, 1) for x, y in zip(re, im)]
+        k = next(c for c, z in enumerate(row) if z)
+        scale = vals[k] / row[k]
+        assert not scale.im and scale.re > 0
+        assert vals == [scale * z for z in row]
+    if not rows:
+        return
+    a = Mat(rows)
+    assert rank(a) == qi_reference.rank(a)
+    assert nullspace(a) == qi_reference.nullspace(a)
+    assert solve(a, b) == qi_reference.solve(a, b)
+    aug = [list(r) + list(s) for r, s in zip(a.a, b.a)]
+    got = last_rref_row(aug, a.n)
+    pivots, _ = qi_reference.echelon(aug, a.n, reduced=True)
+    assert got == (aug[len(pivots) - 1] if pivots else [])
 
 
 @st.composite
@@ -312,8 +370,8 @@ def test_rank_does_not_depend_on_row_order(case):
     for mat in (Mat(rows), Mat([rows[k] for k in order])):
         assert rank(mat) == want_rank
         assert rank_rows(mat.a, n) == want_rank
-        assert rank_zi_rows(_kernel_rows(mat), n) == want_rank
-        assert next(nested_pivots_zi_rows([_kernel_rows(mat)],
+        assert rank_zi_rows(_unreduced_rows(mat), n) == want_rank
+        assert next(nested_pivots_zi_rows([_unreduced_rows(mat)],
                                           n)) == want_pivots
 
 
@@ -325,7 +383,7 @@ def test_nested_pivots_match_one_pass_over_the_rows_so_far(cases):
     n = min(ncols for _, ncols, _ in cases)
     blocks = [[row[:n] for row in rows] for rows, _, _ in cases]
     got = list(nested_pivots_zi_rows(
-        (_kernel_rows(Mat(rows)) for rows in blocks), n))
+        (_unreduced_rows(Mat(rows)) for rows in blocks), n))
     so_far = []
     for rows, pivots in zip(blocks, got):
         so_far += rows
@@ -446,6 +504,17 @@ def test_row_space_and_intersection():
     assert intersection_dim([e1, e2], [e2, e3], 3) == 1
     assert intersection_dim([e1], [e2], 3) == 0
     assert rank_rows([e1, e1], 3) == 1
+    # a zero vector adds no pivot, so it is in every span, the empty one
+    # included; zero basis rows span nothing
+    zero = [ZERO] * 3
+    assert row_space_contains([e1, e2], zero, 3)
+    assert row_space_contains([], zero, 3)
+    assert not row_space_contains([zero, e1], e2, 3)
+    # the row entry points take any iterable of rows
+    assert row_space_contains(iter([e1, e2]), e1, 3)
+    assert rank_rows(iter([e1, e2, e3]), 3) == 3
+    assert intersection_dim(iter([e1, e2]), [e2], 3) == 1
+    assert zi_matrix(iter([e1, e2])) == zi_matrix([e1, e2])
 
 
 @st.composite

@@ -26,7 +26,7 @@ from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
 from qi_reference import (partial_map_jacobian_jet, echelon,
                           centralizer_system_by_brackets, trace_against,
-                          aux_qi,
+                          aux_qi, form,
                           centralizer_system_qi,
                           level_gradient_rows_by_trace,
                           pfaffian_gradient_by_cofactors, pfaffian,
@@ -322,7 +322,7 @@ def test_pfaffian_gradient_matches_cofactor_expansion(n, seed, t):
     for lvl, xm in ctx.chain(x):
         if lvl.n % 2 == 0:
             assert (_pfaffian_gradient_of(lvl, xm)
-                    == pfaffian_gradient_by_cofactors(lvl.form * xm))
+                    == pfaffian_gradient_by_cofactors(form(lvl.n) * xm))
 
 
 def _pfaffian_gradient_of(lvl, xm):
@@ -346,7 +346,7 @@ def test_pfaffian_read_from_gradient_memo(n):
         minors = pfaffian_minors(ctx, image)
         _pfaffian_gradient(minors, n)
         assert (_qi(*minors(tuple(range(n))), image.d ** (n // 2))
-                == pfaffian(ctx.form * x))
+                == pfaffian(form(ctx.n) * x))
 
 
 def _assert_systems_match_brackets(ctx, x):
