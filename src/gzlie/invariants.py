@@ -14,6 +14,7 @@ functions, the auxiliary matrices, the sub-Pfaffian memo and pf(S x_m).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from . import polys
 from .matrices import char_poly_fl, zi_matrix, zi_sub_pfaffians, _qi
@@ -30,9 +31,11 @@ InvariantVector = namedtuple("InvariantVector", "algebra n kind values")
 GeneratorSpec = namedtuple("GeneratorSpec", "coeffs pfaffian even")
 
 
+@lru_cache(maxsize=None)
 def generator_spec(ctx_m):
     """Generators of one chain level from det(t*I - x) = t^m + b_1 t^(m-1)
-    + ... + b_m (the Faddeev-LeVerrier coefficients):
+    + ... + b_m (the Faddeev-LeVerrier coefficients), built once per level
+    context (the GeneratorSpec is immutable, so every reader shares it):
       * gl(m): elementary symmetric functions f_j = (-1)^j b_j, j = 1..m;
       * so(2k+1): the proper coefficients c_j = b_2j of the monic
         q(u) = u^k + c_1 u^(k-1) + ... + c_k, reported as (c_1, ..., c_k);

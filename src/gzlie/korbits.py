@@ -22,7 +22,7 @@ from .scalars import ONE
 from .matrices import Mat, inverse, row_space_contains, zi_matrix
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
                      adjoint, monomial_pairs)
-from .invariants import coincidence_count, reduced_char
+from .invariants import reduced_char
 from . import polys
 
 REAL = "real"
@@ -343,10 +343,13 @@ def sample_yq(ctx, orbit, sampler):
 
 def sample_g0(ctx, sampler):
     """Random element with no eigenvalue coincidence between consecutive
-    top levels."""
+    top levels: its coincidence count is 0, the reduced characteristic
+    polynomials of x and of its projection are coprime."""
     for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
-        if coincidence_count(ctx, x) == 0:
+        image = zi_matrix(x.a)
+        if polys.coprime(reduced_char(ctx.child, ctx.down_zi(image)),
+                         reduced_char(ctx, image)):
             return x
     raise RuntimeError("could not sample a coincidence-free element")
 
@@ -360,8 +363,7 @@ def sample_chain_disjoint(ctx, sampler):
         qs = (reduced_char(lvl, image)
               for lvl, image in ctx.walk(zi_matrix(x.a)))
         # (level m + 1, level m), as qs runs from the top down
-        if all(polys.gcd_degree(low, high) == 0
-               for high, low in pairwise(qs)):
+        if all(polys.coprime(low, high) for high, low in pairwise(qs)):
             return x
     raise RuntimeError("could not sample a chain-disjoint element")
 

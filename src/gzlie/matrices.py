@@ -9,37 +9,46 @@ divided by the gcd of its integer parts, so primitive, and left out when
 zero (``_zi_rows``).  Results leave the kernel through ``_qi``
 (``qi_matrix`` for a whole matrix).  Rows already over Z[i], such as the
 centralizer systems of gzlie.regularity, pass through ``_kernel_rows``
-too and enter through ``rank_zi_rows``, ``nested_pivots_zi_rows`` and
-``nullspace_zi_rows``.
+too and enter through ``rank_zi_rows``, ``full_rank_zi_rows``,
+``nested_pivots_zi_rows`` and ``nullspace_zi_rows``.
 
 Rank, nullspace, solve, inverse, row-space membership and the polynomial
-gcd of gzlie.polys all read one fraction-free elimination, ``_echelon``,
-which returns only its pivot columns, with a fixed pivoting rule: the
-first nonzero entry, scanning columns left to right and rows top to
-bottom.  A row with entry f under pivot p becomes p*row - f*prow (p and f
-first divided by their common integer factor); when it was scaled, its
-integer parts are then divided by their gcd, the row content, and a row
-with an imaginary part also by the gcd in Z[i] of its entries.  That keeps
-entries small without the fractions of Gauss-Jordan elimination.  Rank
-takes the forward pass; nullspace, solve and inverse read the reduced row
-echelon form, dividing by each pivot once at the end.  That form is
-unique, so their results do not depend on the order of elimination, nor
-on the scaling or order of the rows.  The gcd reads only its last nonzero
-row (``last_rref_row``): the last pivot row of the forward pass divided by
-its pivot, since that row is zero left of its pivot and no later pivot
-would clear it.
+gcd of gzlie.polys all read one fraction-free row update, ``_update``: a
+row with entry f under pivot p becomes p*row - f*prow (p and f first
+divided by their common integer factor); when it was scaled, its integer
+parts are then divided by their gcd, the row content, and a row with an
+imaginary part also by the gcd in Z[i] of its entries.  That keeps
+entries small without the fractions of Gauss-Jordan elimination.  Two
+forward passes apply it, and both return only their pivot columns.
 
-rank, rank_rows, rank_zi_rows and nested_pivots_zi_rows return only the
-rank or the pivot columns, which depend only on the row space, so they
-hand ``_echelon`` their rows sorted by size (``_row_size``, the sum of the
-absolute values of the integer parts), smallest first.  Small rows then
-become the pivots, and more updates find a pivot that divides their entry
-and take the unscaled path.  row_space_contains and intersection_dim read
-nested pivots: a vector is in a span when it adds no pivot after the
-span's rows.  solve, inverse, the nullspaces and last_rref_row eliminate
-the rows in the order given: on augmented rows whose rank exceeds that of
-their first ``ncols`` columns the last pivot row of last_rref_row depends
-on the order.
+rank, rank_rows, rank_zi_rows, full_rank_zi_rows and nested_pivots_zi_rows
+return only the rank, whether it is full, or the pivot columns, which
+depend only on the row space, not on the order of elimination (Dumas,
+Pernet and Sultan, J. Symbolic Comput. 83, 2017).  They take the
+row-by-row (left-looking) pass, ``_forward_rows``, over their rows sorted
+by size (``_row_size``, the sum of the absolute values of the integer
+parts), smallest first, so that small rows become the pivots and more
+updates find a pivot that divides their entry and take the unscaled path:
+each row is reduced against the pivot rows kept so far and kept if it
+leaves a nonzero entry in the first ``ncols`` columns.  The pass stops
+once all ``ncols`` columns have pivots, and full_rank_zi_rows answers
+False once the pivots plus the rows left fall below ncols.
+nested_pivots_zi_rows carries its kept rows from block to block without
+eliminating them again; row_space_contains and intersection_dim read it: a
+vector is in a span when it adds no pivot after the span's rows.
+
+nullspace, solve, inverse and last_rref_row take the column-by-column
+pass, ``_echelon``, over the rows in the order given, with a fixed
+pivoting rule: the first nonzero entry, scanning columns left to right and
+rows top to bottom.  nullspace, solve and inverse read the reduced row
+echelon form, dividing by each pivot once at the end; that form is unique,
+so their results do not depend on the order of elimination, nor on the
+scaling or order of the rows.  The gcd reads only its last nonzero row
+(``last_rref_row``): the last pivot row of the forward pass divided by its
+pivot, since that row is zero left of its pivot and no later pivot would
+clear it.  On augmented rows whose rank exceeds that of their first
+``ncols`` columns that row depends on the order of elimination, so
+last_rref_row keeps the column-by-column pass.
 
 det is (-1)^n times the last Faddeev-LeVerrier coefficient (below), not an
 elimination; the package decides invertibility by rank.
@@ -206,17 +215,29 @@ ZiMatrix = namedtuple("ZiMatrix", "re im d")
 
 def zi_matrix(rows):
     """The ZiMatrix of Q(i) rows, any iterable of them, over their least
-    common denominator d, taken in one pass over the denominators of every
-    entry."""
+    common denominator d.  One loop over the entries collects the
+    denominators and whether any imaginary part is nonzero; at d = 1 the
+    numerators are the integers."""
     rows = list(rows)
-    d = lcm(*{x.denominator for r in rows for z in r if z is not ZERO
-              for x in (z.re, z.im)})
-    re = [[0 if z is ZERO else z.re.numerator * (d // z.re.denominator)
-           for z in r] for r in rows]
-    im = None
-    if any(z.im for r in rows for z in r if z is not ZERO):
-        im = [[0 if z is ZERO else z.im.numerator * (d // z.im.denominator)
+    dens = set()
+    gaussian = False
+    for r in rows:
+        for z in r:
+            if z is not ZERO:
+                dens.add(z.re.denominator)
+                if z.im:
+                    gaussian = True
+                    dens.add(z.im.denominator)
+    d = lcm(*dens)
+    if d == 1:
+        re = [[0 if z is ZERO else z.re.numerator for z in r] for r in rows]
+        im = ([[0 if z is ZERO else z.im.numerator for z in r] for r in rows]
+              if gaussian else None)
+    else:
+        re = [[0 if z is ZERO else z.re.numerator * (d // z.re.denominator)
                for z in r] for r in rows]
+        im = ([[0 if z is ZERO else z.im.numerator * (d // z.im.denominator)
+                for z in r] for r in rows] if gaussian else None)
     return ZiMatrix(re, im, d)
 
 
@@ -257,24 +278,87 @@ def _zi_content(re, im):
     return p, q
 
 
+def _pivot(row, pc):
+    """What _update reads of the pivot row ``row`` (a kernel row, zero left
+    of its pivot column pc): (pc, p, q, re, im, qim, live), p + i*q its
+    pivot, qim its imaginary parts (zeros when im is None), live its
+    nonzero columns."""
+    re, im = row
+    if im is None:
+        return (pc, re[pc], 0, re, None, [0] * len(re),
+                [c for c in range(pc, len(re)) if re[c]])
+    return (pc, re[pc], im[pc], re, im, im,
+            [c for c in range(pc, len(re)) if re[c] or im[c]])
+
+
+def _update(row, pivot, start):
+    """The one fraction-free row update, in place: ``row``, whose entry
+    f + i*h in the pivot column is nonzero, becomes p'*row - f'*prow for
+    the pivot row prow with pivot p + i*q (see _pivot), where p' and f' are
+    p and f divided by the gcd of their integer parts (signed so that a
+    negative integer pivot gives p' > 0).  When p' is not 1 the row is then
+    divided by the gcd g of its integer parts and, if it still has an
+    imaginary part, by its gcd c in Z[i] (without which a factor such as
+    1 + i would stay and grow).  The row stays a nonzero multiple of the
+    row that elimination over Q(i) would give.  Both rows are zero left of
+    column ``start``, or the pivot row alone is (then start is 0)."""
+    pc, p, q, pre, pim, qim, live = pivot
+    re, im = row
+    f = re[pc]
+    h = im[pc] if im is not None else 0
+    g = gcd(p, q, f, h)
+    if p < 0 and not q:
+        g = -g
+    a, b, f, h = p // g, q // g, f // g, h // g
+    if pim is None and im is None:
+        if a == 1:
+            for c in live:
+                re[c] -= f * pre[c]
+            return
+        re[start:] = [a * x - f * u
+                      for x, u in zip(re[start:], pre[start:])]
+        g = gcd(*re)
+        if g > 1:
+            re[:] = [x // g for x in re]
+        return
+    if im is None:
+        im = row[1] = [0] * len(re)
+    if a == 1 and not b:
+        for c in live:
+            u, v = pre[c], qim[c]
+            re[c] -= f * u - h * v
+            im[c] -= f * v + h * u
+    else:
+        re, im = ([a * x - b * y - f * u + h * v
+                   for x, y, u, v in zip(re, im, pre, qim)],
+                  [a * y + b * x - f * v - h * u
+                   for x, y, u, v in zip(re, im, pre, qim)])
+        g = gcd(*re, *im)
+        if g > 1:
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+        c, e = _zi_content(re, im) if any(im) else (1, 0)
+        if e or c != 1:
+            n = c * c + e * e
+            re, im = ([(x * c + y * e) // n for x, y in zip(re, im)],
+                      [(y * c - x * e) // n for x, y in zip(re, im)])
+        row[0] = re
+    row[1] = im if any(im) else None
+
+
 def _echelon(rows, ncols, reduced=False):
     """Fraction-free elimination of Gaussian-integer rows (see _zi_rows) in
-    place; returns the pivot columns.
+    place, column by column; returns the pivot columns.
 
     The pivot is the first nonzero entry, scanning the first ``ncols``
-    columns left to right and rows top to bottom.  With pivot p, a row whose
-    entry f in the pivot column is nonzero becomes p'*row - f'*prow, where
-    p' and f' are p and f divided by the gcd of their integer parts (signed
-    so that a negative integer pivot gives p' > 0).  When p' is not 1 the row
-    is then divided by the gcd g of its integer parts and, if it still has
-    an imaginary part, by its gcd c in Z[i] (without which a factor such as
-    1 + i would stay and grow).  Rows with a zero in the pivot column are
-    not touched.  Each row stays a nonzero multiple of the row that
-    elimination over Q(i) would give, so the pivots are the same.  The
-    forward pass clears below each pivot; with
-    ``reduced`` it clears above as well, and row k divided by its pivot is
-    row k of the reduced row echelon form.  Row operations run across the
-    whole row, so an augmented block comes along.
+    columns left to right and rows top to bottom.  Every row with a nonzero
+    entry in the pivot column takes the one update (_update) by the pivot
+    row; rows with a zero there are not touched, and each row stays a
+    nonzero multiple of the row that elimination over Q(i) would give, so
+    the pivots are the same.  The forward pass clears below each pivot;
+    with ``reduced`` it clears above as well, and row k divided by its
+    pivot is row k of the reduced row echelon form.  Row operations run
+    across the whole row, so an augmented block comes along.
     """
     pivots = []
     nrows = len(rows)
@@ -290,62 +374,12 @@ def _echelon(rows, ncols, reduced=False):
             continue
         rows[pr], rows[r] = rows[r], rows[pr]
         pivots.append(pc)
-        pre, pim = rows[pr]
-        width = len(pre)
-        p = pre[pc]
-        q = pim[pc] if pim is not None else 0
-        if pim is None:
-            live = [c for c in range(pc, width) if pre[c]]
-            qim = [0] * width
-        else:
-            live = [c for c in range(pc, width) if pre[c] or pim[c]]
-            qim = pim
+        pivot = _pivot(rows[pr], pc)
         start = 0 if reduced else pc
         for r in range(0 if reduced else pr + 1, nrows):
-            row = rows[r]
-            re, im = row
-            f = re[pc]
-            h = im[pc] if im is not None else 0
-            if not (f or h) or r == pr:
-                continue
-            g = gcd(p, q, f, h)
-            if p < 0 and not q:
-                g = -g
-            a, b, f, h = p // g, q // g, f // g, h // g
-            if pim is None and im is None:
-                if a == 1:
-                    for c in live:
-                        re[c] -= f * pre[c]
-                    continue
-                re[start:] = [a * x - f * u
-                              for x, u in zip(re[start:], pre[start:])]
-                g = gcd(*re)
-                if g > 1:
-                    re[:] = [x // g for x in re]
-                continue
-            if im is None:
-                im = row[1] = [0] * width
-            if a == 1 and not b:
-                for c in live:
-                    u, v = pre[c], qim[c]
-                    re[c] -= f * u - h * v
-                    im[c] -= f * v + h * u
-            else:
-                re, im = ([a * x - b * y - f * u + h * v
-                           for x, y, u, v in zip(re, im, pre, qim)],
-                          [a * y + b * x - f * v - h * u
-                           for x, y, u, v in zip(re, im, pre, qim)])
-                g = gcd(*re, *im)
-                if g > 1:
-                    re = [x // g for x in re]
-                    im = [y // g for y in im]
-                c, e = _zi_content(re, im) if any(im) else (1, 0)
-                if e or c != 1:
-                    n = c * c + e * e
-                    re, im = ([(x * c + y * e) // n for x, y in zip(re, im)],
-                              [(y * c - x * e) // n for x, y in zip(re, im)])
-                row[0] = re
-            row[1] = im if any(im) else None
+            re, im = row = rows[r]
+            if (re[pc] or (im is not None and im[pc])) and r != pr:
+                _update(row, pivot, start)
     return pivots
 
 
@@ -366,11 +400,52 @@ def rank_rows(row_vectors, ncols):
     return rank_zi_rows(_zi_rows(row_vectors), ncols)
 
 
+def _forward_rows(rows, ncols, kept, need=0):
+    """The row-by-row forward pass: each of ``rows`` (kernel rows, in the
+    order given) is reduced against ``kept``, the pivot rows so far (pivot
+    column -> _pivot), scanning its first ``ncols`` columns left to right:
+    a nonzero entry in a pivot column takes the update (_update) by that
+    pivot row, and the first nonzero entry in any other column makes the
+    row the pivot row of that column; a row left zero there is dropped.
+    Each kept row is zero left of its pivot, so the kept rows are in
+    echelon form and span the rows so far, and their pivot columns are
+    those of the column-by-column pass, which depend only on that span.
+    The pass stops once every column has a pivot, and once the pivots plus
+    the rows left fall below ``need``.  Returns kept.  The rows are
+    consumed."""
+    left = len(rows)
+    for row in rows:
+        if len(kept) == ncols or len(kept) + left < need:
+            break
+        left -= 1
+        re, im = row
+        for c in range(ncols):
+            if re[c] or (im is not None and im[c]):
+                pivot = kept.get(c)
+                if pivot is None:
+                    kept[c] = _pivot(row, c)
+                    break
+                _update(row, pivot, c)
+                re, im = row
+    return kept
+
+
 def rank_zi_rows(rows, ncols):
     """Rank of rows already in the kernel's form, pairs [re, im] of int
-    lists (im None while the row is real), eliminating on the first
-    ``ncols`` columns.  The rows are consumed."""
-    return len(_echelon(sorted(rows, key=_row_size), ncols))
+    lists (im None while the row is real), on their first ``ncols``
+    columns, from the row-by-row pass over the rows sorted by size
+    (_forward_rows).  The rows are consumed."""
+    return len(_forward_rows(sorted(rows, key=_row_size), ncols, {}))
+
+
+def full_rank_zi_rows(rows, ncols):
+    """Do rows in the kernel's form (see rank_zi_rows) have rank ``ncols``
+    on their first ``ncols`` columns?  The row-by-row pass answers True at
+    the ncols-th pivot and False as soon as the pivots plus the rows left
+    fall below ncols, eliminating no further row.  The rows are
+    consumed."""
+    return len(_forward_rows(sorted(rows, key=_row_size), ncols, {},
+                             ncols)) == ncols
 
 
 def nested_pivots_zi_rows(blocks, ncols):
@@ -378,16 +453,15 @@ def nested_pivots_zi_rows(blocks, ncols):
     after each block the pivot columns, in increasing order, of the forward
     pass over the rows of that block and every block before it.  The
     pivots left of column c are the rank of the first c columns, since the
-    pass clears them column by column from the left.  The pivot rows of
-    the pass so far span its rows, so only they are kept: each new block
-    goes in sorted by size after them, and _echelon takes them all again,
-    finding the kept rows already reduced.  The rows are consumed."""
-    kept = []
+    pivot columns are those of a pass that clears them column by column
+    from the left.  One row-by-row pass (_forward_rows) runs over the
+    blocks in turn, each sorted by size, and its pivot rows carry over
+    from block to block without being eliminated again.  The rows are
+    consumed."""
+    kept = {}
     for block in blocks:
-        rows = kept + sorted(block, key=_row_size)
-        pivots = _echelon(rows, ncols)
-        kept = rows[:len(pivots)]
-        yield pivots
+        _forward_rows(sorted(block, key=_row_size), ncols, kept)
+        yield sorted(kept)
 
 
 def last_rref_row(rows, ncols):

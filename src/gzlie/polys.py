@@ -15,16 +15,19 @@ m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
 their rank, taken over Z[i] with each polynomial converted once, to its
 primitive Gaussian-integer row (gzlie.matrices._zi_rows).
 
-Every common-root test of the package reads gcd_degree: the coincidence
-count, stratum_of_value and sample_chain_disjoint.  No package path reads
-gcd itself, nor gzlie.matrices.last_rref_row behind it; the bench tracer
-(perfbench/tracer.py) names gcd as its polys.gcd layer, and the tests pin
-it to the Euclidean algorithm.
+The coincidence count and stratum_of_value read gcd_degree;
+sample_g0 and sample_chain_disjoint ask only whether it is 0 (coprime),
+which holds exactly when the same rows have full column rank, and
+gzlie.matrices.full_rank_zi_rows answers that as soon as it is decided.
+No package path reads gcd itself, nor gzlie.matrices.last_rref_row
+behind it; the bench tracer (perfbench/tracer.py) names gcd as its
+polys.gcd layer, and the tests pin it to the Euclidean algorithm.
 """
 
 from __future__ import annotations
 
-from .matrices import last_rref_row, rank_zi_rows, _zi_rows
+from .matrices import (last_rref_row, rank_zi_rows, full_rank_zi_rows,
+                       _zi_rows)
 from .scalars import ZERO
 
 
@@ -53,12 +56,9 @@ def gcd(a, b):
     return normalize(last_rref_row(rows, width)[::-1])
 
 
-def gcd_degree(a, b):
-    """degree(gcd(a, b)), from the rank of the Sylvester rows of gcd over
-    Z[i] (see above)."""
-    a, b = normalize(list(a)), normalize(list(b))
-    if not (a and b):
-        return degree(a or b)
+def _sylvester_rows(a, b):
+    """(rows, width): the Sylvester rows of gcd over Z[i] (see above) of
+    nonzero normalized a and b, each polynomial converted once."""
     width = len(a) + len(b) - 1
     rows = []
     for (re, im), shifts in zip(_zi_rows([a, b]), (len(b), len(a))):
@@ -66,7 +66,26 @@ def gcd_degree(a, b):
             low, high = [0] * j, [0] * (width - len(re) - j)
             rows.append([low + re + high,
                          None if im is None else low + im + high])
+    return rows, width
+
+
+def gcd_degree(a, b):
+    """degree(gcd(a, b)), from the rank of the Sylvester rows of gcd over
+    Z[i] (see above)."""
+    a, b = normalize(list(a)), normalize(list(b))
+    if not (a and b):
+        return degree(a or b)
+    rows, width = _sylvester_rows(a, b)
     return width - rank_zi_rows(rows, width)
+
+
+def coprime(a, b):
+    """gcd_degree(a, b) == 0: the Sylvester rows have full column rank
+    (matrices.full_rank_zi_rows, which stops once that is decided)."""
+    a, b = normalize(list(a)), normalize(list(b))
+    if not (a and b):
+        return degree(a or b) == 0
+    return full_rank_zi_rows(*_sylvester_rows(a, b))
 
 
 def even_part(p, parity):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .scalars import rat
-from .matrices import Mat, rank, solve
+from .matrices import Mat, solve, full_rank_zi_rows, _zi_rows
 
 # rational() draws num / den, |num| <= NUM_BOUND, den = 1 or <= DEN_BOUND
 NUM_BOUND = 20
@@ -59,8 +59,10 @@ class Sampler:
         while True:
             a = ctx.from_coordinates([self.small_rational()
                                       for _ in range(ctx.dim)])
-            g = solve(ident + a, ident - a)
-            if g is not None and rank(ident - a) == ctx.n:
+            minus = ident - a
+            g = solve(ident + a, minus)
+            if g is not None and full_rank_zi_rows(_zi_rows(minus.a),
+                                                   ctx.n):
                 return g
 
     def subgroup_element(self, ctx):

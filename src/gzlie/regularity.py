@@ -14,8 +14,12 @@ normalizer (matrices._kernel_rows, which every Q(i) row also goes
 through), and in the coordinates of g: [y, x] lies in g, so each x gives
 one row per basis position of g (n(n-1)/2 rows on so(n), not n^2).  x is
 nsreg when z_k(x) = 0, the system of [y, x] = 0 over the basis of k
-having rank dim k.  Strong regularity is nsreg at every chain level (see
-is_sreg); chain_centralizers keeps its definition as the reference.
+having rank dim k: a yes/no question that matrices.full_rank_zi_rows
+answers row by row, True at the (dim k)-th pivot and False once the
+pivots plus the rows left fall below dim k, leaving the other rows
+uneliminated.  Strong regularity is nsreg at every chain level above the
+floor, each level decided the same way (see is_sreg); chain_centralizers
+keeps its definition as the reference.
 Readers of both ranks at every level (centralizer dimensions and the
 analysis report) write the top system once, in coordinates adapted to the
 whole chain (_chain_data), and eliminate it once, its rows going in one
@@ -53,9 +57,9 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
 
-from .matrices import (rank_zi_rows, nested_pivots_zi_rows,
-                       nullspace_zi_rows, char_poly_fl, zi_matrix,
-                       _kernel_rows, _qi)
+from .matrices import (rank_zi_rows, full_rank_zi_rows,
+                       nested_pivots_zi_rows, nullspace_zi_rows,
+                       char_poly_fl, zi_matrix, _kernel_rows, _qi)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
@@ -258,8 +262,8 @@ def is_nsreg(ctx, mat):
 
 def _nsreg(ctx, image):
     """is_nsreg of the x whose ZiMatrix is image."""
-    rows = _centralizer_system(ctx, [image], ctx.k_supports)
-    return rank_zi_rows(rows, ctx.k_dim()) == ctx.k_dim()
+    return full_rank_zi_rows(
+        _centralizer_system(ctx, [image], ctx.k_supports), ctx.k_dim())
 
 
 def _pfaffian_gradient(minors, m):

@@ -229,3 +229,55 @@ def test_no_unread_public_definitions_in_the_package():
                     [tracer.SPAN_LAYERS, tracer.COUNT_LAYERS])
     assert unread_public_definitions(_sources(PACKAGE), _sources(BENCH),
                                      api) == []
+
+
+# the one reader of numerators and denominators of Q(i) entries, and the
+# so(n) mirror test that compares reduced rationals by their parts
+FRACTION_READERS = {("matrices", "zi_matrix"), ("liealg", "_opposite")}
+
+
+def fraction_part_reads(sources):
+    """(module, function, attribute) for every read of ``.numerator`` or
+    ``.denominator`` in the module sources (module name -> source) outside
+    the functions of FRACTION_READERS; function is the innermost enclosing
+    function or class, None at module level."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = node.name
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("numerator", "denominator")
+              and (module, scope) not in FRACTION_READERS):
+            found.append((module, scope, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module, None)
+    return found
+
+
+def test_scan_flags_a_fraction_part_read():
+    sources = {
+        "matrices": ("def zi_matrix(rows):\n"
+                     "    return [z.re.numerator for z in rows]\n"
+                     "def _qi(x):\n    return x.denominator\n"),
+        "liealg": ("def _opposite(p, q):\n"
+                   "    return p.numerator == -q.numerator\n"
+                   "class Ctx:\n"
+                   "    def entry(self, z):\n"
+                   "        return z.numerator\n"),
+        "docio": "D = x.re.denominator\n"}
+    assert fraction_part_reads(sources) == [
+        ("docio", None, "denominator"), ("liealg", "entry", "numerator"),
+        ("matrices", "_qi", "denominator")]
+
+
+def test_only_zi_matrix_reads_fraction_parts():
+    """Q(i) entries enter the integer kernel through matrices.zi_matrix
+    alone; liealg._opposite compares the reduced parts of two rationals."""
+    assert fraction_part_reads(
+        {os.path.splitext(os.path.basename(path))[0]: source
+         for path, source in zip(PACKAGE, _sources(PACKAGE))}) == []

@@ -9,7 +9,7 @@ from gzlie import matrices
 from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim,
-                            last_rref_row, rank_zi_rows,
+                            last_rref_row, rank_zi_rows, full_rank_zi_rows,
                             nested_pivots_zi_rows, zi_matrix, _zi_rows, _qi)
 
 import qi_reference
@@ -389,6 +389,113 @@ def test_nested_pivots_match_one_pass_over_the_rows_so_far(cases):
         so_far += rows
         assert pivots == qi_reference.echelon([list(r) for r in so_far],
                                               n)[0]
+
+
+@st.composite
+def _full_rank_case(draw):
+    """(rows, ncols): real or Gaussian rows (Gaussian rationals for a fifth
+    of the new rows), with zero rows, repeated rows and Gaussian multiples
+    of earlier rows; the row count is ncols - 1, ncols or ncols + 1 in
+    three cases of four, so both answers of the full-rank question and
+    the stops at its boundary are drawn."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.sampled_from([n - 1, n, n + 1, draw(st.integers(0, 9))]))
+    real = draw(st.booleans())
+    cell = (st.builds(qi, st.integers(-9, 9)) if real else _GAUSS_SMALL)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["new"] * 6 + ["zero", "repeat",
+                                                   "multiple"]))
+        if kind == "zero":
+            row = [ZERO] * n
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "multiple" and rows:
+            c = draw(st.sampled_from(_GAUSS_FACTORS[1:]))
+            row = [c * v for v in draw(st.sampled_from(rows))]
+        else:
+            row = [draw(cell) for _ in range(n)]
+            if draw(st.integers(0, 4)) == 0:
+                row = [v * rat(1, draw(st.integers(2, 6))) for v in row]
+        rows.append(row)
+    return rows, n
+
+
+@given(_full_rank_case(), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_row_by_row_entries_match_qi_reference(case, cut):
+    # the full-rank entry, the rank and the nested pivots of the row-by-row
+    # pass against Gauss-Jordan on Q(i) scalars; the nested pass also with
+    # its rows cut into two blocks
+    rows, n = case
+    pivots, _ = qi_reference.echelon([list(r) for r in rows], n)
+    assert len(pivots) == qi_reference.rank(Mat(rows))
+    assert full_rank_zi_rows(_unreduced_rows(Mat(rows)), n) == (
+        len(pivots) == n)
+    assert rank_zi_rows(_unreduced_rows(Mat(rows)), n) == len(pivots)
+    assert next(nested_pivots_zi_rows([_unreduced_rows(Mat(rows))],
+                                      n)) == pivots
+    blocks = [rows[:cut], rows[cut:]]
+    assert list(nested_pivots_zi_rows(
+        [_unreduced_rows(Mat(block)) for block in blocks], n)) == [
+            qi_reference.echelon([list(r) for r in blocks[0]], n)[0], pivots]
+
+
+def _logged_pass(monkeypatch):
+    """A log of the row-by-row pass: ("pivot", column) for each new pivot
+    row and ("update", column) for each call of the one row update."""
+    log = []
+    pivot, update = matrices._pivot, matrices._update
+
+    def logged_pivot(row, pc):
+        log.append(("pivot", pc))
+        return pivot(row, pc)
+
+    def logged_update(row, piv, start):
+        log.append(("update", piv[0]))
+        return update(row, piv, start)
+
+    monkeypatch.setattr(matrices, "_pivot", logged_pivot)
+    monkeypatch.setattr(matrices, "_update", logged_update)
+    return log
+
+
+def test_row_by_row_pass_stops_once_decided(monkeypatch):
+    # unit rows are the smallest, so they go first and decide full rank;
+    # no row update follows the ncols-th pivot and the dense rows stay as
+    # they were, in the rank entries and in later blocks of the nested one
+    log = _logged_pass(monkeypatch)
+    n = 4
+    units = [[[int(i == j) for j in range(n)], None] for i in range(n)]
+    dense = [[[7, -5, 3, 2], [1, 0, 2, 1]], [[9, 8, -7, 6], None]]
+
+    def rows():
+        return [[list(re), im and list(im)] for re, im in units + dense]
+
+    def after_last_pivot():
+        k = max(i for i, (what, _) in enumerate(log) if what == "pivot")
+        return log[k + 1:]
+
+    for entry, want in ((full_rank_zi_rows, True), (rank_zi_rows, n)):
+        log.clear()
+        given_rows = rows()
+        assert entry(given_rows, n) == want
+        assert sum(what == "pivot" for what, _ in log) == n
+        assert not after_last_pivot()
+        assert given_rows[n:] == rows()[n:]
+    log.clear()
+    given_rows = rows()
+    assert list(nested_pivots_zi_rows([given_rows[:n], given_rows[n:]],
+                                      n)) == [[0, 1, 2, 3]] * 2
+    assert not after_last_pivot() and given_rows[n:] == rows()[n:]
+    # a full-rank question answers False, untouched rows left, once the
+    # pivots plus the rows left fall below ncols: e_1 is the pivot, 2 e_1
+    # goes to zero (the one update), and 1 + 1 < 3 stops the pass
+    log.clear()
+    given_rows = [[[1, 0, 0], None], [[2, 0, 0], None], [[5, 7, 9], None]]
+    assert not full_rank_zi_rows(given_rows, 3)
+    assert log == [("pivot", 0), ("update", 0)]
+    assert given_rows[2] == [[5, 7, 9], None]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -105,6 +105,7 @@ def test_gcd_degree_matches_gcd_with_planted_roots(shared, left, right,
     b = from_roots(shared + right + extra[:1])
     for u, v in ((a, b), (b, a), (a, a), (a, []), ([], b), ([], [])):
         assert polys.gcd_degree(u, v) == polys.degree(polys.gcd(u, v))
+        assert polys.coprime(u, v) == (polys.degree(polys.gcd(u, v)) == 0)
     assert polys.gcd_degree(a, b) >= len(shared) + len(extra[:1])
 
 

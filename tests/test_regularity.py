@@ -543,6 +543,37 @@ def test_integer_centralizer_rows_match_qi_writer_at_zero_and_so3_witness():
             *parse_matrix_doc(json.load(fh)))
 
 
+def _nsreg_by_qi_reference(lvl, xm):
+    # z_k(x_m) = 0: the Q(i) system of [y, x_m] = 0 over k has rank dim k
+    # under Gauss-Jordan on Q(i) scalars
+    pivots, _ = echelon(centralizer_system_qi(lvl, [xm], lvl.k_supports),
+                        lvl.k_dim())
+    return len(pivots) == lvl.k_dim()
+
+
+@pytest.mark.parametrize("family", range(7))
+@given(st.sampled_from([("gl", n) for n in range(2, 8)]
+                       + [("so", n) for n in range(3, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_nsreg_and_sreg_match_the_qi_reference(family, algebra, seed,
+                                               gaussian):
+    # the full-rank answers of is_nsreg and is_sreg (every level above the
+    # floor) against the Q(i) centralizer reference, on every sampler
+    # family: the six of the mixed stream and chain-disjoint draws, up to
+    # GAUSSIAN_DIM optionally plus i times a generic element
+    ctx = _algebra(*algebra)
+    s = Sampler(seed)
+    x = (_mixed_sample(ctx, s, family) if family < 6
+         else sample_chain_disjoint(ctx, s))
+    if gaussian and ctx.dim <= GAUSSIAN_DIM:
+        x = x + s.algebra_element(ctx).scale(QI(0, 1))
+    assert is_nsreg(ctx, x) == _nsreg_by_qi_reference(ctx, x)
+    assert is_sreg(ctx, x) == all(_nsreg_by_qi_reference(lvl, xm)
+                                  for lvl, xm in ctx.chain(x)
+                                  if lvl.child is not None)
+
+
 def _assert_nested_ranks_match_per_level(ctx, x):
     assert (chain_centralizer_ranks(ctx, x)
             == chain_centralizer_ranks_per_level(ctx, x)), ctx.describe()
