@@ -19,7 +19,8 @@ from .matrices import Mat, rank_zi_rows, zi_matrix
 from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, _level_data, level_values,
                          coincidence_of)
-from .regularity import _chain_ranks, _level_gradient_rows
+from .regularity import (_chain_ranks, _level_gradient_rows,
+                         _coefficient_gradients)
 
 
 class DocumentError(ValueError):
@@ -137,7 +138,9 @@ def analysis_report(ctx, mat):
     give their level data (invariants._level_data), whose coefficients and
     pf(S x_m) give the values and the coincidence count, as in partial_kw
     and coincidence_count, and whose auxiliary matrices and sub-Pfaffian
-    memo give the Jacobian rows (kostant_jacobian_rank).
+    memo give the coefficient gradient rows of partial_map_jacobian
+    (regularity._coefficient_gradients), whose rank is that of
+    kostant_jacobian_rank's power gradient rows.
     Raises DocumentError, before any of that, when a value of the report
     could exceed the integer-to-string limit (_check_printable)."""
     image = zi_matrix(mat.a)
@@ -150,8 +153,8 @@ def analysis_report(ctx, mat):
     top, below = islice(ctx.walk(image), 2)
     for lvl, img in (below, top):
         b, aux, minors, pf = _level_data(lvl, img)
-        rows += [row for row, _ in
-                 _level_gradient_rows(ctx, lvl, aux, minors)]
+        rows += [row for row, _ in _level_gradient_rows(
+            ctx, lvl, _coefficient_gradients(lvl, aux, minors))]
         values += level_values(lvl, b, pf)
         coeffs.append(b)
     jrank = rank_zi_rows(rows, ctx.dim)

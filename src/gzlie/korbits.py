@@ -23,6 +23,7 @@ from .matrices import Mat, inverse, row_space_contains, zi_matrix
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
                      adjoint, monomial_pairs)
 from .invariants import reduced_char
+from .rand import MAX_TRIES
 from . import polys
 
 REAL = "real"
@@ -30,9 +31,6 @@ COMPACT = "compact-imaginary"
 NONCOMPACT = "noncompact-imaginary"
 COMPLEX_STABLE = "complex-stable"
 COMPLEX_UNSTABLE = "complex-unstable"
-
-# draws sample_g0 and sample_chain_disjoint make before they give up
-MAX_TRIES = 200
 
 
 # base: the closed orbit the word starts from; word: simple-root indices

@@ -53,15 +53,10 @@ last_rref_row keeps the column-by-column pass.
 det is (-1)^n times the last Faddeev-LeVerrier coefficient (below), not an
 elimination; the package decides invertibility by rank.
 
-char_poly_fl runs Faddeev-LeVerrier on X = d*A, d the least common
-denominator of A, over Z[i], where its division by k is exact, and rescales
-the coefficients by d^k; it takes A as a Mat or as its ZiMatrix, the form
-in which a chain level arrives from gzlie.liealg.AlgebraContext.walk.  An
-n x n run takes n - 2 matrix products: X M_1 is X, and at k = n only the
-trace of X M_n is read.  Its auxiliary matrices stay the recurrence's
-integers M_k(X) (AuxMatrices): the Jacobian rows of gzlie.regularity read
-them with d and never leave Z[i]; the Q(i) matrices are
-M_k(A) = M_k(X)/d^(k-1).
+char_poly_fl runs Faddeev-LeVerrier over Z[i] on X = d*A, d the least
+common denominator of A, in n - 2 products of ``_zi_matmul``, the one
+Gaussian-integer product (the power gradient rows of gzlie.regularity take
+it too), and keeps its auxiliary matrices M_k(X) over Z[i].
 ``zi_sub_pfaffians`` is the one Pfaffian expansion: a memo of the
 sub-Pfaffians of an antisymmetric Gaussian-integer matrix, which the
 generator values, the Jacobian rows and the analysis report read, and
@@ -76,7 +71,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, lcm
-from operator import mul as _mul
+from operator import add as _add, mul as _mul, sub as _sub
 
 from .scalars import QI, ZERO, ONE, _mpq
 
@@ -552,6 +547,21 @@ def _imatmul(a, b):
     return [[sum(map(_mul, row, col)) for col in cols] for row in a]
 
 
+def _zi_matmul(a, b):
+    """The product of Gaussian-integer matrices held as pairs (re, im) of
+    int rows, im None when real: one _imatmul per pair of parts."""
+    (ar, ai), (br, bi) = a, b
+    re = _imatmul(ar, br)
+    if bi is None:
+        return re, None if ai is None else _imatmul(ai, br)
+    im = _imatmul(ar, bi)
+    if ai is not None:
+        for r, s, t, u in zip(re, _imatmul(ai, bi), im, _imatmul(ai, br)):
+            r[:] = map(_sub, r, s)
+            t[:] = map(_add, t, u)
+    return re, im
+
+
 def _itrace(a, b):
     """tr(a b) of square int matrices, without forming the product."""
     return sum(sum(map(_mul, row, col)) for row, col in zip(a, zip(*b)))
@@ -574,13 +584,11 @@ def char_poly_fl(mat):
     on the Gaussian-integer matrix X = d*A, d the least common denominator
     of the entries; there the division by k is exact.  Then
     b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  It forms n - 2
-    products (four real ones each for a Gaussian X): X M_1 is a copy of X,
-    and at k = n, where only b_n is read, tr(X M_n) is the sum of
-    X_ij (M_n)_ji (_itrace) and X M_n is not formed.  aux is an
-    AuxMatrices (d, ints): the recurrence's own integers, which the
-    Jacobian rows of gzlie.regularity read without leaving Z[i].
-    ``mat`` is a Mat, or already the ZiMatrix of A over that d (a chain
-    level's image, see AlgebraContext.walk).
+    products (_zi_matmul): X M_1 is a copy of X, and at k = n, where only
+    b_n is read, tr(X M_n) is the sum of X_ij (M_n)_ji (_itrace) and X M_n
+    is not formed.  aux is an AuxMatrices (d, ints).  ``mat`` is a Mat, or
+    already the ZiMatrix of A over that d (a chain level's image, see
+    AlgebraContext.walk).
     """
     xre, xim, d = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
     n = len(xre)
@@ -605,17 +613,9 @@ def char_poly_fl(mat):
             coeffs.append(_qi(-tr_re // k, -tr_im // k, dk))
             break
         if k == 1:                       # X M_1 = X
-            are = [list(r) for r in xre]
-            aim = [list(r) for r in xim] if xim is not None else None
-        elif xim is None:
-            are, aim = _imatmul(xre, mre), None
+            are, aim = list(map(list, xre)), xim and list(map(list, xim))
         else:
-            are, aim = _imatmul(xre, mre), _imatmul(xim, mre)
-            if mim is not None:
-                are = [[x - y for x, y in zip(r, s)]
-                       for r, s in zip(are, _imatmul(xim, mim))]
-                aim = [[x + y for x, y in zip(r, s)]
-                       for r, s in zip(aim, _imatmul(xre, mim))]
+            are, aim = _zi_matmul((xre, xim), (mre, mim))
         br = -sum(are[i][i] for i in range(n)) // k
         bi = -sum(aim[i][i] for i in range(n)) // k if aim else 0
         coeffs.append(_qi(br, bi, dk))

@@ -14,6 +14,9 @@ from .matrices import Mat, solve, full_rank_zi_rows, _zi_rows
 # rational() draws num / den, |num| <= NUM_BOUND, den = 1 or <= DEN_BOUND
 NUM_BOUND = 20
 DEN_BOUND = 10
+# draws a sampler that refuses some (group_element, korbits.sample_g0 and
+# sample_chain_disjoint) makes before it gives up
+MAX_TRIES = 200
 
 
 class Sampler:
@@ -54,9 +57,10 @@ class Sampler:
         """Rational point of the isometry group of ctx (so) or an invertible
         matrix (gl), via the Cayley transform (I + a)^-1 (I - a).  As
         I - a = 2I - (I + a), (I + a) X = I - a is solvable iff I + a is
-        invertible; X is invertible iff I - a has full rank."""
+        invertible; X is invertible iff I - a has full rank.  Raises
+        RuntimeError after MAX_TRIES refused draws."""
         ident = Mat.identity(ctx.n)
-        while True:
+        for _ in range(MAX_TRIES):
             a = ctx.from_coordinates([self.small_rational()
                                       for _ in range(ctx.dim)])
             minus = ident - a
@@ -64,6 +68,7 @@ class Sampler:
             if g is not None and full_rank_zi_rows(_zi_rows(minus.a),
                                                    ctx.n):
                 return g
+        raise RuntimeError("could not sample an invertible Cayley transform")
 
     def subgroup_element(self, ctx):
         """Rational point of K inside the group of ctx, lifted from one

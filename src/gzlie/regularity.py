@@ -27,28 +27,40 @@ level at a time from the floor up: after level m the pivots left
 of dim g_m and of dim g_(m-1) are the two ranks of that level (see
 chain_centralizer_ranks).
 
-Differentials of characteristic coefficients are read off the auxiliary
-matrices of the Faddeev-LeVerrier recurrence (the adjugate expansion), which
-gives every gradient row from a single recurrence per chain level; the
-Pfaffian row reads the Pfaffians of the cofactors of S*X, all from one memo
-of sub-Pfaffians on the integers X = d*x_m.  _level_gradient_rows takes
-that data, so a caller that also reads the coefficients and pf(S*x) off
-the same run and memo (docio.analysis_report) computes them once; the
-public Jacobians compute their own.
+Kostant's criterion (Amer. J. Math. 85, 1963) asks whether the generators
+of the invariants are linearly independent at x, and any generating set
+gives the same answer.  The two rank readers (kostant_jacobian_rank and
+full_map_jacobian_rank) therefore read the power sums p_j = tr(x^j),
+whose gradient pairs V with j x^(j-1), and run no Faddeev-LeVerrier
+recurrence (_power_gradients).  Newton's identities make each coefficient
+b_j of det(t*I - x) equal to -p_j / j plus a polynomial in p_1..p_(j-1),
+so the change from the coefficient generators to the power sums is
+triangular with a constant nonzero diagonal, and at every x both sets of
+gradients span the same space.  On so(m) the odd p_j and b_j vanish
+identically, and so do their gradients along so(m): the odd powers
+x, x^3, ... stand for the coefficients, each one product from the last
+through x^2, and on even so the Pfaffian row stays as it is.
+partial_map_jacobian and docio.analysis_report keep the exact coefficient
+gradients (_coefficient_gradients), read off the auxiliary matrices of
+the Faddeev-LeVerrier recurrence (the adjugate expansion), one recurrence
+per chain level; the report already runs it for its values.  The
+Pfaffian row reads the Pfaffians of the cofactors of S*X, all from one
+memo of sub-Pfaffians on the integers X = d*x_m.
 
-The rows stay over Z[i] from the recurrence to the rank, since a row
-scaled by a nonzero constant spans the same line: a coefficient row is the
-pairing of the recurrence's integer M_j(X), X = d*x_m, with the basis
-supports of g_m (tr(G b) is the sum of c * G[j][i] over the support
-(i, j, c) of b), and the Pfaffian row is the memo's cofactors of S*X.
-Each row is lifted to the basis of g through AlgebraContext.down_coords
-of every level above (tr(G down(b_k)) is a weighted sum of the pairings
-with the child's basis), so no basis matrix is projected and no gradient
-embedded.  Every row carries its scale (sign * d^(j-1) * s^e for e steps
-through even so, where s = 2; d^((m-2)/2), the degree of the cofactors,
-for the Pfaffian row): the Jacobian ranks eliminate the integer rows
-directly (matrices.rank_zi_rows), and partial_map_jacobian divides by the
-scales.
+_level_gradient_rows is the one pairing and lifting step for both
+sources, and the rows stay over Z[i] from the gradient matrices to the
+rank, since a row scaled by a nonzero constant spans the same line: a row
+is the pairing of an integer matrix G (M_j(X), X^(j-1) or the cofactors
+of S*X) with the basis supports of g_m (tr(G b) is the sum of
+c * G[j][i] over the support (i, j, c) of b).  Each row is lifted to the
+basis of g through AlgebraContext.down_coords of every level above
+(tr(G down(b_k)) is a weighted sum of the pairings with the child's
+basis), so no basis matrix is projected and no gradient embedded.  Every
+row carries its scale: d^(j-1), times -sign on a coefficient row, or
+d^((m-2)/2), the degree of the cofactors, on the Pfaffian row, then times
+s^e for e steps through even so, where s = 2.  The Jacobian ranks
+eliminate the integer rows directly (matrices.rank_zi_rows), and
+partial_map_jacobian divides by the scales.
 """
 
 from __future__ import annotations
@@ -59,7 +71,8 @@ from math import gcd
 
 from .matrices import (rank_zi_rows, full_rank_zi_rows,
                        nested_pivots_zi_rows, nullspace_zi_rows,
-                       char_poly_fl, zi_matrix, _kernel_rows, _qi)
+                       char_poly_fl, zi_matrix, _kernel_rows, _qi,
+                       _zi_matmul)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
@@ -313,28 +326,19 @@ def _lift(vals, down_coords):
     return out
 
 
-def _level_gradient_rows(ctx, lvl, aux, minors):
-    """Gradient rows (one per generator of the chain level lvl, at the
-    projection x_m of x there) against the basis of g, as pairs
+def _level_gradient_rows(ctx, lvl, grads):
+    """Gradient rows of the chain level lvl against the basis of g, as pairs
     ([re, im], scale): re + i*im is a Gaussian-integer row (im None when
     real) and the gradient is that row divided by the nonzero int scale.
-    aux are the auxiliary matrices of matrices.char_poly_fl on the level's
-    ZiMatrix, read as the recurrence's integers: d b_j = -tr(M_j(X) V) /
-    d^(j-1) with X = d x_m.  minors is invariants.pfaffian_minors of the
-    same image, which the Pfaffian row fills with every cofactor of S X;
-    a cofactor has degree (m-2)/2, so that row's scale is d^((m-2)/2).
+    grads are the level's gradient matrices as pairs ((re, im), scale),
+    G = re + i*im with the gradient tr(G V) / scale at x_m, from one of two
+    sources: _coefficient_gradients or _power_gradients.
 
     Each gradient matrix is paired with the basis of g_m through its
     supports, then lifted level by level through down_coords: projection
     is v -> PD v TD, so the pairing of G with down(b_k) is the sum of the
     weights of down(b_k) times the pairings with the child's basis, and
     each level above multiplies the scale by its down_scale."""
-    spec = generator_spec(lvl)
-    grads = [(aux.ints[j - 1], -sign * aux.d ** (j - 1))
-             for j, sign in spec.coeffs]
-    if spec.pfaffian:
-        grads.append((_pfaffian_gradient(minors, lvl.n),
-                      aux.d ** ((lvl.n - 2) // 2)))
     supports = lvl.basis_supports
     rows = []
     for (re, im), scale in grads:
@@ -350,18 +354,68 @@ def _level_gradient_rows(ctx, lvl, aux, minors):
     return rows
 
 
-def _gradient_rows_at(ctx, lvl, image):
-    """_level_gradient_rows with its data computed from the ZiMatrix of
+def _pfaffian_pair(lvl, minors, d):
+    """[(G, d^((m-2)/2))] for the Pfaffian generator pf(S x_m) of lvl from
+    minors (invariants.pfaffian_minors of X = d x_m), [] without one: a
+    cofactor has degree (m-2)/2."""
+    if minors is None:
+        return []
+    return [(_pfaffian_gradient(minors, lvl.n), d ** ((lvl.n - 2) // 2))]
+
+
+def _coefficient_gradients(lvl, aux, minors):
+    """The gradient matrices of the generators of lvl (generator_spec) for
+    _level_gradient_rows, read off the auxiliary matrices of
+    matrices.char_poly_fl on the level's ZiMatrix, the recurrence's
+    integers: d b_j = -tr(M_j(X) V) / d^(j-1) with X = d*x_m; minors is
+    invariants.pfaffian_minors of the same image, for the Pfaffian row."""
+    return ([(aux.ints[j - 1], -sign * aux.d ** (j - 1))
+             for j, sign in generator_spec(lvl).coeffs]
+            + _pfaffian_pair(lvl, minors, aux.d))
+
+
+def _coefficient_gradients_at(lvl, image):
+    """_coefficient_gradients with its data computed from the ZiMatrix of
     x_m."""
     _, aux = char_poly_fl(image)
-    return _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, image))
+    return _coefficient_gradients(lvl, aux, pfaffian_minors(lvl, image))
 
 
-def _partial_rows(ctx, mat):
-    """The gradient rows of levels n-1 and n, with their scales."""
+def _power_gradients(lvl, image):
+    """Gradient matrices for _level_gradient_rows that span, at x_m, the
+    same space as _coefficient_gradients (see the module docstring), from
+    the ZiMatrix (re, im, d) of x_m, with no Faddeev-LeVerrier run: for
+    each (j, sign) of generator_spec(lvl).coeffs the power X^(j-1) of
+    X = d*x_m over d^(j-1), the gradient of p_j / j, then the Pfaffian row.
+    The powers are I, X, X^2, ..., X^(m-1) on gl and X, X^3, ... on so
+    (spec.even); each but I and X is one product (matrices._zi_matmul) of
+    the last, by X on gl and by Y = X^2, made once, on so."""
+    spec = generator_spec(lvl)
+    re, im, d = image
+    x = (re, im)
+    grads, step = [], None
+    for j, _ in spec.coeffs:
+        if j == 1:
+            power = ([[int(i == k) for k in range(lvl.n)]
+                      for i in range(lvl.n)], None)
+        elif j == 2:
+            power = x
+        else:
+            if step is None:
+                step = _zi_matmul(x, x) if spec.even else x
+            power = _zi_matmul(step, power)
+        grads.append((power, d ** (j - 1)))
+    return grads + _pfaffian_pair(lvl, pfaffian_minors(lvl, image), d)
+
+
+def _partial_rows(ctx, mat, gradients):
+    """The gradient rows of levels n-1 and n, with their scales, each
+    level's gradient matrices read by gradients(lvl, image) off its
+    ZiMatrix."""
     image = zi_matrix(mat.a)
-    return (_gradient_rows_at(ctx, ctx.child, ctx.down_zi(image))
-            + _gradient_rows_at(ctx, ctx, image))
+    return [row for lvl, img in ((ctx.child, ctx.down_zi(image)),
+                                 (ctx, image))
+            for row in _level_gradient_rows(ctx, lvl, gradients(lvl, img))]
 
 
 def partial_map_jacobian(ctx, mat):
@@ -370,17 +424,22 @@ def partial_map_jacobian(ctx, mat):
     g; each is its Gaussian-integer row divided by its scale."""
     return [[_qi(x, 0, scale) for x in re] if im is None else
             [_qi(x, y, scale) for x, y in zip(re, im)]
-            for (re, im), scale in _partial_rows(ctx, mat)]
+            for (re, im), scale in _partial_rows(ctx, mat,
+                                                 _coefficient_gradients_at)]
 
 
 def kostant_jacobian_rank(ctx, mat):
-    return rank_zi_rows([row for row, _ in _partial_rows(ctx, mat)],
-                        ctx.dim)
+    """Rank of partial_map_jacobian, from the power gradient rows."""
+    return rank_zi_rows([row for row, _ in
+                         _partial_rows(ctx, mat, _power_gradients)], ctx.dim)
 
 
 def full_map_jacobian_rank(ctx, mat):
+    """Rank of the Jacobian of the generators of every chain level, from
+    the power gradient rows."""
     return rank_zi_rows([row for lvl, image in ctx.walk(zi_matrix(mat.a))
-                         for row, _ in _gradient_rows_at(ctx, lvl, image)],
+                         for row, _ in _level_gradient_rows(
+                             ctx, lvl, _power_gradients(lvl, image))],
                         ctx.dim)
 
 

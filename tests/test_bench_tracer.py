@@ -68,10 +68,10 @@ def test_traced_jacobian_and_analysis_paths_run():
             korbits.sample_g0(ctx, s)
             korbits.sample_chain_disjoint(ctx, s)
             # one Faddeev-LeVerrier run per level of the partial map (the
-            # Jacobian, the report, partial_kw, coincidence_count and
-            # sample_g0) and per level of the chain (the full-map Jacobian,
-            # full_kw and sample_chain_disjoint)
-            runs += 5 * 2 + 3 * len(ctx.levels)
+            # report, partial_kw, coincidence_count and sample_g0) and per
+            # level of the chain (full_kw and sample_chain_disjoint); the
+            # two Jacobian ranks read power sums and run none
+            runs += 4 * 2 + 2 * len(ctx.levels)
     finally:
         tracer.uninstall()
     assert tracer.calls["matrices.char_poly"] == runs

@@ -1,7 +1,7 @@
 import pytest
 
 from gzlie.scalars import ZERO
-from gzlie import korbits
+from gzlie import korbits, rand
 from gzlie.matrices import Mat, bracket, inverse, row_space_contains
 from gzlie.liealg import make_algebra, Root, adjoint, MAX_N
 from gzlie.invariants import partial_kw, coincidence_count
@@ -229,6 +229,20 @@ def test_sample_chain_disjoint_refuses_a_draw_at_its_first_common_root(
     assert sample_chain_disjoint(ctx, s) is good
     # zero has a common root at the top pair: levels 7 and 6 only
     assert walked == [7, 6] + [lvl.n for lvl in ctx.levels]
+
+
+def test_group_element_gives_up_after_max_tries(monkeypatch):
+    # a kernel that never answers full rank raises instead of hanging
+    calls = []
+
+    def never(rows, ncols):
+        calls.append(ncols)
+        return False
+    monkeypatch.setattr(rand, "full_rank_zi_rows", never)
+    with pytest.raises(RuntimeError, match="invertible Cayley transform"):
+        Sampler(1).group_element(make_algebra("so", 5))
+    # one question per draw whose I + a is invertible
+    assert 0 < len(calls) <= rand.MAX_TRIES
 
 
 def test_overlap_vector_obstructs_nsreg():

@@ -19,8 +19,10 @@ from gzlie.regularity import (joint_centralizer,
                               chain_centralizers, is_sreg,
                               chain_centralizer_ranks,
                               _level_gradient_rows, _pfaffian_gradient,
+                              _coefficient_gradients_at,
                               _centralizer_system, _chain_data)
-from gzlie.korbits import sample_chain_disjoint
+from gzlie.korbits import (sample_chain_disjoint, nilfibre_components,
+                           sample_nilfibre)
 from gzlie.docio import parse_matrix_doc
 from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
@@ -213,14 +215,11 @@ def _divided(row, scale):
 
 
 def _gradient_rows(ctx, lvl, xm):
-    # the level's Faddeev-LeVerrier aux matrices and sub-Pfaffian memo,
-    # computed here from the level's Gaussian-integer image as the public
-    # Jacobians compute them; each row over Q(i), its Gaussian integers
-    # divided by its scale
-    image = zi_matrix(xm.a)
-    _, aux = char_poly_fl(image)
-    return [_divided(row, scale) for row, scale in
-            _level_gradient_rows(ctx, lvl, aux, pfaffian_minors(lvl, image))]
+    # the level's coefficient gradient rows, from its Faddeev-LeVerrier aux
+    # matrices and sub-Pfaffian memo as partial_map_jacobian computes them;
+    # each row over Q(i), its Gaussian integers divided by its scale
+    return [_divided(row, scale) for row, scale in _level_gradient_rows(
+        ctx, lvl, _coefficient_gradients_at(lvl, zi_matrix(xm.a)))]
 
 
 def _assert_gradients_match_jets(ctx, x):
@@ -572,6 +571,52 @@ def test_nsreg_and_sreg_match_the_qi_reference(family, algebra, seed,
     assert is_sreg(ctx, x) == all(_nsreg_by_qi_reference(lvl, xm)
                                   for lvl, xm in ctx.chain(x)
                                   if lvl.child is not None)
+
+
+def _assert_power_ranks_match_coefficient_rows(ctx, x):
+    # the two rank readers, on power-sum gradient rows, against the rank of
+    # the coefficient gradient rows: those of partial_map_jacobian, and
+    # those of every chain level
+    assert (kostant_jacobian_rank(ctx, x)
+            == rank_rows(partial_map_jacobian(ctx, x), ctx.dim)), ctx.n
+    assert full_map_jacobian_rank(ctx, x) == rank_zi_rows(
+        [row for lvl, image in ctx.walk(zi_matrix(x.a))
+         for row, _ in _level_gradient_rows(
+             ctx, lvl, _coefficient_gradients_at(lvl, image))],
+        ctx.dim), ctx.n
+
+
+@pytest.mark.parametrize("family", range(7))
+@given(st.sampled_from([("gl", n) for n in range(2, 9)]
+                       + [("so", n) for n in range(3, 13)]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_power_sum_ranks_match_coefficient_rows(family, algebra, seed,
+                                                gaussian):
+    # every sampler family, as in test_nsreg_and_sreg_match_the_qi_reference,
+    # up to GAUSSIAN_DIM optionally plus i times a generic element
+    ctx = _algebra(*algebra)
+    s = Sampler(seed)
+    x = (_mixed_sample(ctx, s, family) if family < 6
+         else sample_chain_disjoint(ctx, s))
+    if gaussian and ctx.dim <= GAUSSIAN_DIM:
+        x = x + s.algebra_element(ctx).scale(QI(0, 1))
+    _assert_power_ranks_match_coefficient_rows(ctx, x)
+
+
+@pytest.mark.parametrize("kind,n", [("gl", n) for n in range(2, 9)]
+                         + [("so", n) for n in range(3, 13)])
+def test_power_sum_ranks_match_coefficient_rows_at_zero_and_nilfibre(kind,
+                                                                     n):
+    # zero, and a draw from each nilfibre component on so (strictly upper
+    # triangular on gl): points where the Jacobians lose rank
+    ctx = _algebra(kind, n)
+    s = Sampler(n)
+    _assert_power_ranks_match_coefficient_rows(ctx, Mat.zeros(n))
+    for c in range(len(nilfibre_components(ctx)) if kind == "so" else 1):
+        _assert_power_ranks_match_coefficient_rows(
+            ctx, _mixed_sample(ctx, s, 2) if kind == "gl"
+            else sample_nilfibre(ctx, s, c))
 
 
 def _assert_nested_ranks_match_per_level(ctx, x):
