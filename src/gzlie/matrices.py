@@ -18,37 +18,29 @@ row with entry f under pivot p becomes p*row - f*prow (p and f first
 divided by their common integer factor); when it was scaled, its integer
 parts are then divided by their gcd, the row content, and a row with an
 imaginary part also by the gcd in Z[i] of its entries.  That keeps
-entries small without the fractions of Gauss-Jordan elimination.  Two
-forward passes apply it, and both return only their pivot columns.
+entries small without the fractions of Gauss-Jordan elimination.
+
+One forward pass applies it, the row-by-row (left-looking)
+``_forward_rows``, over the rows sorted by size (``_row_size``, the sum of
+the absolute values of the integer parts), smallest first, so that small
+rows become the pivots and more updates find a pivot that divides their
+entry and take the unscaled path: each row is reduced against the pivot
+rows kept so far and kept if it leaves a nonzero entry in the first
+``ncols`` columns.  The pass stops once all ``ncols`` columns have
+pivots, and full_rank_zi_rows answers False once the pivots plus the rows
+left fall below ncols.  Its pivot columns, and the reduced row echelon
+form, depend only on the row space, not on the order of elimination
+(Dumas, Pernet and Sultan, J. Symbolic Comput. 83, 2017).
 
 rank, rank_rows, rank_zi_rows, full_rank_zi_rows and nested_pivots_zi_rows
-return only the rank, whether it is full, or the pivot columns, which
-depend only on the row space, not on the order of elimination (Dumas,
-Pernet and Sultan, J. Symbolic Comput. 83, 2017).  They take the
-row-by-row (left-looking) pass, ``_forward_rows``, over their rows sorted
-by size (``_row_size``, the sum of the absolute values of the integer
-parts), smallest first, so that small rows become the pivots and more
-updates find a pivot that divides their entry and take the unscaled path:
-each row is reduced against the pivot rows kept so far and kept if it
-leaves a nonzero entry in the first ``ncols`` columns.  The pass stops
-once all ``ncols`` columns have pivots, and full_rank_zi_rows answers
-False once the pivots plus the rows left fall below ncols.
-nested_pivots_zi_rows carries its kept rows from block to block without
-eliminating them again; row_space_contains and intersection_dim read it: a
-vector is in a span when it adds no pivot after the span's rows.
-
-nullspace, solve, inverse and last_rref_row take the column-by-column
-pass, ``_echelon``, over the rows in the order given, with a fixed
-pivoting rule: the first nonzero entry, scanning columns left to right and
-rows top to bottom.  nullspace, solve and inverse read the reduced row
-echelon form, dividing by each pivot once at the end; that form is unique,
-so their results do not depend on the order of elimination, nor on the
-scaling or order of the rows.  The gcd reads only its last nonzero row
-(``last_rref_row``): the last pivot row of the forward pass divided by its
-pivot, since that row is zero left of its pivot and no later pivot would
-clear it.  On augmented rows whose rank exceeds that of their first
-``ncols`` columns that row depends on the order of elimination, so
-last_rref_row keeps the column-by-column pass.
+read the pivot columns.  nested_pivots_zi_rows carries its kept rows from
+block to block without eliminating them again; row_space_contains and
+intersection_dim read it: a vector is in a span when it adds no pivot
+after the span's rows.  nullspace, solve and inverse read the reduced row
+echelon form (``_reduced_rows``): the pass, then one back-substitution
+from the last pivot up, dividing by each pivot once at the end.  The gcd
+reads only its last nonzero row (``last_rref_row``), which needs no
+back-substitution.
 
 det is (-1)^n times the last Faddeev-LeVerrier coefficient (below), not an
 elimination; the package decides invertibility by rank.
@@ -341,43 +333,6 @@ def _update(row, pivot, start):
     row[1] = im if any(im) else None
 
 
-def _echelon(rows, ncols, reduced=False):
-    """Fraction-free elimination of Gaussian-integer rows (see _zi_rows) in
-    place, column by column; returns the pivot columns.
-
-    The pivot is the first nonzero entry, scanning the first ``ncols``
-    columns left to right and rows top to bottom.  Every row with a nonzero
-    entry in the pivot column takes the one update (_update) by the pivot
-    row; rows with a zero there are not touched, and each row stays a
-    nonzero multiple of the row that elimination over Q(i) would give, so
-    the pivots are the same.  The forward pass clears below each pivot;
-    with ``reduced`` it clears above as well, and row k divided by its
-    pivot is row k of the reduced row echelon form.  Row operations run
-    across the whole row, so an augmented block comes along.
-    """
-    pivots = []
-    nrows = len(rows)
-    for pc in range(ncols):
-        pr = len(pivots)
-        if pr == nrows:
-            break
-        for r in range(pr, nrows):
-            re, im = rows[r]
-            if re[pc] or (im is not None and im[pc]):
-                break
-        else:
-            continue
-        rows[pr], rows[r] = rows[r], rows[pr]
-        pivots.append(pc)
-        pivot = _pivot(rows[pr], pc)
-        start = 0 if reduced else pc
-        for r in range(0 if reduced else pr + 1, nrows):
-            re, im = row = rows[r]
-            if (re[pc] or (im is not None and im[pc])) and r != pr:
-                _update(row, pivot, start)
-    return pivots
-
-
 def _row_size(row):
     """Sort key of a kernel row (see rank_zi_rows): the sum of the absolute
     values of its integer parts."""
@@ -403,11 +358,10 @@ def _forward_rows(rows, ncols, kept, need=0):
     pivot row, and the first nonzero entry in any other column makes the
     row the pivot row of that column; a row left zero there is dropped.
     Each kept row is zero left of its pivot, so the kept rows are in
-    echelon form and span the rows so far, and their pivot columns are
-    those of the column-by-column pass, which depend only on that span.
-    The pass stops once every column has a pivot, and once the pivots plus
-    the rows left fall below ``need``.  Returns kept.  The rows are
-    consumed."""
+    echelon form and span the rows so far, and their pivot columns depend
+    only on that span.  The pass stops once every column has a pivot, and
+    once the pivots plus the rows left fall below ``need``.  Returns kept.
+    The rows are consumed."""
     left = len(rows)
     for row in rows:
         if len(kept) == ncols or len(kept) + left < need:
@@ -448,26 +402,51 @@ def nested_pivots_zi_rows(blocks, ncols):
     after each block the pivot columns, in increasing order, of the forward
     pass over the rows of that block and every block before it.  The
     pivots left of column c are the rank of the first c columns, since the
-    pivot columns are those of a pass that clears them column by column
-    from the left.  One row-by-row pass (_forward_rows) runs over the
-    blocks in turn, each sorted by size, and its pivot rows carry over
-    from block to block without being eliminated again.  The rows are
-    consumed."""
+    kept rows are in echelon form.  One row-by-row pass (_forward_rows)
+    runs over the blocks in turn, each sorted by size, and its pivot rows
+    carry over from block to block without being eliminated again.  The
+    rows are consumed."""
     kept = {}
     for block in blocks:
         _forward_rows(sorted(block, key=_row_size), ncols, kept)
         yield sorted(kept)
 
 
-def last_rref_row(rows, ncols):
-    """The last nonzero row of the reduced row echelon form of Q(i) rows,
-    eliminating on the first ``ncols`` columns; [] at rank 0."""
+def _reduced_rows(rows, ncols):
+    """(pivots, rows) of the reduced row echelon form of rows in the
+    kernel's form (see rank_zi_rows) on their first ``ncols`` columns: the
+    pivot columns in increasing order and, for each, its pivot row, which
+    divided by its pivot is that row of the reduced form.  The row-by-row
+    pass (_forward_rows) runs over the rows sorted by size; then one
+    back-substitution, from the last pivot to the second, updates every
+    earlier row nonzero in that pivot's column by the pivot row (_update),
+    whose pivot data are read afresh (_pivot): the earlier updates have
+    changed the row since the forward pass kept it.  The rows are
+    consumed."""
+    kept = _forward_rows(sorted(rows, key=_row_size), ncols, {})
+    pivots = sorted(kept)
+    rows = [list(kept[pc][3:5]) for pc in pivots]
+    for k in range(len(pivots) - 1, 0, -1):
+        pc = pivots[k]
+        pivot = _pivot(rows[k], pc)
+        for row in rows[:k]:
+            re, im = row
+            if re[pc] or (im is not None and im[pc]):
+                _update(row, pivot, 0)
+    return pivots, rows
+
+
+def last_rref_row(rows):
+    """The last nonzero row of the reduced row echelon form of Q(i) rows;
+    [] at rank 0.  It needs no back-substitution: the forward pass's pivot
+    row of the largest pivot column is zero left of that column, and the
+    row space holds one such row up to a factor, so that row divided by
+    its pivot is the answer."""
     zi = _zi_rows(rows)
-    pivots = _echelon(zi, ncols)
-    if not pivots:
+    if not zi:
         return []
-    pc = pivots[-1]
-    re, im = zi[len(pivots) - 1]
+    kept = _forward_rows(sorted(zi, key=_row_size), len(zi[0][0]), {})
+    pc, _, _, re, im, _, _ = kept[max(kept)]
     if im is None:
         return [_qi(x, 0, re[pc]) for x in re]
     return [_qi(x, y, re[pc], im[pc]) for x, y in zip(re, im)]
@@ -485,7 +464,7 @@ def nullspace_zi_rows(rows, ncols):
     zero matrix.  The vectors are Q(i) lists, read off the reduced row
     echelon form, which depends only on that row space.  The rows are
     consumed."""
-    pivots = _echelon(rows, ncols, reduced=True)
+    pivots, rows = _reduced_rows(rows, ncols)
     free = sorted(set(range(ncols)) - set(pivots))
     basis = []
     for fc in free:
@@ -518,7 +497,7 @@ def solve(mat, rhs):
         raise ValueError("shape mismatch")
     n = mat.n
     rows = _zi_rows([list(r) + list(s) for r, s in zip(mat.a, rhs.a)])
-    pivots = _echelon(rows, n + rhs.n, reduced=True)
+    pivots, rows = _reduced_rows(rows, n + rhs.n)
     if pivots and pivots[-1] >= n:
         return None
     out = [[ZERO] * rhs.n for _ in range(n)]

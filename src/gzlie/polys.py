@@ -8,8 +8,10 @@ gzlie.matrices.  For nonzero a and b of degrees m and n, the rows x^j a
 (j <= n) and x^j b (j <= m) span the multiples of gcd(a, b) of degree at most
 m + n; that is one shift of each more than Syl(a, b) has, so constants need
 no case of their own.  With columns running from the top degree down, the
-last nonzero row of the reduced row echelon form is the multiple of least
-degree with leading coefficient 1: the monic gcd itself.  The same rows
+last nonzero row of the reduced row echelon form over all m + n + 1
+columns is the multiple of least degree with leading coefficient 1: the
+monic gcd itself (gzlie.matrices.last_rref_row, the forward pass's pivot
+row of the largest pivot column divided by its pivot).  The same rows
 give the degree of the gcd alone (gcd_degree): they span
 m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
 their rank, taken over Z[i] with each polynomial converted once, to its
@@ -47,13 +49,13 @@ def gcd(a, b):
     a, b = normalize(list(a)), normalize(list(b))
     if not (a and b):
         p = a or b
-        rows, width = [p[::-1]], len(p)
+        rows = [p[::-1]]
     else:
         width = len(a) + len(b) - 1
         rows = [[ZERO] * (width - len(p) - j) + p[::-1] + [ZERO] * j
                 for p, shifts in ((a, len(b)), (b, len(a)))
                 for j in range(shifts)]
-    return normalize(last_rref_row(rows, width)[::-1])
+    return normalize(last_rref_row(rows)[::-1])
 
 
 def _sylvester_rows(a, b):

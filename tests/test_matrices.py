@@ -10,7 +10,8 @@ from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             solve, inverse, char_poly, char_poly_fl,
                             pfaffian, row_space_contains, intersection_dim,
                             last_rref_row, rank_zi_rows, full_rank_zi_rows,
-                            nested_pivots_zi_rows, zi_matrix, _zi_rows, _qi)
+                            nested_pivots_zi_rows, nullspace_zi_rows,
+                            zi_matrix, _zi_rows, _qi)
 
 import qi_reference
 from qi_reference import (Jet, jet_mat, aux_qi, qi, from_ints, transpose,
@@ -39,8 +40,8 @@ def test_rank_complex_oracle():
     assert rank(m) == 1
     assert rank(Mat.identity(4)) == 4
     assert rank(Mat.zeros(3)) == 0
-    assert last_rref_row(Mat.zeros(2, 3).a, 3) == []
-    assert last_rref_row([[ONE, I], [I, -ONE]], 2) == [ONE, I]
+    assert last_rref_row(Mat.zeros(2, 3).a) == []
+    assert last_rref_row([[ONE, I], [I, -ONE]]) == [ONE, I]
 
 
 def test_nullspace_is_deterministic_kernel_basis():
@@ -201,10 +202,10 @@ def test_kernel_matches_qi_reference(case):
     assert rank(a) == qi_reference.rank(a)
     assert nullspace(a) == qi_reference.nullspace(a)
     assert solve(a, b) == qi_reference.solve(a, b)
-    # the last nonzero row of the reduced form of [A | B], pivots in A
+    # the last nonzero row of the reduced form of [A | B]
     rows = [list(r) + list(s) for r, s in zip(a.a, b.a)]
-    got = last_rref_row(rows, a.n)
-    pivots, _ = qi_reference.echelon(rows, a.n, reduced=True)
+    got = last_rref_row(rows)
+    pivots, _ = qi_reference.echelon(rows, len(rows[0]), reduced=True)
     assert got == (rows[len(pivots) - 1] if pivots else [])
     if a.m == a.n:
         assert det(a) == qi_reference.det(a)
@@ -268,8 +269,8 @@ def test_gaussian_kernel_matches_qi_reference(case):
     assert nullspace(a) == qi_reference.nullspace(a)
     assert solve(a, b) == qi_reference.solve(a, b)
     rows = [list(r) + list(s) for r, s in zip(a.a, b.a)]
-    got = last_rref_row(rows, a.n)
-    pivots, _ = qi_reference.echelon(rows, a.n, reduced=True)
+    got = last_rref_row(rows)
+    pivots, _ = qi_reference.echelon(rows, len(rows[0]), reduced=True)
     assert got == (rows[len(pivots) - 1] if pivots else [])
     if a.m == a.n:
         assert det(a) == qi_reference.det(a)
@@ -326,8 +327,8 @@ def test_zi_rows_are_primitive_and_nonzero(case):
     assert nullspace(a) == qi_reference.nullspace(a)
     assert solve(a, b) == qi_reference.solve(a, b)
     aug = [list(r) + list(s) for r, s in zip(a.a, b.a)]
-    got = last_rref_row(aug, a.n)
-    pivots, _ = qi_reference.echelon(aug, a.n, reduced=True)
+    got = last_rref_row(aug)
+    pivots, _ = qi_reference.echelon(aug, len(aug[0]), reduced=True)
     assert got == (aug[len(pivots) - 1] if pivots else [])
 
 
@@ -362,17 +363,24 @@ def _row_order_case(draw):
 @given(_row_order_case())
 @settings(max_examples=200, deadline=None)
 def test_rank_does_not_depend_on_row_order(case):
-    # the rank entries eliminate on rows ordered by size; their results
-    # depend only on the row space
+    # the rank entries and the readers of the reduced form eliminate on
+    # rows ordered by size; their results depend only on the row space
     rows, n, order = case
     want_rank = qi_reference.rank(Mat(rows))
     want_pivots, _ = qi_reference.echelon([list(r) for r in rows], n)
+    want_nullspace = qi_reference.nullspace(Mat(rows))
+    reduced = [list(r) for r in rows]
+    pivots, _ = qi_reference.echelon(reduced, n, reduced=True)
+    want_last = reduced[len(pivots) - 1] if pivots else []
     for mat in (Mat(rows), Mat([rows[k] for k in order])):
         assert rank(mat) == want_rank
         assert rank_rows(mat.a, n) == want_rank
         assert rank_zi_rows(_unreduced_rows(mat), n) == want_rank
         assert next(nested_pivots_zi_rows([_unreduced_rows(mat)],
                                           n)) == want_pivots
+        assert nullspace(mat) == want_nullspace
+        assert nullspace_zi_rows(_unreduced_rows(mat), n) == want_nullspace
+        assert last_rref_row(mat.a) == want_last
 
 
 @given(st.lists(_row_order_case(), min_size=1, max_size=4))
