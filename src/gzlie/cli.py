@@ -65,7 +65,7 @@ def cmd_orbits(args):
     except ValueError as exc:
         return _fail_usage(str(exc))
     graph = orbit_graph(ctx)
-    if args.format == "json" or args.json:
+    if args.json:
         print(json.dumps(graph, indent=2))
     else:
         print(orbit_graph_text(graph))
@@ -149,7 +149,6 @@ def build_parser():
     po = sub.add_parser("orbits", help="K-orbit table and monoid graph")
     po.add_argument("--kind", default="so", choices=["so", "gl"])
     po.add_argument("--n", type=int, required=True)
-    po.add_argument("--format", default="text", choices=["text", "json"])
     po.add_argument("--json", action="store_true")
     po.set_defaults(func=cmd_orbits)
 

@@ -10,6 +10,14 @@ of the imaginary roots.  Each monoid step checks that combinatorial
 update against theta_Q read off the new conjugator.  The codimension
 comes from theta_Q alone, as k meet Ad(v)b = Ad(v) b^theta_Q.  No Borel
 basis is stored: an orbit section is Ad(k v) of an element of b.
+
+The patterned family is written once through the supports of its Cartan
+and slot vectors (AlgebraContext.from_coordinates) and recognized by
+reading each vector's coordinate at the leading entry of its support: the
+supports are disjoint, so x is in their span exactly when the writer
+rewrites x from the coordinates read.  The coincidence-free sampler accepts
+a draw whose coincidence count is 0, the chain-disjoint one a draw whose
+every consecutive pair of levels has gcd degree 0 (polys.gcd_degree).
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ from functools import lru_cache
 from itertools import pairwise
 
 from .scalars import ONE
-from .matrices import Mat, inverse, row_space_contains, zi_matrix
+from .matrices import Mat, inverse, zi_matrix
 from .liealg import (Root, root_vector, weyl_representative, cayley_element,
                      adjoint, monomial_pairs)
-from .invariants import reduced_char
+from .invariants import reduced_char, coincidence_count
 from .rand import MAX_TRIES
 from . import polys
 
@@ -341,52 +349,47 @@ def sample_yq(ctx, orbit, sampler):
 
 def sample_g0(ctx, sampler):
     """Random element with no eigenvalue coincidence between consecutive
-    top levels: its coincidence count is 0, the reduced characteristic
-    polynomials of x and of its projection are coprime."""
+    top levels: its coincidence count is 0."""
     for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
-        image = zi_matrix(x.a)
-        if polys.coprime(reduced_char(ctx.child, ctx.down_zi(image)),
-                         reduced_char(ctx, image)):
+        if coincidence_count(ctx, x) == 0:
             return x
     raise RuntimeError("could not sample a coincidence-free element")
 
 
 def sample_chain_disjoint(ctx, sampler):
     """Random element whose chain projections have pairwise disjoint spectra
-    at every consecutive pair of levels.  A draw is refused at the first
-    pair with a common root, before the levels below it are walked."""
+    at every consecutive pair of levels: the gcd of each pair's reduced
+    characteristic polynomials has degree 0, as coincidence_of reads it.
+    A draw is refused at the first pair with a common root, before the
+    levels below it are walked."""
     for _ in range(MAX_TRIES):
         x = sampler.algebra_element(ctx)
         qs = (reduced_char(lvl, image)
               for lvl, image in ctx.walk(zi_matrix(x.a)))
         # (level m + 1, level m), as qs runs from the top down
-        if all(polys.coprime(low, high) for high, low in pairwise(qs)):
+        if all(polys.gcd_degree(low, high) == 0
+               for high, low in pairwise(qs)):
             return x
     raise RuntimeError("could not sample a chain-disjoint element")
 
 
-def _xi_slots(ctx):
-    """(H-basis, raising vectors e_1..e_s, lowering vectors e_-1..e_-s):
-    the middle-row degrees of freedom transverse to the subalgebra."""
-    l = ctx.l
-    if ctx.n % 2 == 1:
-        ups, downs = [], []
-        for j in range(l):
-            c = [0] * l
-            c[j] = 1
-            ups.append(root_vector(ctx, Root(c)))
-            downs.append(root_vector(ctx, Root([-v for v in c])))
-        return ups, downs
-    ups, downs = [], []
-    for j in range(l - 1):
-        c = [0] * l
-        c[j], c[l - 1] = 1, -1
-        e = root_vector(ctx, Root(c))
-        ups.append(e - ctx.theta(e))
-        f = root_vector(ctx, Root([-v for v in c]))
-        downs.append(f - ctx.theta(f))
-    return ups, downs
+def _supports(vectors):
+    """The (i, j, +-1) entries of each +-1 vector in row-major order: the
+    supports that AlgebraContext.from_coordinates writes it through."""
+    return [[(i, j, 1 if v == ONE else -1) for i, row in enumerate(b.a)
+             for j, v in enumerate(row) if v] for b in vectors]
+
+
+def _span_coordinates(ctx, mat, supports):
+    """Coordinates of mat over the vectors with the given disjoint supports,
+    each read at the leading entry of its support, or None when mat is not
+    in their span.  The supports are disjoint, so the leading entry of a
+    vector reads its coordinate alone, and mat is in the span exactly when
+    the support writer rewrites mat from the coordinates read."""
+    a = mat.a
+    coords = [a[i][j] if e == 1 else -a[i][j] for (i, j, e), *_ in supports]
+    return coords if ctx.from_coordinates(coords, supports) == mat else None
 
 
 def xi_slot_count(ctx):
@@ -395,63 +398,70 @@ def xi_slot_count(ctx):
     return ctx.l if ctx.n % 2 == 1 else ctx.l - 1
 
 
+@lru_cache(maxsize=None)
+def _xi_supports(ctx):
+    """Supports of (the H-basis, raising vectors e_1..e_s, lowering vectors
+    e_-1..e_-s), the middle-row degrees of freedom transverse to the
+    subalgebra, built once per context: do not mutate the lists."""
+    l = ctx.l
+    ups, downs = [], []
+    for j in range(xi_slot_count(ctx)):
+        c = [0] * l
+        if ctx.n % 2 == 1:
+            c[j] = 1
+            ups.append(root_vector(ctx, Root(c)))
+            downs.append(root_vector(ctx, Root([-v for v in c])))
+        else:
+            c[j], c[l - 1] = 1, -1
+            e = root_vector(ctx, Root(c))
+            ups.append(e - ctx.theta(e))
+            f = root_vector(ctx, Root([-v for v in c]))
+            downs.append(f - ctx.theta(f))
+    return _supports(ctx.cartan_basis), _supports(ups), _supports(downs)
+
+
 def sample_xi(ctx, i, pattern, sampler):
     """Element of the patterned family: regular semisimple diagonal part,
     patterned middle-row coordinates with slots 1..i constrained (pattern
     letter 'U': lowering coordinate zero; 'L': raising coordinate zero) and
-    slots above i generic."""
+    slots above i generic, written once through the supports."""
     slots = xi_slot_count(ctx)
     if not (0 <= i <= slots) or len(pattern) != i or set(pattern) - set("UL"):
         raise ValueError("bad pattern %r for i=%d" % (pattern, i))
-    l = ctx.l
-    avals = sampler.distinct_square_free(l)
-    x = Mat.zeros(ctx.n)
-    for a, v in zip(range(l), avals):
-        x = x + v * ctx.cartan_basis[a]
-    ups, downs = _xi_slots(ctx)
+    cartan, ups, downs = _xi_supports(ctx)
+    coords = sampler.distinct_square_free(ctx.l)
+    supports = list(cartan)
     for j in range(slots):
-        if j < i:
-            if pattern[j] == "U":
-                x = x + sampler.nonzero_rational() * ups[j]
-            else:
-                x = x + sampler.nonzero_rational() * downs[j]
-        else:
-            x = x + sampler.nonzero_rational() * ups[j]
-            x = x + sampler.nonzero_rational() * downs[j]
-    return x
+        letter = pattern[j] if j < i else None
+        if letter != "L":
+            coords.append(sampler.nonzero_rational())
+            supports.append(ups[j])
+        if letter != "U":
+            coords.append(sampler.nonzero_rational())
+            supports.append(downs[j])
+    return ctx.from_coordinates(coords, supports)
 
 
 def xi_shape(ctx, mat, i):
     """If mat lies in the patterned family with i constrained slots, return
-    its pattern string, else None."""
+    its pattern string, else None.  ValueError unless 0 <= i <= the slot
+    count."""
     slots = xi_slot_count(ctx)
-    ups, downs = _xi_slots(ctx)
-    span = list(ctx.cartan_basis) + ups + downs
-    rows = [b.flatten() for b in span]
-    if not row_space_contains(rows, mat.flatten(), ctx.n * ctx.n):
+    if not 0 <= i <= slots:
+        raise ValueError("slot count %r not in 0..%d for %s"
+                         % (i, slots, ctx.describe()))
+    cartan, ups, downs = _xi_supports(ctx)
+    coords = _span_coordinates(ctx, mat, cartan + ups + downs)
+    if coords is None:
         return None
-    # read slot coordinates by pairing against the defining root vectors
-    ucoef, dcoef = [], []
-    for j in range(slots):
-        ucoef.append(_component(mat, ups[j]))
-        dcoef.append(_component(mat, downs[j]))
+    ucoef = coords[len(cartan):len(cartan) + slots]
+    dcoef = coords[len(cartan) + slots:]
     out = []
-    for j in range(i):
-        u, d = ucoef[j], dcoef[j]
+    for u, d in zip(ucoef[:i], dcoef):
         if bool(u) == bool(d):
             return None
         out.append("U" if not d else "L")
     return "".join(out)
-
-
-def _component(mat, basis_vec):
-    """Coefficient of a +-1-pattern basis vector in mat (first nonzero
-    entry of the vector indexes the coefficient)."""
-    for p, row in enumerate(basis_vec.a):
-        for q, v in enumerate(row):
-            if v:
-                return mat.a[p][q] / v
-    raise ValueError("zero basis vector")
 
 
 def xi_flip_element(ctx, j):

@@ -17,10 +17,10 @@ m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
 their rank, taken over Z[i] with each polynomial converted once, to its
 primitive Gaussian-integer row (gzlie.matrices._zi_rows).
 
-The coincidence count and stratum_of_value read gcd_degree;
-sample_g0 and sample_chain_disjoint ask only whether it is 0 (coprime),
-which holds exactly when the same rows have full column rank, and
-gzlie.matrices.full_rank_zi_rows answers that as soon as it is decided.
+The coincidence count, stratum_of_value and sample_chain_disjoint read
+gcd_degree (sample_g0 reads the coincidence count).  rank_zi_rows stops
+once every column has a pivot, so a coprime pair costs the same
+elimination whether its degree or only its coprimality is asked for.
 No package path reads gcd itself, nor gzlie.matrices.last_rref_row
 behind it; the bench tracer (perfbench/tracer.py) names gcd as its
 polys.gcd layer, and the tests pin it to the Euclidean algorithm.
@@ -28,8 +28,7 @@ polys.gcd layer, and the tests pin it to the Euclidean algorithm.
 
 from __future__ import annotations
 
-from .matrices import (last_rref_row, rank_zi_rows, full_rank_zi_rows,
-                       _zi_rows)
+from .matrices import last_rref_row, rank_zi_rows, _zi_rows
 from .scalars import ZERO
 
 
@@ -79,15 +78,6 @@ def gcd_degree(a, b):
         return degree(a or b)
     rows, width = _sylvester_rows(a, b)
     return width - rank_zi_rows(rows, width)
-
-
-def coprime(a, b):
-    """gcd_degree(a, b) == 0: the Sylvester rows have full column rank
-    (matrices.full_rank_zi_rows, which stops once that is decided)."""
-    a, b = normalize(list(a)), normalize(list(b))
-    if not (a and b):
-        return degree(a or b) == 0
-    return full_rank_zi_rows(*_sylvester_rows(a, b))
 
 
 def even_part(p, parity):

@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass, field, asdict
 
 from .scalars import BACKEND
-from .matrices import Mat, row_space_contains
+from .matrices import row_space_contains
 from .liealg import make_algebra, adjoint
 from .invariants import partial_kw, coincidence_count
 from .regularity import (is_nsreg, is_sreg, kostant_jacobian_rank,
@@ -21,7 +21,8 @@ from .regularity import (is_nsreg, is_sreg, kostant_jacobian_rank,
 from .korbits import (enumerate_orbits, stable_parabolic, nilfibre_components,
                       nilfibre_overlap_vector, sample_nilfibre, sample_yq,
                       sample_g0, sample_chain_disjoint, sample_xi, xi_shape,
-                      xi_flip_element, xi_slot_count)
+                      xi_flip_element, xi_slot_count, _supports,
+                      _span_coordinates)
 from .rand import Sampler
 from .docio import emit_matrix_doc
 
@@ -196,9 +197,8 @@ def _mixed_sample(ctx, sampler, t):
     # partially coincident semisimple element
     l = ctx.l
     vals = [sampler.nonzero_rational() for _ in range(max(l // 2, 1))]
-    x = Mat.zeros(ctx.n)
-    for a in range(l):
-        x = x + vals[a % len(vals)] * ctx.cartan_basis[a]
+    x = ctx.from_coordinates([vals[a % len(vals)] for a in range(l)],
+                             _supports(ctx.cartan_basis))
     g = sampler.subgroup_element(ctx)
     return adjoint(g, x)
 
@@ -326,7 +326,10 @@ def suite_xi_families(cfg):
         l = ctx.l
         slots = xi_slot_count(ctx)
         limit = l - 1 if n % 2 == 1 else l - 2
-        borel = [b.flatten() for b in ctx.borel_basis]
+        # the stable parabolic of each index, the Borel past the last
+        parabolic = [_supports(ctx.borel_basis if i > limit else
+                               stable_parabolic(ctx, i).r_basis)
+                     for i in range(slots + 1)]
         cid = "xi-families-so%d" % n
         c = ClaimResult(cid, "patterned families of so(%d): coincidence "
                              ">= i, all-raised pattern sits in the stable "
@@ -343,11 +346,8 @@ def suite_xi_families(cfg):
                     c.check(xi_shape(ctx, x, i) == pat,
                             lambda: _witness(ctx, x, t, pattern=pat))
                     if pat == "U" * i:
-                        rows = (borel if i > limit else
-                                [b.flatten() for b in
-                                 stable_parabolic(ctx, i).r_basis])
-                        c.check(row_space_contains(rows, x.flatten(),
-                                                   ctx.n * ctx.n),
+                        c.check(_span_coordinates(ctx, x, parabolic[i])
+                                is not None,
                                 lambda: _witness(
                                     ctx, x, t, pattern=pat,
                                     reason="not inside parabolic"))

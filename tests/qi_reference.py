@@ -16,7 +16,10 @@ centralizer system written on Q(i) scalars and built from dense
 brackets, the nsreg system of z_k(x) from the theta-split pair (x_k, x_p),
 the fixed subalgebra k as the nullspace of Theta - id, the data of theta_Q
 read off conjugated Cartan and root vectors, the Borel basis Ad(v)b of an
-orbit K.vB with the codimension read off k meet Ad(v)b, and polynomial
+orbit K.vB with the codimension read off k meet Ad(v)b, the patterned and
+partially coincident semisimple draws summed on Q(i) with xi patterns and
+parabolic membership decided on flattened spans, the coincidence-free and
+chain-disjoint draws tested by the Euclidean gcd, and polynomial
 arithmetic over Q(i) with the gcd by the Euclidean algorithm, and the
 scalar parser that read each rational part through Fraction(text).  aux_qi
 reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
@@ -36,10 +39,13 @@ from fractions import Fraction
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce, _mpq
 from gzlie.matrices import (Mat, bracket, intersection_dim, qi_matrix,
-                            zi_matrix, nested_pivots_zi_rows)
-from gzlie.liealg import project_to_subalgebra, root_vector
-from gzlie.invariants import generator_spec, level_values, _signed
-from gzlie.korbits import _act, _in_levi
+                            zi_matrix, nested_pivots_zi_rows,
+                            row_space_contains)
+from gzlie.liealg import Root, adjoint, project_to_subalgebra, root_vector
+from gzlie.invariants import (generator_spec, level_values, _signed,
+                              reduced_char)
+from gzlie.korbits import _act, _in_levi, stable_parabolic, xi_slot_count
+from gzlie.rand import MAX_TRIES
 from gzlie.regularity import _centralizer_system, chain_centralizer_ranks
 from gzlie.polys import normalize, degree
 
@@ -550,6 +556,136 @@ def orbit_codim_by_intersection(ctx, v):
     meet = intersection_dim([b.flatten() for b in ctx.k_basis],
                             [b.flatten() for b in borel], ctx.n * ctx.n)
     return ctx.flag_dim() - (ctx.k_dim() - meet)
+
+
+# --- the family samplers on Q(i) sums and flattened spans ----------------
+
+def xi_slots_by_root_vectors(ctx):
+    """(raising vectors e_1..e_s, lowering vectors e_-1..e_-s) of the
+    patterned family as matrices: root vectors on odd so, e - theta(e) of
+    the roots e_j -+ e_l on even so."""
+    l = ctx.l
+    ups, downs = [], []
+    if ctx.n % 2 == 1:
+        for j in range(l):
+            c = [0] * l
+            c[j] = 1
+            ups.append(root_vector(ctx, Root(c)))
+            downs.append(root_vector(ctx, Root([-v for v in c])))
+        return ups, downs
+    for j in range(l - 1):
+        c = [0] * l
+        c[j], c[l - 1] = 1, -1
+        e = root_vector(ctx, Root(c))
+        ups.append(e - ctx.theta(e))
+        f = root_vector(ctx, Root([-v for v in c]))
+        downs.append(f - ctx.theta(f))
+    return ups, downs
+
+
+def sample_xi_by_sums(ctx, i, pattern, sampler):
+    """gzlie.korbits.sample_xi as l + 2s dense Q(i) products and sums, with
+    the same draws in the same order."""
+    slots = xi_slot_count(ctx)
+    if not (0 <= i <= slots) or len(pattern) != i or set(pattern) - set("UL"):
+        raise ValueError("bad pattern %r for i=%d" % (pattern, i))
+    x = Mat.zeros(ctx.n)
+    for v, h in zip(sampler.distinct_square_free(ctx.l), ctx.cartan_basis):
+        x = x + v * h
+    ups, downs = xi_slots_by_root_vectors(ctx)
+    for j in range(slots):
+        if j >= i or pattern[j] == "U":
+            x = x + sampler.nonzero_rational() * ups[j]
+        if j >= i or pattern[j] == "L":
+            x = x + sampler.nonzero_rational() * downs[j]
+    return x
+
+
+def _component(mat, basis_vec):
+    """Coefficient of a +-1 vector in mat, read at the first nonzero entry
+    of the vector in row-major order."""
+    for p, row in enumerate(basis_vec.a):
+        for q, v in enumerate(row):
+            if v:
+                return mat.a[p][q] / v
+    raise ValueError("zero basis vector")
+
+
+def xi_shape_by_span(ctx, mat, i):
+    """gzlie.korbits.xi_shape with membership in the family's span decided
+    on flattened n^2-wide rows (row_space_contains)."""
+    ups, downs = xi_slots_by_root_vectors(ctx)
+    rows = [b.flatten() for b in list(ctx.cartan_basis) + ups + downs]
+    if not row_space_contains(rows, mat.flatten(), ctx.n * ctx.n):
+        return None
+    out = []
+    for j in range(i):
+        u, d = _component(mat, ups[j]), _component(mat, downs[j])
+        if bool(u) == bool(d):
+            return None
+        out.append("U" if not d else "L")
+    return "".join(out)
+
+
+def in_parabolic_by_span(ctx, mat, i):
+    """The xi-families parabolic check on flattened rows: mat in the
+    theta-stable parabolic of index i, or in the standard Borel past the
+    last index."""
+    limit = ctx.l - 1 if ctx.n % 2 == 1 else ctx.l - 2
+    basis = (ctx.borel_basis if i > limit
+             else stable_parabolic(ctx, i).r_basis)
+    return row_space_contains([b.flatten() for b in basis], mat.flatten(),
+                              ctx.n * ctx.n)
+
+
+def _coprime_by_euclid(p, q):
+    return degree(gcd(p, q)) == 0
+
+
+def sample_g0_by_euclid(ctx, sampler):
+    """gzlie.korbits.sample_g0, each draw tested by the Euclidean gcd of
+    the reduced characteristic polynomials of x and of its projection."""
+    for _ in range(MAX_TRIES):
+        x = sampler.algebra_element(ctx)
+        if _coprime_by_euclid(reduced_char(ctx, x), reduced_char(
+                ctx.child, chain_down_dense(ctx, x))):
+            return x
+    raise RuntimeError("could not sample a coincidence-free element")
+
+
+def sample_chain_disjoint_by_euclid(ctx, sampler):
+    """gzlie.korbits.sample_chain_disjoint, each consecutive pair of chain
+    levels, stepped down by the dense products, tested by the Euclidean
+    gcd."""
+    for _ in range(MAX_TRIES):
+        x = sampler.algebra_element(ctx)
+        qs, m = [], x
+        for lvl in ctx.levels:
+            qs.append(reduced_char(lvl, m))
+            m = chain_down_dense(lvl, m) if lvl.child else None
+        if all(_coprime_by_euclid(p, q) for p, q in zip(qs, qs[1:])):
+            return x
+    raise RuntimeError("could not sample a chain-disjoint element")
+
+
+def mixed_sample_by_sums(ctx, sampler, t):
+    """gzlie.suites._mixed_sample in its modes 3 to 5 (t % 6): the patterned
+    and the partially coincident semisimple element summed on Q(i), the
+    coincidence-free draw tested by the Euclidean gcd."""
+    mode = t % 6
+    if mode == 3 and ctx.kind == "so":
+        i = sampler.rnd.randint(0, xi_slot_count(ctx))
+        pat = "".join(sampler.rnd.choice("UL") for _ in range(i))
+        return sample_xi_by_sums(ctx, i, pat, sampler)
+    if mode == 4:
+        return sample_g0_by_euclid(ctx, sampler)
+    if mode not in (3, 5):
+        raise ValueError("modes 3 to 5 only")
+    vals = [sampler.nonzero_rational() for _ in range(max(ctx.l // 2, 1))]
+    x = Mat.zeros(ctx.n)
+    for a in range(ctx.l):
+        x = x + vals[a % len(vals)] * ctx.cartan_basis[a]
+    return adjoint(sampler.subgroup_element(ctx), x)
 
 
 # --- polynomials over Q(i), coefficient lists low degree first ------------

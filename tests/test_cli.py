@@ -39,7 +39,7 @@ def test_orbits_text_and_json(capsys):
     code, out, _ = run(capsys, "orbits", "--n", "5")
     assert code == 0
     assert "Q+" in out and "codim" in out
-    code, out, _ = run(capsys, "orbits", "--n", "6", "--format", "json")
+    code, out, _ = run(capsys, "orbits", "--n", "6", "--json")
     assert code == 0
     graph = json.loads(out)
     assert graph["n"] == 6 and len(graph["nodes"]) == 3
@@ -416,8 +416,7 @@ _SEEDS = (["0", "3", "-7"], ["x"])
 # verify always gets small sizes and trials, so a run stays short.
 _FLAGS = {
     "orbits": {"--n": (["3", "4", "5", "6"], ["-1", "0", "2", "17", "x"]),
-               "--kind": (["so"], ["gl", "sp"]),
-               "--format": (["text", "json"], ["yaml"]), "--json": None},
+               "--kind": (["so"], ["gl", "sp"]), "--json": None},
     "sample": {"--what": (["yq", "xi", "nilfibre", "g0", "chain"], ["zz"]),
                "--n": (["3", "4", "5"], ["-1", "2", "17", "x"]),
                "--kind": (["so", "gl"], ["sp"]),

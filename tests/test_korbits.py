@@ -1,6 +1,6 @@
 import pytest
 
-from gzlie.scalars import ZERO
+from gzlie.scalars import ZERO, ONE, I
 from gzlie import korbits, rand
 from gzlie.matrices import Mat, bracket, inverse, row_space_contains
 from gzlie.liealg import make_algebra, Root, adjoint, MAX_N
@@ -16,10 +16,15 @@ from gzlie.korbits import (COMPACT, NONCOMPACT, COMPLEX_STABLE,
                            sample_chain_disjoint, xi_slot_count, sample_xi,
                            xi_shape, xi_flip_element, _theta_q_data)
 from gzlie.rand import Sampler
+from gzlie.suites import _mixed_sample
 from qi_reference import (theta_q_data_by_conjugation,
                           borel_basis_by_conjugation,
                           orbit_codim_by_intersection, contains,
-                          preserves_form, degenerate_to_levi)
+                          preserves_form, degenerate_to_levi, from_ints,
+                          sample_xi_by_sums, xi_shape_by_span,
+                          in_parabolic_by_span, sample_g0_by_euclid,
+                          sample_chain_disjoint_by_euclid,
+                          mixed_sample_by_sums)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -320,3 +325,111 @@ def test_xi_shape_rejects_outsiders():
     # adding a long-root vector leaves the patterned span
     x2 = x + ctx.basis[ctx.root_index[(1, -1)]]
     assert xi_shape(ctx, x2, 1) is None
+
+
+def test_xi_shape_refuses_a_slot_count_out_of_range():
+    ctx = make_algebra("so", 5)
+    x = sample_xi(ctx, 1, "U", Sampler(4))
+    for i in (3, -1):
+        with pytest.raises(ValueError, match="slot count"):
+            xi_shape(ctx, x, i)
+    assert xi_shape(ctx, x, 2) is None        # slot 2 is generic
+
+
+def _read_back(ctx, mat, supports):
+    """korbits._span_coordinates, checked to give the same coordinates with
+    every support reversed, so that an entry -1 leads."""
+    coords = korbits._span_coordinates(ctx, mat, supports)
+    flipped = [sup[::-1] for sup in supports]
+    assert korbits._span_coordinates(ctx, mat, flipped) == coords
+    return coords
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_xi_family_matches_qi_sums_and_flattened_spans(n):
+    # sample_xi writes x once through the supports, and xi_shape and the
+    # xi-families parabolic check read coordinates back at leading entries:
+    # the same draws and random calls as the Q(i) sums they replaced, the
+    # same answers as span membership on flattened matrices, on every
+    # pattern, on the flipped elements and on elements off the family
+    ctx = make_algebra("so", n)
+    slots = xi_slot_count(ctx)
+    limit = ctx.l - 1 if n % 2 == 1 else ctx.l - 2
+    parabolic = [korbits._supports(ctx.borel_basis if i > limit else
+                                   stable_parabolic(ctx, i).r_basis)
+                 for i in range(slots + 1)]
+    family = sum(korbits._xi_supports(ctx), [])
+    # basis vectors off the family's span: on even so, the halves e and
+    # theta(e) of the slot vectors too (so(3) is the family's span)
+    outside = [b for b in ctx.basis if xi_shape_by_span(ctx, b, 0) is None]
+    assert bool(outside) == (n > 3)
+    extra = Sampler("xi-off/%d" % n)
+    answers = set()
+    for i in range(slots + 1):
+        for mask in range(2 ** i):
+            pat = "".join("U" if (mask >> j) & 1 else "L" for j in range(i))
+            seed = "xi/%d/%s/%d" % (n, pat, i)
+            s, ref = Sampler(seed), Sampler(seed)
+            x = sample_xi(ctx, i, pat, s)
+            assert x == sample_xi_by_sums(ctx, i, pat, ref)
+            assert s.rnd.getstate() == ref.rnd.getstate()
+            assert contains(ctx, x) and xi_shape(ctx, x, i) == pat
+            gen = extra.algebra_element(ctx)
+            mats = [x, x.scale(ONE + I), gen,
+                    gen + extra.algebra_element(ctx).scale(I)]
+            if outside:
+                mats.append(x + outside[mask % len(outside)])
+            if "L" in pat:
+                mats.append(adjoint(xi_flip_element(ctx, pat.index("L")),
+                                    x))
+            for y in mats:
+                _read_back(ctx, y, family)
+                for k in {i, slots}:
+                    assert xi_shape(ctx, y, k) == xi_shape_by_span(ctx, y, k)
+                inside = _read_back(ctx, y, parabolic[i]) is not None
+                assert inside == in_parabolic_by_span(ctx, y, i)
+                answers.add(inside)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("kind,n", [("gl", 3), ("gl", 4), ("gl", 5),
+                                    ("so", 4), ("so", 5), ("so", 6),
+                                    ("so", 7)])
+def test_family_draws_match_qi_references(kind, n):
+    # the same elements and the same random calls in the same order as the
+    # Q(i) sums and the Euclidean gcd tests they replaced
+    ctx = make_algebra(kind, n)
+    for seed in range(3):
+        pairs = [(lambda s, t=t: _mixed_sample(ctx, s, t),
+                  lambda s, t=t: mixed_sample_by_sums(ctx, s, t))
+                 for t in (3, 4, 5)]
+        pairs += [(lambda s: sample_g0(ctx, s),
+                   lambda s: sample_g0_by_euclid(ctx, s)),
+                  (lambda s: sample_chain_disjoint(ctx, s),
+                   lambda s: sample_chain_disjoint_by_euclid(ctx, s))]
+        for draw, ref_draw in pairs:
+            s, ref = Sampler(seed), Sampler(seed)
+            assert draw(s) == ref_draw(ref)
+            assert s.rnd.getstate() == ref.rnd.getstate()
+
+
+def test_samplers_refuse_planted_coincidences(monkeypatch):
+    ctx = make_algebra("gl", 3)
+    # eigenvalues 1, 2, 3 over a gl(2) block with 1, 2: coincident on top
+    top = from_ints([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    # the gl(2) block [[1, 1], [0, 2]] shares 1 with the gl(1) corner, and
+    # det(t - x) is -3 at t = 1 and -4 at t = 2: coincident at the last
+    # pair only
+    bottom = from_ints([[1, 1, 0], [0, 2, 1], [3, 1, 5]])
+    good = sample_chain_disjoint(ctx, Sampler(3))
+    assert coincidence_count(ctx, top) == 2
+    assert coincidence_count(ctx, bottom) == 0
+    assert coincidence_count(ctx.child, ctx.down(bottom)) == 1
+    for g0, chain in ((sample_g0, sample_chain_disjoint),
+                      (sample_g0_by_euclid, sample_chain_disjoint_by_euclid)):
+        s = Sampler(3)
+        draws = iter([top, bottom])
+        monkeypatch.setattr(s, "algebra_element", lambda c: next(draws))
+        assert g0(ctx, s) is bottom
+        draws = iter([top, bottom, good])
+        assert chain(ctx, s) is good
