@@ -3,7 +3,8 @@ analysis reports.  All scalars travel as exact strings 'a/b+c/d*i'.
 
 An analysis report reads the centralizer ranks of every chain level from
 one nested elimination of the top system of the Gaussian-integer image of
-x (regularity.chain_centralizer_ranks), and takes one integer step down
+x (regularity.chain_centralizer_ranks), certified mod p where the ranks
+reach their proven bounds, and takes one integer step down
 (AlgebraContext.walk) for the level data of x_(n-1), read with that of x
 as partial_kw reads them (invariants._level_data).
 The values it prints are checked to fit Python's integer-to-string limit
@@ -15,7 +16,7 @@ import sys
 from itertools import islice
 
 from .scalars import parse_scalar, format_scalar
-from .matrices import Mat, rank_zi_rows, zi_matrix
+from .matrices import Mat, zi_matrix, _certified_rank
 from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, _level_data, level_values,
                          coincidence_of)
@@ -140,7 +141,8 @@ def analysis_report(ctx, mat):
     and coincidence_count, and whose auxiliary matrices and sub-Pfaffian
     memo give the coefficient gradient rows of partial_map_jacobian
     (regularity._coefficient_gradients), whose rank is that of
-    kostant_jacobian_rank's power gradient rows.
+    kostant_jacobian_rank's power gradient rows; it is certified mod p
+    when it reaches the row count (matrices._certified_rank).
     Raises DocumentError, before any of that, when a value of the report
     could exceed the integer-to-string limit (_check_printable)."""
     image = zi_matrix(mat.a)
@@ -157,7 +159,7 @@ def analysis_report(ctx, mat):
             ctx, lvl, _coefficient_gradients(lvl, aux, minors))]
         values += level_values(lvl, b, pf)
         coeffs.append(b)
-    jrank = rank_zi_rows(rows, ctx.dim)
+    jrank = _certified_rank(rows, ctx.dim, len(rows))
     return {
         "algebra": ctx.kind,
         "n": ctx.n,

@@ -42,6 +42,17 @@ from the last pivot up, dividing by each pivot once at the end.  The gcd
 reads only its last nonzero row (``last_rref_row``), which needs no
 back-substitution.
 
+A rank with a proven upper bound may first go through the modular filter
+(``_mod_pivots``, ``_certified_rank``): the same row-by-row pass over F_p,
+p = 32749, with i sent to a square root of -1 mod p, a ring map
+Z[i] -> F_p.  A minor nonzero mod p is nonzero, so the modular rank of any
+column prefix is a lower bound of the exact one, and when it reaches the
+caller's upper bound it is the exact rank: a filter with a proof.  When
+it does not, the exact pass runs on the same rows, so the exact kernel
+stays the only source of an uncertified answer.  Its readers are the
+chain ranks of gzlie.regularity, the Jacobian rank of the analysis report
+and polys.gcd_degree; full_rank_zi_rows and the kostant ranks stay exact.
+
 det is (-1)^n times the last Faddeev-LeVerrier coefficient (below), not an
 elimination; the package decides invertibility by rank.
 
@@ -410,6 +421,50 @@ def nested_pivots_zi_rows(blocks, ncols):
     for block in blocks:
         _forward_rows(sorted(block, key=_row_size), ncols, kept)
         yield sorted(kept)
+
+
+# p = 32749 is the largest prime below 2^15 and is 1 mod 4, s^2 = -1 mod p,
+# and a product of two residues fits one 30-bit digit of a CPython int
+_P, _S = 32749, 15645
+
+
+def _mod_pivots(blocks, ncols):
+    """nested_pivots_zi_rows over F_p: the row-by-row pass of _forward_rows
+    on each kernel row converted afresh (i -> _S), each pivot row scaled to
+    pivot 1 and carried from block to block, each update only over the
+    pivot row's live columns.  Left of any column the count of its pivots
+    is at most the exact rank there, since a minor nonzero mod p is
+    nonzero.  The rows are not consumed."""
+    kept = {}
+    for block in blocks:
+        for re, im in block:
+            if len(kept) == ncols:
+                break
+            row = ([x % _P for x in re] if im is None else
+                   [(x + _S * y) % _P for x, y in zip(re, im)])
+            for c in range(ncols):
+                f = row[c]
+                if f:
+                    pivot = kept.get(c)
+                    if pivot is None:
+                        inv = pow(f, -1, _P)
+                        row = [x * inv % _P for x in row]
+                        kept[c] = row, [k for k in range(c, len(row))
+                                        if row[k]]
+                        break
+                    prow, live = pivot
+                    for k in live:
+                        row[k] = (row[k] - f * prow[k]) % _P
+        yield sorted(kept)
+
+
+def _certified_rank(rows, ncols, bound):
+    """rank_zi_rows of rows whose rank is known to be at most ``bound``: the
+    modular rank (_mod_pivots) when it reaches bound, since it is then
+    exact, and otherwise the exact pass.  The rows are consumed only by the
+    exact pass."""
+    (pivots,) = _mod_pivots([rows], ncols)
+    return bound if len(pivots) == bound else rank_zi_rows(rows, ncols)
 
 
 def _reduced_rows(rows, ncols):

@@ -18,9 +18,10 @@ their rank, taken over Z[i] with each polynomial converted once, to its
 primitive Gaussian-integer row (gzlie.matrices._zi_rows).
 
 The coincidence count, stratum_of_value and sample_chain_disjoint read
-gcd_degree (sample_g0 reads the coincidence count).  rank_zi_rows stops
-once every column has a pivot, so a coprime pair costs the same
-elimination whether its degree or only its coprimality is asked for.
+gcd_degree (sample_g0 reads the coincidence count).  Its rank goes
+through the modular filter (gzlie.matrices._certified_rank) with the
+width m + n + 1 as the bound: a coprime pair, whose rows have full rank,
+is certified mod p, and any other pair takes the exact pass.
 No package path reads gcd itself, nor gzlie.matrices.last_rref_row
 behind it; the bench tracer (perfbench/tracer.py) names gcd as its
 polys.gcd layer, and the tests pin it to the Euclidean algorithm.
@@ -28,7 +29,7 @@ polys.gcd layer, and the tests pin it to the Euclidean algorithm.
 
 from __future__ import annotations
 
-from .matrices import last_rref_row, rank_zi_rows, _zi_rows
+from .matrices import last_rref_row, _certified_rank, _zi_rows
 from .scalars import ZERO
 
 
@@ -72,12 +73,12 @@ def _sylvester_rows(a, b):
 
 def gcd_degree(a, b):
     """degree(gcd(a, b)), from the rank of the Sylvester rows of gcd over
-    Z[i] (see above)."""
+    Z[i], certified mod p when it is full (see above)."""
     a, b = normalize(list(a)), normalize(list(b))
     if not (a and b):
         return degree(a or b)
     rows, width = _sylvester_rows(a, b)
-    return width - rank_zi_rows(rows, width)
+    return width - _certified_rank(rows, width, width)
 
 
 def even_part(p, parity):

@@ -25,7 +25,9 @@ analysis report) write the top system once, in coordinates adapted to the
 whole chain (_chain_data), and eliminate it once, its rows going in one
 level at a time from the floor up: after level m the pivots left
 of dim g_m and of dim g_(m-1) are the two ranks of that level (see
-chain_centralizer_ranks).
+chain_centralizer_ranks).  That elimination runs mod p first, and the
+exact one only when a level's modular ranks miss their proven bounds
+(see _chain_ranks).
 
 Kostant's criterion (Amer. J. Math. 85, 1963) asks whether the generators
 of the invariants are linearly independent at x, and any generating set
@@ -71,8 +73,8 @@ from math import gcd
 
 from .matrices import (rank_zi_rows, full_rank_zi_rows,
                        nested_pivots_zi_rows, nullspace_zi_rows,
-                       char_poly_fl, zi_matrix, _kernel_rows, _qi,
-                       _zi_matmul)
+                       char_poly_fl, zi_matrix, _kernel_rows, _mod_pivots,
+                       _qi, _zi_matmul)
 from .liealg import embed_from_subalgebra
 from .invariants import generator_spec, pfaffian_minors
 
@@ -167,28 +169,43 @@ def _chain_ranks(ctx, image):
     d_m = dim g_m columns those rows are the centralizer system of x_m, and
     on the first d_(m-1) (spanning k_m = g_(m-1)) its k-system.
 
-    The levels go to the kernel one block at a time, floor first
-    (matrices.nested_pivots_zi_rows): after level m the pivots left of
-    column d_m are the g-rank of level m and those left of d_(m-1) its
-    k-rank, since a forward pass pivots column by column from the left
-    and the rows of the lower levels, read through the step down, lie in
-    the span of level m's.  The k-rank of the floor is 0 (k is 0 there)."""
+    The levels go to the kernel one block at a time, floor first: after
+    level m the pivots left of column d_m are the g-rank of level m and
+    those left of d_(m-1) its k-rank, since a forward pass pivots column by
+    column from the left and the rows of the lower levels, read through the
+    step down, lie in the span of level m's.  The k-rank of the floor is 0
+    (k is 0 there).
+
+    Each rank has a proven upper bound: the k-rank of level m is at most
+    d_(m-1) = dim k_m, its column count, and the g-rank at most
+    d_m - rank g_m, since a centralizer in a reductive g_m has dimension at
+    least its rank (Kostant, Amer. J. Math. 85, 1963).  The blocks first go
+    through the modular filter (matrices._mod_pivots), whose ranks are
+    lower bounds; when every level reaches both bounds, the bounds are the
+    ranks.  Otherwise the exact pass (matrices.nested_pivots_zi_rows) runs
+    on the same blocks."""
     columns, recipes, dims = _chain_data(ctx)
     re, im, _ = image
     block_re = _bracket_block(ctx, re, columns)
     block_im = None if im is None else _bracket_block(ctx, im, columns)
+    blocks = [_kernel_rows(
+        (_read_recipe(block_re, terms),
+         None if block_im is None else _read_recipe(block_im, terms))
+        for terms in level) for level in recipes]
 
-    def level_rows(level):
-        return _kernel_rows(
-            (_read_recipe(block_re, terms),
-             None if block_im is None else _read_recipe(block_im, terms))
-            for terms in level)
+    def read(nested):
+        ranks, lower = [], 0
+        for dim, pivots in zip(dims, nested):
+            ranks.append((bisect_left(pivots, lower),
+                          bisect_left(pivots, dim)))
+            lower = dim
+        return ranks
 
-    ranks, lower = [], 0
-    for dim, pivots in zip(dims, nested_pivots_zi_rows(
-            map(level_rows, recipes), ctx.dim)):
-        ranks.append((bisect_left(pivots, lower), bisect_left(pivots, dim)))
-        lower = dim
+    bounds = [(lower, dim - lvl.invariant_rank()) for lvl, lower, dim
+              in zip(ctx.levels[::-1], (0,) + dims, dims)]
+    ranks = read(_mod_pivots(blocks, ctx.dim))
+    if ranks != bounds:
+        ranks = read(nested_pivots_zi_rows(blocks, ctx.dim))
     return ranks[::-1]
 
 

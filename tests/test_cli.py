@@ -169,15 +169,9 @@ def test_analyze_refuses_values_too_large_to_print(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_analyze_of_a_gaussian_gl7_element_ends(tmp_path):
-    # a generic gl(7) element plus i times another: its centralizer and
-    # Jacobian systems have Gaussian rows, which the elimination kernel
-    # must keep small (it takes about 1 s; without the division of a row by
-    # its gcd in Z[i] it did not end in a minute)
-    ctx = make_algebra("gl", 7)
-    s = Sampler(12345)
-    x = suites._mixed_sample(ctx, s, 0) + s.algebra_element(ctx).scale(
-        QI(0, 1))
+def _analyze_ends(tmp_path, ctx, x):
+    """The JSON report of `gzlie analyze` on the document of x, run in a
+    new process that must exit 0 inside 60 s."""
     path = tmp_path / "x.json"
     path.write_text(json.dumps(emit_matrix_doc(ctx, x)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(gzlie.__file__)))
@@ -190,7 +184,36 @@ def test_analyze_of_a_gaussian_gl7_element_ends(tmp_path):
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["n"] == 7 and len(report["centralizer_dims"]) == 7
+    assert report["n"] == ctx.n
+    assert len(report["centralizer_dims"]) == len(ctx.levels)
+    return report
+
+
+def _gaussian_element(ctx):
+    """A generic element plus i times another, both drawn by one seeded
+    sampler."""
+    s = Sampler(12345)
+    return suites._mixed_sample(ctx, s, 0) + s.algebra_element(ctx).scale(
+        QI(0, 1))
+
+
+def test_analyze_of_a_gaussian_gl7_element_ends(tmp_path):
+    # its centralizer and Jacobian systems have Gaussian rows, whose ranks
+    # are certified mod p in about 0.01 s; the exact pass takes about 0.2 s
+    # on them, and did not end in a minute without the division of a row by
+    # its gcd in Z[i]
+    ctx = make_algebra("gl", 7)
+    _analyze_ends(tmp_path, ctx, _gaussian_element(ctx))
+
+
+@pytest.mark.parametrize("kind", ["gl", "so"])
+def test_analyze_of_a_gaussian_element_at_max_n_ends(tmp_path, kind):
+    # the same kind of document at MAX_N: the exact chain ranks of gl(16)
+    # and so(16) take minutes, and so did the exact coincidence count of
+    # gl(16); every rank the report reads is certified mod p instead
+    ctx = make_algebra(kind, MAX_N)
+    report = _analyze_ends(tmp_path, ctx, _gaussian_element(ctx))
+    assert report["sreg"] and report["coincidence"] == 0
 
 
 def test_analyze_of_a_dense_real_gl11_element_ends(tmp_path):
@@ -199,20 +222,7 @@ def test_analyze_of_a_dense_real_gl11_element_ends(tmp_path):
     # each level eliminated its own system; one nested elimination of the
     # top system reads them all
     ctx = make_algebra("gl", 11)
-    x = suites._mixed_sample(ctx, Sampler(12345), 3)
-    path = tmp_path / "x.json"
-    path.write_text(json.dumps(emit_matrix_doc(ctx, x)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gzlie.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from gzlie.cli import main; "
-         "sys.exit(main(sys.argv[1:]))",
-         "analyze", "--json", "--input", str(path)],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["n"] == 11 and len(report["centralizer_dims"]) == 11
+    _analyze_ends(tmp_path, ctx, suites._mixed_sample(ctx, Sampler(12345), 3))
 
 
 def test_verify_rejects_negative_trials(capsys):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gzlie import scalars
-from gzlie.matrices import Mat
+from gzlie import docio, matrices, polys, regularity, scalars
+from gzlie.matrices import Mat, rank_zi_rows
 from gzlie.liealg import make_algebra, root_vector
 from gzlie.invariants import partial_kw, full_kw, coincidence_count
 from gzlie.regularity import kostant_jacobian_rank
@@ -262,3 +262,51 @@ def test_reports_and_jacobian_ranks_under_an_mpq_stand_in(monkeypatch):
         assert analysis_report(ctx, x) == item["report"], key
         assert (kostant_jacobian_rank(ctx, x)
                 == item["report"]["jacobian_rank"]), key
+
+
+# --- the modular filter ------------------------------------------------------
+
+def _exact_report(ctx, x):
+    """analysis_report with a modular filter that certifies nothing, so
+    every rank it reads comes from the exact kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_mod_pivots",
+                   lambda blocks, ncols: ([] for _ in blocks))
+        for module in (docio, polys):
+            mp.setattr(module, "_certified_rank",
+                       lambda rows, ncols, bound: rank_zi_rows(rows, ncols))
+        return analysis_report(ctx, x)
+
+
+@pytest.mark.parametrize("kind,n", [("gl", 5), ("so", 7)])
+def test_generic_reports_run_no_exact_rank(kind, n, monkeypatch):
+    # every rank of a generic report is certified mod p: a bound that never
+    # certified would only show as slowness
+    ctx = make_algebra(kind, n)
+    x = Sampler("modular/%s%d" % (kind, n)).algebra_element(ctx)
+    want = _exact_report(ctx, x)
+
+    def refuse(*args):
+        raise AssertionError("the exact pass ran")
+
+    monkeypatch.setattr(regularity, "nested_pivots_zi_rows", refuse)
+    monkeypatch.setattr(matrices, "rank_zi_rows", refuse)
+    assert analysis_report(ctx, x) == want
+    assert want["sreg"] and want["jacobian_full_rank"]
+    assert want["coincidence"] == 0
+
+
+def test_a_pivot_divisible_by_p_takes_the_exact_pass(monkeypatch):
+    # x_12 = -p is the one entry of the k-system of gl(2), so its modular
+    # k-rank is 0 while x is nsreg; found by a seeded scan of gl(2)
+    # elements with coordinates in -3..3 and near multiples of p
+    assert matrices._P == 32749
+    ctx, x = parse_matrix_doc({"algebra": "gl", "n": 2,
+                               "entries": [["-1", "-32749"], ["0", "1"]]})
+    want = _exact_report(ctx, x)
+    calls = []
+    nested = regularity.nested_pivots_zi_rows
+    monkeypatch.setattr(regularity, "nested_pivots_zi_rows",
+                        lambda *args: calls.append(1) or nested(*args))
+    assert analysis_report(ctx, x) == want and calls
+    assert want["nsreg"] and want["sreg"] and want["regular"]

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_left
 from math import gcd
 
 import pytest
@@ -675,3 +676,75 @@ def test_membership_and_intersection_match_reference_ranks(case):
         _reference_rank(basis + [vec], n) == rank_b)
     assert intersection_dim(basis, other, n) == (
         rank_b + _reference_rank(other, n) - _reference_rank(basis + other, n))
+
+
+# --- the modular filter ------------------------------------------------------
+
+# Gaussian integers sent to 0 mod p by i -> s: p, s - i and p (2 + i)
+_MOD_ZEROS = [qi(matrices._P), qi(matrices._S) - I,
+              qi(2 * matrices._P) + qi(matrices._P) * I]
+
+
+@st.composite
+def _modular_case(draw):
+    """(rows, ncols, cut): real or Gaussian integer rows built to make the
+    modular pass lose rank, with Gaussian multiples of earlier rows, rows
+    and entries sent to 0 mod p, and rows that differ from an earlier row
+    by a multiple of p in one entry, so that a minor is a multiple of p;
+    cut splits the rows into two blocks."""
+    n = draw(st.integers(1, 6))
+    real = draw(st.booleans())
+    cell = st.builds(qi, st.integers(-9, 9)) if real else _GAUSS_SMALL
+    zero = st.sampled_from(_MOD_ZEROS[:1] if real else _MOD_ZEROS)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new", "new", "multiple", "zero",
+                                     "entry", "near"]))
+        if kind == "multiple" and rows:
+            c = draw(st.sampled_from(_GAUSS_FACTORS[1:]))
+            row = [c * v for v in draw(st.sampled_from(rows))]
+        elif kind == "near" and rows:
+            row = list(draw(st.sampled_from(rows)))
+            k = draw(st.integers(0, n - 1))
+            row[k] = row[k] + draw(zero)
+        else:
+            row = [draw(cell) for _ in range(n)]
+            if kind == "zero":
+                c = draw(zero)
+                row = [c * v for v in row]
+            elif kind == "entry":
+                k = draw(st.integers(0, n - 1))
+                row[k] = row[k] * draw(zero)
+        rows.append(row)
+    return rows, n, draw(st.integers(0, len(rows)))
+
+
+@given(_modular_case())
+@settings(max_examples=200, deadline=None)
+def test_modular_ranks_are_lower_bounds_and_certify_exactly(case):
+    # at every column prefix, in one block and in two, the modular pass has
+    # no more pivots than the exact one and leaves its rows as they were;
+    # a certified rank is the exact rank under any upper bound
+    rows, n, cut = case
+    for blocks in ([rows], [rows[:cut], rows[cut:]]):
+        zi = [_unreduced_rows(Mat(block)) for block in blocks]
+        given_rows = [[list(re), im and list(im)] for b in zi for re, im in b]
+        modular = list(matrices._mod_pivots(zi, n))
+        assert [row for b in zi for row in b] == given_rows
+        for mod, exact in zip(modular, nested_pivots_zi_rows(zi, n)):
+            for c in range(n + 1):
+                assert bisect_left(mod, c) <= bisect_left(exact, c)
+    want = rank_zi_rows(_unreduced_rows(Mat(rows)), n)
+    for bound in {want, want + 1, n, len(rows)} - set(range(want)):
+        assert matrices._certified_rank(_unreduced_rows(Mat(rows)), n,
+                                        bound) == want
+
+
+def test_certified_rank_falls_back_when_p_divides_a_pivot():
+    # [1, 0], [1, p] and [1, 0], [0, s - i]: rank 2 with a 2x2 minor sent
+    # to 0, so the modular rank is 1 and the exact pass answers
+    p, s = matrices._P, matrices._S
+    for rows in ([[[1, 0], None], [[1, p], None]],
+                 [[[1, 0], None], [[0, s], [0, -1]]]):
+        assert list(matrices._mod_pivots([rows], 2)) == [[0]]
+        assert matrices._certified_rank(rows, 2, 2) == 2
