@@ -169,9 +169,10 @@ def test_analyze_refuses_values_too_large_to_print(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def _analyze_ends(tmp_path, ctx, x):
+def _analyze_ends(tmp_path, ctx, x, n, levels):
     """The JSON report of `gzlie analyze` on the document of x, run in a
-    new process that must exit 0 inside 60 s."""
+    new process that must exit 0 inside 60 s. It must give size n and
+    one centralizer dimension per chain level, `levels` in all."""
     path = tmp_path / "x.json"
     path.write_text(json.dumps(emit_matrix_doc(ctx, x)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(gzlie.__file__)))
@@ -184,8 +185,7 @@ def _analyze_ends(tmp_path, ctx, x):
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["n"] == ctx.n
-    assert len(report["centralizer_dims"]) == len(ctx.levels)
+    assert report["n"] == n and len(report["centralizer_dims"]) == levels
     return report
 
 
@@ -203,16 +203,18 @@ def test_analyze_of_a_gaussian_gl7_element_ends(tmp_path):
     # on them, and did not end in a minute without the division of a row by
     # its gcd in Z[i]
     ctx = make_algebra("gl", 7)
-    _analyze_ends(tmp_path, ctx, _gaussian_element(ctx))
+    _analyze_ends(tmp_path, ctx, _gaussian_element(ctx), 7, 7)
 
 
-@pytest.mark.parametrize("kind", ["gl", "so"])
-def test_analyze_of_a_gaussian_element_at_max_n_ends(tmp_path, kind):
+@pytest.mark.parametrize("kind, levels", [("gl", 16), ("so", 15)])
+def test_analyze_of_a_gaussian_element_at_max_n_ends(tmp_path, kind, levels):
     # the same kind of document at MAX_N: the exact chain ranks of gl(16)
     # and so(16) take minutes, and so did the exact coincidence count of
-    # gl(16); every rank the report reads is certified mod p instead
+    # gl(16); every rank the report reads is certified mod p instead.
+    # gl(16) has a level per size 1..16, so(16) one per size 2..16
     ctx = make_algebra(kind, MAX_N)
-    report = _analyze_ends(tmp_path, ctx, _gaussian_element(ctx))
+    assert MAX_N == 16
+    report = _analyze_ends(tmp_path, ctx, _gaussian_element(ctx), 16, levels)
     assert report["sreg"] and report["coincidence"] == 0
 
 
@@ -222,7 +224,8 @@ def test_analyze_of_a_dense_real_gl11_element_ends(tmp_path):
     # each level eliminated its own system; one nested elimination of the
     # top system reads them all
     ctx = make_algebra("gl", 11)
-    _analyze_ends(tmp_path, ctx, suites._mixed_sample(ctx, Sampler(12345), 3))
+    _analyze_ends(tmp_path, ctx, suites._mixed_sample(ctx, Sampler(12345), 3),
+                  11, 11)
 
 
 def test_verify_rejects_negative_trials(capsys):
