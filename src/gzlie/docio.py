@@ -6,7 +6,8 @@ one nested elimination of the top system of the Gaussian-integer image of
 x (regularity.chain_centralizer_ranks), certified mod p where the ranks
 reach their proven bounds, and takes one integer step down
 (AlgebraContext.walk) for the level data of x_(n-1), read with that of x
-as partial_kw reads them (invariants._level_data).
+as partial_kw reads them (invariants._level_data): one power recurrence
+per level gives both the values and the Jacobian rows.
 The values it prints are checked to fit Python's integer-to-string limit
 before any of that work (see analysis_report)."""
 
@@ -21,7 +22,7 @@ from .liealg import analyzable_algebra
 from .invariants import (InvariantVector, _level_data, level_values,
                          coincidence_of)
 from .regularity import (_chain_ranks, _level_gradient_rows,
-                         _coefficient_gradients)
+                         _power_gradients)
 
 
 class DocumentError(ValueError):
@@ -137,12 +138,12 @@ def analysis_report(ctx, mat):
 
     The chain is walked on Gaussian integers down to x_(n-1): x and x_(n-1)
     give their level data (invariants._level_data), whose coefficients and
-    pf(S x_m) give the values and the coincidence count, as in partial_kw
-    and coincidence_count, and whose auxiliary matrices and sub-Pfaffian
-    memo give the coefficient gradient rows of partial_map_jacobian
-    (regularity._coefficient_gradients), whose rank is that of
-    kostant_jacobian_rank's power gradient rows; it is certified mod p
-    when it reaches the row count (matrices._certified_rank).
+    pf(S x_m) give the values, as in partial_kw, and the coincidence count,
+    as in coincidence_count, and whose powers and sub-Pfaffian memo give
+    the power gradient rows of kostant_jacobian_rank
+    (regularity._power_gradients), with no product beyond those the values
+    took; their rank is certified mod p when it reaches the row count
+    (matrices._certified_rank).
     Raises DocumentError, before any of that, when a value of the report
     could exceed the integer-to-string limit (_check_printable)."""
     image = zi_matrix(mat.a)
@@ -154,9 +155,9 @@ def analysis_report(ctx, mat):
     coeffs, values, rows = [], [], []
     top, below = islice(ctx.walk(image), 2)
     for lvl, img in (below, top):
-        b, aux, minors, pf = _level_data(lvl, img)
+        b, powers, minors, pf = _level_data(lvl, img)
         rows += [row for row, _ in _level_gradient_rows(
-            ctx, lvl, _coefficient_gradients(lvl, aux, minors))]
+            ctx, lvl, _power_gradients(lvl, powers, minors, img.d))]
         values += level_values(lvl, b, pf)
         coeffs.append(b)
     jrank = _certified_rank(rows, ctx.dim, len(rows))

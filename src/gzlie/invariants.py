@@ -8,7 +8,17 @@ Every reader walks the Gaussian-integer image of x down the chain
 (AlgebraContext.down_zi and walk), and _level_data reads a level's image
 once for the values and docio.analysis_report: the coefficients b of
 det(t*I - x_m), of which level_values and coincidence_of are pure
-functions, the auxiliary matrices, the sub-Pfaffian memo and pf(S x_m).
+functions, the level's powers, the sub-Pfaffian memo and pf(S x_m).
+
+A level's powers of X = d*x_m are formed in one place, _level_powers: the
+powers X^(j-1) that the power gradient rows of regularity pair with the
+basis, I, X, ..., X^(m-1) on gl and X, X^3, ... through Y = X^2 on so.
+The coefficients are read off them by Newton's identities over Z[i]
+(_char_coeffs), every power sum the diagonal sum of a power or the trace
+of two, so on so(m) the values take floor((m-1)/2) products where
+Faddeev-LeVerrier takes m - 2, and on gl both take m - 2.  partial_kw,
+full_kw, reduced_char and the analysis report read them so;
+coincidence_count keeps matrices.char_poly_fl.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import polys
-from .matrices import char_poly_fl, zi_matrix, zi_sub_pfaffians, _qi
+from .matrices import (ZiMatrix, char_poly_fl, zi_matrix, zi_sub_pfaffians,
+                       _qi, _zi_matmul, _zi_trace)
 from .scalars import ZERO, ONE
 
 
@@ -64,7 +75,82 @@ def _reduced(spec, b):
 def reduced_char(ctx, mat):
     """For so: the monic q with char(t) = t^(n mod 2) * q(t^2).
     For gl: the characteristic polynomial itself.  mat may be a ZiMatrix."""
-    return _reduced(generator_spec(ctx), char_poly_fl(mat)[0])
+    image = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
+    return _reduced(generator_spec(ctx),
+                    _char_coeffs(ctx, image, _level_powers(ctx, image)))
+
+
+def _level_powers(ctx_m, image):
+    """{e: X^e}, the powers of X = d*x_m that a level's values
+    (_char_coeffs) and power gradient rows (regularity._power_gradients)
+    read, from the ZiMatrix (re, im, d) of x_m, each a pair (re, im) of
+    int rows, im None when real: X, and X^(j-1) for every (j, sign) of
+    generator_spec(ctx_m).coeffs.  That is I, X, ..., X^(m-1) on gl and
+    X, X^3, ..., X^(2r-1) on so, r the number of coefficient generators;
+    each but I and X is one product (matrices._zi_matmul) of the last, by
+    X on gl and on so by Y = X^2, made once and kept under 2."""
+    spec = generator_spec(ctx_m)
+    m = ctx_m.n
+    x = image[:2]
+    powers = {1: x}
+    step = 2 if spec.even else 1
+    for j, _ in spec.coeffs:
+        e = j - 1
+        if e == 0:
+            powers[0] = ([[int(i == k) for k in range(m)] for i in range(m)],
+                         None)
+        elif e not in powers:
+            if step not in powers:
+                powers[step] = _zi_matmul(x, x)
+            powers[e] = _zi_matmul(powers[step], powers[e - step])
+    return powers
+
+
+def _diagonal_sum(power):
+    """tr(P), (re, im), of a power P held as a pair (re, im)."""
+    re, im = power
+    return (sum(row[i] for i, row in enumerate(re)),
+            0 if im is None else sum(row[i] for i, row in enumerate(im)))
+
+
+def _char_coeffs(ctx_m, image, powers):
+    """b_1..b_m of det(t*I - x_m) from the ZiMatrix of x_m and its
+    _level_powers, by Newton's identities over Z[i] on X = d*x_m:
+    k b_k = -(p_1 b_(k-1) + ... + p_k b_0), b_0 = 1, every division by k
+    checked to be exact; then b_k(x_m) = b_k(X) / d^k.
+
+    The power sum p_k = tr(X^k) is the diagonal sum of X^k when that power
+    is in powers, else tr(X^a X^(k-a)) (matrices._zi_trace, no product)
+    for the largest a with both powers there: p_m = tr(X^(m-1) X) on gl;
+    on so(m), m > 2, p_2 is the diagonal sum of Y, an even p_k above it
+    pairs two odd powers (Y with Y on so(4)), and the odd p_k above the
+    last odd power is tr(X^(k-2) Y).  So the values take no product
+    beyond the powers but Y on so(3) and so(4), which have no X^3.  The
+    odd b_k are computed, not assumed zero: on so, level_values checks
+    that they vanish."""
+    m = ctx_m.n
+    if generator_spec(ctx_m).even and m > 2 and 2 not in powers:
+        powers = {**powers, 2: _zi_matmul(powers[1], powers[1])}
+    sums = []
+    for k in range(1, m + 1):
+        if k in powers:
+            sums.append(_diagonal_sum(powers[k]))
+        else:
+            a = max(e for e in powers if e < k and k - e in powers)
+            sums.append(_zi_trace(powers[a], powers[k - a]))
+    b = [(1, 0)]
+    for k in range(1, m + 1):
+        acc_re = acc_im = 0
+        for (p_re, p_im), (b_re, b_im) in zip(sums, reversed(b)):
+            acc_re += p_re * b_re - p_im * b_im
+            acc_im += p_re * b_im + p_im * b_re
+        (b_re, r_re), (b_im, r_im) = divmod(-acc_re, k), divmod(-acc_im, k)
+        if r_re or r_im:
+            raise AssertionError("Newton's identities: b_%d is not integral"
+                                 % k)
+        b.append((b_re, b_im))
+    d = image.d
+    return [_qi(b_re, b_im, d ** k) for k, (b_re, b_im) in enumerate(b[1:], 1)]
 
 
 def pfaffian_minors(ctx_m, image):
@@ -81,15 +167,16 @@ def pfaffian_minors(ctx_m, image):
 
 
 def _level_data(ctx_m, image):
-    """(b, aux, minors, pf) from the ZiMatrix of x_m: b_1..b_m of
-    det(t*I - x_m) and the auxiliary matrices (matrices.char_poly_fl), and
-    pfaffian_minors with pf(S x_m) read from it, both None unless pf(S x_m)
-    is a generator of the level."""
-    b, aux = char_poly_fl(image)
+    """(b, powers, minors, pf) from the ZiMatrix of x_m: b_1..b_m of
+    det(t*I - x_m) (_char_coeffs) read off the level's powers
+    (_level_powers), and pfaffian_minors with pf(S x_m) read from it, both
+    None unless pf(S x_m) is a generator of the level."""
+    powers = _level_powers(ctx_m, image)
+    b = _char_coeffs(ctx_m, image, powers)
     minors = pfaffian_minors(ctx_m, image)
     pf = (None if minors is None else
           _qi(*minors(tuple(range(ctx_m.n))), image.d ** (ctx_m.n // 2)))
-    return b, aux, minors, pf
+    return b, powers, minors, pf
 
 
 def level_values(ctx_m, b, pf):

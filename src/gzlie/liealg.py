@@ -18,8 +18,8 @@ One evaluator, _step_zi, takes both steps on Gaussian-integer images
 (re, im, d): the weights are ints over one scale (2 on even so, the 1/2
 of PD; 1 otherwise).  down_zi steps an image down, and walk(image) takes
 it down the whole chain on integers: one image per level, which the
-centralizer systems, Faddeev-LeVerrier and the sub-Pfaffian memo of
-gzlie.regularity and gzlie.docio read.  down, up, chain(x),
+centralizer systems, the power recurrence and the sub-Pfaffian memo of
+gzlie.invariants, gzlie.regularity and gzlie.docio read.  down, up, chain(x),
 project_to_subalgebra and embed_from_subalgebra are Q(i) views of those
 integer steps, converting once at each end.  The step down is also stored
 once per context in basis coordinates: down_coords[k] lists the int

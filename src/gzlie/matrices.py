@@ -58,8 +58,13 @@ elimination; the package decides invertibility by rank.
 
 char_poly_fl runs Faddeev-LeVerrier over Z[i] on X = d*A, d the least
 common denominator of A, in n - 2 products of ``_zi_matmul``, the one
-Gaussian-integer product (the power gradient rows of gzlie.regularity take
-it too), and keeps its auxiliary matrices M_k(X) over Z[i].
+Gaussian-integer product, and keeps its auxiliary matrices M_k(X) over
+Z[i].  It is the general-matrix routine and the reference: the
+coincidence count, det, char_poly and partial_map_jacobian read it.  The
+generator values and the Jacobian ranks read one power recurrence per
+chain level instead (gzlie.invariants._level_powers, whose products are
+``_zi_matmul`` too, with the coefficients from Newton's identities on
+power sums that ``_zi_trace`` reads as tr(a b) without the product).
 ``zi_sub_pfaffians`` is the one Pfaffian expansion: a memo of the
 sub-Pfaffians of an antisymmetric Gaussian-integer matrix, which the
 generator values, the Jacobian rows and the analysis report read, and
@@ -601,6 +606,21 @@ def _itrace(a, b):
     return sum(sum(map(_mul, row, col)) for row, col in zip(a, zip(*b)))
 
 
+def _zi_trace(a, b):
+    """tr(a b), (re, im), of Gaussian-integer matrices held as pairs
+    (re, im) of int rows, im None when real: one _itrace per pair of
+    parts, no product formed."""
+    (ar, ai), (br, bi) = a, b
+    re, im = _itrace(ar, br), 0
+    if ai is not None:
+        im = _itrace(ai, br)
+    if bi is not None:
+        im += _itrace(ar, bi)
+        if ai is not None:
+            re -= _itrace(ai, bi)
+    return re, im
+
+
 # the auxiliary matrices of one Faddeev-LeVerrier run on X = d*A, held as
 # the recurrence's Gaussian integers: ints[k] is the pair (re, im) of int
 # rows of M_(k+1)(X) = d^k M_(k+1)(A), im None while X is real.  Readers
@@ -619,10 +639,10 @@ def char_poly_fl(mat):
     of the entries; there the division by k is exact.  Then
     b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  It forms n - 2
     products (_zi_matmul): X M_1 is a copy of X, and at k = n, where only
-    b_n is read, tr(X M_n) is the sum of X_ij (M_n)_ji (_itrace) and X M_n
-    is not formed.  aux is an AuxMatrices (d, ints).  ``mat`` is a Mat, or
-    already the ZiMatrix of A over that d (a chain level's image, see
-    AlgebraContext.walk).
+    b_n is read, tr(X M_n) is the sum of X_ij (M_n)_ji (_zi_trace) and
+    X M_n is not formed.  aux is an AuxMatrices (d, ints).  ``mat`` is a
+    Mat, or already the ZiMatrix of A over that d (a chain level's image,
+    see AlgebraContext.walk).
     """
     xre, xim, d = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
     n = len(xre)
@@ -637,13 +657,7 @@ def char_poly_fl(mat):
         dk *= d
         if k == n:
             # only b_n is read: tr(X M_n), no product
-            tr_re = _itrace(xre, mre)
-            tr_im = 0
-            if xim is not None:
-                tr_im = _itrace(xim, mre)
-                if mim is not None:
-                    tr_re -= _itrace(xim, mim)
-                    tr_im += _itrace(xre, mim)
+            tr_re, tr_im = _zi_trace((xre, xim), (mre, mim))
             coeffs.append(_qi(-tr_re // k, -tr_im // k, dk))
             break
         if k == 1:                       # X M_1 = X

@@ -31,23 +31,26 @@ exact one only when a level's modular ranks miss their proven bounds
 
 Kostant's criterion (Amer. J. Math. 85, 1963) asks whether the generators
 of the invariants are linearly independent at x, and any generating set
-gives the same answer.  The two rank readers (kostant_jacobian_rank and
-full_map_jacobian_rank) therefore read the power sums p_j = tr(x^j),
-whose gradient pairs V with j x^(j-1), and run no Faddeev-LeVerrier
-recurrence (_power_gradients).  Newton's identities make each coefficient
-b_j of det(t*I - x) equal to -p_j / j plus a polynomial in p_1..p_(j-1),
-so the change from the coefficient generators to the power sums is
-triangular with a constant nonzero diagonal, and at every x both sets of
-gradients span the same space.  On so(m) the odd p_j and b_j vanish
-identically, and so do their gradients along so(m): the odd powers
-x, x^3, ... stand for the coefficients, each one product from the last
-through x^2, and on even so the Pfaffian row stays as it is.
-partial_map_jacobian and docio.analysis_report keep the exact coefficient
-gradients (_coefficient_gradients), read off the auxiliary matrices of
-the Faddeev-LeVerrier recurrence (the adjugate expansion), one recurrence
-per chain level; the report already runs it for its values.  The
-Pfaffian row reads the Pfaffians of the cofactors of S*X, all from one
-memo of sub-Pfaffians on the integers X = d*x_m.
+gives the same answer.  The Jacobian rank readers (kostant_jacobian_rank,
+full_map_jacobian_rank and docio.analysis_report) therefore read the
+power sums p_j = tr(x^j), whose gradient pairs V with j x^(j-1), and run
+no Faddeev-LeVerrier recurrence (_power_gradients).  Newton's identities
+make each coefficient b_j of det(t*I - x) equal to -p_j / j plus a
+polynomial in p_1..p_(j-1), so the change from the coefficient generators
+to the power sums is triangular with a constant nonzero diagonal, and at
+every x both sets of gradients span the same space.  On so(m) the odd p_j
+and b_j vanish identically, and so do their gradients along so(m): the
+odd powers x, x^3, ... stand for the coefficients, each one product from
+the last through x^2, and on even so the Pfaffian row stays as it is.
+The powers are those of invariants._level_powers, the level's one power
+recurrence, from which the generator values are read too (Newton's
+identities, invariants._char_coeffs), so the analysis report forms each
+level's powers once for its values and its Jacobian rows.
+partial_map_jacobian alone keeps the exact coefficient gradients
+(_coefficient_gradients_at), read off the auxiliary matrices of the
+Faddeev-LeVerrier recurrence (the adjugate expansion), one recurrence per
+chain level.  The Pfaffian row reads the Pfaffians of the cofactors of
+S*X, all from one memo of sub-Pfaffians on the integers X = d*x_m.
 
 _level_gradient_rows is the one pairing and lifting step for both
 sources, and the rows stay over Z[i] from the gradient matrices to the
@@ -74,9 +77,9 @@ from math import gcd
 from .matrices import (rank_zi_rows, full_rank_zi_rows,
                        nested_pivots_zi_rows, nullspace_zi_rows,
                        char_poly_fl, zi_matrix, _kernel_rows, _mod_pivots,
-                       _qi, _zi_matmul)
+                       _qi)
 from .liealg import embed_from_subalgebra
-from .invariants import generator_spec, pfaffian_minors
+from .invariants import generator_spec, pfaffian_minors, _level_powers
 
 
 def _bracket_block(ctx, a, supports):
@@ -349,7 +352,7 @@ def _level_gradient_rows(ctx, lvl, grads):
     real) and the gradient is that row divided by the nonzero int scale.
     grads are the level's gradient matrices as pairs ((re, im), scale),
     G = re + i*im with the gradient tr(G V) / scale at x_m, from one of two
-    sources: _coefficient_gradients or _power_gradients.
+    sources: _coefficient_gradients_at or _power_gradients.
 
     Each gradient matrix is paired with the basis of g_m through its
     supports, then lifted level by level through down_coords: projection
@@ -380,49 +383,34 @@ def _pfaffian_pair(lvl, minors, d):
     return [(_pfaffian_gradient(minors, lvl.n), d ** ((lvl.n - 2) // 2))]
 
 
-def _coefficient_gradients(lvl, aux, minors):
+def _coefficient_gradients_at(lvl, image):
     """The gradient matrices of the generators of lvl (generator_spec) for
-    _level_gradient_rows, read off the auxiliary matrices of
-    matrices.char_poly_fl on the level's ZiMatrix, the recurrence's
-    integers: d b_j = -tr(M_j(X) V) / d^(j-1) with X = d*x_m; minors is
-    invariants.pfaffian_minors of the same image, for the Pfaffian row."""
+    _level_gradient_rows, from the ZiMatrix of x_m, read off the
+    auxiliary matrices of matrices.char_poly_fl, the recurrence's
+    integers: d b_j = -tr(M_j(X) V) / d^(j-1) with X = d*x_m; then the
+    Pfaffian row, from invariants.pfaffian_minors of the same image."""
+    _, aux = char_poly_fl(image)
     return ([(aux.ints[j - 1], -sign * aux.d ** (j - 1))
              for j, sign in generator_spec(lvl).coeffs]
-            + _pfaffian_pair(lvl, minors, aux.d))
+            + _pfaffian_pair(lvl, pfaffian_minors(lvl, image), aux.d))
 
 
-def _coefficient_gradients_at(lvl, image):
-    """_coefficient_gradients with its data computed from the ZiMatrix of
-    x_m."""
-    _, aux = char_poly_fl(image)
-    return _coefficient_gradients(lvl, aux, pfaffian_minors(lvl, image))
-
-
-def _power_gradients(lvl, image):
+def _power_gradients(lvl, powers, minors, d):
     """Gradient matrices for _level_gradient_rows that span, at x_m, the
-    same space as _coefficient_gradients (see the module docstring), from
-    the ZiMatrix (re, im, d) of x_m, with no Faddeev-LeVerrier run: for
-    each (j, sign) of generator_spec(lvl).coeffs the power X^(j-1) of
-    X = d*x_m over d^(j-1), the gradient of p_j / j, then the Pfaffian row.
-    The powers are I, X, X^2, ..., X^(m-1) on gl and X, X^3, ... on so
-    (spec.even); each but I and X is one product (matrices._zi_matmul) of
-    the last, by X on gl and by Y = X^2, made once, on so."""
-    spec = generator_spec(lvl)
-    re, im, d = image
-    x = (re, im)
-    grads, step = [], None
-    for j, _ in spec.coeffs:
-        if j == 1:
-            power = ([[int(i == k) for k in range(lvl.n)]
-                      for i in range(lvl.n)], None)
-        elif j == 2:
-            power = x
-        else:
-            if step is None:
-                step = _zi_matmul(x, x) if spec.even else x
-            power = _zi_matmul(step, power)
-        grads.append((power, d ** (j - 1)))
-    return grads + _pfaffian_pair(lvl, pfaffian_minors(lvl, image), d)
+    same space as _coefficient_gradients_at (see the module docstring),
+    from the level's powers of X = d*x_m (invariants._level_powers) and
+    the sub-Pfaffian memo minors of X (invariants.pfaffian_minors): for
+    each (j, sign) of generator_spec(lvl).coeffs the power X^(j-1) over
+    d^(j-1), the gradient of p_j / j, then the Pfaffian row."""
+    return ([(powers[j - 1], d ** (j - 1))
+             for j, _ in generator_spec(lvl).coeffs]
+            + _pfaffian_pair(lvl, minors, d))
+
+
+def _power_gradients_at(lvl, image):
+    """_power_gradients with its data computed from the ZiMatrix of x_m."""
+    return _power_gradients(lvl, _level_powers(lvl, image),
+                            pfaffian_minors(lvl, image), image.d)
 
 
 def _partial_rows(ctx, mat, gradients):
@@ -448,7 +436,8 @@ def partial_map_jacobian(ctx, mat):
 def kostant_jacobian_rank(ctx, mat):
     """Rank of partial_map_jacobian, from the power gradient rows."""
     return rank_zi_rows([row for row, _ in
-                         _partial_rows(ctx, mat, _power_gradients)], ctx.dim)
+                         _partial_rows(ctx, mat, _power_gradients_at)],
+                        ctx.dim)
 
 
 def full_map_jacobian_rank(ctx, mat):
@@ -456,7 +445,7 @@ def full_map_jacobian_rank(ctx, mat):
     the power gradient rows."""
     return rank_zi_rows([row for lvl, image in ctx.walk(zi_matrix(mat.a))
                          for row, _ in _level_gradient_rows(
-                             ctx, lvl, _power_gradients(lvl, image))],
+                             ctx, lvl, _power_gradients_at(lvl, image))],
                         ctx.dim)
 
 

@@ -6,7 +6,8 @@ deleting one of them breaks only ``perfbench/run.py --trace 1``.  The first
 test installs the tracer on every gzlie module and removes it again; the
 second runs the traced Jacobian and analysis paths, whose elimination entry
 points the tracer reads entry by entry (``ELIM_SIZES``), and the
-generator-value readers and samplers, counting their Faddeev-LeVerrier runs.
+generator-value readers and samplers, counting the Faddeev-LeVerrier runs
+of the coincidence count.
 """
 
 import importlib
@@ -46,13 +47,12 @@ def test_tracer_installs_on_every_traced_function():
 def test_traced_jacobian_and_analysis_paths_run():
     # a Gaussian-integer row handed to a wrapped Q(i) entry point (rank,
     # rank_rows, nullspace) would raise in the tracer's size reader; the
-    # generator-value readers must reach char_poly_fl through a module
-    # binding that the tracer rebinds, or their runs go uncounted
+    # coincidence count must reach char_poly_fl through a module binding
+    # that the tracer rebinds, or its runs go uncounted
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer(tracer_mod.gzlie_modules())
     tracer.install()
     try:
-        runs = 0
         for kind, n in [("gl", 4), ("so", 6)]:
             ctx = liealg.make_algebra(kind, n)
             s = rand.Sampler("tracer/%s%d" % (kind, n))
@@ -67,11 +67,9 @@ def test_traced_jacobian_and_analysis_paths_run():
             # each sampler accepts its first draw of this stream
             korbits.sample_g0(ctx, s)
             korbits.sample_chain_disjoint(ctx, s)
-            # one Faddeev-LeVerrier run per level of the partial map (the
-            # report, partial_kw, coincidence_count and sample_g0) and per
-            # level of the chain (full_kw and sample_chain_disjoint); the
-            # two Jacobian ranks read power sums and run none
-            runs += 4 * 2 + 2 * len(ctx.levels)
     finally:
         tracer.uninstall()
-    assert tracer.calls["matrices.char_poly"] == runs
+    # per algebra, two Faddeev-LeVerrier runs each for coincidence_count and
+    # sample_g0 (which reads it); the values, the report and the Jacobian
+    # ranks read the level's powers (invariants._level_powers) and run none
+    assert tracer.calls["matrices.char_poly"] == 8

@@ -3,19 +3,25 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gzlie import matrices
 from gzlie.scalars import QI, rat, ZERO, ONE, I
-from gzlie.matrices import Mat, zi_matrix
+from gzlie.matrices import Mat, zi_matrix, char_poly_fl
 from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
 from gzlie.invariants import (InvariantVector, reduced_char,
                               pfaffian_minors, level_values,
                               partial_kw, full_kw, coincidence_count,
                               coincidence_of, stratum_of_value,
-                              _poly_from_values)
+                              _poly_from_values, _level_data, _level_powers,
+                              _char_coeffs)
+from gzlie.regularity import kostant_jacobian_rank, full_map_jacobian_rank
+from gzlie.docio import analysis_report
 from gzlie.rand import Sampler
 from gzlie.suites import _mixed_sample
 from gzlie import polys
 
+import qi_reference
 from qi_reference import (divmod_exact, pfaffian_generator, coefficients,
                           level_values_qi, chain_down_dense, qi,
                           as_fraction, from_ints)
@@ -295,3 +301,107 @@ def test_walk_readers_match_qi_reference(algebra):
               s.algebra_element(ctx) + s.algebra_element(ctx).scale(I),
               Mat.zeros(ctx.n)]:
         _assert_walk_readers_match_qi_reference(ctx, x)
+
+
+# --- one power recurrence per level -------------------------------------------
+
+LEVEL_ALGEBRAS = ([("gl", n) for n in range(1, 10)]
+                  + [("so", n) for n in range(2, 17)])
+
+
+def _level_draw(ctx, s, family, gaussian):
+    """A _mixed_sample family (0-5: mode 2 is nilpotent, mode 5 has planted
+    coincidences; modes 0 and 1 only at the floor, where the others have
+    no draw), 'zero', or 'off', an n x n matrix outside so(n) on so; plus
+    i times a generic element when gaussian."""
+    if family == "zero":
+        x = Mat.zeros(ctx.n)
+    elif family == "off":
+        x = s.algebra_element(make_algebra("gl", ctx.n))
+    else:
+        x = _mixed_sample(ctx, s, family if ctx.child else family % 2)
+    return x + s.algebra_element(ctx).scale(I) if gaussian else x
+
+
+@given(st.sampled_from(LEVEL_ALGEBRAS), st.integers(0, 10 ** 6),
+       st.sampled_from([0, 1, 2, 3, 4, 5, "zero", "off"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_level_coefficients_match_faddeev_leverrier(algebra, seed, family,
+                                                    gaussian):
+    # Newton's identities on the level's powers give every b_k of
+    # det(t*I - x), odd k included, as both Faddeev-LeVerrier loops do; off
+    # the algebra only the coefficients are read (the sub-Pfaffian memo of
+    # _level_data refuses S x not antisymmetric on even so)
+    ctx = make_algebra(*algebra)
+    x = _level_draw(ctx, Sampler("level-coefficients/%d" % seed), family,
+                    gaussian)
+    image = zi_matrix(x.a)
+    want = char_poly_fl(image)[0]
+    assert want == qi_reference.char_poly_fl(x)[0]
+    if family == "off":
+        assert _char_coeffs(ctx, image, _level_powers(ctx, image)) == want
+    else:
+        assert _level_data(ctx, image)[0] == want
+
+
+@pytest.mark.parametrize("algebra", LEVEL_ALGEBRAS, ids=lambda a: "%s%d" % a)
+def test_level_coefficients_off_the_algebra(algebra):
+    # every power sum is read, the odd ones too: on so(m) a matrix outside
+    # so(m) has odd coefficients, which level_values refuses
+    ctx = make_algebra(*algebra)
+    s = Sampler("off-the-algebra/%s%d" % algebra)
+    for gaussian in (False, True):
+        image = zi_matrix(_level_draw(ctx, s, "off", gaussian).a)
+        assert (_char_coeffs(ctx, image, _level_powers(ctx, image))
+                == char_poly_fl(image)[0])
+
+
+def _value_products(kind, m):
+    """Products per level of the values: floor((m-1)/2) on so(m), where
+    Faddeev-LeVerrier takes m - 2, and m - 2 on gl(m)."""
+    return (m - 1) // 2 if kind == "so" else max(m - 2, 0)
+
+
+def _kostant_products(kind, m):
+    """Products per level of the power gradient rows alone, which the
+    kostant and full-map ranks form: so(3) and so(4) have no X^3 and form
+    no Y."""
+    r = (m - 1) // 2
+    return (r if r > 1 else 0) if kind == "so" else max(m - 2, 0)
+
+
+@pytest.mark.parametrize("algebra", [("gl", n) for n in range(2, 10)]
+                         + [("so", n) for n in range(3, 13)],
+                         ids=lambda a: "%s%d" % a)
+def test_power_route_products(algebra, monkeypatch):
+    # the values and the report's Jacobian rows share one power recurrence
+    # per level; the kostant ranks form no more products than their rows
+    calls = []
+    product = matrices._imatmul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(matrices, "_imatmul", counted)
+    kind, n = algebra
+    ctx = make_algebra(kind, n)
+    s = Sampler("power-route/%s%d" % algebra)
+    for x, parts in ((s.algebra_element(ctx), 1),
+                     (s.algebra_element(ctx)
+                      + s.algebra_element(ctx).scale(I), 4)):
+        # a Gaussian product is four real ones
+        for lvl, image in ctx.walk(zi_matrix(x.a)):
+            del calls[:]
+            _level_data(lvl, image)
+            assert len(calls) == parts * _value_products(kind, lvl.n)
+        for reader, per_level, levels in (
+                (partial_kw, _value_products, (n - 1, n)),
+                (analysis_report, _value_products, (n - 1, n)),
+                (kostant_jacobian_rank, _kostant_products, (n - 1, n)),
+                (full_map_jacobian_rank, _kostant_products,
+                 [lvl.n for lvl in ctx.levels])):
+            del calls[:]
+            reader(ctx, x)
+            assert len(calls) == parts * sum(per_level(kind, m)
+                                             for m in levels), reader
