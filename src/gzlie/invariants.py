@@ -14,11 +14,10 @@ A level's powers of X = d*x_m are formed in one place, _level_powers: the
 powers X^(j-1) that the power gradient rows of regularity pair with the
 basis, I, X, ..., X^(m-1) on gl and X, X^3, ... through Y = X^2 on so.
 The coefficients are read off them by Newton's identities over Z[i]
-(_char_coeffs), every power sum the diagonal sum of a power or the trace
+(_newton_ints), every power sum the diagonal sum of a power or the trace
 of two, so on so(m) the values take floor((m-1)/2) products where
-Faddeev-LeVerrier takes m - 2, and on gl both take m - 2.  partial_kw,
-full_kw, reduced_char and the analysis report read them so;
-coincidence_count keeps matrices.char_poly_fl.
+Faddeev-LeVerrier takes m - 2, and on gl both take m - 2.  Every chain
+reader reads them so, regularity.partial_map_jacobian included.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import polys
-from .matrices import (ZiMatrix, char_poly_fl, zi_matrix, zi_sub_pfaffians,
-                       _qi, _zi_matmul, _zi_trace)
+from .matrices import (ZiMatrix, zi_matrix, zi_sub_pfaffians, _qi,
+                       _zi_matmul, _zi_trace)
 from .scalars import ZERO, ONE
 
 
@@ -76,8 +75,7 @@ def reduced_char(ctx, mat):
     """For so: the monic q with char(t) = t^(n mod 2) * q(t^2).
     For gl: the characteristic polynomial itself.  mat may be a ZiMatrix."""
     image = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
-    return _reduced(generator_spec(ctx),
-                    _char_coeffs(ctx, image, _level_powers(ctx, image)))
+    return _reduced(generator_spec(ctx), _coeffs_at(ctx, image))
 
 
 def _level_powers(ctx_m, image):
@@ -113,21 +111,21 @@ def _diagonal_sum(power):
             0 if im is None else sum(row[i] for i, row in enumerate(im)))
 
 
-def _char_coeffs(ctx_m, image, powers):
-    """b_1..b_m of det(t*I - x_m) from the ZiMatrix of x_m and its
-    _level_powers, by Newton's identities over Z[i] on X = d*x_m:
-    k b_k = -(p_1 b_(k-1) + ... + p_k b_0), b_0 = 1, every division by k
-    checked to be exact; then b_k(x_m) = b_k(X) / d^k.
+def _newton_ints(ctx_m, powers):
+    """[b_0, ..., b_m], the coefficients of det(t*I - X), X = d*x_m, as
+    pairs (re, im) of ints, from the level's _level_powers, by Newton's
+    identities: k b_k = -(p_1 b_(k-1) + ... + p_k b_0), b_0 = 1, every
+    division by k checked to be exact.  b_k(x_m) = b_k(X) / d^k.
 
     The power sum p_k = tr(X^k) is the diagonal sum of X^k when that power
     is in powers, else tr(X^a X^(k-a)) (matrices._zi_trace, no product)
     for the largest a with both powers there: p_m = tr(X^(m-1) X) on gl;
     on so(m), m > 2, p_2 is the diagonal sum of Y, an even p_k above it
     pairs two odd powers (Y with Y on so(4)), and the odd p_k above the
-    last odd power is tr(X^(k-2) Y).  So the values take no product
+    last odd power is tr(X^(k-2) Y).  So the coefficients take no product
     beyond the powers but Y on so(3) and so(4), which have no X^3.  The
-    odd b_k are computed, not assumed zero: on so, level_values checks
-    that they vanish."""
+    odd b_k are computed, not assumed zero: on so, level_values and the
+    gradient rows check that they vanish."""
     m = ctx_m.n
     if generator_spec(ctx_m).even and m > 2 and 2 not in powers:
         powers = {**powers, 2: _zi_matmul(powers[1], powers[1])}
@@ -149,8 +147,19 @@ def _char_coeffs(ctx_m, image, powers):
             raise AssertionError("Newton's identities: b_%d is not integral"
                                  % k)
         b.append((b_re, b_im))
-    d = image.d
-    return [_qi(b_re, b_im, d ** k) for k, (b_re, b_im) in enumerate(b[1:], 1)]
+    return b
+
+
+def _char_coeffs(ctx_m, image, powers):
+    """b_1..b_m of det(t*I - x_m) from the ZiMatrix of x_m and its
+    _level_powers."""
+    return [_qi(b_re, b_im, image.d ** k) for k, (b_re, b_im)
+            in enumerate(_newton_ints(ctx_m, powers)[1:], 1)]
+
+
+def _coeffs_at(ctx_m, image):
+    """b_1..b_m of det(t*I - x_m) from the ZiMatrix of x_m alone."""
+    return _char_coeffs(ctx_m, image, _level_powers(ctx_m, image))
 
 
 def pfaffian_minors(ctx_m, image):
@@ -227,8 +236,8 @@ def coincidence_count(ctx, mat):
     level down: the degree of the gcd of the two reduced characteristic
     polynomials (in u = t^2 for so, in t for gl)."""
     image = zi_matrix(mat.a)
-    return coincidence_of(ctx, char_poly_fl(image)[0],
-                          char_poly_fl(ctx.down_zi(image))[0])
+    return coincidence_of(ctx, _coeffs_at(ctx, image),
+                          _coeffs_at(ctx.child, ctx.down_zi(image)))
 
 
 def _poly_from_values(ctx_m, values):

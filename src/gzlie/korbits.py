@@ -360,7 +360,7 @@ def sample_g0(ctx, sampler):
 def sample_chain_disjoint(ctx, sampler):
     """Random element whose chain projections have pairwise disjoint spectra
     at every consecutive pair of levels: the gcd of each pair's reduced
-    characteristic polynomials has degree 0, as coincidence_of reads it.
+    characteristic polynomials has degree 0, as in the coincidence count.
     A draw is refused at the first pair with a common root, before the
     levels below it are walked."""
     for _ in range(MAX_TRIES):

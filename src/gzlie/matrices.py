@@ -58,13 +58,13 @@ elimination; the package decides invertibility by rank.
 
 char_poly_fl runs Faddeev-LeVerrier over Z[i] on X = d*A, d the least
 common denominator of A, in n - 2 products of ``_zi_matmul``, the one
-Gaussian-integer product, and keeps its auxiliary matrices M_k(X) over
-Z[i].  It is the general-matrix routine and the reference: the
-coincidence count, det, char_poly and partial_map_jacobian read it.  The
-generator values and the Jacobian ranks read one power recurrence per
-chain level instead (gzlie.invariants._level_powers, whose products are
-``_zi_matmul`` too, with the coefficients from Newton's identities on
-power sums that ``_zi_trace`` reads as tr(a b) without the product).
+Gaussian-integer product, and returns the coefficients alone, keeping no
+auxiliary matrix.  It is the general-matrix routine, read only by
+char_poly and det.  Every chain reader (generator values, coincidence
+count, Jacobian rows and ranks) reads one power recurrence per level
+instead (gzlie.invariants._level_powers, whose products are ``_zi_matmul``
+too, with the coefficients from Newton's identities on power sums that
+``_zi_trace`` reads as tr(a b) without the product).
 ``zi_sub_pfaffians`` is the one Pfaffian expansion: a memo of the
 sub-Pfaffians of an antisymmetric Gaussian-integer matrix, which the
 generator values, the Jacobian rows and the analysis report read, and
@@ -540,14 +540,12 @@ def nullspace_zi_rows(rows, ncols):
 
 
 def det(mat):
-    """Determinant: (-1)^n b_n, the last coefficient of det(t*I - A) from
-    char_poly_fl; ONE at size 0."""
+    """Determinant: (-1)^n b_n, the constant term of char_poly (ONE at
+    size 0)."""
     if mat.m != mat.n:
         raise ValueError("determinant of non-square matrix")
-    coeffs, _ = char_poly_fl(mat)
-    if not coeffs:
-        return ONE
-    return -coeffs[-1] if mat.n % 2 else coeffs[-1]
+    b_n = char_poly(mat)[0]
+    return -b_n if mat.n % 2 else b_n
 
 
 def solve(mat, rhs):
@@ -621,65 +619,37 @@ def _zi_trace(a, b):
     return re, im
 
 
-# the auxiliary matrices of one Faddeev-LeVerrier run on X = d*A, held as
-# the recurrence's Gaussian integers: ints[k] is the pair (re, im) of int
-# rows of M_(k+1)(X) = d^k M_(k+1)(A), im None while X is real.  Readers
-# must not mutate ints.
-AuxMatrices = namedtuple("AuxMatrices", "d ints")
-
-
 def char_poly_fl(mat):
-    """Faddeev-LeVerrier over Q(i).  Returns (coeffs, aux) where
-    det(t*I - A) = t^n + b[0]*t^(n-1) + ... + b[n-1]
-    and aux holds the matrices M_{k+1} with directional derivative
-    d b[k](A; V) = -trace(M_{k+1} * V).
+    """Faddeev-LeVerrier over Q(i): the coefficients b[0..n-1] of
+    det(t*I - A) = t^n + b[0]*t^(n-1) + ... + b[n-1].
 
     The recurrence M_1 = I, b_k = -tr(X M_k)/k, M_(k+1) = X M_k + b_k I runs
     on the Gaussian-integer matrix X = d*A, d the least common denominator
     of the entries; there the division by k is exact.  Then
-    b_k(A) = b_k(X)/d^k and M_k(A) = M_k(X)/d^(k-1).  It forms n - 2
-    products (_zi_matmul): X M_1 is a copy of X, and at k = n, where only
-    b_n is read, tr(X M_n) is the sum of X_ij (M_n)_ji (_zi_trace) and
-    X M_n is not formed.  aux is an AuxMatrices (d, ints).  ``mat`` is a
-    Mat, or already the ZiMatrix of A over that d (a chain level's image,
-    see AlgebraContext.walk).
+    b_k(A) = b_k(X)/d^k.  Every tr(X M_k) is the sum of X_ij (M_k)_ji
+    (_zi_trace), and X M_1 is a copy of X, so it forms n - 2 products
+    (_zi_matmul), X M_k for 1 < k < n.  ``mat`` is a Mat, or already the
+    ZiMatrix of A over that d.
     """
-    xre, xim, d = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
-    n = len(xre)
-    if n == 0:
-        return [], AuxMatrices(1, [])
-    mre = [[int(i == j) for j in range(n)] for i in range(n)]
-    mim = None
-    coeffs, ints = [], []
-    dk = 1                               # d^(k-1)
+    *x, d = mat if isinstance(mat, ZiMatrix) else zi_matrix(mat.a)
+    n = len(x[0])
+    m = [[int(i == j) for j in range(n)] for i in range(n)], None
+    coeffs = []
     for k in range(1, n + 1):
-        ints.append((mre, mim))
-        dk *= d
-        if k == n:
-            # only b_n is read: tr(X M_n), no product
-            tr_re, tr_im = _zi_trace((xre, xim), (mre, mim))
-            coeffs.append(_qi(-tr_re // k, -tr_im // k, dk))
-            break
-        if k == 1:                       # X M_1 = X
-            are, aim = list(map(list, xre)), xim and list(map(list, xim))
-        else:
-            are, aim = _zi_matmul((xre, xim), (mre, mim))
-        br = -sum(are[i][i] for i in range(n)) // k
-        bi = -sum(aim[i][i] for i in range(n)) // k if aim else 0
-        coeffs.append(_qi(br, bi, dk))
-        for i in range(n):
-            are[i][i] += br
-            if aim:
-                aim[i][i] += bi
-        mre, mim = are, aim
-    return coeffs, AuxMatrices(d, ints)
+        tr_re, tr_im = _zi_trace(x, m)
+        b = (-tr_re // k, -tr_im // k)
+        coeffs.append(_qi(*b, d ** k))
+        if k < n:                        # M_(k+1) = X M_k + b_k I
+            m = [part and [[v + c * (i == j) for j, v in enumerate(row)]
+                           for i, row in enumerate(part)]
+                 for part, c in zip(_zi_matmul(x, m) if k > 1 else x, b)]
+    return coeffs
 
 
 def char_poly(mat):
     """Monic characteristic polynomial of A, low degree first:
     det(t*I - A) as a coefficient list [c0, ..., 1]."""
-    coeffs, _ = char_poly_fl(mat)
-    return coeffs[::-1] + [ONE]
+    return char_poly_fl(mat)[::-1] + [ONE]
 
 
 def pfaffian(mat):

@@ -17,8 +17,9 @@ m + n + 1 - deg gcd(a, b) dimensions, so that degree is m + n + 1 minus
 their rank, taken over Z[i] with each polynomial converted once, to its
 primitive Gaussian-integer row (gzlie.matrices._zi_rows).
 
-The coincidence count, stratum_of_value and sample_chain_disjoint read
-gcd_degree (sample_g0 reads the coincidence count).  Its rank goes
+The coincidence count (invariants.coincidence_of, read by
+coincidence_count, sample_g0 and the analysis report), stratum_of_value
+and sample_chain_disjoint read gcd_degree.  Its rank goes
 through the modular filter (gzlie.matrices._certified_rank) with the
 width m + n + 1 as the bound: a coprime pair, whose rows have full rank,
 is certified mod p, and any other pair takes the exact pass.

@@ -33,10 +33,10 @@ Kostant's criterion (Amer. J. Math. 85, 1963) asks whether the generators
 of the invariants are linearly independent at x, and any generating set
 gives the same answer.  The Jacobian rank readers (kostant_jacobian_rank,
 full_map_jacobian_rank and docio.analysis_report) therefore read the
-power sums p_j = tr(x^j), whose gradient pairs V with j x^(j-1), and run
-no Faddeev-LeVerrier recurrence (_power_gradients).  Newton's identities
-make each coefficient b_j of det(t*I - x) equal to -p_j / j plus a
-polynomial in p_1..p_(j-1), so the change from the coefficient generators
+power sums p_j = tr(x^j), whose gradient pairs V with j x^(j-1)
+(_power_gradients).  Newton's identities make each coefficient b_j of
+det(t*I - x) equal to -p_j / j plus a polynomial in p_1..p_(j-1), so the
+change from the coefficient generators
 to the power sums is triangular with a constant nonzero diagonal, and at
 every x both sets of gradients span the same space.  On so(m) the odd p_j
 and b_j vanish identically, and so do their gradients along so(m): the
@@ -46,19 +46,21 @@ The powers are those of invariants._level_powers, the level's one power
 recurrence, from which the generator values are read too (Newton's
 identities, invariants._char_coeffs), so the analysis report forms each
 level's powers once for its values and its Jacobian rows.
-partial_map_jacobian alone keeps the exact coefficient gradients
-(_coefficient_gradients_at), read off the auxiliary matrices of the
-Faddeev-LeVerrier recurrence (the adjugate expansion), one recurrence per
-chain level.  The Pfaffian row reads the Pfaffians of the cofactors of
-S*X, all from one memo of sub-Pfaffians on the integers X = d*x_m.
+partial_map_jacobian reads the exact coefficient gradients
+(_coefficient_gradients) off the same powers: the auxiliary matrix
+M_j = b_0 X^(j-1) + ... + b_(j-1) I of the adjugate expansion sums them
+with the integer coefficients b_i(X) of Newton's identities, the odd
+powers alone on so, with no product.  The Pfaffian row reads the
+Pfaffians of the cofactors of S*X, all from one memo of sub-Pfaffians on
+the integers X = d*x_m.
 
-_level_gradient_rows is the one pairing and lifting step for both
-sources, and the rows stay over Z[i] from the gradient matrices to the
-rank, since a row scaled by a nonzero constant spans the same line: a row
-is the pairing of an integer matrix G (M_j(X), X^(j-1) or the cofactors
-of S*X) with the basis supports of g_m (tr(G b) is the sum of
-c * G[j][i] over the support (i, j, c) of b).  Each row is lifted to the
-basis of g through AlgebraContext.down_coords of every level above
+_level_gradient_rows is the one pairing and lifting step, and the rows
+stay over Z[i] from the gradient matrices to the rank, since a row scaled
+by a nonzero constant spans the same line: a row is the pairing of an
+integer matrix G (M_j(X), X^(j-1) or the cofactors of S*X) with the
+basis supports of g_m (tr(G b) is the sum of c * G[j][i] over the
+support (i, j, c) of b).  Each row is lifted to the basis of g through
+AlgebraContext.down_coords of every level above
 (tr(G down(b_k)) is a weighted sum of the pairings with the child's
 basis), so no basis matrix is projected and no gradient embedded.  Every
 row carries its scale: d^(j-1), times -sign on a coefficient row, or
@@ -75,11 +77,11 @@ from functools import lru_cache
 from math import gcd
 
 from .matrices import (rank_zi_rows, full_rank_zi_rows,
-                       nested_pivots_zi_rows, nullspace_zi_rows,
-                       char_poly_fl, zi_matrix, _kernel_rows, _mod_pivots,
-                       _qi)
+                       nested_pivots_zi_rows, nullspace_zi_rows, zi_matrix,
+                       _kernel_rows, _mod_pivots, _qi)
 from .liealg import embed_from_subalgebra
-from .invariants import generator_spec, pfaffian_minors, _level_powers
+from .invariants import (generator_spec, pfaffian_minors, _level_powers,
+                         _newton_ints, _reduced)
 
 
 def _bracket_block(ctx, a, supports):
@@ -351,8 +353,8 @@ def _level_gradient_rows(ctx, lvl, grads):
     ([re, im], scale): re + i*im is a Gaussian-integer row (im None when
     real) and the gradient is that row divided by the nonzero int scale.
     grads are the level's gradient matrices as pairs ((re, im), scale),
-    G = re + i*im with the gradient tr(G V) / scale at x_m, from one of two
-    sources: _coefficient_gradients_at or _power_gradients.
+    G = re + i*im with the gradient tr(G V) / scale at x_m, from
+    _coefficient_gradients or _power_gradients.
 
     Each gradient matrix is paired with the basis of g_m through its
     supports, then lifted level by level through down_coords: projection
@@ -374,53 +376,62 @@ def _level_gradient_rows(ctx, lvl, grads):
     return rows
 
 
-def _pfaffian_pair(lvl, minors, d):
-    """[(G, d^((m-2)/2))] for the Pfaffian generator pf(S x_m) of lvl from
-    minors (invariants.pfaffian_minors of X = d x_m), [] without one: a
-    cofactor has degree (m-2)/2."""
-    if minors is None:
-        return []
-    return [(_pfaffian_gradient(minors, lvl.n), d ** ((lvl.n - 2) // 2))]
-
-
-def _coefficient_gradients_at(lvl, image):
-    """The gradient matrices of the generators of lvl (generator_spec) for
-    _level_gradient_rows, from the ZiMatrix of x_m, read off the
-    auxiliary matrices of matrices.char_poly_fl, the recurrence's
-    integers: d b_j = -tr(M_j(X) V) / d^(j-1) with X = d*x_m; then the
-    Pfaffian row, from invariants.pfaffian_minors of the same image."""
-    _, aux = char_poly_fl(image)
-    return ([(aux.ints[j - 1], -sign * aux.d ** (j - 1))
-             for j, sign in generator_spec(lvl).coeffs]
-            + _pfaffian_pair(lvl, pfaffian_minors(lvl, image), aux.d))
-
-
 def _power_gradients(lvl, powers, minors, d):
-    """Gradient matrices for _level_gradient_rows that span, at x_m, the
-    same space as _coefficient_gradients_at (see the module docstring),
-    from the level's powers of X = d*x_m (invariants._level_powers) and
-    the sub-Pfaffian memo minors of X (invariants.pfaffian_minors): for
-    each (j, sign) of generator_spec(lvl).coeffs the power X^(j-1) over
-    d^(j-1), the gradient of p_j / j, then the Pfaffian row."""
+    """Gradient matrices for _level_gradient_rows from the level's powers of
+    X = d*x_m (invariants._level_powers) and the sub-Pfaffian memo minors
+    of X (invariants.pfaffian_minors): for each (j, sign) of
+    generator_spec(lvl).coeffs X^(j-1) over d^(j-1), the gradient of
+    p_j / j, then the Pfaffian row over d^((m-2)/2) unless minors is None."""
     return ([(powers[j - 1], d ** (j - 1))
              for j, _ in generator_spec(lvl).coeffs]
-            + _pfaffian_pair(lvl, minors, d))
+            + ([] if minors is None else [(_pfaffian_gradient(minors, lvl.n),
+                                           d ** ((lvl.n - 2) // 2))]))
 
 
-def _power_gradients_at(lvl, image):
-    """_power_gradients with its data computed from the ZiMatrix of x_m."""
-    return _power_gradients(lvl, _level_powers(lvl, image),
-                            pfaffian_minors(lvl, image), image.d)
+def _zi_combination(terms):
+    """The sum of c * P over the terms (c, P), c a Gaussian integer (re, im)
+    and P a square matrix (re, im) of int rows, im None when real."""
+    m = len(terms[0][1][0])
+    zero = [[0] * m] * m
+    re, im = [], []                      # real terms (c, int matrix)
+    for (c_re, c_im), (p_re, p_im) in terms:
+        re += [(c_re, p_re), (-c_im, p_im or zero)]
+        im += [(c_im, p_re), (c_re, p_im or zero)]
+    re, im = ([[sum(c * p[i][k] for c, p in part) for k in range(m)]
+               for i in range(m)] for part in (re, im))
+    return re, (im if any(map(any, im)) else None)
+
+
+def _coefficient_gradients(lvl, powers, minors, d):
+    """The power gradients with each X^(j-1) replaced by the auxiliary
+    matrix M_j = b_0 X^(j-1) + ... + b_(j-1) I, b_i = b_i(X) from
+    invariants._newton_ints, and its scale by -sign times it:
+    d b_j = -tr(M_j V) / d^(j-1).  On so the odd b_i are checked to vanish
+    first (ValueError, as in level_values), so M_j sums odd powers alone."""
+    spec = generator_spec(lvl)
+    b = _newton_ints(lvl, powers)
+    _reduced(spec, [_qi(re, im, 1) for re, im in b[1:]])
+    grads = _power_gradients(lvl, powers, minors, d)
+    return [(_zi_combination([(b[i], powers[j - 1 - i])
+                              for i in range(0, j, 1 + spec.even)]),
+             -sign * scale) for (j, sign), (_, scale)
+            in zip(spec.coeffs, grads)] + grads[len(spec.coeffs):]
+
+
+def _gradients_at(gradients, lvl, image):
+    """gradients(lvl, powers, minors, d) read off the ZiMatrix of x_m."""
+    return gradients(lvl, _level_powers(lvl, image),
+                     pfaffian_minors(lvl, image), image.d)
 
 
 def _partial_rows(ctx, mat, gradients):
     """The gradient rows of levels n-1 and n, with their scales, each
-    level's gradient matrices read by gradients(lvl, image) off its
-    ZiMatrix."""
+    level's gradient matrices built by gradients off its ZiMatrix."""
     image = zi_matrix(mat.a)
     return [row for lvl, img in ((ctx.child, ctx.down_zi(image)),
                                  (ctx, image))
-            for row in _level_gradient_rows(ctx, lvl, gradients(lvl, img))]
+            for row in _level_gradient_rows(
+                ctx, lvl, _gradients_at(gradients, lvl, img))]
 
 
 def partial_map_jacobian(ctx, mat):
@@ -430,13 +441,13 @@ def partial_map_jacobian(ctx, mat):
     return [[_qi(x, 0, scale) for x in re] if im is None else
             [_qi(x, y, scale) for x, y in zip(re, im)]
             for (re, im), scale in _partial_rows(ctx, mat,
-                                                 _coefficient_gradients_at)]
+                                                 _coefficient_gradients)]
 
 
 def kostant_jacobian_rank(ctx, mat):
     """Rank of partial_map_jacobian, from the power gradient rows."""
     return rank_zi_rows([row for row, _ in
-                         _partial_rows(ctx, mat, _power_gradients_at)],
+                         _partial_rows(ctx, mat, _power_gradients)],
                         ctx.dim)
 
 
@@ -445,7 +456,8 @@ def full_map_jacobian_rank(ctx, mat):
     the power gradient rows."""
     return rank_zi_rows([row for lvl, image in ctx.walk(zi_matrix(mat.a))
                          for row, _ in _level_gradient_rows(
-                             ctx, lvl, _power_gradients_at(lvl, image))],
+                             ctx, lvl,
+                             _gradients_at(_power_gradients, lvl, image))],
                         ctx.dim)
 
 

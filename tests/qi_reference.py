@@ -21,9 +21,9 @@ partially coincident semisimple draws summed on Q(i) with xi patterns and
 parabolic membership decided on flattened spans, the coincidence-free and
 chain-disjoint draws tested by the Euclidean gcd, and polynomial
 arithmetic over Q(i) with the gcd by the Euclidean algorithm, and the
-scalar parser that read each rational part through Fraction(text).  aux_qi
-reads the auxiliary integers of gzlie.matrices.char_poly_fl as the Q(i)
-matrices of the reference loop.
+scalar parser that read each rational part through Fraction(text).  The
+reference loop keeps its auxiliary matrices M_k, which the power-built
+gradient matrices of gzlie.regularity are pinned to.
 
 The last section holds the constructors and checks that only the tests
 read: scalar and matrix constructors, the conjugate of a scalar, the
@@ -38,9 +38,8 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from gzlie.scalars import QI, ZERO, ONE, rat, _coerce, _mpq
-from gzlie.matrices import (Mat, bracket, intersection_dim, qi_matrix,
-                            zi_matrix, nested_pivots_zi_rows,
-                            row_space_contains)
+from gzlie.matrices import (Mat, bracket, intersection_dim, zi_matrix,
+                            nested_pivots_zi_rows, row_space_contains)
 from gzlie.liealg import Root, adjoint, project_to_subalgebra, root_vector
 from gzlie.invariants import (generator_spec, level_values, _signed,
                               reduced_char)
@@ -223,13 +222,6 @@ def char_poly_fl(mat):
             mk = am + bk * ident
             aux.append(mk)
     return coeffs, aux
-
-
-def aux_qi(aux):
-    """The Q(i) matrices M_(k+1)(A) = M_(k+1)(X) / d^k of the AuxMatrices
-    (d, ints) of gzlie.matrices.char_poly_fl, in the order of aux above."""
-    return [qi_matrix(re, im, aux.d ** k)
-            for k, (re, im) in enumerate(aux.ints)]
 
 
 def sub_pfaffians(a):

@@ -6,8 +6,8 @@ deleting one of them breaks only ``perfbench/run.py --trace 1``.  The first
 test installs the tracer on every gzlie module and removes it again; the
 second runs the traced Jacobian and analysis paths, whose elimination entry
 points the tracer reads entry by entry (``ELIM_SIZES``), and the
-generator-value readers and samplers, counting the Faddeev-LeVerrier runs
-of the coincidence count.
+generator-value readers, the coincidence count and the samplers, none of
+which runs Faddeev-LeVerrier (matrices.char_poly_fl).
 """
 
 import importlib
@@ -46,9 +46,7 @@ def test_tracer_installs_on_every_traced_function():
 
 def test_traced_jacobian_and_analysis_paths_run():
     # a Gaussian-integer row handed to a wrapped Q(i) entry point (rank,
-    # rank_rows, nullspace) would raise in the tracer's size reader; the
-    # coincidence count must reach char_poly_fl through a module binding
-    # that the tracer rebinds, or its runs go uncounted
+    # rank_rows, nullspace) would raise in the tracer's size reader
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer(tracer_mod.gzlie_modules())
     tracer.install()
@@ -69,7 +67,8 @@ def test_traced_jacobian_and_analysis_paths_run():
             korbits.sample_chain_disjoint(ctx, s)
     finally:
         tracer.uninstall()
-    # per algebra, two Faddeev-LeVerrier runs each for coincidence_count and
-    # sample_g0 (which reads it); the values, the report and the Jacobian
-    # ranks read the level's powers (invariants._level_powers) and run none
-    assert tracer.calls["matrices.char_poly"] == 8
+    # every chain reader, the coincidence count and sample_g0 (which reads
+    # it) included, reads the level's powers (invariants._level_powers):
+    # Faddeev-LeVerrier is left to char_poly and det, which no chain reader
+    # calls
+    assert tracer.calls["matrices.char_poly"] == 0

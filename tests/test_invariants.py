@@ -7,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from gzlie import matrices
 from gzlie.scalars import QI, rat, ZERO, ONE, I
-from gzlie.matrices import Mat, zi_matrix, char_poly_fl
+from gzlie.matrices import Mat, zi_matrix, qi_matrix, char_poly_fl
 from gzlie.liealg import make_algebra, adjoint, project_to_subalgebra
-from gzlie.invariants import (InvariantVector, reduced_char,
+from gzlie.invariants import (InvariantVector, generator_spec, reduced_char,
                               pfaffian_minors, level_values,
                               partial_kw, full_kw, coincidence_count,
                               coincidence_of, stratum_of_value,
                               _poly_from_values, _level_data, _level_powers,
                               _char_coeffs)
-from gzlie.regularity import kostant_jacobian_rank, full_map_jacobian_rank
+from gzlie.regularity import (partial_map_jacobian, kostant_jacobian_rank,
+                              full_map_jacobian_rank, _coefficient_gradients,
+                              _gradients_at)
 from gzlie.docio import analysis_report
 from gzlie.rand import Sampler
 from gzlie.suites import _mixed_sample
@@ -331,17 +333,27 @@ def test_level_coefficients_match_faddeev_leverrier(algebra, seed, family,
     # Newton's identities on the level's powers give every b_k of
     # det(t*I - x), odd k included, as both Faddeev-LeVerrier loops do; off
     # the algebra only the coefficients are read (the sub-Pfaffian memo of
-    # _level_data refuses S x not antisymmetric on even so)
+    # _level_data refuses S x not antisymmetric on even so).  In the
+    # algebra, the auxiliary matrices M_j(X) built on the powers, over
+    # d^(j-1), are the reference loop's M_j(x), entry by entry, for every
+    # coefficient generator j
     ctx = make_algebra(*algebra)
     x = _level_draw(ctx, Sampler("level-coefficients/%d" % seed), family,
                     gaussian)
     image = zi_matrix(x.a)
-    want = char_poly_fl(image)[0]
-    assert want == qi_reference.char_poly_fl(x)[0]
+    want = char_poly_fl(image)
+    ref, aux = qi_reference.char_poly_fl(x)
+    assert want == ref
     if family == "off":
         assert _char_coeffs(ctx, image, _level_powers(ctx, image)) == want
-    else:
-        assert _level_data(ctx, image)[0] == want
+        return
+    assert _level_data(ctx, image)[0] == want
+    d = image.d
+    grads = _gradients_at(_coefficient_gradients, ctx, image)
+    for (j, sign), ((re, im), scale) in zip(generator_spec(ctx).coeffs,
+                                            grads):
+        assert scale == -sign * d ** (j - 1), j
+        assert qi_matrix(re, im, d ** (j - 1)) == aux[j - 1], j
 
 
 @pytest.mark.parametrize("algebra", LEVEL_ALGEBRAS, ids=lambda a: "%s%d" % a)
@@ -353,7 +365,22 @@ def test_level_coefficients_off_the_algebra(algebra):
     for gaussian in (False, True):
         image = zi_matrix(_level_draw(ctx, s, "off", gaussian).a)
         assert (_char_coeffs(ctx, image, _level_powers(ctx, image))
-                == char_poly_fl(image)[0])
+                == char_poly_fl(image))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_readers_refuse_matrices_off_so(n):
+    # a matrix outside so(n) has odd coefficients or an S x that is not
+    # antisymmetric at one of the two top levels: the partial map, its
+    # Jacobian, its rank and the coincidence count all refuse it
+    ctx = make_algebra("so", n)
+    s = Sampler("off-so/%d" % n)
+    for gaussian in (False, True):
+        x = _level_draw(ctx, s, "off", gaussian)
+        for reader in (partial_map_jacobian, kostant_jacobian_rank,
+                       partial_kw, coincidence_count):
+            with pytest.raises(ValueError):
+                reader(ctx, x)
 
 
 def _value_products(kind, m):

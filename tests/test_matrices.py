@@ -15,8 +15,7 @@ from gzlie.matrices import (Mat, bracket, rank, rank_rows, nullspace, det,
                             zi_matrix, _zi_rows, _qi)
 
 import qi_reference
-from qi_reference import (Jet, jet_mat, aux_qi, qi, from_ints, transpose,
-                          trace)
+from qi_reference import Jet, jet_mat, qi, from_ints, transpose, trace
 
 ints = st.integers(-6, 6)
 
@@ -211,9 +210,8 @@ def test_kernel_matches_qi_reference(case):
     if a.m == a.n:
         assert det(a) == qi_reference.det(a)
         assert _or_error(inverse, a) == _or_error(qi_reference.inverse, a)
-        coeffs, aux = qi_reference.char_poly_fl(a)
-        got, got_aux = char_poly_fl(a)
-        assert (got, aux_qi(got_aux)) == (coeffs, aux)
+        coeffs, _ = qi_reference.char_poly_fl(a)
+        assert char_poly_fl(a) == coeffs
         assert char_poly(a) == coeffs[::-1] + [ONE]
 
 
@@ -509,7 +507,8 @@ def test_row_by_row_pass_stops_once_decided(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_char_poly_fl_takes_n_minus_2_products(n, monkeypatch):
-    # M_1 = I needs no product, and b_n is read as tr(X M_n) without one
+    # X M_1 = X needs no product, and every b_k is read as tr(X M_k)
+    # without one
     calls = []
     product = matrices._imatmul
 
@@ -520,16 +519,16 @@ def test_char_poly_fl_takes_n_minus_2_products(n, monkeypatch):
     monkeypatch.setattr(matrices, "_imatmul", counted)
     a = Mat([[rat((3 * i + 5 * j) % 11 - 5, 1 + (i * j) % 3)
               for j in range(n)] for i in range(n)])
-    got, aux = char_poly_fl(a)
+    got = char_poly_fl(a)
     assert len(calls) == max(n - 2, 0)
-    assert (got, aux_qi(aux)) == qi_reference.char_poly_fl(a)
+    assert got == qi_reference.char_poly_fl(a)[0]
     # a Gaussian input takes the same steps, four real products each
     b = a + Mat([[qi(0, (i + 2 * j) % 3 - 1) for j in range(n)]
                  for i in range(n)])
     del calls[:]
-    got, aux = char_poly_fl(b)
+    got = char_poly_fl(b)
     assert len(calls) == 4 * max(n - 2, 0)
-    assert (got, aux_qi(aux)) == qi_reference.char_poly_fl(b)
+    assert got == qi_reference.char_poly_fl(b)[0]
 
 
 def test_char_poly_oracle():
@@ -556,13 +555,15 @@ def test_char_poly_satisfied_by_matrix(vals):
 
 
 def test_fl_gradient_matches_jets():
-    # d b_k(A; V) = -tr(M_k V) must agree with a jet pass through FL
+    # d b_k(A; V) = -tr(M_k V), M_k the reference loop's auxiliary
+    # matrices, must agree with a jet pass through FL
     a = _mat3([1, 2, 0, -1, 3, 1, 0, 2, -2])
     v = _mat3([0, 1, 1, 2, 0, -1, 1, 1, 0])
-    coeffs, aux = char_poly_fl(a)
+    coeffs = char_poly_fl(a)
+    _, aux = qi_reference.char_poly_fl(a)
     jcoeffs, _ = qi_reference.char_poly_fl(jet_mat(a, v))
     for k in range(3):
-        grad = -trace(aux_qi(aux)[k] * v)
+        grad = -trace(aux[k] * v)
         assert jcoeffs[k].val == coeffs[k]
         assert jcoeffs[k].eps == grad
 

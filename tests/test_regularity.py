@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzlie.scalars import QI, rat, ZERO
-from gzlie.matrices import (Mat, rank_rows, rank_zi_rows,
-                            char_poly_fl, nullspace, nested_pivots_zi_rows,
-                            zi_matrix, qi_matrix, _qi)
+from gzlie.matrices import (Mat, rank_rows, rank_zi_rows, nullspace,
+                            nested_pivots_zi_rows, zi_matrix, qi_matrix, _qi)
 from gzlie.invariants import pfaffian_minors
 from gzlie.liealg import (make_algebra, MAX_N, project_to_subalgebra,
                           embed_from_subalgebra)
@@ -19,7 +18,7 @@ from gzlie.regularity import (joint_centralizer,
                               chain_centralizers, is_sreg,
                               chain_centralizer_ranks,
                               _level_gradient_rows, _pfaffian_gradient,
-                              _coefficient_gradients_at,
+                              _coefficient_gradients, _gradients_at,
                               _centralizer_system, _chain_data)
 from gzlie.korbits import (sample_chain_disjoint, nilfibre_components,
                            sample_nilfibre)
@@ -28,7 +27,7 @@ from gzlie.suites import _mixed_sample
 from gzlie.rand import Sampler
 from qi_reference import (partial_map_jacobian_jet, echelon,
                           centralizer_system_by_brackets, trace_against,
-                          aux_qi, form,
+                          char_poly_fl, form,
                           centralizer_system_qi,
                           level_gradient_rows_by_trace,
                           pfaffian_gradient_by_cofactors, pfaffian,
@@ -134,7 +133,7 @@ def test_pfaffian_generator_is_needed_for_the_differential():
     assert rank_rows(rows, ctx.dim) == 3    # full: r_3 + r_4 = 1 + 2
     # same jacobian with the last row built from c_2 instead of pf
     _, aux = char_poly_fl(x)
-    det_row = [-trace_against(aux_qi(aux)[3], v) for v in ctx.basis]
+    det_row = [-trace_against(aux[3], v) for v in ctx.basis]
     assert rank_rows(rows[:-1] + [det_row], ctx.dim) == 2
     assert any(v for v in rows[-1])
     assert not any(det_row)
@@ -215,11 +214,13 @@ def _divided(row, scale):
 
 
 def _gradient_rows(ctx, lvl, xm):
-    # the level's coefficient gradient rows, from its Faddeev-LeVerrier aux
-    # matrices and sub-Pfaffian memo as partial_map_jacobian computes them;
-    # each row over Q(i), its Gaussian integers divided by its scale
+    # the level's coefficient gradient rows, from the auxiliary matrices
+    # built on its powers and its sub-Pfaffian memo as partial_map_jacobian
+    # computes them; each row over Q(i), its Gaussian integers divided by
+    # its scale
     return [_divided(row, scale) for row, scale in _level_gradient_rows(
-        ctx, lvl, _coefficient_gradients_at(lvl, zi_matrix(xm.a)))]
+        ctx, lvl,
+        _gradients_at(_coefficient_gradients, lvl, zi_matrix(xm.a)))]
 
 
 def _assert_gradients_match_jets(ctx, x):
@@ -582,7 +583,7 @@ def _assert_power_ranks_match_coefficient_rows(ctx, x):
     assert full_map_jacobian_rank(ctx, x) == rank_zi_rows(
         [row for lvl, image in ctx.walk(zi_matrix(x.a))
          for row, _ in _level_gradient_rows(
-             ctx, lvl, _coefficient_gradients_at(lvl, image))],
+             ctx, lvl, _gradients_at(_coefficient_gradients, lvl, image))],
         ctx.dim), ctx.n
 
 
